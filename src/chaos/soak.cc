@@ -92,6 +92,10 @@ workload::WorkloadConfig soak_default_workload() {
 
 Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
                                      const SoakOptions& options) {
+  // Zero stays valid: it builds and arms everything without running.
+  if (options.duration < 0) {
+    return Error{Errc::kInvalidArgument, "soak duration is negative"};
+  }
   const bool attack_plan = plan_has_attack(plan);
   const bool defenses = attack_plan && options.defenses;
   const Bytes filter_secret = soak_filter_secret(options.seed);

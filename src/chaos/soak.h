@@ -129,7 +129,8 @@ struct SurvivabilityReport {  // registry-backed snapshot
 [[nodiscard]] bool validate_report_json(const std::string& json);
 
 // Builds the SCIERA network, launches the workload, arms the plan, runs
-// for options.duration, and summarizes.
+// for options.duration, and summarizes. A negative duration is
+// kInvalidArgument; zero builds and arms everything but runs nothing.
 [[nodiscard]] Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
                                                    const SoakOptions& options);
 

@@ -97,11 +97,6 @@ void HopVerifier::rekey(const FwdKey& key) {
 Mac6 HopVerifier::compute(std::uint16_t beta, std::uint32_t timestamp,
                           const HopField& hop) {
   const auto block = mac_input_block(beta, timestamp, hop);
-  if (config_.per_packet_keyschedule) {
-    // Measurable pre-fix baseline: redo the whole schedule per packet.
-    const crypto::AesCmac cmac{key_};  // NOLINT(percall-keyschedule) bench baseline mode
-    return truncate_mac(cmac.compute(block));
-  }
   if (cache_.empty()) return truncate_mac(cmac_.compute(block));
   CacheEntry& entry = cache_[block_slot(block, cache_.size() - 1)];
   if (entry.valid && entry.block == block) {

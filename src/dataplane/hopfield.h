@@ -13,7 +13,9 @@
 // AS lifetime, not once per packet. HopVerifier keeps the expanded
 // context per key; the free functions below route through a bounded
 // per-key context cache so control-plane callers (beaconing) get the
-// same reuse without holding a verifier.
+// same reuse without holding a verifier. RouterFastPath.* in
+// tests/router_alloc_test.cc holds a warm router to exactly zero key
+// schedules and zero allocations per batch.
 #pragma once
 
 #include <array>
@@ -46,9 +48,6 @@ class HopVerifier {
   struct Config {
     // Direct-mapped MAC-cache slots (power of two; 0 disables caching).
     std::size_t cache_entries = 1024;
-    // Pre-fix behavior: rebuild the AES-CMAC context on every call.
-    // Exists only as the measurable baseline for the router micro-bench.
-    bool per_packet_keyschedule = false;
   };
 
   struct CacheCounters {

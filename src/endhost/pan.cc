@@ -11,48 +11,37 @@ const char* stack_mode_name(StackMode mode) {
   return "?";
 }
 
-PanContext::PanContext(HostEnvironment env, StackMode mode)
+PanContext::PanContext(Environment env, StackMode mode)
     : env_(std::move(env)), mode_(mode) {
   stack_ = std::make_unique<HostStack>(*env_.net, env_.address,
                                        env_.stack_config);
 }
 
 Result<std::unique_ptr<PanContext>> PanContext::Builder::build(Rng rng) {
-  return PanContext::create_validated(std::move(env_), std::move(rng));
-}
-
-Result<std::unique_ptr<PanContext>> PanContext::create(HostEnvironment env,
-                                                       Rng rng) {
-  // Deprecated shim: same validation as the Builder so legacy call sites
-  // cannot sneak an invalid environment past it either.
-  return create_validated(std::move(env), std::move(rng));
-}
-
-Result<std::unique_ptr<PanContext>> PanContext::create_validated(
-    HostEnvironment env, Rng rng) {
-  if (env.net == nullptr) {
+  if (env_.net == nullptr) {
     return Error{Errc::kInvalidArgument, "no network in host environment"};
   }
-  if (env.net->topology().find_as(env.address.ia) == nullptr) {
+  if (env_.net->topology().find_as(env_.address.ia) == nullptr) {
     return Error{Errc::kInvalidArgument,
-                 "host address " + env.address.to_string() +
+                 "host address " + env_.address.to_string() +
                      " names an AS outside the topology"};
   }
-  if (env.daemon != nullptr && env.daemon->isd_as() != env.address.ia) {
+  if (env_.daemon != nullptr && env_.daemon->isd_as() != env_.address.ia) {
     return Error{Errc::kInvalidArgument,
-                 "daemon serves " + env.daemon->isd_as().to_string() +
-                     " but host address is in " + env.address.ia.to_string()};
+                 "daemon serves " + env_.daemon->isd_as().to_string() +
+                     " but host address is in " + env_.address.ia.to_string()};
   }
   // Automatic fallback chain (Section 4.2.1).
   StackMode mode;
-  if (env.daemon != nullptr) {
+  if (env_.daemon != nullptr) {
     mode = StackMode::kDaemonDependent;
-  } else if (env.bootstrapper_state != nullptr) {
+  } else if (env_.bootstrapper_state != nullptr) {
     mode = StackMode::kBootstrapperDependent;
   } else {
     mode = StackMode::kStandalone;
   }
-  auto ctx = std::unique_ptr<PanContext>(new PanContext(std::move(env), mode));
+  auto ctx =
+      std::unique_ptr<PanContext>(new PanContext(std::move(env_), mode));
   if (mode == StackMode::kStandalone) {
     if (ctx->env_.bootstrap_server == nullptr) {
       return Error{Errc::kUnreachable,

@@ -28,30 +28,27 @@ enum class StackMode {
 
 [[nodiscard]] const char* stack_mode_name(StackMode mode);
 
-// DEPRECATED: raw environment struct, superseded by PanContext::Builder.
-// Nothing validates the pointers in here, which is how a daemon for the
-// wrong AS once reached the data plane. Construction sites outside the
-// library are flagged by sciera_lint (deprecated-api); the struct remains
-// for one PR as a migration shim.
-struct HostEnvironment {
-  controlplane::ScionNetwork* net = nullptr;
-  dataplane::Address address;
-  Daemon* daemon = nullptr;                       // running daemon, if any
-  const BootstrapResult* bootstrapper_state = nullptr;  // pre-installed
-  const BootstrapServer* bootstrap_server = nullptr;    // reachable in-AS
-  NetworkEnvironment network_env;
-  OsProfile os = linux_profile();
-  HostStack::Config stack_config;
-};
-
 class PanSocket;
 
 class PanContext {
+ private:
+  // What a host offers the library. Private: only the Builder fills it,
+  // so every context is validated before it exists.
+  struct Environment {
+    controlplane::ScionNetwork* net = nullptr;
+    dataplane::Address address;
+    Daemon* daemon = nullptr;                       // running daemon, if any
+    const BootstrapResult* bootstrapper_state = nullptr;  // pre-installed
+    const BootstrapServer* bootstrap_server = nullptr;    // reachable in-AS
+    NetworkEnvironment network_env;
+    OsProfile os = linux_profile();
+    HostStack::Config stack_config;
+  };
+
  public:
-  // Validated construction: the only supported way to stand up a PAN
-  // stack. Rejects a missing network, an address whose AS is not in the
-  // topology, and a daemon serving a different AS than the address —
-  // failures that the raw HostEnvironment shim let through silently.
+  // Validated construction: the only way to stand up a PAN stack.
+  // Rejects a missing network, an address whose AS is not in the
+  // topology, and a daemon serving a different AS than the address.
   //
   //   auto ctx = PanContext::Builder{}
   //                  .net(network)
@@ -95,13 +92,8 @@ class PanContext {
     [[nodiscard]] Result<std::unique_ptr<PanContext>> build(Rng rng);
 
    private:
-    HostEnvironment env_;
+    Environment env_;
   };
-
-  // DEPRECATED: unvalidated shim over Builder, kept for one PR so external
-  // call sites can migrate. sciera_lint flags new uses (deprecated-api).
-  static Result<std::unique_ptr<PanContext>> create(HostEnvironment env,
-                                                    Rng rng);
 
   [[nodiscard]] StackMode mode() const { return mode_; }
   // Time the application spent bootstrapping (zero with a daemon).
@@ -127,14 +119,12 @@ class PanContext {
 
  private:
   friend class PanSocket;
-  PanContext(HostEnvironment env, StackMode mode);
-  static Result<std::unique_ptr<PanContext>> create_validated(
-      HostEnvironment env, Rng rng);
+  PanContext(Environment env, StackMode mode);
 
   void register_socket(PanSocket* socket);
   void unregister_socket(PanSocket* socket);
 
-  HostEnvironment env_;
+  Environment env_;
   StackMode mode_;
   std::unique_ptr<HostStack> stack_;
   std::optional<BootstrapResult> own_bootstrap_;

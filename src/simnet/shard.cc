@@ -4,14 +4,6 @@
 
 namespace sciera::simnet {
 
-const char* shard_policy_name(ShardPolicy policy) {
-  switch (policy) {
-    case ShardPolicy::kPerAs: return "per-as";
-    case ShardPolicy::kPerIsd: return "per-isd";
-  }
-  return "?";
-}
-
 ShardMap::ShardMap(std::vector<IsdAs> ases, std::size_t shard_count,
                    ShardPolicy policy)
     : policy_(policy) {

@@ -64,8 +64,6 @@ class Domain {
 // synchronization window).
 enum class ShardPolicy : std::uint8_t { kPerAs, kPerIsd };
 
-[[nodiscard]] const char* shard_policy_name(ShardPolicy policy);
-
 // Deterministic IsdAs -> Domain partition. Built once from the topology's
 // AS list; lookups are binary searches over a sorted table.
 class ShardMap {

@@ -7,8 +7,8 @@
 // contract — events fire in strict (time, insertion-sequence) order:
 //
 //   kBinaryHeap     the classic std::priority_queue, O(log n) per op.
-//                   Kept as the reference implementation and baseline for
-//                   the sciera_bench perf trajectory.
+//                   Kept as the referee the calendar queue's schedule is
+//                   checked against.
 //   kCalendarQueue  a calendar queue / timer wheel: near-future events
 //                   land in fixed-width time buckets (O(1) amortized
 //                   schedule/pop), far-future events wait in an overflow
@@ -32,7 +32,7 @@
 //
 // The equivalence is audited, not assumed: the same seeded scenario must
 // produce an identical ScheduleDigest under both backends and any thread
-// count (tests/simcore_test.cc, tests/parallel_test.cc, tools/sciera_bench).
+// count (tests/simcore_test.cc, tests/parallel_test.cc).
 #pragma once
 
 #include <condition_variable>
@@ -91,10 +91,12 @@ struct SchedulerConfig {
   // control-plane timescale — workload start windows, daemon TTLs, and
   // healing sweeps run on hundreds of milliseconds to a second, and the
   // previous ~134ms horizon pushed all of those through the overflow
-  // heap twice (heap insert + wheel migration), which is how the macro
-  // bench briefly measured the calendar queue *behind* the heap it
-  // replaced. Both values must be powers of two — the per-push bucket
-  // mapping then compiles to shift+mask instead of a 64-bit division.
+  // heap twice (heap insert + wheel migration). The many-flow workload
+  // never touches the overflow heap under these defaults; the 134ms
+  // geometry parks up to 1,599 of its events there
+  // (SchedulerGeometry.* in tests/simcore_test.cc pins both counts).
+  // Both values must be powers of two — the per-push bucket mapping
+  // then compiles to shift+mask instead of a 64-bit division.
   Duration bucket_width = Duration{1} << 18;  // 262.144us in ns units
   std::size_t bucket_count = 4096;
   // Parallel core geometry. shards == 1 is the classic single-queue core
@@ -142,16 +144,6 @@ class Simulator {
   // ("simnet.cross_shard_lookahead").
   void schedule(Domain domain, SimTime when, Action action);
   void schedule_after(Domain domain, Duration delay, Action action);
-
-  // Legacy single-domain entry points, kept for one PR as shims over
-  // schedule(Domain::current(), ...). New code in src/ must name its
-  // domain explicitly; the `deprecated-api` lint rule polices call sites.
-  void at(SimTime when, Action action) {
-    schedule(Domain::current(), when, std::move(action));
-  }
-  void after(Duration delay, Action action) {
-    schedule_after(Domain::current(), delay, std::move(action));
-  }
 
   // Conservative lookahead for cross-shard scheduling: the minimum
   // latency any cross-shard interaction can have. ScionNetwork sets this

@@ -1,10 +1,11 @@
 // Synthetic many-flow workload generator: attaches a fleet of PAN hosts
 // across the topology and schedules a randomized traffic matrix on the
-// network's simulator. This is the macro load the sciera_bench harness
-// drives through both scheduler backends — it has to be deterministic for
-// a given seed so the heap-vs-calendar digest comparison is meaningful,
-// which is why every random draw comes from one forked Rng stream and no
-// container iteration order leaks into the schedule.
+// network's simulator. This is the many-flow load the scheduler,
+// router and thread-parity tests and the benchmark's soak workloads
+// drive — it has to be deterministic for a given seed so their digest
+// comparisons are meaningful, which is why every random draw comes from
+// one forked Rng stream and no container iteration order leaks into the
+// schedule.
 //
 // Under the sharded parallel core each flow's send events are scheduled
 // into the source host's shard, deliveries fire on the destination's

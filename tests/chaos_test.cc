@@ -350,7 +350,7 @@ TEST(Chaos, ScmpFailoverSurvivesCorrelatedOutageOnStalePaths) {
 
   // A packet in flight when the correlated cut lands draws the SCMP
   // error that quarantines the primary path.
-  net.sim().at(999500 * kMicrosecond, [&] {
+  net.sim().schedule(simnet::Domain::current(), 999500 * kMicrosecond, [&] {
     (void)(*sock)->send_to({a::ovgu(), 0x0A020221}, 8888, bytes_of("mid"));
   });
   net.sim().run_until(2 * kSecond);
@@ -413,6 +413,23 @@ TEST(Chaos, SoakReportIsDeterministic) {
   EXPECT_EQ(first->executed_events, second->executed_events);
   EXPECT_EQ(first->to_json(), second->to_json());
   EXPECT_GT(first->faults_injected, 0u);
+}
+
+// A negative duration is rejected before anything is built; zero is the
+// set-up-only soak (build, launch, arm, run nothing) and stays valid.
+TEST(Chaos, SoakRejectsNegativeDurationButRunsZero) {
+  SoakOptions options;
+  options.duration = -5 * kMillisecond;
+  const auto negative = run_soak(kreonet_ring_cut_plan(), options);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.error().code, Errc::kInvalidArgument);
+
+  options.duration = 0;
+  const auto zero = run_soak(kreonet_ring_cut_plan(), options);
+  ASSERT_TRUE(zero.ok()) << zero.error().to_string();
+  EXPECT_EQ(zero->duration, 0);
+  EXPECT_EQ(zero->packets_sent, 0u);
+  EXPECT_TRUE(validate_report_json(zero->to_json()));
 }
 
 // The acceptance regression: under the KREONET ring cut, delivery ratio

@@ -20,6 +20,7 @@ namespace sciera {
 namespace {
 
 namespace a = topology::ases;
+using simnet::Domain;
 
 // Restores the process-default abort mode even when a test fails early.
 class CountModeGuard {
@@ -97,8 +98,10 @@ simnet::ScheduleDigest run_timer_scenario(std::uint64_t seed) {
   auto rng = std::make_shared<Rng>(seed);
   std::function<void(int)> tick = [&sim, rng, &tick](int remaining) {
     if (remaining <= 0) return;
-    sim.after(static_cast<Duration>(rng->next_below(kMillisecond) + 1),
-              [&tick, remaining] { tick(remaining - 1); });
+    sim.schedule_after(
+        Domain::current(),
+        static_cast<Duration>(rng->next_below(kMillisecond) + 1),
+        [&tick, remaining] { tick(remaining - 1); });
   };
   for (int chain = 0; chain < 8; ++chain) tick(50);
   sim.run_all();
@@ -120,10 +123,10 @@ TEST(ScheduleDigestTest, DigestCoversOrderNotJustCount) {
   // Two simulators executing the same number of events at different times
   // must not collide.
   simnet::Simulator early;
-  early.after(1 * kMillisecond, [] {});
+  early.schedule_after(Domain::current(), 1 * kMillisecond, [] {});
   early.run_all();
   simnet::Simulator late;
-  late.after(2 * kMillisecond, [] {});
+  late.schedule_after(Domain::current(), 2 * kMillisecond, [] {});
   late.run_all();
   EXPECT_EQ(early.executed_events(), late.executed_events());
   EXPECT_NE(early.schedule_hash(), late.schedule_hash());
@@ -134,9 +137,9 @@ TEST(SimulatorInvariantTest, SchedulingInThePastIsClampedAndAudited) {
   auto& registry = CheckRegistry::instance();
   const auto before = registry.count("simnet.schedule_in_past");
   simnet::Simulator sim;
-  sim.after(5 * kMillisecond, [&sim] {
+  sim.schedule_after(Domain::current(), 5 * kMillisecond, [&sim] {
     // Absolute time 1ms is already in the past at 5ms.
-    sim.at(1 * kMillisecond, [] {});
+    sim.schedule(Domain::current(), 1 * kMillisecond, [] {});
   });
   sim.run_all();
   EXPECT_EQ(registry.count("simnet.schedule_in_past"), before + 1);

@@ -230,19 +230,19 @@ HopField verifier_hop(IfaceId in, IfaceId out) {
 }
 
 TEST(HopVerifier, MatchesFreeFunctionsAndPerPacketMode) {
-  // Three implementations of the same function — the cached verifier,
-  // the per-packet-keyschedule baseline, and the free functions' context
-  // cache — must agree bit for bit on every MAC.
+  // Three paths to the same function — the MAC-cached verifier, the
+  // uncached one that runs the CMAC on every packet, and the free
+  // functions' context cache — must agree bit for bit on every MAC.
   const FwdKey key = derive_fwd_key(bytes_of("verifier-equivalence"));
   HopVerifier cached{key};
-  HopVerifier legacy{key, {.cache_entries = 0, .per_packet_keyschedule = true}};
+  HopVerifier uncached{key, {.cache_entries = 0}};
   Rng rng{0x600D, "verifier"};
   for (int i = 0; i < 64; ++i) {
     const auto beta = static_cast<std::uint16_t>(rng.next_u64());
     const auto ts = static_cast<std::uint32_t>(rng.next_u64());
     const auto hop = verifier_hop(static_cast<IfaceId>(i), IfaceId{2});
     const Mac6 mac = cached.compute(beta, ts, hop);
-    EXPECT_EQ(mac, legacy.compute(beta, ts, hop));
+    EXPECT_EQ(mac, uncached.compute(beta, ts, hop));
     EXPECT_EQ(mac, compute_hop_mac(key, beta, ts, hop));
     auto stamped = hop;
     stamped.mac = mac;
@@ -264,19 +264,6 @@ TEST(HopVerifier, OneKeySchedulePerKeyNotPerPacket) {
                            verifier_hop(IfaceId{1}, IfaceId{2}));
   }
   EXPECT_EQ(crypto::Aes128::key_schedules_run(), constructed);
-}
-
-TEST(HopVerifier, PerPacketModeSchedulesEveryCall) {
-  // The measurable baseline really does what its name says — otherwise
-  // the micro-bench's "speedup" would be comparing the fix to itself.
-  const FwdKey key = derive_fwd_key(bytes_of("per-packet-baseline"));
-  HopVerifier legacy{key, {.cache_entries = 0, .per_packet_keyschedule = true}};
-  const auto before = crypto::Aes128::key_schedules_run();
-  for (int i = 0; i < 16; ++i) {
-    (void)legacy.compute(static_cast<std::uint16_t>(i), 1700000000,
-                         verifier_hop(IfaceId{1}, IfaceId{2}));
-  }
-  EXPECT_EQ(crypto::Aes128::key_schedules_run() - before, 16u);
 }
 
 TEST(HopVerifier, MacCacheHitsRepeatedBlocks) {

@@ -247,18 +247,6 @@ TEST(Pan, BuilderRejectsDaemonForOtherAs) {
   EXPECT_EQ(ctx.error().code, Errc::kInvalidArgument);
 }
 
-// The deprecated shim applies the same validation as the Builder.
-TEST(Pan, DeprecatedCreateShimStillValidates) {
-  auto& net = shared_net();
-  Daemon daemon{net, a::ovgu()};
-  HostEnvironment env;  // NOLINT(sciera-deprecated-api) migration shim test
-  env.net = &net;
-  env.address = {a::uva(), 0x0A010106};
-  env.daemon = &daemon;
-  auto ctx = PanContext::create(env, Rng{7});
-  EXPECT_FALSE(ctx.ok());
-}
-
 // --- Drop-in socket over the real network ------------------------------------------
 
 TEST(Pan, SocketSendsAndReceivesAcrossAtlantic) {
@@ -564,8 +552,9 @@ TEST(Pan, ScmpFailoverQuarantinesPathAndRecovers) {
   // reaches the failed egress just after and triggers the SCMP error.
   simnet::Link* cut = net.link(first->links[1]);
   ASSERT_NE(cut, nullptr);
-  net.sim().after(10 * kMillisecond, [cut] { cut->set_up(false); });
-  net.sim().after(9500 * kMicrosecond, [&] {
+  net.sim().schedule_after(simnet::Domain::current(), 10 * kMillisecond,
+                           [cut] { cut->set_up(false); });
+  net.sim().schedule_after(simnet::Domain::current(), 9500 * kMicrosecond, [&] {
     (void)(*sock)->send_to({a::ovgu(), 0x0A020211}, 8888, bytes_of("probe"));
   });
   net.sim().run_for(3 * kSecond);

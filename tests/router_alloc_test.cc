@@ -1,0 +1,175 @@
+// Border-router fast-path window: once warm, the batched router forwards
+// same-tick frame batches with zero heap allocations and zero AES key
+// schedules, and forwards every frame it was sent. All three are exact
+// counts, not timings.
+//
+// This is its own executable because it replaces global operator new to
+// count allocations. The replacement set must be COMPLETE (throwing,
+// nothrow, array, sized): a partial set leaves some variants to the
+// runtime — under ASan that splits one logical allocation family across
+// two allocators, and e.g. stable_sort's nothrow-new temporary buffer
+// trips alloc-dealloc-mismatch. The deletes are noinline: inlined into a
+// `new T` ... `delete` pair, their free() reads to GCC as freeing an
+// operator-new pointer (-Wmismatched-new-delete, fatal under -Werror).
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "crypto/aes128.h"
+#include "dataplane/frame_pool.h"
+#include "dataplane/router.h"
+#include "simnet/link.h"
+#include "simnet/simulator.h"
+
+namespace {
+// Relaxed atomic: gtest and the library may allocate from any thread.
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace sciera::dataplane {
+namespace {
+
+// The far end of the egress link: counts deliveries, parses nothing.
+class Sink final : public simnet::Node {
+ public:
+  Sink() : simnet::Node("router-alloc-sink") {}
+  void receive(const simnet::MessagePtr&, const simnet::Arrival&) override {
+    ++received_;
+  }
+  [[nodiscard]] std::uint64_t received() const { return received_; }
+
+ private:
+  std::uint64_t received_ = 0;
+};
+
+// One packet per flow, each with its own segment timestamp, so every
+// flow's MAC input block is distinct.
+std::vector<Bytes> flow_packets(const FwdKey& key, IsdAs ia, IsdAs dst_ia,
+                                std::size_t flows) {
+  std::vector<Bytes> wire;
+  for (std::size_t f = 0; f < flows; ++f) {
+    ScionPacket pkt;
+    pkt.flow_id = static_cast<std::uint32_t>(f);
+    pkt.dst = Address{dst_ia, 0x0A000001};
+    pkt.src = Address{ia, 0x0A000002};
+    InfoField info;
+    info.construction_dir = true;
+    info.seg_id = static_cast<std::uint16_t>(0x4000 + f);
+    info.timestamp = 1'700'000'000 + static_cast<std::uint32_t>(f);
+    HopField here;  // this router's hop: in over iface 1, out over iface 2
+    here.exp_time = 255;
+    here.cons_ingress = 1;
+    here.cons_egress = 2;
+    here.mac = compute_hop_mac(key, info.seg_id, info.timestamp, here);
+    HopField next;  // the neighbor's final hop, never verified here
+    next.exp_time = 255;
+    next.cons_ingress = 7;
+    next.cons_egress = 0;
+    pkt.path.info = {info};
+    pkt.path.seg_len = {2, 0, 0};
+    pkt.path.hops = {here, next};
+    pkt.payload = bytes_of("router-bench-payload");
+    wire.push_back(pkt.serialize().value());
+  }
+  return wire;
+}
+
+TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
+  // 64 distinct MAC input blocks cycled through same-tick batches of 32:
+  // enough flows that the direct-mapped MAC cache sees real collision
+  // evictions rather than one always-hot entry.
+  constexpr std::size_t kFlows = 64;
+  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kWarmupRounds = 4;
+  constexpr std::size_t kRounds = 120;
+
+  // Binary-heap scheduler: its event storage is one flat vector whose
+  // capacity survives rounds, so steady-state scheduling is allocation-
+  // free. The calendar wheel would charge first-touch bucket-vector
+  // growth to the router as sim time walks across fresh buckets — a
+  // scheduler cost, not the router's.
+  simnet::SchedulerConfig sched;
+  sched.kind = simnet::SchedulerKind::kBinaryHeap;
+  simnet::Simulator sim{sched};
+  const IsdAs ia = IsdAs::parse("71-225").value();
+  const IsdAs dst_ia = IsdAs::parse("71-2:0:5c").value();
+  const FwdKey key = derive_fwd_key(bytes_of("router-bench-master-secret"));
+  BorderRouter router{sim, ia, key, BorderRouter::Config{}};
+  Sink sink;
+  simnet::Link egress{sim, simnet::LinkConfig{}, Rng{0xBE7C, "router-bench"}};
+  egress.attach(0, &router, 2);
+  egress.attach(1, &sink, 1);
+  router.attach_iface(2, &egress, 0);
+  const std::vector<Bytes> wire = flow_packets(key, ia, dst_ia, kFlows);
+
+  std::vector<simnet::MessagePtr> batch;
+  batch.reserve(kBatch);
+  std::size_t next_flow = 0;
+  const auto fire_batch = [&] {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      auto frame = FramePool::global().acquire();
+      frame->scion_bytes.assign(wire[next_flow].begin(),
+                                wire[next_flow].end());
+      next_flow = (next_flow + 1) % kFlows;
+      batch.push_back(std::move(frame));
+    }
+    router.receive_batch(batch, simnet::Arrival{nullptr, 1, sim.now()});
+    batch.clear();  // drop our frame refs before draining deliveries
+    sim.run_all();
+  };
+  // Warm-up fills the frame pool, the router's batch scratch and the
+  // MAC cache; steady state is what the window measures.
+  for (std::size_t r = 0; r < kWarmupRounds; ++r) fire_batch();
+
+  const std::uint64_t forwarded_before = router.stats().forwarded;
+  const std::uint64_t received_before = sink.received();
+  const std::uint64_t schedules_before = crypto::Aes128::key_schedules_run();
+  const std::uint64_t allocs_before = g_allocs.load();
+  for (std::size_t r = 0; r < kRounds; ++r) fire_batch();
+  const std::uint64_t allocs = g_allocs.load() - allocs_before;
+  const std::uint64_t schedules =
+      crypto::Aes128::key_schedules_run() - schedules_before;
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(schedules, 0u);
+  const std::uint64_t sent = kRounds * kBatch;
+  EXPECT_EQ(router.stats().forwarded - forwarded_before, sent);
+  EXPECT_EQ(sink.received() - received_before, sent);
+}
+
+}  // namespace
+}  // namespace sciera::dataplane

@@ -1,18 +1,24 @@
 // Scheduler-equivalence suite: the calendar-queue backend must reproduce
 // the binary heap's exact event schedule — identical ScheduleDigest on the
-// same seeded scenario — on raw timer workloads, sparse far-future
-// schedules, full-network failover, and a many-flow traffic matrix. Plus
-// FramePool reuse/leak assertions (run under ASan in the sanitizer job).
+// same seeded scenario — on raw timer workloads, a campaign-scale hold
+// model, sparse far-future schedules, full-network failover, and a
+// many-flow traffic matrix. Plus an exact wheel-geometry gate on the
+// overflow heap, and FramePool reuse/leak assertions (run under ASan in
+// the sanitizer job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "controlplane/control_plane.h"
 #include "dataplane/frame_pool.h"
 #include "dataplane/scmp.h"
+#include "obs/metrics.h"
 #include "simnet/simulator.h"
 #include "topology/sciera_net.h"
 #include "workload/workload.h"
@@ -21,6 +27,7 @@ namespace sciera {
 namespace {
 
 namespace a = topology::ases;
+using simnet::Domain;
 
 simnet::SchedulerConfig config_for(simnet::SchedulerKind kind) {
   simnet::SchedulerConfig config;
@@ -52,8 +59,10 @@ TEST(SchedulerEquivalence, SeededTimerChains) {
         Rng rng{0xD16E57, "chains"};
         std::function<void(int)> tick = [&](int remaining) {
           if (remaining <= 0) return;
-          sim.after(static_cast<Duration>(rng.next_below(kMillisecond) + 1),
-                    [&tick, remaining] { tick(remaining - 1); });
+          sim.schedule_after(
+              Domain::current(),
+              static_cast<Duration>(rng.next_below(kMillisecond) + 1),
+              [&tick, remaining] { tick(remaining - 1); });
         };
         for (int chain = 0; chain < 16; ++chain) tick(200);
         sim.run_all();
@@ -69,7 +78,7 @@ TEST(SchedulerEquivalence, SameTickEventsKeepFifoOrder) {
     simnet::Simulator sim{config};
     for (int round = 0; round < 50; ++round) {
       for (int i = 0; i < 20; ++i) {
-        sim.at(round * kMillisecond, [] {});
+        sim.schedule(Domain::current(), round * kMillisecond, [] {});
       }
     }
     sim.run_all();
@@ -85,8 +94,10 @@ TEST(SchedulerEquivalence, SparseFarFutureSchedule) {
     Rng rng{0xFA5, "sparse"};
     for (int i = 0; i < 64; ++i) {
       const auto when = static_cast<SimTime>(rng.next_below(20 * kMinute));
-      sim.at(when, [&sim, &rng] {
-        sim.after(static_cast<Duration>(rng.next_below(kMinute) + 1), [] {});
+      sim.schedule(Domain::current(), when, [&sim, &rng] {
+        sim.schedule_after(
+            Domain::current(),
+            static_cast<Duration>(rng.next_below(kMinute) + 1), [] {});
       });
     }
     sim.run_all();
@@ -104,8 +115,10 @@ TEST(SchedulerEquivalence, TinyWheelStressesRotation) {
     Rng rng{0x71AF, "tiny"};
     std::function<void(int)> tick = [&](int remaining) {
       if (remaining <= 0) return;
-      sim.after(static_cast<Duration>(rng.next_below(100 * kMicrosecond) + 1),
-                [&tick, remaining] { tick(remaining - 1); });
+      sim.schedule_after(
+          Domain::current(),
+          static_cast<Duration>(rng.next_below(100 * kMicrosecond) + 1),
+          [&tick, remaining] { tick(remaining - 1); });
     };
     for (int chain = 0; chain < 8; ++chain) tick(100);
     sim.run_all();
@@ -120,12 +133,45 @@ TEST(SchedulerEquivalence, RunUntilDeadlineAgrees) {
     simnet::Simulator sim{config};
     Rng rng{0xDEAD11, "deadline"};
     for (int i = 0; i < 500; ++i) {
-      sim.at(static_cast<SimTime>(rng.next_below(10 * kMillisecond)), [] {});
+      sim.schedule(Domain::current(),
+                   static_cast<SimTime>(rng.next_below(10 * kMillisecond)),
+                   [] {});
     }
     sim.run_until(5 * kMillisecond);
     sim.run_all();
     return sim.schedule_digest();
   });
+}
+
+TEST(SchedulerEquivalence, CampaignScaleHoldModel) {
+  // Hold model at a campaign-scale pending population (Section 5.4 runs
+  // hold hundreds of thousands of in-flight probes): 20,000 events stay
+  // pending while 200,000 more execute, each scheduling one successor at
+  // now + U(0, 2^30 ns]. A 2^14 ns x 2^16-bucket wheel spreads that
+  // population to a handful of events per bucket.
+  const auto digest =
+      expect_backends_agree([](simnet::SchedulerConfig config) {
+        config.bucket_width = Duration{1} << 14;
+        config.bucket_count = std::size_t{1} << 16;
+        simnet::Simulator sim{config};
+        Rng rng{0xB31C, "hold"};
+        constexpr auto kHorizonMask = (std::uint64_t{1} << 30) - 1;
+        std::uint64_t remaining = 200'000;
+        std::function<void()> schedule_one = [&] {
+          const auto offset =
+              1 + static_cast<Duration>(rng.next_u64() & kHorizonMask);
+          sim.schedule_after(Domain::current(), offset, [&] {
+            if (remaining == 0) return;
+            --remaining;
+            schedule_one();
+          });
+        };
+        for (int i = 0; i < 20'000; ++i) schedule_one();
+        sim.run_all();
+        return sim.schedule_digest();
+      });
+  EXPECT_EQ(digest.executed, 220'000u);
+  EXPECT_EQ(digest.hash, 0x128ddd7ecd4c2b52ULL);
 }
 
 // --- Full-network scenarios ----------------------------------------------
@@ -254,6 +300,68 @@ TEST(BatchedRouterEquivalence, BatchedModeAgreesAcrossSchedulers) {
     options.scheduler = config;
     return run_failover_with(options);
   });
+}
+
+// --- Wheel geometry -------------------------------------------------------
+// The default wheel horizon must cover the workload's own timescale, or
+// every control-plane timer goes through the overflow heap twice (heap
+// insert + wheel migration). Counted exactly: the peak population of
+// the network's overflow heap, sampled after every 10 ms slice.
+
+constexpr std::string_view kOverflowSeries = "sciera_sim_overflow_events";
+
+std::int64_t peak_overflow_events(simnet::SchedulerConfig scheduler) {
+  // The registry is process-wide: read only this network's own series,
+  // the one its construction registers.
+  auto& registry = obs::MetricsRegistry::global();
+  const auto series_labels = [&registry] {
+    std::vector<obs::Labels> labels;
+    for (const auto& sample : registry.snapshot()) {
+      if (sample.name == kOverflowSeries) labels.push_back(sample.labels);
+    }
+    return labels;
+  };
+  const auto before = series_labels();
+  controlplane::ScionNetwork::Options options;
+  options.scheduler = scheduler;
+  controlplane::ScionNetwork net{topology::build_sciera(), options};
+  const obs::Gauge* overflow = nullptr;
+  for (const auto& labels : series_labels()) {
+    if (std::find(before.begin(), before.end(), labels) == before.end()) {
+      overflow = &registry.gauge(kOverflowSeries, labels);
+    }
+  }
+  EXPECT_NE(overflow, nullptr);
+  if (overflow == nullptr) return -1;
+
+  workload::WorkloadConfig wconfig;
+  wconfig.hosts = 16;
+  wconfig.flows = 96;
+  wconfig.packets_per_flow = 40;
+  auto matrix =
+      workload::TrafficMatrix::Builder{}.net(net).config(wconfig).build();
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return -1;
+  EXPECT_TRUE((*matrix)->launch().ok());
+  std::int64_t peak = 0;
+  while (net.sim().pending_events() > 0) {
+    net.sim().run_until(net.sim().now() + 10 * kMillisecond);
+    peak = std::max(peak, overflow->value());
+  }
+  // Geometry never changes the schedule itself.
+  EXPECT_EQ(net.sim().executed_events(), 21'640u);
+  EXPECT_EQ(net.sim().schedule_hash(), 0x5b58e65f910efb98ULL);
+  return peak;
+}
+
+TEST(SchedulerGeometry, DefaultWheelKeepsManyFlowWorkloadOutOfOverflow) {
+  EXPECT_EQ(peak_overflow_events(simnet::SchedulerConfig{}), 0);
+  // The probe is live: the pre-widening ~134 ms wheel (2^16 ns x 2048
+  // buckets) parks a measurable share of the same run in the heap.
+  simnet::SchedulerConfig narrow;
+  narrow.bucket_width = Duration{1} << 16;
+  narrow.bucket_count = 2048;
+  EXPECT_EQ(peak_overflow_events(narrow), 1599);
 }
 
 // --- FramePool ------------------------------------------------------------

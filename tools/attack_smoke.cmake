@@ -1,69 +1,24 @@
 # Attack-soak smoke: the forged-flood plan (hostile MAC floods + a
-# flash crowd on top of a link flap) must (1) emit a schema-valid
-# survivability JSON whose attack section carries every field the A/B
-# dashboards key on, (2) be byte-identical across two separate same-seed
-# processes (attack generation replays from the seed like every other
-# chaos event), and (3) prove the defenses earn their keep: with the
-# in-path LightningFilters, router admission classes, and SCMP
-# suppression enabled, legitimate-traffic delivery must STRICTLY beat
-# the same run with --no-defenses, and no hostile packet may reach a
-# socket.
+# flash crowd on top of a link flap) must replay byte-identically across
+# two separate same-seed processes with a schema-valid attack section
+# (replay_check.cmake, with the fields passed in by ctest), and prove the
+# defenses earn their keep: with the in-path LightningFilters, router
+# admission classes, and SCMP suppression enabled, no hostile packet may
+# reach a socket, and legitimate-traffic delivery must STRICTLY beat the
+# same run with --no-defenses.
 #
-# Expected variables: BIN (sciera_chaos binary), OUT_DIR (scratch dir).
-if(NOT DEFINED BIN OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "BIN and OUT_DIR must be defined")
-endif()
+# Expected variables: those of replay_check.cmake, with ARGS naming the
+# defended forged-flood run.
+include("${CMAKE_CURRENT_LIST_DIR}/replay_check.cmake")
+set(report "${output}")
 
-file(MAKE_DIRECTORY "${OUT_DIR}")
-set(on_first "${OUT_DIR}/defended1.json")
-set(on_second "${OUT_DIR}/defended2.json")
-set(off "${OUT_DIR}/undefended.json")
-
-foreach(out IN ITEMS "${on_first}" "${on_second}")
-  execute_process(
-    COMMAND "${BIN}" forged-flood --seed 7 --self-healing
-            --duration-ms 8000 --out "${out}"
-    RESULT_VARIABLE status)
-  if(NOT status EQUAL 0)
-    message(FATAL_ERROR "sciera_chaos forged-flood failed: ${status}")
-  endif()
-endforeach()
+set(off "${OUT_DIR}/undefended.out")
 execute_process(
-  COMMAND "${BIN}" forged-flood --seed 7 --self-healing
-          --duration-ms 8000 --no-defenses --out "${off}"
+  COMMAND "${BIN}" ${run_args} --no-defenses
+  OUTPUT_FILE "${off}"
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "sciera_chaos forged-flood --no-defenses failed: ${status}")
-endif()
-
-# Schema: the attack section and its A/B fields must be present.
-file(READ "${on_first}" report)
-foreach(field
-        "\"schema\": \"sciera.chaos.soak.v1\""
-        "\"plan\": \"forged-flood\""
-        "\"attack\""
-        "\"attack_plan\": true"
-        "\"defenses\": true"
-        "\"legit_ratio\""
-        "\"filter_verdicts\""
-        "\"host_drops\""
-        "\"router_admission_drops\""
-        "\"scmp_suppressed\""
-        "\"reconverge_under_flood_ms\"")
-  string(FIND "${report}" "${field}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "attack soak JSON is missing ${field}:\n${report}")
-  endif()
-endforeach()
-
-# Replayability: two separate same-seed processes, byte-identical.
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files "${on_first}" "${on_second}"
-  RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR
-          "attack soak reports differ between two same-seed runs "
-          "(${on_first} vs ${on_second})")
+  message(FATAL_ERROR "${BIN} ${ARGS} --no-defenses failed: ${status}")
 endif()
 
 # Defenses on: the filter must shut out every hostile packet.
@@ -71,10 +26,6 @@ string(REGEX MATCH "\"attack_delivered\": ([0-9]+)" _ "${report}")
 if(NOT CMAKE_MATCH_1 EQUAL 0)
   message(FATAL_ERROR
           "defended run delivered ${CMAKE_MATCH_1} hostile packets:\n${report}")
-endif()
-string(REGEX MATCH "\"attack_sent\": ([0-9]+)" _ "${report}")
-if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
-  message(FATAL_ERROR "attack plan sent no hostile traffic:\n${report}")
 endif()
 
 # The A/B ordering gate: defended legitimate delivery strictly beats
@@ -90,8 +41,8 @@ if(NOT ratio_on GREATER ratio_off)
           "defenses-off (${ratio_off})")
 endif()
 
-# Undefended, the flood must actually have hurt: hostile deliveries and
-# host-queue overload both nonzero, so the gate above is meaningful.
+# Undefended, the flood must actually have hurt: hostile deliveries
+# nonzero, so the gates above are meaningful.
 string(REGEX MATCH "\"attack_delivered\": ([0-9]+)" _ "${off_report}")
 if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
   message(FATAL_ERROR

@@ -5,17 +5,19 @@
 // uniform contract:
 //
 //   - "--name value" flags bind to std::string / unsigned / signed
-//     integers (integers accept 0x-prefixed hex, full-token validated);
+//     integers (integers accept 0x-prefixed hex, full-token validated,
+//     out-of-range and negative-unsigned values rejected);
 //   - bare "--name" flags bind to bool (set true) or run a callback (for
 //     tri-state modes like --text/--json/--both);
 //   - anything unrecognized, a flag missing its value, or a malformed
 //     number prints the tool's usage text to stderr and makes parse()
 //     return false — callers exit 2, the uniform usage-error status.
 //
-// Header-only on purpose: tools link the libraries they benchmark, not a
+// Header-only on purpose: tools link the libraries they drive, not a
 // tools-support library.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -119,17 +121,22 @@ class FlagSet {
     return nullptr;
   }
 
+  // Out-of-range values are malformed, not clamped: strto*ll saturate
+  // and set ERANGE. Unsigned flags reject any '-', because strtoull
+  // negates "-1" into 2^64-1 instead of failing.
   bool parse_number(Spec& spec, const char* value) {
     char* end = nullptr;
+    errno = 0;
     if (auto** out = std::get_if<std::uint64_t*>(&spec.target)) {
+      if (std::strchr(value, '-') != nullptr) return false;
       const std::uint64_t parsed = std::strtoull(value, &end, 0);
-      if (end == value || *end != '\0') return false;
+      if (end == value || *end != '\0' || errno == ERANGE) return false;
       **out = parsed;
       return true;
     }
     if (auto** out = std::get_if<std::int64_t*>(&spec.target)) {
       const std::int64_t parsed = std::strtoll(value, &end, 0);
-      if (end == value || *end != '\0') return false;
+      if (end == value || *end != '\0' || errno == ERANGE) return false;
       **out = parsed;
       return true;
     }

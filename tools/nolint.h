@@ -10,9 +10,9 @@
 //                                    reported as a `legacy-nolint` warning
 //                                    — name the rule you are silencing.
 //
-// Rule names match with or without the `sciera-` prefix, so existing
-// `NOLINT(sciera-deprecated-api)` markers keep working against the rule
-// registered as `deprecated-api` (and vice versa).
+// Rule names match with or without the `sciera-` prefix, so
+// `NOLINT(sciera-raw-retry-loop)` markers work against the rule
+// registered as `raw-retry-loop` (and vice versa).
 #pragma once
 
 #include <cctype>

@@ -7,7 +7,8 @@
 // and chaos.reconverge_smoke ctests enforce that across processes.
 //
 // Exit codes: 0 success, 1 soak or report-schema failure, 2 usage error
-// (including an unknown plan name or a degenerate scheduler geometry).
+// (including an unknown plan name, a degenerate scheduler geometry, a
+// malformed number, or a --duration-ms outside [0, INT64_MAX / 1 ms]).
 //
 // Usage: sciera_chaos <plan> [--seed N] [--duration-ms N]
 //                            [--no-resilience] [--self-healing]
@@ -18,6 +19,7 @@
 //        sciera_chaos --thread-smoke
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +164,14 @@ int main(int argc, char** argv) {
   flags.flag("--out", &out_path);
   if (!flags.parse(argc, argv, 2)) return 2;
   if (!flags.positionals().empty()) return flags.usage();
+  // The bound keeps duration_ms * kMillisecond inside int64.
+  constexpr std::int64_t kMaxDurationMs =
+      std::numeric_limits<std::int64_t>::max() / sciera::kMillisecond;
+  if (duration_ms < 0 || duration_ms > kMaxDurationMs) {
+    std::fprintf(stderr, "sciera_chaos: --duration-ms must be in [0, %lld]\n",
+                 static_cast<long long>(kMaxDurationMs));
+    return flags.usage();
+  }
   options.duration = duration_ms * sciera::kMillisecond;
   options.resilience = !no_resilience;
   if (auto valid = sciera::simnet::validate_scheduler_config(options.scheduler);

@@ -28,15 +28,6 @@
 //                      CircuitBreaker so timeout/backoff/jitter behaviour
 //                      is uniform and deterministic. Suppress deliberate
 //                      cases with `// NOLINT(sciera-raw-retry-loop)`
-//   deprecated-api     no `HostEnvironment` outside src/endhost/pan.{h,cc}:
-//                      the raw struct is a one-PR migration shim — build
-//                      contexts with endhost::PanContext::Builder. Also no
-//                      legacy Simulator at()/after() calls in src/ (one-PR
-//                      shims over the shard-aware schedule()/
-//                      schedule_after() — name the event's domain).
-//                      Suppress intentional uses (e.g. a shim's own
-//                      regression test) with
-//                      `// NOLINT(sciera-deprecated-api)`
 //   direct-control-lookup
 //                      no `control_service(...)` calls under src/endhost/:
 //                      end-host lookups go through the replicated
@@ -253,8 +244,6 @@ void lint_file(const fs::path& file, const fs::path& rel, FileReport& report) {
   const bool is_rng = rel_str == "src/common/rng.cc";
   const bool is_buffer_code = rel_str == "src/common/buffer.cc" ||
                               rel_str == "src/common/buffer.h";
-  const bool is_pan_library = rel_str == "src/endhost/pan.h" ||
-                              rel_str == "src/endhost/pan.cc";
   const bool owns_retry_policy = rel_str.starts_with("src/chaos/") ||
                                  rel_str == "src/common/backoff.h" ||
                                  rel_str == "src/common/backoff.cc";
@@ -305,39 +294,6 @@ void lint_file(const fs::path& file, const fs::path& rel, FileReport& report) {
         line.text.find("using namespace") != std::string::npos) {
       local.add(rel, line.number, "using-namespace",
                  "'using namespace' in a header leaks into every includer");
-    }
-    // HostEnvironment is deprecated in favor of the validated
-    // PanContext::Builder; only the PAN library itself (which implements
-    // the shim) may name it. NOLINT is checked on the raw line because
-    // the marker lives in a comment.
-    if (!is_pan_library && contains_word(line.text, "HostEnvironment")) {
-      local.add(rel, line.number, "deprecated-api",
-                 "HostEnvironment is deprecated — build contexts with "
-                 "endhost::PanContext::Builder (suppress with "
-                 "'// NOLINT(sciera-deprecated-api)')");
-    }
-    // The legacy Simulator::at()/after() entry points are one-PR shims
-    // over the shard-aware schedule()/schedule_after(): library code must
-    // name the domain an event belongs to. Receiver-specific patterns
-    // (sim./sim()./sim_.) keep std::map::at() and friends out of scope;
-    // src/ only — tests exercise the shims legitimately, and the
-    // simulator header implements them.
-    if (rel_str.starts_with("src/") &&
-        rel_str != "src/simnet/simulator.h") {
-      static constexpr std::string_view kLegacySchedule[] = {
-          "sim().at(",  "sim().after(", "sim_.at(",
-          "sim_.after(", "sim.at(",     "sim.after(",
-      };
-      for (const auto pattern : kLegacySchedule) {
-        if (line.text.find(pattern) != std::string::npos) {
-          local.add(rel, line.number, "deprecated-api",
-                     "legacy Simulator::at()/after() shim — use "
-                     "schedule(Domain, ...) / schedule_after(Domain, ...) "
-                     "with an explicit shard domain (suppress with "
-                     "'// NOLINT(sciera-deprecated-api)')");
-          break;
-        }
-      }
     }
     // End-host code must not fetch paths from a ControlService directly:
     // lookups go through the replicated ControlServiceSet so failover and

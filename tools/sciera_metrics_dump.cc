@@ -87,13 +87,14 @@ void run_failover_scenario() {
     (void)(*sock)->send_to(peer, 4242, bytes_of("mid-flight"));
     // ~1.1ms to clear the first hop, ~50ms across the Atlantic: 10ms in
     // catches the frame on the wire of the cut link.
-    network.sim().after(10 * kMillisecond, [cut] { cut->set_up(false); });
+    network.sim().schedule_after(simnet::Domain::current(), 10 * kMillisecond,
+                                 [cut] { cut->set_up(false); });
     // Sent just before the cut, arriving at the failed egress just after:
     // the border router answers with SCMP ExternalInterfaceDown and the
     // daemon quarantines the path.
-    network.sim().after(9500 * kMicrosecond, [&] {
-      (void)(*sock)->send_to(peer, 4242, bytes_of("probe"));
-    });
+    network.sim().schedule_after(
+        simnet::Domain::current(), 9500 * kMicrosecond,
+        [&] { (void)(*sock)->send_to(peer, 4242, bytes_of("probe")); });
     network.sim().run_for(3 * kSecond);
     // Failover: the quarantined path is excluded, traffic takes another.
     (void)(*sock)->send_to(peer, 4242, bytes_of("failover"));
