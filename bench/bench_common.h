@@ -22,9 +22,17 @@ inline void print_header(const char* experiment, const char* paper_claim) {
   std::printf("================================================================\n");
 }
 
+// Shape checks that missed so far in this process.
+inline int shape_misses = 0;
+
 inline void print_check(bool ok, const std::string& what) {
   std::printf("  [%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-MISS", what.c_str());
+  if (!ok) ++shape_misses;
 }
+
+// main's return value: nonzero when any shape check missed, so the
+// binary's paper.* ctest fails.
+inline int exit_code() { return shape_misses == 0 ? 0 : 1; }
 
 struct World {
   controlplane::ScionNetwork net;

@@ -50,5 +50,5 @@ int main() {
                      "dataset is non-empty and loadable");
   bench::print_check(pings > 1'000'000,
                      "millions of represented ping measurements");
-  return 0;
+  return bench::exit_code();
 }

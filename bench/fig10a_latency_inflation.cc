@@ -30,5 +30,5 @@ int main() {
   bench::print_check(cdf.fraction_below(1.2) > 0.70,
                      "~80% of pairs below 20% inflation");
   bench::print_check(cdf.min() >= 1.0, "inflation is >= 1 by construction");
-  return 0;
+  return bench::exit_code();
 }

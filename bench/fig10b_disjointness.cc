@@ -33,5 +33,5 @@ int main() {
                      "most combinations reach disjointness >= 0.7");
   bench::print_check(cdf.min() >= 0.5 && cdf.max() <= 1.0,
                      "metric bounded in [0.5, 1] (union/total definition)");
-  return 0;
+  return bench::exit_code();
 }

@@ -59,5 +59,5 @@ int main() {
   bench::print_check(points.front().multipath_connectivity == 1.0 &&
                          points.back().multipath_connectivity == 0.0,
                      "curves span full connectivity to none");
-  return 0;
+  return bench::exit_code();
 }

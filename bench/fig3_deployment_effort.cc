@@ -62,5 +62,5 @@ int main() {
   bench::print_check(last_mean < first_mean / 2,
                      "2025 deployments are far cheaper than 2022 ones");
   bench::print_check(timeline.size() >= 20, "all Figure 3 sites present");
-  return 0;
+  return bench::exit_code();
 }

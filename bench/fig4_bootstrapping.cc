@@ -81,5 +81,5 @@ int main() {
                      "hint and config steps are both sub-perceptible");
   bench::print_check(windows_median > linux_median,
                      "Windows slower than Linux (service indirection)");
-  return 0;
+  return bench::exit_code();
 }

@@ -47,5 +47,5 @@ int main() {
                      "improvement more pronounced for the slowest pings");
   bench::print_check(p25_gap < 0.15,
                      "similar trend in the first half of the distribution");
-  return 0;
+  return bench::exit_code();
 }

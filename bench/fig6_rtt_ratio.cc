@@ -62,5 +62,5 @@ int main() {
                      "UFMS->Equinix (SCION via GEANT) is an outlier");
   bench::print_check(bridges_outlier,
                      "BRIDGES-instability pairs sit above the median");
-  return 0;
+  return bench::exit_code();
 }

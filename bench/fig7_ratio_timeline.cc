@@ -81,5 +81,5 @@ int main() {
   };
   bench::print_check(stddev(12, 19) < stddev(3.5, 8),
                      "ratio stabilizes after the maintenance window");
-  return 0;
+  return bench::exit_code();
 }

@@ -49,5 +49,5 @@ int main() {
                      "UVa<->UFMS is among the richest pairs");
   bench::print_check(cell(a::kisti_dj(), a::kisti_sg()) >= 3,
                      "Daejeon->Singapore: ring gives multiple paths");
-  return 0;
+  return bench::exit_code();
 }

@@ -67,5 +67,5 @@ int main() {
                      "Daejeon<->Singapore deviates (KREONET link outage)");
   bench::print_check(uva_equinix > 0,
                      "UVa<->Equinix deviates (BRIDGES instability)");
-  return 0;
+  return bench::exit_code();
 }

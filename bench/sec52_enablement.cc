@@ -86,5 +86,5 @@ int main() {
                      "drop-in socket round-trips an application request");
   bench::print_check(reply.find("SCION-served") != std::string::npos,
                      "payload integrity end to end");
-  return 0;
+  return bench::exit_code();
 }

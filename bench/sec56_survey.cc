@@ -30,5 +30,5 @@ int main() {
                      "87.5% spend <10% of their workload on SCIERA");
   bench::print_check(summary.pct_vendor_support_rare == 62.5,
                      "62.5% needed vendor support fewer than 3 times/year");
-  return 0;
+  return bench::exit_code();
 }

@@ -29,5 +29,5 @@ int main() {
   bench::print_check(pops.size() == 16, "16 PoPs as in Table 1");
   bench::print_check(geant >= 7 && kreonet >= 5,
                      "the two Tier-1 footprints anchor most PoPs");
-  return 0;
+  return bench::exit_code();
 }

@@ -72,5 +72,5 @@ int main() {
       mechanism_available(HintMechanism::kIpv6Ndp, ipv6_ra) &&
           !mechanism_available(HintMechanism::kIpv6Ndp, dhcp),
       "IPv6 NDP requires router advertisements");
-  return 0;
+  return bench::exit_code();
 }

@@ -1,6 +1,6 @@
 // Retry/backoff/degradation primitives shared by every RPC-ish client in
 // the stack (daemon path fetches, control-service consumers). Centralized
-// so the policy is uniform and auditable: sciera_lint bans ad-hoc
+// so the policy is uniform and auditable: sciera_analyze bans ad-hoc
 // retry loops outside src/chaos/ and this helper (raw-retry-loop).
 //
 // Everything here is driven by the simulation clock and an explicit Rng:

@@ -1,9 +1,11 @@
-# Analyzer self-test: sciera_analyze over the golden fixture tree
-# (tests/analyze_fixtures) must produce byte-identical JSON to the
-# checked-in expected.json — one positive and one suppressed case per
-# rule, so both detection and the NOLINT grammar are covered. The run
-# must exit 1 (fixtures contain real findings); a 0 exit means detection
-# silently broke.
+# Analyzer self-test: sciera_analyze over src, tests and bench of the
+# golden fixture tree (tools/analyze_fixtures) must produce
+# byte-identical JSON to the checked-in expected.json — one positive and
+# one suppressed case per rule, so both detection and the NOLINT grammar
+# are covered, plus negatives that pin each rule's scope. The tree sits
+# outside the scanned directories because it holds deliberate violations.
+# The run must exit 1 (fixtures contain real findings); a 0 exit means
+# detection silently broke.
 #
 # Expected variables: BIN (sciera_analyze), FIXTURES (fixture root),
 # OUT_DIR (scratch dir).
@@ -15,7 +17,7 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 set(actual "${OUT_DIR}/findings.json")
 
 execute_process(
-  COMMAND "${BIN}" --json "${FIXTURES}" src
+  COMMAND "${BIN}" --json "${FIXTURES}" src tests bench
   OUTPUT_FILE "${actual}"
   RESULT_VARIABLE status)
 if(NOT status EQUAL 1)
@@ -31,8 +33,8 @@ execute_process(
 if(NOT diff EQUAL 0)
   file(READ "${actual}" got)
   message(FATAL_ERROR
-          "analyzer findings diverge from tests/analyze_fixtures/expected.json"
+          "analyzer findings diverge from tools/analyze_fixtures/expected.json"
           " — if a rule legitimately changed, regenerate with\n"
-          "  sciera_analyze --json <repo>/tests/analyze_fixtures src > "
-          "tests/analyze_fixtures/expected.json\ngot:\n${got}")
+          "  sciera_analyze --json <repo>/tools/analyze_fixtures src tests "
+          "bench > tools/analyze_fixtures/expected.json\ngot:\n${got}")
 endif()

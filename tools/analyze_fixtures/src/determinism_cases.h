@@ -2,7 +2,7 @@
 // unsuppressed and one suppressed case for each determinism/concurrency
 // rule that is not directory-scoped. The file is scanned, never
 // compiled; tools/analyze_fixture_check.cmake diffs the analyzer's JSON
-// findings against tests/analyze_fixtures/expected.json, so line numbers
+// findings against tools/analyze_fixtures/expected.json, so line numbers
 // here are load-bearing — append, don't reshuffle.
 #pragma once
 

@@ -1,13 +1,15 @@
-// Minimal C++ lexer for the in-repo static analysis tools. Produces a
-// token stream (identifiers, numbers, string/char literals, punctuation)
-// with line numbers, plus per-line comment text (for NOLINT markers) and
-// the file's #include directives. Comment-, string-, raw-string- and
+// Minimal C++ lexer for sciera_analyze. Produces a token stream
+// (identifiers, numbers, string/char literals, punctuation) with line
+// numbers, plus per-line comment text (for NOLINT markers) and the
+// file's #include directives. Comment-, string-, raw-string- and
 // digit-separator-aware, so rules never fire on documentation or literal
-// contents. Not a full C++ front end — no preprocessing, no semantic
+// contents, and an #include inside a comment or raw string is not an
+// include. Not a full C++ front end — no preprocessing, no semantic
 // analysis — but exact enough for token-pattern rules over a codebase
 // that compiles.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <map>
@@ -56,6 +58,22 @@ inline constexpr std::string_view kPuncts[] = {
     "&&",  "||",  "++",  "--",
 };
 
+// Records `include "path"` / `include <path>`, given the directive text
+// after its `#` (directives never span lines in this codebase).
+inline void record_include(std::string_view text, std::size_t line,
+                           std::vector<IncludeDirective>& includes) {
+  std::size_t p = text.find_first_not_of(" \t");
+  if (p == std::string_view::npos || !text.substr(p).starts_with("include")) {
+    return;
+  }
+  p = text.find_first_of("\"<", p + 7);
+  if (p == std::string_view::npos) return;
+  const bool quoted = text[p] == '"';
+  const std::size_t stop = text.find(quoted ? '"' : '>', p + 1);
+  if (stop == std::string_view::npos) return;
+  includes.push_back({line, std::string{text.substr(p + 1, stop - p - 1)}, quoted});
+}
+
 }  // namespace lexer_detail
 
 inline LexedFile lex(std::string_view src) {
@@ -69,46 +87,6 @@ inline LexedFile lex(std::string_view src) {
   auto comment_append = [&](std::size_t at, char c) {
     out.comments[at].push_back(c);
   };
-
-  // Pre-pass per physical line for #include directives (they never span
-  // lines in this codebase; continuations are not needed).
-  {
-    std::size_t ln = 1;
-    std::size_t start = 0;
-    while (start <= n) {
-      std::size_t end = src.find('\n', start);
-      if (end == std::string_view::npos) end = n;
-      std::string_view text = src.substr(start, end - start);
-      std::size_t p = 0;
-      while (p < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[p])) != 0) {
-        ++p;
-      }
-      if (p < text.size() && text[p] == '#') {
-        ++p;
-        while (p < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[p])) != 0) {
-          ++p;
-        }
-        if (text.substr(p).starts_with("include")) {
-          p += 7;
-          while (p < text.size() && text[p] != '"' && text[p] != '<') ++p;
-          if (p < text.size()) {
-            const bool quoted = text[p] == '"';
-            const char close = quoted ? '"' : '>';
-            const std::size_t stop = text.find(close, p + 1);
-            if (stop != std::string_view::npos) {
-              out.includes.push_back(IncludeDirective{
-                  ln, std::string{text.substr(p + 1, stop - p - 1)}, quoted});
-            }
-          }
-        }
-      }
-      ln++;
-      if (end == n) break;
-      start = end + 1;
-    }
-  }
 
   while (i < n) {
     const char c = src[i];
@@ -222,6 +200,14 @@ inline LexedFile lex(std::string_view src) {
           {Token::Kind::kChar, std::string{src.substr(i, j - i)}, line});
       i = j;
       continue;
+    }
+    // A `#` that opens a line of code starts a directive. Only the main
+    // scan reaches it, so directives inside comments and raw strings are
+    // never recorded.
+    if (c == '#' && (out.tokens.empty() || out.tokens.back().line != line)) {
+      const std::size_t eol = std::min(src.find('\n', i), n);
+      lexer_detail::record_include(src.substr(i + 1, eol - i - 1), line,
+                                   out.includes);
     }
     // Punctuation, maximal munch.
     bool matched = false;

@@ -1,5 +1,5 @@
-// Unified NOLINT suppression grammar shared by sciera_lint and
-// sciera_analyze. One syntax covers every rule of both tools:
+// NOLINT suppression grammar of sciera_analyze. One syntax covers every
+// rule:
 //
 //   // NOLINT(rule-name)             suppress `rule-name` on this line
 //   // NOLINT(rule-a, rule-b)        suppress several rules
@@ -9,6 +9,8 @@
 //                                    rule on the line, but is itself
 //                                    reported as a `legacy-nolint` warning
 //                                    — name the rule you are silencing.
+//                                    Only a named marker suppresses that
+//                                    warning.
 //
 // Rule names match with or without the `sciera-` prefix, so
 // `NOLINT(sciera-raw-retry-loop)` markers work against the rule
@@ -115,7 +117,7 @@ class SuppressionIndex {
   [[nodiscard]] bool suppressed(std::size_t line,
                                 std::string_view rule) const {
     for (const std::size_t l : bare_lines_) {
-      if (l == line) return true;
+      if (l == line && rule != "legacy-nolint") return true;
     }
     for (const auto& [l, entry] : rule_lines_) {
       if (l == line && nolint_entry_matches(entry, rule)) return true;

@@ -1,14 +1,11 @@
-// sciera_analyze: multi-pass determinism & concurrency static analyzer.
+// sciera_analyze: the project's static analyzer. It runs on a real token
+// stream (tools/cpp_lexer.h) with a per-file symbol table of container
+// declarations, so it can reason about *what* is being iterated, not just
+// what a line looks like. Its rules guard the determinism contract that
+// makes seeded runs replay byte for byte, plus the project's conventions.
+// Scopes are paths relative to the scan root.
 //
-// Where sciera_lint enforces per-line style conventions with text
-// matching, sciera_analyze runs on a real token stream (tools/cpp_lexer.h)
-// with a per-file symbol table of container declarations, so it can
-// reason about *what* is being iterated, not just what a line looks
-// like. Three rule families guard the project's determinism contract
-// (ROADMAP: the parallel simulation core needs a statically-enforced
-// floor before shards can interleave):
-//
-// determinism hazards
+// determinism hazards (src/)
 //   unordered-iteration   (error) iterating a std::unordered_map/set —
 //                         range-for, explicit .begin()/.cbegin(), or
 //                         std::erase_if over a hash container. Iteration
@@ -51,7 +48,7 @@
 // concurrency readiness
 //   std-mutex-member      (error) naming std::mutex / std::lock_guard /
 //                         std::scoped_lock / std::unique_lock (or
-//                         including <mutex>) outside
+//                         including <mutex>) in src/ outside
 //                         src/common/thread_annotations.h. Those types
 //                         are invisible to Clang thread-safety analysis
 //                         under libstdc++; use sciera::Mutex +
@@ -63,18 +60,47 @@
 //                         obs/ and simnet/ project headers. The event
 //                         core must not know about the layers above it.
 //
+// conventions (every scanned file unless noted; all errors)
+//   banned-function       calls to rand/srand/random/rand_r/drand48,
+//                         strcpy/stpcpy/strcat/sprintf/vsprintf/gets/
+//                         alloca, and raw array `new T[n]` outside
+//                         src/common/buffer.* (`operator new[]` is a
+//                         declaration, not an allocation).
+//   wall-clock-seed       time(), gettimeofday, clock_gettime, ftime,
+//                         localtime, gmtime, the std::chrono clocks or
+//                         random_device outside src/common/rng.cc: every
+//                         run must replay from an explicit seed.
+//   pragma-once           a header without `#pragma once`.
+//   using-namespace       `using namespace` in a header, at any scope.
+//   own-header-first      foo.cc's first #include is its own foo.h when
+//                         one exists beside it, proving the header is
+//                         self-contained.
+//   adhoc-stats           a line with `struct` and `Stats` in src/
+//                         outside src/obs/: components report through the
+//                         metrics registry. A snapshot read back from the
+//                         registry is marked `// registry-backed snapshot`
+//                         on that line.
+//   raw-retry-loop        a line with `for`/`while` and a retry/attempt
+//                         identifier in src/ outside src/chaos/ and
+//                         src/common/backoff.*: retries go through
+//                         BackoffPolicy + CircuitBreaker.
+//   direct-control-lookup a `control_service(...)` call in src/endhost/:
+//                         end-host lookups go through the replicated
+//                         ControlServiceSet.
+//   io                    a file that cannot be read.
+//
 // suppression hygiene
 //   legacy-nolint         (warn) a bare `// NOLINT` (no rule list). It
 //                         still suppresses everything on its line, but
 //                         name the rule: `// NOLINT(rule-name)`.
 //
-// Suppressions use the unified grammar of tools/nolint.h:
-// NOLINT(rule), NOLINT(rule-a, rule-b), NOLINTNEXTLINE(rule), with
-// `sciera-` prefixes accepted. Symbols are resolved per file; a foo.cc
-// also sees the container members declared in its companion foo.h.
+// Suppressions use the grammar of tools/nolint.h: NOLINT(rule),
+// NOLINT(rule-a, rule-b), NOLINTNEXTLINE(rule), with `sciera-` prefixes
+// accepted. Symbols are resolved per file; a foo.cc also sees the
+// container members declared in its companion foo.h.
 //
 // Usage: sciera_analyze [--json] [--werror] <repo_root> [subdir ...]
-//        (default subdirs: src)
+//        (default subdirs: src tests bench)
 // Exit: 0 clean (warnings allowed unless --werror), 1 findings, 2 usage.
 #include <algorithm>
 #include <cctype>
@@ -82,6 +108,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -139,6 +166,11 @@ struct TokenCursor {
   }
   [[nodiscard]] bool any_ident(std::size_t i) const {
     return i < toks.size() && toks[i].kind == Token::Kind::kIdent;
+  }
+  // A call is the identifier followed by `(`: names that merely contain
+  // `text` never match.
+  [[nodiscard]] bool call(std::size_t i, std::string_view text) const {
+    return ident(i, text) && punct(i + 1, "(");
   }
 };
 
@@ -491,6 +523,153 @@ void rule_percall_keyschedule(const RuleContext& ctx) {
   }
 }
 
+// Convention rules: tree-wide unless analyze_file scopes them.
+void rule_banned_function(const RuleContext& ctx, bool array_new_banned) {
+  static constexpr std::string_view kBanned[] = {
+      "rand",   "srand",  "random",  "rand_r",   "drand48", "strcpy",
+      "stpcpy", "strcat", "sprintf", "vsprintf", "gets",    "alloca",
+  };
+  const auto& toks = ctx.lexed.tokens;
+  const TokenCursor cur{toks};
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    for (const std::string_view name : kBanned) {
+      if (cur.call(i, name)) {
+        ctx.add(toks[i].line, "banned-function", Severity::kError,
+                "call to banned function '" + toks[i].text + "'");
+      }
+    }
+    // `new T[n]`: a `[` on the new-expression's line before it ends or
+    // opens a placement/initializer list.
+    if (!array_new_banned || !cur.ident(i, "new") ||
+        (i > 0 && cur.ident(i - 1, "operator"))) {
+      continue;
+    }
+    for (std::size_t j = i + 1; j < toks.size() && toks[j].line == toks[i].line;
+         ++j) {
+      if (toks[j].kind != Token::Kind::kPunct) continue;
+      const std::string_view p = toks[j].text;
+      if (p == "[") {
+        ctx.add(toks[i].line, "banned-function", Severity::kError,
+                "raw array new[] outside src/common/buffer.*");
+      }
+      if (p == "[" || p == ";" || p == "," || p == ")" || p == "(" || p == "{") {
+        break;
+      }
+    }
+  }
+}
+
+void rule_wall_clock_seed(const RuleContext& ctx) {
+  static constexpr std::string_view kCalls[] = {
+      "time", "gettimeofday", "clock_gettime", "ftime", "localtime", "gmtime",
+  };
+  static constexpr std::string_view kWords[] = {
+      "system_clock", "steady_clock", "high_resolution_clock", "random_device",
+  };
+  const auto& toks = ctx.lexed.tokens;
+  const TokenCursor cur{toks};
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    for (const std::string_view name : kCalls) {
+      if (cur.call(i, name)) {
+        ctx.add(toks[i].line, "wall-clock-seed", Severity::kError,
+                "wall-clock source '" + toks[i].text +
+                    "' outside src/common/rng.cc");
+      }
+    }
+    for (const std::string_view name : kWords) {
+      if (cur.ident(i, name)) {
+        ctx.add(toks[i].line, "wall-clock-seed", Severity::kError,
+                "nondeterministic clock/entropy '" + toks[i].text +
+                    "' outside src/common/rng.cc");
+      }
+    }
+  }
+}
+
+void rule_header_hygiene(const RuleContext& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  const TokenCursor cur{toks};
+  bool has_pragma_once = false;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    has_pragma_once = has_pragma_once || (cur.punct(i, "#") &&
+                                          cur.ident(i + 1, "pragma") &&
+                                          cur.ident(i + 2, "once"));
+    if (cur.ident(i, "using") && cur.ident(i + 1, "namespace")) {
+      ctx.add(toks[i].line, "using-namespace", Severity::kError,
+              "'using namespace' in a header leaks into every includer");
+    }
+  }
+  if (!has_pragma_once) {
+    ctx.add(1, "pragma-once", Severity::kError,
+            "header is missing '#pragma once'");
+  }
+}
+
+void rule_own_header_first(const RuleContext& ctx, const std::string& stem) {
+  const std::string own = stem + ".h";
+  const auto& includes = ctx.lexed.includes;
+  const std::string found = includes.empty() ? "" : includes.front().path;
+  if (found == own || found.ends_with("/" + own)) return;
+  ctx.add(includes.empty() ? 1 : includes.front().line, "own-header-first",
+          Severity::kError,
+          "first #include must be the file's own header '" + own +
+              "' (found '" + found + "')");
+}
+
+// raw-retry-loop and adhoc-stats look at one line at a time: a loop
+// header naming retry/attempt state, a `struct ... Stats` declaration.
+void rule_line_conventions(const RuleContext& ctx, bool retry_scope,
+                           bool stats_scope) {
+  enum : unsigned { kLoop = 1, kRetry = 2, kStruct = 4, kStats = 8 };
+  std::map<std::size_t, unsigned> lines;
+  for (const Token& t : ctx.lexed.tokens) {
+    if (t.kind != Token::Kind::kIdent) continue;
+    std::string lower = t.text;
+    std::transform(lower.begin(), lower.end(), lower.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    unsigned& seen = lines[t.line];
+    if (t.text == "for" || t.text == "while") seen |= kLoop;
+    if (lower.find("retry") != std::string::npos ||
+        lower.find("retries") != std::string::npos ||
+        lower.find("attempt") != std::string::npos) {
+      seen |= kRetry;
+    }
+    if (t.text == "struct") seen |= kStruct;
+    if (t.text == "Stats") seen |= kStats;
+  }
+  for (const auto& [line, seen] : lines) {
+    if (retry_scope && (seen & (kLoop | kRetry)) == (kLoop | kRetry)) {
+      ctx.add(line, "raw-retry-loop", Severity::kError,
+              "ad-hoc retry loop — use sciera::BackoffPolicy / "
+              "CircuitBreaker (src/common/backoff.h); suppress deliberate "
+              "cases with '// NOLINT(raw-retry-loop)'");
+    }
+    const auto comment = ctx.lexed.comments.find(line);
+    if (stats_scope && (seen & (kStruct | kStats)) == (kStruct | kStats) &&
+        (comment == ctx.lexed.comments.end() ||
+         comment->second.find("registry-backed snapshot") ==
+             std::string::npos)) {
+      ctx.add(line, "adhoc-stats", Severity::kError,
+              "ad-hoc 'struct Stats' outside src/obs/ — report through "
+              "obs::MetricsRegistry (mark registry-backed snapshot structs "
+              "with '// registry-backed snapshot')");
+    }
+  }
+}
+
+void rule_direct_control_lookup(const RuleContext& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  const TokenCursor cur{toks};
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (cur.call(i, "control_service")) {
+      ctx.add(toks[i].line, "direct-control-lookup", Severity::kError,
+              "direct ControlService lookup from endhost code — use "
+              "ScionNetwork::control_service_set() so replica failover "
+              "applies");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Driver.
 
@@ -504,8 +683,9 @@ bool is_source(const fs::path& p) {
   return ext == ".cc" || ext == ".cpp" || ext == ".cxx";
 }
 
-std::string read_file(const fs::path& p) {
+std::optional<std::string> read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
+  if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
@@ -534,53 +714,74 @@ struct FileAnalysis {
 // Analyzes one file; `rel` is forward-slash relative to the scan root.
 FileAnalysis analyze_file(const fs::path& file, const std::string& rel) {
   FileAnalysis result;
-  const std::string content = read_file(file);
-  const LexedFile lexed = sciera::lintutil::lex(content);
+  const std::optional<std::string> content = read_file(file);
+  if (!content) {
+    result.findings.push_back(
+        {rel, 0, "io", Severity::kError, "cannot open file"});
+    return result;
+  }
+  const LexedFile lexed = sciera::lintutil::lex(*content);
 
   SymbolTable table;
   std::vector<Finding> raw;
 
-  const bool in_src = std::string_view{rel}.starts_with("src/");
+  const std::string_view path{rel};
+  const bool in_src = path.starts_with("src/");
   scan_declarations(lexed, table, rel, in_src, raw);
 
   // Companion header: foo.cc sees the members declared in foo.h (same
   // directory). Its declarations feed the symbol table only — findings in
   // the header are reported when the header itself is scanned.
-  if (is_source(file)) {
-    fs::path companion = file;
-    companion.replace_extension(".h");
-    if (fs::exists(companion)) {
-      const LexedFile header = sciera::lintutil::lex(read_file(companion));
-      std::vector<Finding> ignored;
-      scan_declarations(header, table, rel, false, ignored);
-    }
+  fs::path companion = file;
+  companion.replace_extension(".h");
+  const bool has_companion = is_source(file) && fs::exists(companion);
+  if (has_companion) {
+    const LexedFile header =
+        sciera::lintutil::lex(read_file(companion).value_or(""));
+    std::vector<Finding> ignored;
+    scan_declarations(header, table, rel, false, ignored);
   }
 
   const RuleContext ctx{lexed, table, rel, &raw};
+  rule_banned_function(ctx, path != "src/common/buffer.cc" &&
+                                path != "src/common/buffer.h");
+  if (path != "src/common/rng.cc") rule_wall_clock_seed(ctx);
+  if (is_header(file)) rule_header_hygiene(ctx);
+  if (has_companion) rule_own_header_first(ctx, file.stem().string());
+  const bool owns_retry_policy = path.starts_with("src/chaos/") ||
+                                 path == "src/common/backoff.h" ||
+                                 path == "src/common/backoff.cc";
+  rule_line_conventions(ctx, in_src && !owns_retry_policy,
+                        in_src && !path.starts_with("src/obs/"));
+  if (path.starts_with("src/endhost/")) rule_direct_control_lookup(ctx);
   if (in_src) {
     rule_unordered_iteration(ctx);
-    const bool digest_visible = std::string_view{rel}.starts_with("src/simnet/") ||
-                                std::string_view{rel}.starts_with("src/dataplane/") ||
-                                std::string_view{rel}.starts_with("src/controlplane/") ||
-                                std::string_view{rel}.starts_with("src/chaos/");
+    const bool digest_visible = path.starts_with("src/simnet/") ||
+                                path.starts_with("src/dataplane/") ||
+                                path.starts_with("src/controlplane/") ||
+                                path.starts_with("src/chaos/");
     if (digest_visible) rule_float_accumulation(ctx);
     if (rel != "src/common/rng.cc" && rel != "src/common/rng.h") {
       rule_unseeded_rng(ctx);
     }
     if (rel != "src/common/thread_annotations.h") rule_std_mutex_member(ctx);
-    if (std::string_view{rel}.starts_with("src/simnet/")) {
-      rule_simnet_layering(ctx);
-    }
-    if (std::string_view{rel}.starts_with("src/dataplane/") ||
-        std::string_view{rel}.starts_with("src/endhost/")) {
+    if (path.starts_with("src/simnet/")) rule_simnet_layering(ctx);
+    if (path.starts_with("src/dataplane/") || path.starts_with("src/endhost/")) {
       rule_percall_keyschedule(ctx);
     }
   }
 
-  // Suppression pass: NOLINT markers live in comments.
+  // Suppression pass: NOLINT markers live in comments. legacy-nolint is a
+  // meta rule about the bare marker itself, which therefore does not
+  // suppress it; a named marker does.
   SuppressionIndex index;
   for (const auto& [line, text] : lexed.comments) {
     index.add_line(line, text);
+  }
+  for (const std::size_t line : index.legacy_lines()) {
+    ctx.add(line, "legacy-nolint", Severity::kWarning,
+            "bare NOLINT suppresses every rule — name the rule: "
+            "'// NOLINT(rule-name)'");
   }
   for (const Finding& f : raw) {
     if (index.suppressed(f.line, f.rule)) {
@@ -588,14 +789,6 @@ FileAnalysis analyze_file(const fs::path& file, const std::string& rel) {
     } else {
       result.findings.push_back(f);
     }
-  }
-  // legacy-nolint is a meta rule about the marker itself, so the bare
-  // marker does not suppress it.
-  for (const std::size_t line : index.legacy_lines()) {
-    result.findings.push_back(
-        {rel, line, "legacy-nolint", Severity::kWarning,
-         "bare NOLINT suppresses every rule — name the rule: "
-         "'// NOLINT(rule-name)'"});
   }
   return result;
 }
@@ -626,7 +819,7 @@ int main(int argc, char** argv) {
   }
   const fs::path root = positional.front();
   std::vector<std::string> subdirs(positional.begin() + 1, positional.end());
-  if (subdirs.empty()) subdirs = {"src"};
+  if (subdirs.empty()) subdirs = {"src", "tests", "bench"};
 
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
