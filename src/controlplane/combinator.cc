@@ -7,13 +7,9 @@
 
 namespace sciera::controlplane {
 
-std::string Path::fingerprint() const {
-  std::string out;
-  for (const auto& gid : interfaces) {
-    out += gid.to_string();
-    out += ' ';
-  }
-  return out;
+const PathSet& no_paths() {
+  static const PathSet kEmpty = std::make_shared<const std::vector<Path>>();
+  return kEmpty;
 }
 
 std::string Path::to_string() const {
@@ -153,8 +149,11 @@ std::vector<Path> Combinator::assemble(
     if (!path.dataplane_path.validate().ok()) continue;
     // Endpoint intra-AS processing.
     path.static_rtt += 2 * 600 * kMicrosecond;
-    const std::string fp = path.fingerprint();
-    if (!seen.insert(fp).second) continue;
+    for (const auto& gid : path.interfaces) {
+      path.fingerprint_ += gid.to_string();
+      path.fingerprint_ += ' ';
+    }
+    if (!seen.insert(path.fingerprint_).second) continue;
     paths.push_back(std::move(path));
   }
   std::sort(paths.begin(), paths.end(), [](const Path& x, const Path& y) {

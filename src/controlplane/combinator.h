@@ -7,6 +7,7 @@
 // interface IDs, link ids, static RTT estimate).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,24 @@ struct Path {
   Duration static_rtt = 0;  // 2x propagation, no queueing
 
   [[nodiscard]] std::size_t hop_count() const { return as_sequence.size(); }
-  [[nodiscard]] std::string fingerprint() const;
+  // The path's identity: each interface's GlobalIfaceId::to_string()
+  // followed by a space. The combinator computes it once, when it dedups
+  // the path; a default-constructed Path has "".
+  [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
   [[nodiscard]] std::string to_string() const;
+
+ private:
+  friend class Combinator;
+  std::string fingerprint_;
 };
+
+// A combined path set as the control service caches it: immutable, and
+// shared by that cache, every daemon cache holding the same answer and any
+// selection running over it, so handing it on copies no path.
+using PathSet = std::shared_ptr<const std::vector<Path>>;
+
+// The shared empty set, answered when nothing can be served.
+[[nodiscard]] const PathSet& no_paths();
 
 // Paper metric (Section 5.5): |distinct interfaces| / |total interfaces|
 // across two paths.

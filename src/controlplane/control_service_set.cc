@@ -25,7 +25,7 @@ ControlServiceSet::ControlServiceSet(simnet::Simulator& sim, IsdAs ia,
   }
 }
 
-const std::vector<Path>& ControlServiceSet::lookup_paths_now(IsdAs dst) {
+PathSet ControlServiceSet::lookup_paths_now(IsdAs dst) {
   for (auto& replica : replicas_) {
     if (replica->available()) return replica->lookup_paths_now(dst);
   }

@@ -30,9 +30,10 @@ class ControlServiceSet {
   [[nodiscard]] ControlService* primary() { return replicas_.front().get(); }
 
   // Sync lookup with replica failover: asks the first available replica
-  // in index order. With every replica down it charges the miss to the
-  // primary (one dropped lookup) and returns the empty set.
-  [[nodiscard]] const std::vector<Path>& lookup_paths_now(IsdAs dst);
+  // in index order and returns its shared set. With every replica down it
+  // charges the miss to the primary (one dropped lookup) and returns
+  // no_paths().
+  [[nodiscard]] PathSet lookup_paths_now(IsdAs dst);
 
   void flush_caches() {
     for (auto& replica : replicas_) replica->flush_cache();

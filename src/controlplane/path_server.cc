@@ -65,7 +65,7 @@ Duration ControlService::cold_lookup_latency(IsdAs dst) const {
 }
 
 void ControlService::lookup_paths(
-    IsdAs dst, std::function<void(const std::vector<Path>&)> callback) {
+    IsdAs dst, std::function<void(const PathSet&)> callback) {
   lookups_total_->inc();
   if (!available_) {
     // The request reaches a dead service and is lost; the caller's
@@ -97,15 +97,14 @@ void ControlService::lookup_paths(
                       });
 }
 
-const std::vector<Path>& ControlService::lookup_paths_now(IsdAs dst) {
+PathSet ControlService::lookup_paths_now(IsdAs dst) {
   lookups_total_->inc();
   if (!available_) {
-    static const std::vector<Path> kNoAnswer;
     lookups_dropped_->inc();
     obs::FlightRecorder::global().record(
         obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
         "cs-" + ia_.to_string(), dst.to_string() + " dropped");
-    return kNoAnswer;
+    return no_paths();
   }
   auto it = cache_.find(dst);
   // Fresh iff age < ttl: an entry aged exactly cache_ttl is stale (the
@@ -121,7 +120,8 @@ const std::vector<Path>& ControlService::lookup_paths_now(IsdAs dst) {
   }
   cache_misses_->inc();
   CacheEntry entry;
-  entry.paths = combinator_.combine(ia_, dst);
+  entry.paths =
+      std::make_shared<const std::vector<Path>>(combinator_.combine(ia_, dst));
   entry.fetched_at = sim_.now();
   auto [pos, _] = cache_.insert_or_assign(dst, std::move(entry));
   return pos->second.paths;

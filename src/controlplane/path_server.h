@@ -47,12 +47,14 @@ class ControlService {
   // During an outage the request is dropped — the callback never fires,
   // exactly like an RPC into a dead service. Clients own the timeout
   // (endhost::Daemon wraps this with timeout/backoff/circuit-breaker).
-  void lookup_paths(IsdAs dst,
-                    std::function<void(const std::vector<Path>&)> callback);
+  void lookup_paths(IsdAs dst, std::function<void(const PathSet&)> callback);
 
   // Synchronous variant used by infrastructure tooling. During an outage
-  // it fails fast: returns an empty path set without touching the cache.
-  [[nodiscard]] const std::vector<Path>& lookup_paths_now(IsdAs dst);
+  // it fails fast: returns no_paths() without touching the cache.
+  // Otherwise it returns the cached set itself, combined once per cache
+  // miss and never modified afterwards: a refetch or flush replaces the
+  // cache's pointer, so a holder's set stays valid and unchanged.
+  [[nodiscard]] PathSet lookup_paths_now(IsdAs dst);
 
   // Chaos fault model: service availability and processing slowdown.
   // While unavailable every lookup is dropped/failed; a slowdown factor
@@ -83,7 +85,7 @@ class ControlService {
 
  private:
   struct CacheEntry {
-    std::vector<Path> paths;
+    PathSet paths;
     SimTime fetched_at = 0;
   };
 

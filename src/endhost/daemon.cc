@@ -108,9 +108,9 @@ void Daemon::record_fetch_failure(IsdAs dst, std::size_t replica) {
   if (breaker.times_opened() > opened_before) breaker_trips_->inc();
 }
 
-PathLookup Daemon::degraded(IsdAs dst) {
+Daemon::Answer Daemon::degraded(IsdAs dst) {
   const auto it = cache_.find(dst);
-  bool have_stale = it != cache_.end() && !it->second.paths.empty();
+  bool have_stale = it != cache_.end() && !it->second.paths->empty();
   // Age cap: an entry aged >= max_stale_age is too old to trust — the
   // honest answer at that point is kUnavailable, not ancient paths.
   const Duration max_age = config_.resilience.max_stale_age;
@@ -131,21 +131,28 @@ PathLookup Daemon::degraded(IsdAs dst) {
       obs::TraceType::kLookupDegraded, net_.sim().now(),
       net_.sim().executed_events(), "daemon-" + ia_.to_string(),
       dst.to_string() + (serve_stale ? " stale" : " empty"));
-  if (serve_stale) {
-    return PathLookup{filter_alive(it->second.paths),
-                      PathSource::kStaleCache, true};
-  }
-  return PathLookup{{}, PathSource::kUnavailable, false};
+  if (serve_stale) return Answer{it->second.paths, PathSource::kStaleCache};
+  return Answer{controlplane::no_paths(), PathSource::kUnavailable};
+}
+
+PathLookup Daemon::live(const Answer& answer) const {
+  return PathLookup{filter_alive(*answer.paths), answer.source,
+                    answer.source == PathSource::kStaleCache};
 }
 
 std::vector<controlplane::Path> Daemon::paths(IsdAs dst) {
   return paths_detailed(dst).paths;
 }
 
-PathLookup Daemon::paths_detailed(IsdAs dst) {
+PathLookup Daemon::paths_detailed(IsdAs dst) { return live(answer(dst)); }
+
+controlplane::PathSet Daemon::path_set(IsdAs dst) {
+  return answer(dst).paths;
+}
+
+Daemon::Answer Daemon::answer(IsdAs dst) {
   if (const CacheEntry* entry = begin_lookup(dst)) {
-    return PathLookup{filter_alive(entry->paths), PathSource::kFreshCache,
-                      false};
+    return Answer{entry->paths, PathSource::kFreshCache};
   }
   // Replica failover in deterministic index order: skip replicas whose
   // breaker is open (fail fast, no failure charged), charge a failure to
@@ -166,8 +173,7 @@ PathLookup Daemon::paths_detailed(IsdAs dst) {
     entry.fetched_at = now;
     if (config_.resilience.enabled) breaker_for(dst, r).record_success();
     const auto it = cache_.insert_or_assign(dst, std::move(entry)).first;
-    return PathLookup{filter_alive(it->second.paths), PathSource::kFetched,
-                      false};
+    return Answer{it->second.paths, PathSource::kFetched};
   }
   return degraded(dst);
 }
@@ -184,8 +190,7 @@ void Daemon::paths_async_detailed(IsdAs dst,
   if (const CacheEntry* entry = begin_lookup(dst)) {
     // Answer from cache on the next tick so the callback is always
     // asynchronous (callers cannot observe a reentrant answer).
-    PathLookup result{filter_alive(entry->paths), PathSource::kFreshCache,
-                      false};
+    PathLookup result = live(Answer{entry->paths, PathSource::kFreshCache});
     net_.sim().schedule_after(
         simnet::Domain::current(), 0,
         [cb = std::move(cb), result = std::move(result)] { cb(result); });
@@ -214,7 +219,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
       }
     }
     if (!admitted) {
-      lookup->cb(degraded(dst));
+      lookup->cb(live(degraded(dst)));
       return;
     }
   }
@@ -224,7 +229,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
   auto settled = std::make_shared<bool>(false);
   services_->replica(target)->lookup_paths(
       dst, [this, lookup, settled, dst, target](
-               const std::vector<controlplane::Path>& paths) {
+               const controlplane::PathSet& paths) {
         if (*settled) return;
         *settled = true;
         if (config_.resilience.enabled) {
@@ -234,8 +239,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
         entry.paths = paths;
         entry.fetched_at = net_.sim().now();
         cache_.insert_or_assign(dst, std::move(entry));
-        lookup->cb(
-            PathLookup{filter_alive(paths), PathSource::kFetched, false});
+        lookup->cb(live(Answer{paths, PathSource::kFetched}));
       });
   // Legacy mode: no timeout — during an outage the callback simply never
   // fires (the dropped-RPC behaviour the chaos campaigns surfaced).
@@ -255,7 +259,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
                                     [this, lookup] { start_attempt(lookup); });
           return;
         }
-        lookup->cb(degraded(dst));
+        lookup->cb(live(degraded(dst)));
       });
 }
 

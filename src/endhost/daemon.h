@@ -82,6 +82,11 @@ class Daemon {
   [[nodiscard]] std::vector<controlplane::Path> paths(IsdAs dst);
   // Same lookup with provenance (fresh/fetched/stale/unavailable).
   [[nodiscard]] PathLookup paths_detailed(IsdAs dst);
+  // The same lookup without the copy, for selecting one path: the shared
+  // set this daemon serves for dst (no_paths() when it has nothing to
+  // serve), down paths included. Selectors keep only paths passing
+  // path_alive(). Bookkeeping is identical to paths(): one lookup.
+  [[nodiscard]] controlplane::PathSet path_set(IsdAs dst);
 
   // Asynchronous lookup sharing the exact same cache boundary, quarantine
   // pruning, and degradation ladder as paths()/paths_detailed(). With
@@ -137,9 +142,17 @@ class Daemon {
   [[nodiscard]] SimTime last_stale_at() const { return last_stale_at_; }
 
  private:
+  // The control service's shared set itself, not a copy: every daemon of
+  // an AS that fetched the same answer holds one set, and a selection
+  // holding it keeps it alive across a refetch or flush.
   struct CacheEntry {
-    std::vector<controlplane::Path> paths;
+    controlplane::PathSet paths;
     SimTime fetched_at = 0;
+  };
+  // A lookup's answer before the liveness filter.
+  struct Answer {
+    controlplane::PathSet paths;
+    PathSource source = PathSource::kUnavailable;
   };
   // One in-flight async lookup; shared by the answer, timeout, and
   // backoff closures so exactly one of them settles it.
@@ -157,9 +170,14 @@ class Daemon {
   // and returns the cache entry iff it is fresh (age < ttl — stale at
   // age >= ttl, the boundary both sync and async paths share).
   [[nodiscard]] const CacheEntry* begin_lookup(IsdAs dst);
+  // The sync ladder behind paths_detailed() and path_set(): fresh cache,
+  // replica failover fetch, then the degradation tail.
+  [[nodiscard]] Answer answer(IsdAs dst);
   // The shared degradation tail: stale-but-marked cache if allowed,
   // otherwise an explicit empty answer.
-  [[nodiscard]] PathLookup degraded(IsdAs dst);
+  [[nodiscard]] Answer degraded(IsdAs dst);
+  // An answer as paths_detailed() reports it: live paths copied out.
+  [[nodiscard]] PathLookup live(const Answer& answer) const;
   // Replicas this daemon fails over across. Legacy mode (resilience
   // disabled) pins itself to the primary: the pre-replication client had
   // exactly one service and no failover.

@@ -59,27 +59,47 @@ Result<std::unique_ptr<PanContext>> PanContext::Builder::build(Rng rng) {
 
 std::vector<controlplane::Path> PanContext::paths(IsdAs dst,
                                                   const PathPolicy& policy) {
-  std::vector<controlplane::Path> raw;
-  if (mode_ == StackMode::kDaemonDependent) {
-    raw = env_.daemon->paths(dst);
-  } else {
-    // Without a daemon the library talks to the replicated control
-    // service itself (first-available failover) and applies its private
-    // liveness table.
-    auto* services = env_.net->control_service_set(env_.address.ia);
-    raw = services->lookup_paths_now(dst);
-    std::erase_if(raw, [this](const controlplane::Path& path) {
-      const auto it = down_until_.find(path.fingerprint());
-      return it != down_until_.end() && env_.net->sim().now() < it->second;
-    });
+  const controlplane::PathSet set = path_set(dst);
+  std::vector<controlplane::Path> live;
+  for (const controlplane::Path& path : *set) {
+    if (path_alive(path)) live.push_back(path);
   }
-  return policy.apply(std::move(raw));
+  return policy.apply(std::move(live));
 }
 
-void PanContext::report_path_down(const std::string& fingerprint) {
+controlplane::PathSet PanContext::path_set(IsdAs dst) {
+  if (mode_ == StackMode::kDaemonDependent) return env_.daemon->path_set(dst);
+  // Without a daemon the library talks to the replicated control service
+  // itself (first-available failover) and applies its private liveness
+  // table.
+  prune_quarantine();
+  return env_.net->control_service_set(env_.address.ia)->lookup_paths_now(dst);
+}
+
+bool PanContext::path_alive(const controlplane::Path& path) const {
+  if (mode_ == StackMode::kDaemonDependent) {
+    return env_.daemon->path_alive(path);
+  }
+  const auto it = down_until_.find(path.fingerprint());
+  return it == down_until_.end() || env_.net->sim().now() >= it->second;
+}
+
+void PanContext::prune_quarantine() {
+  const SimTime now = env_.net->sim().now();
+  std::erase_if(down_until_,
+                [now](const auto& entry) { return now >= entry.second; });
+}
+
+std::size_t PanContext::quarantined() const {
+  return mode_ == StackMode::kDaemonDependent ? env_.daemon->quarantined()
+                                              : down_until_.size();
+}
+
+void PanContext::report_path_down(std::string fingerprint) {
   if (mode_ == StackMode::kDaemonDependent) {
     env_.daemon->report_path_down(fingerprint);
   } else {
+    prune_quarantine();
     down_until_[fingerprint] = env_.net->sim().now() + 90 * kSecond;
   }
   // A pinned path must not survive its own down report: otherwise the pin
@@ -162,16 +182,18 @@ Result<PanSocket::ResolvedPath> PanSocket::resolve_path(IsdAs dst) {
   if (pin != pinned_.end() && ctx_.network().path_usable(pin->second)) {
     return ResolvedPath{pin->second, false};
   }
-  auto options = ctx_.paths(dst, policy_);
-  std::erase_if(options, [this](const controlplane::Path& path) {
-    return !ctx_.network().path_usable(path);
-  });
-  if (options.empty()) {
+  // `best` points into the set: hold the set until the path is copied.
+  const controlplane::PathSet set = ctx_.path_set(dst);
+  const controlplane::Path* best =
+      policy_.best(*set, [this](const controlplane::Path& path) {
+        return ctx_.path_alive(path) && ctx_.network().path_usable(path);
+      });
+  if (best == nullptr) {
     return Error{Errc::kUnreachable, "no usable path to " + dst.to_string()};
   }
   // A substitution only counts as failover when a pin existed and was
   // skipped; the everyday no-pin case is just path selection.
-  return ResolvedPath{options.front(), pin != pinned_.end()};
+  return ResolvedPath{*best, pin != pinned_.end()};
 }
 
 Result<controlplane::Path> PanSocket::current_path(IsdAs dst) {
@@ -180,7 +202,7 @@ Result<controlplane::Path> PanSocket::current_path(IsdAs dst) {
   return std::move(resolved->path);
 }
 
-void PanSocket::unpin_fingerprint(const std::string& fingerprint) {
+void PanSocket::unpin_fingerprint(std::string fingerprint) {
   std::erase_if(pinned_, [&fingerprint](const auto& entry) {
     return entry.second.fingerprint() == fingerprint;
   });

@@ -104,14 +104,22 @@ class PanContext {
     return env_.address;
   }
 
-  // Live paths toward dst under a policy (already sorted best-first).
+  // Live paths toward dst under a policy (already sorted best-first): a
+  // copy of the lookup's set for listings and interactive selection.
+  // Sends select without copying (PathPolicy::best over path_set()).
   [[nodiscard]] std::vector<controlplane::Path> paths(
       IsdAs dst, const PathPolicy& policy = PathPolicy{});
 
   // Data-plane failure feedback propagated from sockets. Also un-pins the
   // path on every socket of this context that had it selected — a pinned
-  // path must not survive its own down report.
-  void report_path_down(const std::string& fingerprint);
+  // path must not survive its own down report. The key is taken by value:
+  // the un-pinning may destroy the path a caller's reference points into.
+  void report_path_down(std::string fingerprint);
+
+  // Currently quarantined fingerprints: the daemon's table in daemon mode,
+  // the private one otherwise. Expired entries are pruned on every lookup
+  // and report, so neither grows without bound.
+  [[nodiscard]] std::size_t quarantined() const;
 
   // Network-change handling (Section 4.2.1: standalone mode re-bootstraps
   // per application). Returns the re-bootstrap cost.
@@ -123,6 +131,13 @@ class PanContext {
 
   void register_socket(PanSocket* socket);
   void unregister_socket(PanSocket* socket);
+
+  // One lookup toward dst: the daemon's or the control service's shared
+  // set, down paths included (filter with path_alive()).
+  [[nodiscard]] controlplane::PathSet path_set(IsdAs dst);
+  [[nodiscard]] bool path_alive(const controlplane::Path& path) const;
+  // Erases private quarantine entries whose penalty has elapsed.
+  void prune_quarantine();
 
   Environment env_;
   StackMode mode_;
@@ -192,7 +207,8 @@ class PanSocket {
   };
   [[nodiscard]] Result<ResolvedPath> resolve_path(IsdAs dst);
   // Drops any pinned path with this fingerprint (down-report feedback).
-  void unpin_fingerprint(const std::string& fingerprint);
+  // By value: the key may live inside a pinned path this erases.
+  void unpin_fingerprint(std::string fingerprint);
 
   PanContext& ctx_;
   std::uint16_t port_;

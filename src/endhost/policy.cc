@@ -100,41 +100,44 @@ bool PathPolicy::admits(const controlplane::Path& path) const {
   return true;
 }
 
+bool PathPolicy::less(const controlplane::Path& x,
+                      const controlplane::Path& y) const {
+  for (Preference pref : preference) {
+    switch (pref) {
+      case Preference::kHops:
+        if (x.as_sequence.size() != y.as_sequence.size()) {
+          return x.as_sequence.size() < y.as_sequence.size();
+        }
+        break;
+      case Preference::kLatency:
+        if (x.static_rtt != y.static_rtt) return x.static_rtt < y.static_rtt;
+        break;
+      case Preference::kDisjointness: {
+        if (disjoint_reference) {
+          const double dx = path_disjointness(x, *disjoint_reference);
+          const double dy = path_disjointness(y, *disjoint_reference);
+          if (dx != dy) return dx > dy;  // more disjoint first
+        }
+        break;
+      }
+      case Preference::kCarbon: {
+        const double cx = path_carbon_score(x, carbon);
+        const double cy = path_carbon_score(y, carbon);
+        if (cx != cy) return cx < cy;
+        break;
+      }
+    }
+  }
+  return x.fingerprint() < y.fingerprint();
+}
+
 std::vector<controlplane::Path> PathPolicy::apply(
     std::vector<controlplane::Path> paths) const {
   std::erase_if(paths,
                 [this](const controlplane::Path& p) { return !admits(p); });
-  auto key_less = [this](const controlplane::Path& x,
-                         const controlplane::Path& y) {
-    for (Preference pref : preference) {
-      switch (pref) {
-        case Preference::kHops:
-          if (x.as_sequence.size() != y.as_sequence.size()) {
-            return x.as_sequence.size() < y.as_sequence.size();
-          }
-          break;
-        case Preference::kLatency:
-          if (x.static_rtt != y.static_rtt) return x.static_rtt < y.static_rtt;
-          break;
-        case Preference::kDisjointness: {
-          if (disjoint_reference) {
-            const double dx = path_disjointness(x, *disjoint_reference);
-            const double dy = path_disjointness(y, *disjoint_reference);
-            if (dx != dy) return dx > dy;  // more disjoint first
-          }
-          break;
-        }
-        case Preference::kCarbon: {
-          const double cx = path_carbon_score(x, carbon);
-          const double cy = path_carbon_score(y, carbon);
-          if (cx != cy) return cx < cy;
-          break;
-        }
-      }
-    }
-    return x.fingerprint() < y.fingerprint();
-  };
-  std::stable_sort(paths.begin(), paths.end(), key_less);
+  std::stable_sort(paths.begin(), paths.end(),
+                   [this](const controlplane::Path& x,
+                          const controlplane::Path& y) { return less(x, y); });
   return paths;
 }
 

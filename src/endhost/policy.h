@@ -3,6 +3,8 @@
 // sorting (hops, latency, disjointness, carbon-aware "green" routing).
 // This is what the PAN-style socket exposes to applications via its
 // policy/preference flags — the bat tool's CLI options in Section 5.2.
+// Sends pick their path with best() over the daemon's shared set; apply()
+// is the full sorted list for path listings and interactive selection.
 #pragma once
 
 #include <map>
@@ -58,9 +60,31 @@ struct PathPolicy {
   CarbonMap carbon = CarbonMap::sciera_defaults();
 
   [[nodiscard]] bool admits(const controlplane::Path& path) const;
-  // Filters + sorts; the first element is the policy's preferred path.
+  // The policy's one ordering: the preferences in turn, then the
+  // fingerprint. Fingerprints are unique within a combined set (the
+  // combinator dedups on them), so over one set this is a strict total
+  // order.
+  [[nodiscard]] bool less(const controlplane::Path& x,
+                          const controlplane::Path& y) const;
+  // Filters + stable-sorts under less(); the first element is the
+  // policy's preferred path. For callers that want the whole list.
   [[nodiscard]] std::vector<controlplane::Path> apply(
       std::vector<controlplane::Path> paths) const;
+  // The preferred admitted path that also passes `keep` (e.g. liveness,
+  // link state), or nullptr if none does: the front of apply(paths)
+  // filtered by `keep`, found in one pass that copies and sorts nothing.
+  // A path replaces the candidate only when strictly less, so ties keep
+  // the pick stable_sort makes.
+  template <typename Keep>
+  [[nodiscard]] const controlplane::Path* best(
+      const std::vector<controlplane::Path>& paths, Keep&& keep) const {
+    const controlplane::Path* chosen = nullptr;
+    for (const controlplane::Path& path : paths) {
+      if (!admits(path) || !keep(path)) continue;
+      if (chosen == nullptr || less(path, *chosen)) chosen = &path;
+    }
+    return chosen;
+  }
 };
 
 // Convenience builders mirroring the bat tool's CLI flags.

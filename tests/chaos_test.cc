@@ -165,13 +165,13 @@ TEST(Chaos, ControlOutageAndSlowdownApplyAndRevert) {
   EXPECT_FALSE(uva_cs->available());
   EXPECT_DOUBLE_EQ(geant_cs->slowdown(), 4.0);
   // An unavailable service drops sync lookups without caching anything.
-  EXPECT_TRUE(uva_cs->lookup_paths_now(a::ovgu()).empty());
+  EXPECT_TRUE(uva_cs->lookup_paths_now(a::ovgu())->empty());
   EXPECT_GT(uva_cs->lookups_dropped(), 0u);
 
   net.sim().run_for(2 * kSecond);
   EXPECT_TRUE(uva_cs->available());
   EXPECT_DOUBLE_EQ(geant_cs->slowdown(), 1.0);
-  EXPECT_FALSE(uva_cs->lookup_paths_now(a::ovgu()).empty());
+  EXPECT_FALSE(uva_cs->lookup_paths_now(a::ovgu())->empty());
 }
 
 TEST(Chaos, RouterCrashBlackholesUntilRestart) {

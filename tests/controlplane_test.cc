@@ -261,6 +261,35 @@ TEST_F(ScieraFixture, PathsAreLoopFreeAndDeduplicated) {
   }
 }
 
+TEST_F(ScieraFixture, CombinedPathIdentityAndOrderMatchReferenceDigest) {
+  // Identity and order pin. A path's fingerprint is its interfaces spelled
+  // out, and SHA-256 over every ordered AS pair's fingerprint list, in
+  // combiner order, matches the digest taken when fingerprint() rebuilt
+  // the string on every call. Quarantine keys, send receipts, multiping
+  // tie-breaks and every sort order are built on these bytes.
+  crypto::Sha256 digest;
+  std::size_t total = 0;
+  for (const auto& src : net().topology().ases()) {
+    for (const auto& dst : net().topology().ases()) {
+      for (const auto& path : net().paths(src.ia, dst.ia)) {
+        std::string spelled;
+        for (const auto& gid : path.interfaces) {
+          spelled += gid.to_string();
+          spelled += ' ';
+        }
+        EXPECT_EQ(path.fingerprint(), spelled);
+        digest.update(bytes_of(src.ia.to_string() + ">" +
+                               dst.ia.to_string() + " " + path.fingerprint() +
+                               "\n"));
+        ++total;
+      }
+    }
+  }
+  EXPECT_EQ(total, 17882u);
+  EXPECT_EQ(to_hex(digest.finish()),
+            "2001a71589937471941d75543aecfbf1bffae4f9ad74df5b5c3f9edef79e8e31");
+}
+
 TEST_F(ScieraFixture, SingleBgpPathButManyScionPathsDaejeonSingapore) {
   // Section 5.5: "while there is only a single BGP path from the Daejeon
   // core to the Singapore core, SCIERA also provides paths around the
@@ -546,14 +575,14 @@ TEST_F(ScieraFixture, ControlServiceCachesLookups) {
   ASSERT_NE(cs, nullptr);
   std::vector<SimTime> completions;
   const SimTime t0 = net.sim().now();
-  cs->lookup_paths(a::ufms(), [&](const std::vector<Path>& paths) {
-    EXPECT_FALSE(paths.empty());
+  cs->lookup_paths(a::ufms(), [&](const PathSet& paths) {
+    EXPECT_FALSE(paths->empty());
     completions.push_back(net.sim().now());
   });
   net.sim().run_for(kSecond);
   const SimTime t1 = net.sim().now();
-  cs->lookup_paths(a::ufms(), [&](const std::vector<Path>& paths) {
-    EXPECT_FALSE(paths.empty());
+  cs->lookup_paths(a::ufms(), [&](const PathSet& paths) {
+    EXPECT_FALSE(paths->empty());
     completions.push_back(net.sim().now());
   });
   net.sim().run_for(kSecond);

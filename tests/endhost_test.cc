@@ -516,6 +516,32 @@ TEST(Daemon, QuarantineMapIsPrunedAndBounded) {
   EXPECT_EQ(daemon.quarantined(), 0u);
 }
 
+// Regression: a standalone context's private liveness table was never
+// pruned. Every down report stayed forever, and every later lookup
+// searched the expired entries. Lookups and reports now prune it, as the
+// daemon prunes its own.
+TEST(Pan, StandaloneQuarantineIsPrunedOnLookup) {
+  auto& net = shared_net();
+  const auto server = make_server(net, a::uva());
+  auto ctx = PanContext::Builder{}
+                 .net(net)
+                 .address({a::uva(), 0x0A010104})
+                 .bootstrap_server(*server)
+                 .build(Rng{4});
+  ASSERT_TRUE(ctx.ok()) << ctx.error().to_string();
+  ASSERT_EQ((*ctx)->mode(), StackMode::kStandalone);
+  const auto paths = (*ctx)->paths(a::ovgu());
+  ASSERT_GE(paths.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    (*ctx)->report_path_down(paths[i].fingerprint());
+  }
+  EXPECT_EQ((*ctx)->quarantined(), 3u);
+  EXPECT_EQ((*ctx)->paths(a::ovgu()).size(), paths.size() - 3);
+  net.sim().run_for(91 * kSecond);
+  (void)(*ctx)->paths(a::ovgu());
+  EXPECT_EQ((*ctx)->quarantined(), 0u);
+}
+
 // End-to-end failover: a mid-path link dies, the border router answers
 // the next packet with SCMP ExternalInterfaceDown, the daemon quarantines
 // the path (excluded from paths()), and it reappears once
@@ -650,6 +676,65 @@ TEST(Policy, MaxHopsAndDenyLists) {
                         a::geant()),
               path.as_sequence.end());
   }
+}
+
+// best() is apply()'s front found in one pass. Over every ordered pair of
+// SCIERA ASes, under each policy, with every link up and again with the
+// KREONET ring cut, it names the same path as the front of apply()
+// filtered by path_usable, and nullptr exactly when that list is empty.
+TEST(Policy, BestIsFrontOfUsableApplyForEveryPairAndPolicy) {
+  ScionNetwork net{topology::build_sciera()};
+  const auto usable = [&net](const controlplane::Path& path) {
+    return net.path_usable(path);
+  };
+  PathPolicy disjoint;
+  disjoint.preference = {PathPolicy::Preference::kDisjointness,
+                         PathPolicy::Preference::kLatency};
+  std::vector<PathPolicy> policies = {lowest_latency_policy(),
+                                      fewest_hops_policy(), green_policy(),
+                                      geofence_policy({64}), disjoint};
+  std::size_t chosen = 0;
+  std::size_t none = 0;
+  std::size_t front_unusable = 0;
+  for (const bool ring_cut : {false, true}) {
+    for (const char* label :
+         {"kreonet-ams-chg", "kreonet-chg-stl", "kreonet-stl-dj",
+          "kreonet-dj-hk", "kreonet-hk-sg", "kreonet-sg-ams"}) {
+      net.set_link_up(label, !ring_cut);
+    }
+    for (const auto& src : net.topology().ases()) {
+      for (const auto& dst : net.topology().ases()) {
+        const auto paths = net.paths(src.ia, dst.ia);
+        const std::string where = src.ia.to_string() + " -> " +
+                                  dst.ia.to_string() +
+                                  (ring_cut ? " (ring cut)" : "");
+        // Most disjoint from the pair's first combined path.
+        policies.back().disjoint_reference.reset();
+        if (!paths.empty()) policies.back().disjoint_reference = paths.front();
+        for (const PathPolicy& policy : policies) {
+          auto sorted = policy.apply(paths);
+          if (!sorted.empty() && !usable(sorted.front())) ++front_unusable;
+          std::erase_if(sorted, [&usable](const controlplane::Path& path) {
+            return !usable(path);
+          });
+          const controlplane::Path* best = policy.best(paths, usable);
+          if (sorted.empty()) {
+            EXPECT_EQ(best, nullptr) << where;
+            ++none;
+            continue;
+          }
+          ASSERT_NE(best, nullptr) << where;
+          EXPECT_EQ(best->fingerprint(), sorted.front().fingerprint())
+              << where;
+          ++chosen;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, and the cut makes some policies' fronts unusable.
+  EXPECT_GT(chosen, 0u);
+  EXPECT_GT(none, 0u);
+  EXPECT_GT(front_unusable, 0u);
 }
 
 // --- Dispatcher bottleneck (Section 4.8) ----------------------------------------------

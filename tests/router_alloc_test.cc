@@ -1,7 +1,9 @@
-// Border-router fast-path window: once warm, the batched router forwards
+// Exact allocation gates on the two per-packet fast paths, counts rather
+// than timings. Border router: once warm, the batched router forwards
 // same-tick frame batches with zero heap allocations and zero AES key
-// schedules, and forwards every frame it was sent. All three are exact
-// counts, not timings.
+// schedules, and forwards every frame it was sent. Path selection: a warm
+// send picks its path from the daemon's shared set without copying it, so
+// its allocations do not grow with the number of paths.
 //
 // This is its own executable because it replaces global operator new to
 // count allocations. The replacement set must be COMPLETE (throwing,
@@ -16,14 +18,18 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "crypto/aes128.h"
 #include "dataplane/frame_pool.h"
 #include "dataplane/router.h"
+#include "endhost/pan.h"
+#include "obs/flight_recorder.h"
 #include "simnet/link.h"
 #include "simnet/simulator.h"
+#include "topology/sciera_net.h"
 
 namespace {
 // Relaxed atomic: gtest and the library may allocate from any thread.
@@ -173,3 +179,74 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
 
 }  // namespace
 }  // namespace sciera::dataplane
+
+namespace sciera::endhost {
+namespace {
+
+namespace a = topology::ases;
+
+// A daemon-mode PAN socket at UVa, whose destinations range from 3
+// combined paths (Princeton) to 96 (Korea University).
+struct SelectionFixture {
+  SelectionFixture()
+      : net(topology::build_sciera()),
+        daemon(net, a::uva()),
+        ctx(PanContext::Builder{}
+                .net(net)
+                .address({a::uva(), 0x0A000001})
+                .daemon(daemon)
+                .build(Rng{1})
+                .value()),
+        socket(PanSocket::open(*ctx, 0,
+                               [](const dataplane::Address&, std::uint16_t,
+                                  const Bytes&, SimTime) {})
+                   .value()) {
+    // Fill the process-wide flight recorder's ring: from then on a lookup
+    // moves its trace event into a slot instead of growing the ring.
+    auto& recorder = obs::FlightRecorder::global();
+    while (recorder.size() < recorder.capacity()) {
+      recorder.record(obs::TraceType::kPathLookup, 0, 0, "warm-up");
+    }
+  }
+
+  controlplane::ScionNetwork net;
+  Daemon daemon;
+  std::unique_ptr<PanContext> ctx;
+  std::unique_ptr<PanSocket> socket;
+};
+
+TEST(PathSelection, WarmSendAllocationsDoNotGrowWithThePathCount) {
+  SelectionFixture f;
+  const IsdAs few = a::princeton();
+  const IsdAs many = a::korea_univ();
+  ASSERT_EQ(f.daemon.paths(few).size(), 3u);
+  ASSERT_EQ(f.daemon.paths(many).size(), 96u);
+  // One warm resolve: a cache hit's bookkeeping plus one copy of the
+  // chosen path, whatever the size of the set it was chosen from.
+  const auto allocs_of = [&f](IsdAs dst) {
+    const std::uint64_t before = g_allocs.load();
+    const bool ok = f.socket->current_path(dst).ok();
+    const std::uint64_t allocs = g_allocs.load() - before;
+    EXPECT_TRUE(ok) << dst.to_string();
+    return allocs;
+  };
+  EXPECT_EQ(allocs_of(few), allocs_of(many));
+}
+
+TEST(PathSelection, BestOverAWarmSetAllocatesNothing) {
+  SelectionFixture f;
+  const controlplane::PathSet set = f.daemon.path_set(a::korea_univ());
+  ASSERT_EQ(set->size(), 96u);
+  const PathPolicy policy;
+  const std::uint64_t before = g_allocs.load();
+  const controlplane::Path* best =
+      policy.best(*set, [&f](const controlplane::Path& path) {
+        return f.daemon.path_alive(path) && f.net.path_usable(path);
+      });
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->fingerprint(), policy.apply(*set).front().fingerprint());
+}
+
+}  // namespace
+}  // namespace sciera::endhost

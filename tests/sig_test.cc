@@ -2,6 +2,9 @@
 // across continents through paired SIGs (the Edge model of Appendix B).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "sig/sig.h"
 #include "topology/sciera_net.h"
 
@@ -124,6 +127,60 @@ TEST_F(SigPairFixture, FailoverWhenPrimaryLinkDies) {
   net().set_link_up("kisti-sg-kaust", true);
   ASSERT_EQ(hq_rx_.size(), 1u);
   EXPECT_EQ(hq_rx_[0].first.payload, bytes_of("after failover"));
+}
+
+TEST_F(SigPairFixture, TunnelRidesFrontOfUsablePolicyPathsWithLinkDown) {
+  // The tunnel takes the front of apply(daemon.paths(dst)) filtered by
+  // path_usable. Cut KAUST's GEANT uplink, which the all-up choice
+  // crosses, tunnel one packet, and read the links that carried it off
+  // their delivery counters.
+  endhost::Daemon daemon{net(), a::kaust()};
+  const endhost::PathPolicy policy;
+  const auto usable_front = [&] {
+    auto paths = policy.apply(daemon.paths(a::eth()));
+    std::erase_if(paths, [](const controlplane::Path& path) {
+      return !net().path_usable(path);
+    });
+    return paths;
+  };
+  const auto delivered = [] {
+    std::vector<std::uint64_t> counts;
+    for (const auto& link : net().topology().links()) {
+      counts.push_back(net().link(link.id)->stats().delivered);
+    }
+    return counts;
+  };
+  const auto all_up = usable_front();
+  ASSERT_FALSE(all_up.empty());
+  const topology::LinkId uplink =
+      net().topology().find_link_by_label("geant-kaust")->id;
+  const auto& up_links = all_up.front().links;
+  ASSERT_NE(std::find(up_links.begin(), up_links.end(), uplink),
+            up_links.end());
+
+  net().set_link_up("geant-kaust", false);
+  const auto with_cut = usable_front();
+  const auto before = delivered();
+  IpPacket packet;
+  packet.src_ip = 0x0A010005;
+  packet.dst_ip = 0x0A020009;
+  packet.payload = bytes_of("around the cut");
+  const Status sent = campus_sig_.send_ip(packet);
+  net().sim().run_for(3 * kSecond);
+  net().set_link_up("geant-kaust", true);
+
+  ASSERT_TRUE(sent.ok());
+  ASSERT_FALSE(with_cut.empty());
+  ASSERT_EQ(hq_rx_.size(), 1u);
+  const auto after = delivered();
+  std::set<topology::LinkId> carried;
+  for (topology::LinkId id = 0; id < after.size(); ++id) {
+    if (after[id] > before[id]) carried.insert(id);
+  }
+  const auto& expected = with_cut.front().links;
+  EXPECT_EQ(carried,
+            std::set<topology::LinkId>(expected.begin(), expected.end()));
+  EXPECT_EQ(carried.count(uplink), 0u);
 }
 
 TEST_F(SigPairFixture, GeofencingPolicyBlocksTunnel) {
