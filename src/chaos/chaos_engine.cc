@@ -193,11 +193,7 @@ Status ChaosEngine::arm(const FaultPlan& plan) {
 }
 
 void ChaosEngine::schedule(const FaultEvent& event) {
-  // Fault injection mutates cross-shard state (links span shards, control
-  // outages touch whole service sets), so every chaos event executes in
-  // the global domain — exclusively, with all shards at the barrier.
-  net_.sim().schedule(simnet::Domain::global(), event.at,
-                      [this, event] { apply(event); });
+  net_.sim().schedule(event.at, [this, event] { apply(event); });
 }
 
 void ChaosEngine::note(const FaultEvent& event, const char* action) {
@@ -250,11 +246,10 @@ void ChaosEngine::apply(const FaultEvent& event) {
       const double before = link->config().loss_probability;
       link->set_loss_probability(event.magnitude);
       if (reverts) {
-        net_.sim().schedule_after(simnet::Domain::global(), event.hold,
-                                  [this, event, link, before] {
-                                    note(event, "revert");
-                                    link->set_loss_probability(before);
-                                  });
+        net_.sim().schedule_after(event.hold, [this, event, link, before] {
+          note(event, "revert");
+          link->set_loss_probability(before);
+        });
       }
       return;
     }
@@ -263,11 +258,10 @@ void ChaosEngine::apply(const FaultEvent& event) {
       const double before = link->config().jitter_sigma;
       link->set_jitter_sigma(event.magnitude);
       if (reverts) {
-        net_.sim().schedule_after(simnet::Domain::global(), event.hold,
-                                  [this, event, link, before] {
-                                    note(event, "revert");
-                                    link->set_jitter_sigma(before);
-                                  });
+        net_.sim().schedule_after(event.hold, [this, event, link, before] {
+          note(event, "revert");
+          link->set_jitter_sigma(before);
+        });
       }
       return;
     }
@@ -282,8 +276,7 @@ void ChaosEngine::apply(const FaultEvent& event) {
       return;
   }
   if (reverts) {
-    net_.sim().schedule_after(simnet::Domain::global(), event.hold,
-                              [this, event] { revert(event); });
+    net_.sim().schedule_after(event.hold, [this, event] { revert(event); });
   }
 }
 

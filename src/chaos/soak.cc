@@ -32,8 +32,8 @@ std::string duration_ms_or_none(Duration d) {
 }
 
 // Deployment filter secret, derived from the soak seed alone so two
-// processes (and every worker-thread count) seal and verify with the
-// same keys — a prerequisite for byte-identical attack reports.
+// processes seal and verify with the same keys — a prerequisite for
+// byte-identical attack reports.
 Bytes soak_filter_secret(std::uint64_t seed) {
   Bytes secret;
   secret.reserve(16);
@@ -156,17 +156,12 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
   if (!built) return built.error();
   workload::TrafficMatrix& workload = **built;
 
-  // Per-destination delivery buffers: under the sharded core the delivery
-  // callback fires on the destination host's shard thread, so each host
-  // gets its own pre-sized slot (no two shards share a vector). The
-  // buffers are merged and sorted below — the legacy single-thread stream
-  // was already time-ordered, so the sorted multiset (and therefore every
-  // gap statistic) is byte-identical to the pre-shard harness.
-  std::vector<std::vector<SimTime>> deliveries_by_host(workload_config.hosts);
+  // Delivery times network-wide, in delivery order — which is time order,
+  // since events execute in time order.
+  std::vector<SimTime> delivery_times;
   workload.set_on_delivery(
-      [&deliveries_by_host](const dataplane::Address&, std::size_t host,
-                            SimTime at) {
-        deliveries_by_host[host].push_back(at);
+      [&delivery_times](const dataplane::Address&, std::size_t, SimTime at) {
+        delivery_times.push_back(at);
       });
   std::unique_ptr<workload::AttackMatrix> attack;
   if (attack_plan) {
@@ -217,19 +212,8 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
                     : static_cast<double>(wr.packets_delivered) /
                           static_cast<double>(attempts);
 
-  // Delivery-gap distribution: merge the per-host streams and sort by
-  // time; consecutive differences are the network-wide delivery gaps.
-  std::vector<SimTime> delivery_times;
-  std::size_t total_deliveries = 0;
-  for (const auto& host_times : deliveries_by_host) {
-    total_deliveries += host_times.size();
-  }
-  delivery_times.reserve(total_deliveries);
-  for (const auto& host_times : deliveries_by_host) {
-    delivery_times.insert(delivery_times.end(), host_times.begin(),
-                          host_times.end());
-  }
-  std::sort(delivery_times.begin(), delivery_times.end());
+  // Delivery-gap distribution: consecutive differences of the delivery
+  // times are the network-wide delivery gaps.
   std::vector<Duration> gaps;
   gaps.reserve(delivery_times.empty() ? 0 : delivery_times.size() - 1);
   for (std::size_t i = 1; i < delivery_times.size(); ++i) {

@@ -1,25 +1,26 @@
 // Clang thread-safety annotations for SCIERA's shared mutable state, plus
 // an annotated Mutex/MutexLock pair the analysis can see through.
 //
-// The simulator is single-threaded today, but the sharded parallel core
-// (ROADMAP item 2) will run one event loop per shard with cross-shard
-// channels. These annotations are the static floor for that refactor:
+// The simulation core is serial: one event queue, driven by one thread
+// (DESIGN.md §13). The annotations say which state that thread owns and
+// which state is shared across threads:
 //
-//   * Real locks (obs::MetricsRegistry, obs::FlightRecorder) use
+//   * Real locks guard the process-wide singletons (obs::MetricsRegistry,
+//     obs::FlightRecorder, the check registry, dataplane::FramePool),
+//     which a process may drive from several threads. They use
 //     sciera::Mutex + sciera::MutexLock so Clang's -Wthread-safety proves
 //     every access to SCIERA_GUARDED_BY state happens under the lock.
 //     std::mutex + std::lock_guard are NOT annotated under libstdc++, so
 //     direct std::mutex members are rejected by sciera_analyze (rule
 //     std-mutex-member) — the analysis cannot see through them.
 //
-//   * Thread-affine state (Simulator, Link, FramePool, ChaosEngine) is
-//     guarded by the SCIERA_SIM_THREAD capability: a virtual "role" lock
-//     representing "the thread driving this simulation". Methods entering
-//     the affine state assert the role via sim_thread_role().assert_held().
-//     Today that assertion is a compile-time marker only; when shards land
-//     it becomes one role instance per shard and the assert gains a real
-//     thread-id check, at which point -Wthread-safety rejects any code
-//     path that touches a shard's state without holding its role.
+//   * Thread-affine state (Simulator, Link, ChaosEngine) is guarded by
+//     the sim_thread_role capability: a virtual "role" lock representing
+//     "the thread driving this simulation". Methods entering the affine
+//     state assert the role via sim_thread_role.assert_held(). The
+//     assertion is a compile-time marker only, with no runtime cost: it
+//     lets -Wthread-safety reject a path that touches the state without
+//     first passing through one of those entry points.
 //
 // The macros map 1:1 onto Clang's capability attributes
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html) and expand to
@@ -110,12 +111,11 @@ class SCIERA_SCOPED_CAPABILITY MutexLock {
 };
 
 // Virtual capability for thread-affine (not lock-protected) state: holding
-// it means "this thread is the one driving the simulation". There is one
-// global role today; the shard refactor will mint one per shard.
+// it means "this thread is the one driving the simulation". The core is
+// serial, so there is exactly one role.
 class SCIERA_CAPABILITY("role") ThreadRole {
  public:
-  // Marks the calling context as holding the role. No runtime cost yet;
-  // gains a thread-id check when the parallel core lands.
+  // Marks the calling context as holding the role. No runtime cost.
   void assert_held() const SCIERA_ASSERT_CAPABILITY(this) {}
 };
 

@@ -5,38 +5,9 @@
 
 namespace sciera::controlplane {
 
-namespace {
-
-// Builds the AS partition for the requested shard count (single-shard
-// when <= 1 — the classic core).
-simnet::ShardMap make_shard_map(const topology::Topology& topo,
-                                const ScionNetwork::Options& options) {
-  if (options.scheduler.shards <= 1) return simnet::ShardMap{};
-  std::vector<IsdAs> ases;
-  ases.reserve(topo.ases().size());
-  for (const auto& as_info : topo.ases()) ases.push_back(as_info.ia);
-  return simnet::ShardMap{std::move(ases), options.scheduler.shards,
-                          options.shard_policy};
-}
-
-// Clamps the scheduler geometry to what the partition actually supports:
-// shards to the map's shard count, threads to [1, shards].
-ScionNetwork::Options normalize_options(ScionNetwork::Options options,
-                                        const simnet::ShardMap& map) {
-  options.scheduler.shards = map.shard_count();
-  if (options.scheduler.threads == 0) options.scheduler.threads = 1;
-  if (options.scheduler.threads > options.scheduler.shards) {
-    options.scheduler.threads = options.scheduler.shards;
-  }
-  return options;
-}
-
-}  // namespace
-
 ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
     : topo_(std::move(topo)),
-      shard_map_(make_shard_map(topo_, options)),
-      options_(normalize_options(options, shard_map_)),
+      options_(options),
       sim_(options_.scheduler),
       rng_(options.seed, "network") {
   auto& registry = obs::MetricsRegistry::global();
@@ -114,27 +85,7 @@ void ScionNetwork::build_data_plane() {
     link->attach(1, routers_.at(link_info.b).get(), link_info.b_iface);
     routers_.at(link_info.a)->attach_iface(link_info.a_iface, link.get(), 0);
     routers_.at(link_info.b)->attach_iface(link_info.b_iface, link.get(), 1);
-    if (sharded()) {
-      link->set_domains(domain_of(link_info.a), domain_of(link_info.b));
-    }
     links_.push_back(std::move(link));
-  }
-  if (sharded()) {
-    // Conservative lookahead: the shortest guaranteed latency across any
-    // shard boundary. Intra-shard links do not constrain the window.
-    Duration lookahead = 0;
-    for (const auto& link : links_) {
-      if (!link->cross_shard()) continue;
-      const Duration floor = link->cross_delay_floor();
-      if (lookahead == 0 || floor < lookahead) lookahead = floor;
-    }
-    sim_.set_lookahead(lookahead);
-    // Instantiate every AS's control-service set up front, in topology
-    // order: lazy first-lookup creation would tie metric instance labels
-    // (and registry snapshots) to which shard asked first.
-    for (const auto& as_info : topo_.ases()) {
-      (void)control_service_set(as_info.ia);
-    }
   }
   for (const auto& as_info : topo_.ases()) {
     const IsdAs ia = as_info.ia;
@@ -179,11 +130,7 @@ void ScionNetwork::start_healing() {
     link->set_on_state_change(
         [this](bool, SimTime at) { on_link_state_change(at); });
   }
-  // Healing machinery sweeps cross-shard state (every link, every path
-  // service), so its timers live in the global domain: the parallel core
-  // runs global events exclusively, with all shards quiesced.
-  sim_.schedule_after(simnet::Domain::global(),
-                      options_.healing.refresh_interval,
+  sim_.schedule_after(options_.healing.refresh_interval,
                       [this] { healing_tick(); });
 }
 
@@ -194,18 +141,15 @@ void ScionNetwork::on_link_state_change(SimTime at) {
     change_pending_ = true;
     earliest_change_at_ = at;
   }
-  sim_.schedule_after(simnet::Domain::global(),
-                      options_.healing.detection_delay, [this] {
-                        // A sweep between scheduling and firing already
-                        // absorbed this change.
-                        if (change_pending_) healing_sweep();
-                      });
+  sim_.schedule_after(options_.healing.detection_delay, [this] {
+    // A sweep between scheduling and firing already absorbed this change.
+    if (change_pending_) healing_sweep();
+  });
 }
 
 void ScionNetwork::healing_tick() {
   healing_sweep();
-  sim_.schedule_after(simnet::Domain::global(),
-                      options_.healing.refresh_interval,
+  sim_.schedule_after(options_.healing.refresh_interval,
                       [this] { healing_tick(); });
 }
 

@@ -13,7 +13,6 @@
 #include "controlplane/path_server.h"
 #include "dataplane/router.h"
 #include "obs/metrics.h"
-#include "simnet/shard.h"
 #include "simnet/simulator.h"
 #include "topology/topology.h"
 
@@ -58,13 +57,8 @@ class ScionNetwork {
     Duration trc_validity = 365 * kDay;
     // Event-scheduler backend for the network's simulator. The calendar
     // queue is the production default; kBinaryHeap exists for equivalence
-    // testing and as the referee for the ordering contract. scheduler
-    // geometry also selects the parallel core: shards > 1 partitions the
-    // network per shard_policy (shard count clamped to the partition key
-    // count, threads clamped to shards).
+    // testing and as the referee for the ordering contract.
     simnet::SchedulerConfig scheduler{};
-    // How ASes fold into shards when scheduler.shards > 1 (see shard.h).
-    simnet::ShardPolicy shard_policy = simnet::ShardPolicy::kPerAs;
     // Path-service replicas per AS (>= 1). Replica 0 keeps the legacy
     // metric naming, so 1 is byte-identical to the pre-replication stack.
     std::size_t control_replicas = 1;
@@ -82,16 +76,6 @@ class ScionNetwork {
   [[nodiscard]] simnet::Simulator& sim() { return sim_; }
   [[nodiscard]] const topology::Topology& topology() const { return topo_; }
   [[nodiscard]] const Options& options() const { return options_; }
-
-  // --- Sharding -------------------------------------------------------------
-  [[nodiscard]] const simnet::ShardMap& shard_map() const { return shard_map_; }
-  [[nodiscard]] bool sharded() const { return shard_map_.shard_count() > 1; }
-  // Scheduling domain that owns an AS's events: its shard when the
-  // network is sharded, the global domain otherwise (the single-queue
-  // core ignores domains).
-  [[nodiscard]] simnet::Domain domain_of(IsdAs ia) const {
-    return sharded() ? shard_map_.domain_of(ia) : simnet::Domain::global();
-  }
 
   // --- Control plane -------------------------------------------------------
   [[nodiscard]] cppki::IsdPki* pki(Isd isd);
@@ -148,12 +132,7 @@ class ScionNetwork {
   void healing_sweep();
   void publish_segment_gauges();
 
-  // Initialization order is load-bearing: the shard map is derived from
-  // the topology and the requested shard count, and the normalized
-  // options (shards clamped to the map's actual count) configure the
-  // simulator's queue layout.
   topology::Topology topo_;
-  simnet::ShardMap shard_map_;
   Options options_;
   simnet::Simulator sim_;
   Rng rng_;

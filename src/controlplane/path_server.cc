@@ -83,18 +83,15 @@ void ControlService::lookup_paths(
   Duration latency = config_.intra_as_rtt + config_.processing;
   if (!cached) latency += cold_lookup_latency(dst);
   latency = static_cast<Duration>(static_cast<double>(latency) * slowdown_);
-  // Lookups resolve on the asking AS's own shard (daemons query their
-  // local service set), so the reply stays in the caller's domain.
-  sim_.schedule_after(simnet::Domain::current(), latency,
-                      [this, dst, callback = std::move(callback)] {
-                        // The service may have gone down while the answer
-                        // was in flight; a dead service answers nothing.
-                        if (!available_) {
-                          lookups_dropped_->inc();
-                          return;
-                        }
-                        callback(lookup_paths_now(dst));
-                      });
+  sim_.schedule_after(latency, [this, dst, callback = std::move(callback)] {
+    // The service may have gone down while the answer was in flight; a
+    // dead service answers nothing.
+    if (!available_) {
+      lookups_dropped_->inc();
+      return;
+    }
+    callback(lookup_paths_now(dst));
+  });
 }
 
 PathSet ControlService::lookup_paths_now(IsdAs dst) {

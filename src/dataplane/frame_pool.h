@@ -7,13 +7,13 @@
 // pops a warm frame, ScionPacket::serialize_into() reuses its buffer, and
 // the shared_ptr deleter returns it when the delivery completes.
 //
-// The pool is process-wide and mutex-guarded: under the sharded parallel
-// core a frame acquired on one shard can be released by the receiving
-// shard's thread (the shared_ptr deleter runs wherever the last reference
-// drops), so the free list is genuinely cross-thread. The lock is
-// uncontended in single-shard runs and short (pointer push/pop) in
-// parallel ones. Determinism is unaffected: recycling changes *where* a
-// frame lives, never what the schedule does.
+// The pool is process-wide and mutex-guarded, like the other process-wide
+// singletons: the shared_ptr deleter returns a frame wherever its last
+// reference drops, and nothing stops two simulations in one process from
+// running on two threads. The simulation core itself is serial, so the
+// lock is uncontended and short (pointer push/pop). Determinism is
+// unaffected: recycling changes *where* a frame lives, never what the
+// schedule does.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,8 @@ class FramePool {
   void publish_metrics() const;
 
  private:
-  // Runs in shared_ptr deleters, so it asserts the role itself rather
-  // than requiring it (the capture site cannot carry the annotation).
+  // Runs in shared_ptr deleters, so it takes the lock itself rather than
+  // requiring it (the capture site cannot carry the annotation).
   void release(UnderlayFrame* frame);
 
   // Allocator handed to the frame shared_ptr so the control block itself

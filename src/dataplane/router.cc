@@ -123,7 +123,7 @@ bool BorderRouter::take_token(TokenBucket& bucket, double pps, double burst,
   bucket.last = now;
   if (bucket.tokens < 1.0) return false;
   // Bucket levels never reach a digest, and every update happens in the
-  // router's deterministic per-packet order within its shard.
+  // router's deterministic per-packet order.
   // NOLINTNEXTLINE(float-accumulation) drop decision, not digest state
   bucket.tokens -= 1.0;
   return true;
@@ -386,10 +386,9 @@ void BorderRouter::deliver_local(const ScionPacket& packet) {
   // The endpoint handoff copies the packet (it outlives the scratch slot
   // it may live in); the forwarding fast path never takes this branch
   // for transit traffic, so the copy is off the hot path.
-  sim_.schedule_after(simnet::Domain::current(), config_.intra_as_delay,
-                      [delivery, packet, &sim = sim_] {
-                        delivery(packet, sim.now());
-                      });
+  sim_.schedule_after(config_.intra_as_delay, [delivery, packet, &sim = sim_] {
+    delivery(packet, sim.now());
+  });
 }
 
 void BorderRouter::forward(const ScionPacket& packet, IfaceId egress) {

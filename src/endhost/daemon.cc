@@ -192,8 +192,7 @@ void Daemon::paths_async_detailed(IsdAs dst,
     // asynchronous (callers cannot observe a reentrant answer).
     PathLookup result = live(Answer{entry->paths, PathSource::kFreshCache});
     net_.sim().schedule_after(
-        simnet::Domain::current(), 0,
-        [cb = std::move(cb), result = std::move(result)] { cb(result); });
+        0, [cb = std::move(cb), result = std::move(result)] { cb(result); });
     return;
   }
   auto lookup = std::make_shared<AsyncLookup>();
@@ -245,8 +244,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
   // fires (the dropped-RPC behaviour the chaos campaigns surfaced).
   if (!res.enabled) return;
   net_.sim().schedule_after(
-      simnet::Domain::current(), res.lookup_timeout,
-      [this, lookup, settled, dst, target] {
+      res.lookup_timeout, [this, lookup, settled, dst, target] {
         if (*settled) return;
         *settled = true;
         lookup_timeouts_->inc();
@@ -255,7 +253,7 @@ void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
           lookup_retries_->inc();
           const Duration delay =
               config_.resilience.backoff.delay(lookup->attempts, rng_);
-          net_.sim().schedule_after(simnet::Domain::current(), delay,
+          net_.sim().schedule_after(delay,
                                     [this, lookup] { start_attempt(lookup); });
           return;
         }

@@ -74,7 +74,7 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
     if (!message) return;
     auto receiver = scmp_receiver_;
     net_.sim().schedule_after(
-        simnet::Domain::current(), config_.local_hop,
+        config_.local_hop,
         [receiver, packet, message = std::move(message).value(),
          &sim = net_.sim()] { receiver(packet, message, sim.now()); });
     return;
@@ -115,10 +115,9 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
   delivered_->inc();
   Receiver& receiver = it->second;
   auto dg = std::move(datagram).value();
-  net_.sim().schedule_after(simnet::Domain::current(), extra,
-                            [receiver, packet, dg, &sim = net_.sim()] {
-                              receiver(packet, dg, sim.now());
-                            });
+  net_.sim().schedule_after(extra, [receiver, packet, dg, &sim = net_.sim()] {
+    receiver(packet, dg, sim.now());
+  });
 }
 
 }  // namespace sciera::endhost

@@ -9,10 +9,10 @@
 // labels), and instance_label() hands out per-kind instance names purely
 // from registration order — two processes that construct the same objects
 // in the same order export byte-identical snapshots. Counters are relaxed
-// atomics so shard worker threads of the parallel core may increment the
-// same cell concurrently (a pure sum is interleaving-independent); gauges
-// and histograms stay plain integers and remain single-writer (per-shard
-// or global-domain owners).
+// atomics, so threads that share a registry may increment the same cell
+// concurrently (a pure sum is interleaving-independent); the simulation
+// core is serial, so in a simulation one thread writes them all. Gauges
+// and histograms stay plain integers with a single writer.
 #pragma once
 
 #include <atomic>
@@ -40,8 +40,9 @@ enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
 // for delta-based tooling.
 class Counter {
  public:
-  // Relaxed: counts are pure sums, so no ordering is needed — the window
-  // barrier orders any read that feeds a deterministic report.
+  // Relaxed: counts are pure sums, so no ordering is needed. An exact
+  // read happens on the writing thread (a simulation's one thread) or
+  // after the writers are joined.
   void inc(std::uint64_t by = 1) {
     value_.fetch_add(by, std::memory_order_relaxed);
   }

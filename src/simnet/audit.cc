@@ -30,54 +30,4 @@ DeterminismReport audit_determinism(const Scenario& scenario) {
   return report;
 }
 
-bool ThreadParityReport::parity() const {
-  for (const ScheduleDigest& digest : digests) {
-    if (!(digest == digests.front())) return false;
-  }
-  return !digests.empty();
-}
-
-std::string ThreadParityReport::to_string() const {
-  if (digests.empty()) return "thread-parity: no runs";
-  if (parity()) {
-    std::string counts;
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      if (i > 0) counts += ",";
-      counts += std::to_string(threads[i]);
-    }
-    return strformat("thread-parity: hash=%016llx events=%llu threads=%s",
-                     static_cast<unsigned long long>(digests.front().hash),
-                     static_cast<unsigned long long>(digests.front().executed),
-                     counts.c_str());
-  }
-  for (std::size_t i = 1; i < digests.size(); ++i) {
-    if (digests[i] == digests.front()) continue;
-    return strformat(
-        "THREAD-PARITY BROKEN: threads=%llu hash=%016llx events=%llu vs "
-        "baseline threads=%llu hash=%016llx events=%llu",
-        static_cast<unsigned long long>(threads[i]),
-        static_cast<unsigned long long>(digests[i].hash),
-        static_cast<unsigned long long>(digests[i].executed),
-        static_cast<unsigned long long>(threads.front()),
-        static_cast<unsigned long long>(digests.front().hash),
-        static_cast<unsigned long long>(digests.front().executed));
-  }
-  return "thread-parity: inconsistent report";
-}
-
-ThreadParityReport audit_thread_parity(
-    const ThreadedScenario& scenario,
-    const std::vector<std::size_t>& threads) {
-  ThreadParityReport report;
-  report.threads = threads;
-  report.digests.reserve(threads.size());
-  for (const std::size_t count : threads) {
-    report.digests.push_back(scenario(count));
-  }
-  if (!report.parity()) {
-    count_violation("simnet.thread_parity_broken");
-  }
-  return report;
-}
-
 }  // namespace sciera::simnet

@@ -8,10 +8,8 @@
 // the schedule and show up as a hash mismatch.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "simnet/simulator.h"
 
@@ -33,30 +31,5 @@ using Scenario = std::function<ScheduleDigest()>;
 
 // Runs the scenario twice and compares digests.
 [[nodiscard]] DeterminismReport audit_determinism(const Scenario& scenario);
-
-// Thread-parity report: the sharded core's contract is that the merged
-// ScheduleDigest is a pure function of the scenario, independent of how
-// many worker threads execute the shards. Each entry pairs a thread count
-// with the digest that run produced; parity holds when every digest
-// matches the single-thread baseline (entry 0).
-struct ThreadParityReport {
-  std::vector<std::size_t> threads;
-  std::vector<ScheduleDigest> digests;
-
-  [[nodiscard]] bool parity() const;
-  // "thread-parity: hash=... events=... threads=1,2,4" or the first
-  // mismatching thread count with both digests.
-  [[nodiscard]] std::string to_string() const;
-};
-
-// Builds a world with the given worker-thread count, runs it, returns the
-// digest. The callback must construct everything from scratch — runs at
-// different thread counts share no mutable state.
-using ThreadedScenario = std::function<ScheduleDigest(std::size_t threads)>;
-
-// Runs the scenario once per requested thread count (the first entry is
-// the baseline, conventionally 1) and compares every digest against it.
-[[nodiscard]] ThreadParityReport audit_thread_parity(
-    const ThreadedScenario& scenario, const std::vector<std::size_t>& threads);
 
 }  // namespace sciera::simnet

@@ -18,18 +18,6 @@ void Link::attach(int side, Node* node, IfaceId local_iface) {
 
 void Link::set_label(std::string label) { label_ = std::move(label); }
 
-void Link::set_domains(Domain side0, Domain side1) {
-  sim_thread_role.assert_held();
-  domains_ = {side0, side1};
-  cross_shard_ = side0.is_shard() && side1.is_shard() && side0 != side1;
-  if (cross_shard_) {
-    dir_rng_ = {rng_.fork("dir0"), rng_.fork("dir1")};
-  }
-  // Deterministic metric instance labels under sharded execution require
-  // registration in wiring order, not first-send order.
-  (void)metrics();
-}
-
 const std::string& Link::display_name() const {
   static const std::string kUnnamed = "link";
   return label_.empty() ? kUnnamed : label_;
@@ -95,10 +83,6 @@ void Link::set_up(bool up) {
 void Link::send(int from_side, const MessagePtr& message) {
   sim_thread_role.assert_held();
   assert(from_side == 0 || from_side == 1);
-  if (cross_shard_) {
-    send_cross(from_side, message);
-    return;
-  }
   End& tx = ends_[static_cast<std::size_t>(from_side)];
   End& rx = ends_[static_cast<std::size_t>(from_side ^ 1)];
   assert(tx.node != nullptr && rx.node != nullptr);
@@ -158,7 +142,7 @@ void Link::send(int from_side, const MessagePtr& message) {
     // std::function small-buffer optimization, so scheduling a batch
     // does not heap-allocate. The event fires exactly at deliver_at, so
     // the simulator clock recovers the batch key.
-    sim_.schedule(simnet::Domain::current(), deliver_at,
+    sim_.schedule(deliver_at,
                   [this, to_side] { deliver_batch(to_side, sim_.now()); });
   }
   batch->items.push_back(Pending{message, down_epoch_});
@@ -202,75 +186,6 @@ void Link::deliver_batch(int to_side, SimTime deliver_at) {
   // Drop the frame references promptly so pooled frames recycle at the
   // end of the tick, not at the next delivery on this link.
   delivery_scratch_.clear();
-}
-
-void Link::send_cross(int from_side, const MessagePtr& message) {
-  End& tx = ends_[static_cast<std::size_t>(from_side)];
-  // up_/config_ are only written from the global domain (runs exclusively
-  // while shards park at the barrier), so these reads are ordered.
-  if (!up_) {
-    metrics().dropped_down->inc();
-    return;
-  }
-  Rng& rng = dir_rng_[static_cast<std::size_t>(from_side)];
-  if (config_.loss_probability > 0 && rng.chance(config_.loss_probability)) {
-    metrics().dropped_loss->inc();
-    return;
-  }
-
-  const auto serialization = static_cast<Duration>(
-      static_cast<double>(message->wire_size() + config_.encap_overhead_bytes) *
-      8.0 / config_.bandwidth_bps * static_cast<double>(kSecond));
-
-  const SimTime now = sim_.now();
-  const SimTime start = std::max(now, tx.tx_free_at);
-  const auto queued_ahead =
-      serialization > 0
-          ? static_cast<std::size_t>(
-                (start - now) / std::max<Duration>(serialization, 1))
-          : 0;
-  if (queued_ahead > config_.queue_capacity) {
-    metrics().dropped_queue->inc();
-    return;
-  }
-  tx.tx_free_at = start + serialization;
-
-  Duration delay = config_.propagation_delay;
-  if (config_.jitter_sigma > 0) {
-    delay = static_cast<Duration>(
-        static_cast<double>(delay) *
-        rng.lognormal_median(1.0, config_.jitter_sigma));
-  }
-  // The window driver promised the receiving shard nothing arrives
-  // earlier than the lookahead; hold jitter's low tail to that promise.
-  const Duration floor = cross_delay_floor();
-  if (delay < floor) delay = floor;
-
-  const SimTime deliver_at = tx.tx_free_at + delay;
-  const int to_side = from_side ^ 1;
-  // One event per frame: same-tick batching would need a shared batch
-  // table across shards. Cross-shard links are the long-haul WAN edges —
-  // low frame rate per tick — so the per-frame capture (one MessagePtr,
-  // heap-allocated closure) is the right trade against a lock.
-  sim_.schedule(domains_[static_cast<std::size_t>(to_side)], deliver_at,
-                [this, to_side, message, epoch = down_epoch_] {
-                  deliver_cross(to_side, message, epoch);
-                });
-}
-
-void Link::deliver_cross(int to_side, const MessagePtr& message,
-                         std::uint64_t epoch) {
-  End& rx = ends_[static_cast<std::size_t>(to_side)];
-  if (!up_ || epoch != down_epoch_) {
-    metrics().dropped_down->inc();
-    obs::FlightRecorder::global().record(
-        obs::TraceType::kPacketDrop, sim_.now(), sim_.executed_events(),
-        display_name(), "cut-in-flight");
-    return;
-  }
-  metrics().delivered->inc();
-  rx.node->receive_batch(std::span<const MessagePtr>(&message, 1),
-                         Arrival{this, rx.iface, sim_.now()});
 }
 
 void Link::recycle_batch(std::vector<Pending> items) {

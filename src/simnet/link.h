@@ -14,7 +14,6 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "simnet/node.h"
-#include "simnet/shard.h"
 #include "simnet/simulator.h"
 
 namespace sciera::simnet {
@@ -48,30 +47,6 @@ class Link {
   // Attaches endpoint `side` (0 or 1). The owner names its end of the link
   // with its own interface id.
   void attach(int side, Node* node, IfaceId local_iface);
-
-  // Names the scheduling domain of each endpoint (see shard.h). When the
-  // two ends live on different shards the link switches to the
-  // cross-shard delivery path: per-direction forked RNGs (the two
-  // directions run on different threads), per-frame delivery events
-  // scheduled into the receiving shard's queue, and a conservative floor
-  // on the traversal delay (cross_delay_floor) so the window driver can
-  // count the propagation delay as lookahead. Same-shard and unset
-  // domains keep the classic batched path, byte-identical to the
-  // pre-shard link. Also registers the metric series eagerly: lazy
-  // registration order would depend on which shard sends first.
-  // Call after set_label and before the first send.
-  void set_domains(Domain side0, Domain side1);
-  [[nodiscard]] bool cross_shard() const { return cross_shard_; }
-
-  // Minimum delay any frame can experience on the cross-shard path: half
-  // the nominal propagation delay (jitter is multiplicative log-normal
-  // around 1, so halving is already a generous allowance), never below
-  // one tick. The simulator's lookahead is the minimum of this over all
-  // cross-shard links.
-  [[nodiscard]] Duration cross_delay_floor() const {
-    const Duration floor = config_.propagation_delay / 2;
-    return floor < 1 ? 1 : floor;
-  }
 
   // Names the link's metric series after the topology label. Must be set
   // before the first send (once the series is registered the name sticks);
@@ -161,12 +136,6 @@ class Link {
   void deliver_batch(int to_side, SimTime deliver_at)
       SCIERA_REQUIRES(sim_thread_role);
 
-  // Cross-shard path: serialization/queueing on the sender's shard, one
-  // delivery event per frame in the receiver's shard queue.
-  void send_cross(int from_side, const MessagePtr& message);
-  void deliver_cross(int to_side, const MessagePtr& message,
-                     std::uint64_t epoch);
-
   // Returns a retired per-tick item vector to the spare pool (capacity
   // kept) so the next batch reuses it.
   void recycle_batch(std::vector<Pending> items)
@@ -185,23 +154,11 @@ class Link {
 
   // Per-link mutable state is thread-affine to the driving simulation
   // thread; label_, metrics_, and on_state_change_ are wiring set before
-  // traffic flows. On a cross-shard link the affinity splits per
-  // direction: ends_[i] (serializer clock) belongs to side i's shard,
-  // dir_rng_[i] to the sending side, while config_/up_/down_epoch_ are
-  // only written from the global domain (chaos, admin) whose events run
-  // exclusively — the window barrier orders those writes against every
-  // shard read.
+  // traffic flows.
   Simulator& sim_;
   LinkConfig config_ SCIERA_GUARDED_BY(sim_thread_role);
   Rng rng_ SCIERA_GUARDED_BY(sim_thread_role);
   std::array<End, 2> ends_ SCIERA_GUARDED_BY(sim_thread_role){};
-  std::array<Domain, 2> domains_{};
-  bool cross_shard_ = false;
-  // Per-direction jitter/loss streams for the cross-shard path: the two
-  // directions execute on different threads, and a shared stream would
-  // make draw order depend on the interleaving. Forked deterministically
-  // from the link's seed stream in set_domains.
-  std::array<Rng, 2> dir_rng_{Rng{0}, Rng{0}};
   std::string label_;
   mutable Metrics metrics_;
   bool up_ SCIERA_GUARDED_BY(sim_thread_role) = true;

@@ -19,43 +19,6 @@ struct SimulatorGauges {
 };
 }  // namespace obs_cells
 
-namespace {
-
-// Identity of the event currently executing on this thread: which
-// simulator, which queue, and the exclusive end of the window it may
-// schedule same-shard work into. Null sim means "not inside an event"
-// (setup code, the driver between windows) — such callers schedule with
-// global-domain rights.
-struct ExecCtx {
-  const void* sim = nullptr;
-  std::uint32_t qi = 0;
-  SimTime window_end = 0;
-};
-thread_local ExecCtx t_exec{};
-
-class ExecScope {
- public:
-  ExecScope(const void* sim, std::uint32_t qi, SimTime window_end)
-      : saved_(t_exec) {
-    t_exec = ExecCtx{sim, qi, window_end};
-  }
-  ~ExecScope() { t_exec = saved_; }
-  ExecScope(const ExecScope&) = delete;
-  ExecScope& operator=(const ExecScope&) = delete;
-
- private:
-  ExecCtx saved_;
-};
-
-SimTime saturating_add(SimTime a, Duration b) {
-  if (a > std::numeric_limits<SimTime>::max() - b) {
-    return std::numeric_limits<SimTime>::max();
-  }
-  return a + b;
-}
-
-}  // namespace
-
 const char* scheduler_kind_name(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kBinaryHeap: return "binary-heap";
@@ -80,12 +43,6 @@ Status validate_scheduler_config(const SchedulerConfig& config) {
                        std::to_string(config.bucket_count)};
     }
   }
-  if (config.shards == 0) {
-    return Error{Errc::kInvalidArgument, "shards must be >= 1"};
-  }
-  if (config.threads == 0) {
-    return Error{Errc::kInvalidArgument, "threads must be >= 1"};
-  }
   return {};
 }
 
@@ -102,23 +59,13 @@ Simulator::EventQueue::EventQueue(const SchedulerConfig& config)
   }
 }
 
-Simulator::Simulator(SchedulerConfig config) : config_(config) {
-  const Status valid = validate_scheduler_config(config_);
-  SCIERA_CHECK(valid.ok(), "simnet.scheduler_config");
-  shards_ = config_.shards;
-  thread_count_ = std::min(config_.threads, shards_);
-  if (thread_count_ == 0) thread_count_ = 1;
-  // Single shard: one queue, the classic core. Sharded: queue 0 is the
-  // global domain, queues 1..shards are the shards.
-  const std::size_t queue_count = shards_ <= 1 ? 1 : shards_ + 1;
-  queues_.reserve(queue_count);
-  for (std::size_t i = 0; i < queue_count; ++i) queues_.emplace_back(config_);
+Simulator::Simulator(SchedulerConfig config)
+    : config_(config), queue_(config_) {
+  SCIERA_CHECK(validate_scheduler_config(config_).ok(),
+               "simnet.scheduler_config");
 }
 
-Simulator::~Simulator() {
-  stop_workers();
-  delete gauges_;
-}
+Simulator::~Simulator() { delete gauges_; }
 
 void Simulator::enable_metrics(const std::string& label) {
   sim_thread_role.assert_held();
@@ -135,21 +82,9 @@ void Simulator::enable_metrics(const std::string& label) {
 
 void Simulator::update_gauges() {
   if (gauges_ == nullptr) return;
-  std::size_t pending = 0;
-  std::uint64_t executed = 0;
-  std::size_t overflow = 0;
-  for (const EventQueue& q : queues_) {
-    pending += q.size_;
-    executed += q.executed_;
-    overflow += q.far_.size();
-  }
-  gauges_->pending->set(static_cast<std::int64_t>(pending));
-  gauges_->executed->set(static_cast<std::int64_t>(executed));
-  gauges_->overflow->set(static_cast<std::int64_t>(overflow));
-}
-
-void Simulator::set_lookahead(Duration lookahead) {
-  lookahead_ = lookahead < 1 ? 1 : lookahead;
+  gauges_->pending->set(static_cast<std::int64_t>(queue_.size_));
+  gauges_->executed->set(static_cast<std::int64_t>(queue_.executed_));
+  gauges_->overflow->set(static_cast<std::int64_t>(queue_.far_.size()));
 }
 
 std::size_t Simulator::EventQueue::bucket_index(SimTime when) const {
@@ -281,281 +216,36 @@ Simulator::Event Simulator::EventQueue::take_next() {
   return ev;
 }
 
-SimTime Simulator::now() const {
-  if (!sharded()) return queues_.front().now_;
-  if (t_exec.sim == this) return queues_[t_exec.qi].now_;
-  return queues_.front().now_;
-}
-
-std::size_t Simulator::pending_events() const {
-  if (sharded() && t_exec.sim == this) return queues_[t_exec.qi].size_;
-  std::size_t total = 0;
-  for (const EventQueue& q : queues_) total += q.size_;
-  return total;
-}
-
-std::uint64_t Simulator::executed_events() const {
-  if (sharded() && t_exec.sim == this) return queues_[t_exec.qi].executed_;
-  std::uint64_t total = 0;
-  for (const EventQueue& q : queues_) total += q.executed_;
-  return total;
-}
-
-ScheduleDigest Simulator::schedule_digest() const {
-  if (!sharded()) return queues_.front().digest_;
-  ScheduleDigest merged;
-  std::uint64_t executed = 0;
-  for (const EventQueue& q : queues_) {
-    merged.fold(q.digest_.hash);
-    merged.fold(q.digest_.executed);
-    executed += q.digest_.executed;
+void Simulator::schedule(SimTime when, Action action) {
+  SCIERA_DCHECK(when >= queue_.now_, "simnet.schedule_in_past");
+  if (when < queue_.now_) {
+    // Release builds clamp instead of dying, but the clamp is audited so
+    // determinism sweeps can flag the offending component.
+    count_violation("simnet.schedule_in_past");
+    when = queue_.now_;
   }
-  merged.executed = executed;
-  return merged;
+  queue_.push(Event{when, queue_.next_seq_++, std::move(action)});
 }
 
-std::uint32_t Simulator::queue_index(Domain domain,
-                                     std::uint32_t ctx_qi) const {
-  if (domain.is_current()) {
-    return ctx_qi == kNoContext ? 0 : ctx_qi;
-  }
-  if (domain.is_global()) return 0;
-  const ShardId id = domain.id();
-  if (id >= shards_) {
-    // A shard id from a different partition (or a stale map). Audited and
-    // routed to the global queue rather than corrupting a shard schedule.
-    count_violation("simnet.bad_domain");
-    return 0;
-  }
-  return 1 + id;
-}
-
-void Simulator::schedule(Domain domain, SimTime when, Action action) {
-  if (!sharded()) {
-    // Single-shard fast path: every domain is the one queue. Identical
-    // event stream (sequence numbers included) to the pre-shard core.
-    EventQueue& q = queues_.front();
-    SCIERA_DCHECK(when >= q.now_, "simnet.schedule_in_past");
-    if (when < q.now_) {
-      // Release builds clamp instead of dying, but the clamp is audited so
-      // determinism sweeps can flag the offending component.
-      count_violation("simnet.schedule_in_past");
-      when = q.now_;
-    }
-    q.push(Event{when, q.next_seq_++, std::move(action)});
-    return;
-  }
-
-  const bool in_event = t_exec.sim == this;
-  const std::uint32_t ctx_qi = in_event ? t_exec.qi : kNoContext;
-  const std::uint32_t dst = queue_index(domain, ctx_qi);
-  if (!in_event || ctx_qi == dst || ctx_qi == 0) {
-    // Direct push: setup/driver code (all queues idle), same-queue
-    // scheduling, or a global event (global events run exclusively while
-    // every shard parks at the barrier, so they may seed any queue).
-    EventQueue& q = queues_[dst];
-    SCIERA_DCHECK(when >= q.now_, "simnet.schedule_in_past");
-    if (when < q.now_) {
-      count_violation("simnet.schedule_in_past");
-      when = q.now_;
-    }
-    q.push(Event{when, q.next_seq_++, std::move(action)});
-    return;
-  }
-  // Cross-shard from inside a shard event: park in the sender's outbox
-  // until the window barrier. Conservative synchronization requires the
-  // target time to be outside the current window; anything earlier would
-  // have to rewind a queue that may already be past it.
-  if (when < t_exec.window_end) {
-    count_violation("simnet.cross_shard_lookahead");
-    when = t_exec.window_end;
-  }
-  queues_[ctx_qi].outbox_.push_back(OutboundEvent{dst, when, std::move(action)});
-}
-
-void Simulator::schedule_after(Domain domain, Duration delay, Action action) {
-  schedule(domain, now() + (delay < 0 ? 0 : delay), std::move(action));
-}
-
-SimTime Simulator::queue_peek(std::uint32_t qi) {
-  EventQueue& q = queues_[qi];
-  return q.prepare_next() ? q.peek_next_time() : kNever;
-}
-
-void Simulator::run_queue_window(std::uint32_t qi, SimTime window_end) {
-  sim_thread_role.assert_held();
-  ExecScope scope(this, qi, window_end);
-  EventQueue& q = queues_[qi];
-  while (q.prepare_next() && q.peek_next_time() < window_end) {
-    Event ev = q.take_next();
-    ev.action();
-  }
-}
-
-void Simulator::merge_outboxes() {
-  for (EventQueue& src : queues_) {
-    for (OutboundEvent& out : src.outbox_) {
-      EventQueue& dst = queues_[out.dst];
-      SimTime when = out.when;
-      if (when < dst.now_) {
-        count_violation("simnet.schedule_in_past");
-        when = dst.now_;
-      }
-      dst.push(Event{when, dst.next_seq_++, std::move(out.action)});
-    }
-    src.outbox_.clear();
-  }
-}
-
-void Simulator::start_workers() {
-  if (!workers_.empty()) return;
-  workers_.reserve(thread_count_ - 1);
-  for (std::size_t w = 1; w < thread_count_; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-void Simulator::stop_workers() {
-  if (workers_.empty()) return;
-  pool_mutex_.lock();
-  pool_shutdown_ = true;
-  pool_mutex_.unlock();
-  pool_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-}
-
-void Simulator::worker_main(std::size_t worker) {
-  std::uint64_t seen_round = 0;
-  pool_mutex_.lock();
-  for (;;) {
-    while (!pool_shutdown_ && pool_round_ == seen_round) {
-      pool_cv_.wait(pool_mutex_);
-    }
-    if (pool_shutdown_) {
-      pool_mutex_.unlock();
-      return;
-    }
-    seen_round = pool_round_;
-    const SimTime window_end = pool_window_end_;
-    pool_mutex_.unlock();
-    // Static shard->thread mapping: worker w owns shards s with
-    // s % thread_count_ == w, in increasing shard order.
-    for (std::uint32_t qi = 1 + static_cast<std::uint32_t>(worker);
-         qi < queues_.size(); qi += static_cast<std::uint32_t>(thread_count_)) {
-      run_queue_window(qi, window_end);
-    }
-    pool_mutex_.lock();
-    if (--pool_pending_ == 0) done_cv_.notify_all();
-  }
-}
-
-void Simulator::execute_window(SimTime window_end) {
-  if (thread_count_ <= 1) {
-    for (std::uint32_t qi = 1; qi < queues_.size(); ++qi) {
-      run_queue_window(qi, window_end);
-    }
-    return;
-  }
-  start_workers();
-  pool_mutex_.lock();
-  pool_window_end_ = window_end;
-  pool_pending_ = thread_count_ - 1;
-  ++pool_round_;
-  pool_mutex_.unlock();
-  pool_cv_.notify_all();
-  // The driver is worker 0.
-  for (std::uint32_t qi = 1; qi < queues_.size();
-       qi += static_cast<std::uint32_t>(thread_count_)) {
-    run_queue_window(qi, window_end);
-  }
-  pool_mutex_.lock();
-  while (pool_pending_ != 0) done_cv_.wait(pool_mutex_);
-  pool_mutex_.unlock();
-}
-
-void Simulator::run_sharded(SimTime deadline) {
-  for (;;) {
-    const SimTime t_global = queue_peek(0);
-    SimTime t_shard = kNever;
-    for (std::uint32_t qi = 1; qi < queues_.size(); ++qi) {
-      t_shard = std::min(t_shard, queue_peek(qi));
-    }
-    const SimTime t_min = std::min(t_global, t_shard);
-    if (t_min == kNever || t_min > deadline) return;
-
-    if (t_global <= t_shard) {
-      // Global events run exclusively: every shard is parked, so the
-      // event may touch cross-shard state (chaos cutting a link, a
-      // healing sweep over all path services) and seed any queue
-      // directly. Re-check the earliest shard event after every global
-      // event — it may just have created one.
-      ExecScope scope(this, 0, kNever);
-      EventQueue& global = queues_.front();
-      while (global.prepare_next()) {
-        const SimTime t_next = global.peek_next_time();
-        if (t_next > deadline) break;
-        SimTime earliest_shard = kNever;
-        for (std::uint32_t qi = 1; qi < queues_.size(); ++qi) {
-          earliest_shard = std::min(earliest_shard, queue_peek(qi));
-        }
-        if (t_next > earliest_shard) break;
-        Event ev = global.take_next();
-        ev.action();
-      }
-      continue;
-    }
-
-    // Shard window: conservative bound from the lookahead (minimum
-    // cross-shard latency), capped by the next global event (it must see
-    // a quiesced network at its timestamp) and by the deadline
-    // (+1 because the window end is exclusive and events *at* the
-    // deadline must still run).
-    SimTime window_end = saturating_add(t_shard, lookahead_);
-    window_end = std::min(window_end, t_global);
-    window_end = std::min(window_end, saturating_add(deadline, 1));
-    execute_window(window_end);
-    merge_outboxes();
-  }
+void Simulator::schedule_after(Duration delay, Action action) {
+  schedule(now() + (delay < 0 ? 0 : delay), std::move(action));
 }
 
 void Simulator::run_until(SimTime deadline) {
   sim_thread_role.assert_held();
-  if (!sharded()) {
-    EventQueue& q = queues_.front();
-    while (q.prepare_next() && q.peek_next_time() <= deadline) {
-      Event ev = q.take_next();
-      ev.action();
-    }
-    if (q.now_ < deadline) q.now_ = deadline;
-    update_gauges();
-    return;
+  while (queue_.prepare_next() && queue_.peek_next_time() <= deadline) {
+    Event ev = queue_.take_next();
+    ev.action();
   }
-  run_sharded(deadline);
-  for (EventQueue& q : queues_) {
-    if (q.now_ < deadline) q.now_ = deadline;
-  }
+  if (queue_.now_ < deadline) queue_.now_ = deadline;
   update_gauges();
 }
 
 void Simulator::run_all() {
   sim_thread_role.assert_held();
-  if (!sharded()) {
-    EventQueue& q = queues_.front();
-    while (q.prepare_next()) {
-      Event ev = q.take_next();
-      ev.action();
-    }
-    update_gauges();
-    return;
-  }
-  run_sharded(kNever);
-  // Align the clocks: after a drain every queue reports the same "end of
-  // simulation" time (the latest event executed anywhere).
-  SimTime latest = 0;
-  for (const EventQueue& q : queues_) latest = std::max(latest, q.now_);
-  for (EventQueue& q : queues_) {
-    if (q.now_ < latest) q.now_ = latest;
+  while (queue_.prepare_next()) {
+    Event ev = queue_.take_next();
+    ev.action();
   }
   update_gauges();
 }

@@ -96,7 +96,6 @@ Status AttackMatrix::launch(const AttackBurst& burst) {
   }
 
   auto& sim = net_.sim();
-  const simnet::Domain domain = net_.domain_of(burst.source);
   const SimTime start = sim.now();
   const SimTime end = start + burst.duration;
   const double mean = static_cast<double>(kSecond) / burst.pps;
@@ -114,7 +113,7 @@ Status AttackMatrix::launch(const AttackBurst& burst) {
     if (it == path_by_as.end()) {
       auto paths = net_.paths(burst.source, dst.ia);
       if (paths.empty()) {
-        send_failures_.fetch_add(1, std::memory_order_relaxed);
+        ++report_.send_failures;
         continue;
       }
       it = path_by_as.emplace(dst.ia, paths.front().dataplane_path).first;
@@ -141,23 +140,20 @@ Status AttackMatrix::launch(const AttackBurst& burst) {
         break;
     }
     ++sequence;
-    schedule_send(domain, t, router, std::move(packet), surge);
+    schedule_send(t, router, std::move(packet), surge);
   }
   return {};
 }
 
-void AttackMatrix::schedule_send(const simnet::Domain& domain, SimTime at,
-                                 dataplane::BorderRouter* router,
+void AttackMatrix::schedule_send(SimTime at, dataplane::BorderRouter* router,
                                  dataplane::ScionPacket packet, bool surge) {
-  net_.sim().schedule(
-      domain, at, [this, router, packet = std::move(packet), surge] {
-        if (!router->inject(packet).ok()) {
-          send_failures_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        (surge ? surge_sent_ : attack_sent_)
-            .fetch_add(1, std::memory_order_relaxed);
-      });
+  net_.sim().schedule(at, [this, router, packet = std::move(packet), surge] {
+    if (!router->inject(packet).ok()) {
+      ++report_.send_failures;
+      return;
+    }
+    ++(surge ? report_.surge_sent : report_.attack_sent);
+  });
 }
 
 }  // namespace sciera::workload

@@ -7,9 +7,9 @@
 //
 // Every burst is armed through the chaos engine like any other fault:
 // validated up front, scheduled from one forked Rng stream, and replayed
-// byte-identically for a given seed at any worker-thread count. Attack
-// sends are injected at the origin AS's border router inside that AS's
-// scheduling domain, exactly where a compromised host fleet would sit.
+// byte-identically for a given seed. Attack sends are injected at the
+// origin AS's border router, exactly where a compromised host fleet would
+// sit.
 //
 // Traffic classes are told apart end to end by the first payload byte:
 // legitimate workload packets carry kLegitMarker, flash-crowd surges
@@ -18,7 +18,6 @@
 // from hostile traffic without any side channel.
 #pragma once
 
-#include <atomic>
 #include <map>
 
 #include "controlplane/control_plane.h"
@@ -80,37 +79,25 @@ class AttackMatrix {
   [[nodiscard]] Status validate(const AttackBurst& burst) const;
 
   // Schedules every send of the burst from sim.now() onward. Called from
-  // the chaos engine's apply path, inside the global domain; the sends
-  // themselves land in the origin AS's domain.
+  // the chaos engine's apply path.
   Status launch(const AttackBurst& burst);
 
   // Wired to TrafficMatrix::set_on_foreign_delivery: counts hostile
   // traffic that made it through to an application socket.
   void note_delivery(std::uint8_t marker) {
     if (marker == kSurgeMarker) {
-      surge_delivered_.fetch_add(1, std::memory_order_relaxed);
+      ++report_.surge_delivered;
     } else {
-      attack_delivered_.fetch_add(1, std::memory_order_relaxed);
+      ++report_.attack_delivered;
     }
   }
 
-  [[nodiscard]] AttackReport report() const {
-    AttackReport snapshot;
-    snapshot.attack_sent = attack_sent_.load(std::memory_order_relaxed);
-    snapshot.attack_delivered =
-        attack_delivered_.load(std::memory_order_relaxed);
-    snapshot.surge_sent = surge_sent_.load(std::memory_order_relaxed);
-    snapshot.surge_delivered =
-        surge_delivered_.load(std::memory_order_relaxed);
-    snapshot.send_failures = send_failures_.load(std::memory_order_relaxed);
-    return snapshot;
-  }
+  [[nodiscard]] AttackReport report() const { return report_; }
 
  private:
   // One scheduled hostile send: the packet is fully built at burst-launch
   // time so the send event itself is injection only.
-  void schedule_send(const simnet::Domain& domain, SimTime at,
-                     dataplane::BorderRouter* router,
+  void schedule_send(SimTime at, dataplane::BorderRouter* router,
                      dataplane::ScionPacket packet, bool surge);
 
   controlplane::ScionNetwork& net_;
@@ -118,11 +105,7 @@ class AttackMatrix {
   AttackConfig config_;
   Rng rng_;
   std::size_t bursts_launched_ = 0;
-  std::atomic<std::uint64_t> attack_sent_{0};
-  std::atomic<std::uint64_t> attack_delivered_{0};
-  std::atomic<std::uint64_t> surge_sent_{0};
-  std::atomic<std::uint64_t> surge_delivered_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
+  AttackReport report_;
 };
 
 }  // namespace sciera::workload

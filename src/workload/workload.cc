@@ -134,7 +134,7 @@ Status TrafficMatrix::launch() {
             if (on_foreign_delivery_) on_foreign_delivery_(marker, i, at);
             return;
           }
-          delivered_.fetch_add(1, std::memory_order_relaxed);
+          ++report_.packets_delivered;
           if (on_delivery_) on_delivery_(from, i, at);
         });
     if (!socket) return socket.error();
@@ -160,10 +160,6 @@ void TrafficMatrix::schedule_flow(const Flow& flow) {
   // hosts_ never reallocates after launch(), so the payload pointer is
   // stable for the lifetime of the scheduled sends.
   const Bytes* payload = &hosts_[flow.src].send_payload;
-  // Send events belong to the source host's shard: the whole send path
-  // (daemon lookup, PAN context, first-hop router inject) lives in the
-  // source AS's domain.
-  const simnet::Domain domain = net_.domain_of(hosts_[flow.src].address.ia);
   const dataplane::Address to = hosts_[flow.dst].address;
   SimTime t = sim.now() +
               static_cast<Duration>(rng_.uniform(
@@ -171,14 +167,14 @@ void TrafficMatrix::schedule_flow(const Flow& flow) {
   for (std::size_t k = 0; k < config_.packets_per_flow; ++k) {
     t += 1 + static_cast<Duration>(rng_.exponential(
                  static_cast<double>(config_.mean_interval)));
-    sim.schedule(domain, t, [this, socket, to, payload] {
+    sim.schedule(t, [this, socket, to, payload] {
       auto receipt = socket->send_to(to, kWorkloadPort, *payload);
       if (!receipt.ok()) {
-        send_failures_.fetch_add(1, std::memory_order_relaxed);
+        ++report_.send_failures;
         return;
       }
-      sent_.fetch_add(1, std::memory_order_relaxed);
-      if (receipt->failover) failovers_.fetch_add(1, std::memory_order_relaxed);
+      ++report_.packets_sent;
+      if (receipt->failover) ++report_.failover_sends;
     });
   }
 }

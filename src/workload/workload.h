@@ -1,19 +1,12 @@
 // Synthetic many-flow workload generator: attaches a fleet of PAN hosts
 // across the topology and schedules a randomized traffic matrix on the
-// network's simulator. This is the many-flow load the scheduler,
-// router and thread-parity tests and the benchmark's soak workloads
-// drive — it has to be deterministic for a given seed so their digest
-// comparisons are meaningful, which is why every random draw comes from
-// one forked Rng stream and no container iteration order leaks into the
-// schedule.
-//
-// Under the sharded parallel core each flow's send events are scheduled
-// into the source host's shard, deliveries fire on the destination's
-// shard, and the report counters are relaxed atomics — the totals are
-// pure sums, so they are identical for any thread count.
+// network's simulator. This is the many-flow load the scheduler and
+// router tests and the benchmark's soak workloads drive — it has to be
+// deterministic for a given seed so their digest comparisons are
+// meaningful, which is why every random draw comes from one forked Rng
+// stream and no container iteration order leaks into the schedule.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -113,14 +106,7 @@ class TrafficMatrix {
   // sends on the network's simulator.
   [[nodiscard]] Status launch();
 
-  [[nodiscard]] WorkloadReport report() const {
-    WorkloadReport snapshot;
-    snapshot.packets_sent = sent_.load(std::memory_order_relaxed);
-    snapshot.packets_delivered = delivered_.load(std::memory_order_relaxed);
-    snapshot.send_failures = send_failures_.load(std::memory_order_relaxed);
-    snapshot.failover_sends = failovers_.load(std::memory_order_relaxed);
-    return snapshot;
-  }
+  [[nodiscard]] WorkloadReport report() const { return report_; }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] const endhost::Daemon& daemon(std::size_t host) const {
     return *hosts_[host].daemon;
@@ -131,11 +117,7 @@ class TrafficMatrix {
 
   // Observer invoked on every delivered packet (after the report counter
   // updates): source address, destination host index, delivery time. The
-  // soak harness uses it to time failover gaps per destination. Under the
-  // sharded core the callback fires on the destination host's shard
-  // thread — observers must either be per-destination (indexed by the
-  // host argument; different hosts of one shard never race, different
-  // shards need disjoint slots) or internally synchronized.
+  // soak harness uses it to time the network-wide delivery gaps.
   void set_on_delivery(
       std::function<void(const dataplane::Address&, std::size_t, SimTime)>
           on_delivery) {
@@ -145,8 +127,7 @@ class TrafficMatrix {
   // Observer for deliveries whose payload does NOT carry kLegitMarker —
   // attack/surge traffic that made it through to an application socket.
   // Arguments: the payload's marker byte, destination host index, delivery
-  // time; same sharding caveats as set_on_delivery. Foreign deliveries
-  // never touch the legitimate report counters.
+  // time. Foreign deliveries never touch the legitimate report counters.
   void set_on_foreign_delivery(
       std::function<void(std::uint8_t, std::size_t, SimTime)> on_foreign) {
     on_foreign_delivery_ = std::move(on_foreign);
@@ -186,13 +167,7 @@ class TrafficMatrix {
   std::vector<Host> hosts_;
   std::vector<Flow> flows_;
   Bytes payload_;
-  // Relaxed atomics: sends bump them on source shards, deliveries on
-  // destination shards; report() snapshots after the run (or between
-  // windows), when the barrier has ordered everything.
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
-  std::atomic<std::uint64_t> failovers_{0};
+  WorkloadReport report_;
   std::function<void(const dataplane::Address&, std::size_t, SimTime)>
       on_delivery_;
   std::function<void(std::uint8_t, std::size_t, SimTime)>

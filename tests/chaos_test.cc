@@ -6,6 +6,7 @@
 // retry/stale-serving machinery on versus off.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -350,7 +351,7 @@ TEST(Chaos, ScmpFailoverSurvivesCorrelatedOutageOnStalePaths) {
 
   // A packet in flight when the correlated cut lands draws the SCMP
   // error that quarantines the primary path.
-  net.sim().schedule(simnet::Domain::current(), 999500 * kMicrosecond, [&] {
+  net.sim().schedule(999500 * kMicrosecond, [&] {
     (void)(*sock)->send_to({a::ovgu(), 0x0A020221}, 8888, bytes_of("mid"));
   });
   net.sim().run_until(2 * kSecond);
@@ -941,23 +942,48 @@ TEST(Chaos, AttackSoakReportIsDeterministic) {
   EXPECT_EQ(first->to_json(), second->to_json());
 }
 
-// Thread parity under hostile traffic: the sharded core must produce the
-// identical attack-soak report at 1/2/4/8 worker threads.
-TEST(Chaos, AttackSoakThreadParity) {
-  const auto run = [](std::size_t threads) {
+// FNV-1a over a serialized report: one constant pins every byte of it.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// Golden digests of the serial schedule: `sciera_chaos <plan> --seed 7`
+// at the CLI's 12 s default, as run_soak produces it. Each entry pins the
+// executed event count, the ScheduleDigest hash and an FNV-1a digest of
+// the report JSON (the CLI prints exactly to_json()), so any change to
+// what the core executes or to what the report says about it moves one
+// of them.
+TEST(Chaos, SoakDigestCorpus) {
+  struct Entry {
+    const char* name;
+    FaultPlan plan;
+    bool self_healing;
+    std::uint64_t executed_events;
+    std::uint64_t schedule_hash;
+    std::uint64_t report_hash;
+  };
+  const Entry corpus[] = {
+      {"kreonet-ring-cut", kreonet_ring_cut_plan(), false, 16976,
+       0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+      {"kreonet-ring-cut --self-healing", kreonet_ring_cut_plan(), true, 17450,
+       0xdce6409542b9b17fULL, 0xbe5b963dbe55c5c9ULL},
+      {"forged-flood --self-healing", forged_flood_plan(), true, 222583,
+       0x63cb9dd02722247dULL, 0x09c43b6e7e4a1c58ULL},
+  };
+  for (const Entry& entry : corpus) {
     SoakOptions options;
     options.seed = 7;
-    options.duration = 3 * kSecond;
-    options.scheduler.shards = 8;
-    options.scheduler.threads = threads;
-    const auto report = run_soak(forged_flood_plan(), options);
-    EXPECT_TRUE(report.ok());
-    return report.ok() ? report->to_json() : std::string{};
-  };
-  const std::string baseline = run(1);
-  ASSERT_FALSE(baseline.empty());
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(run(threads), baseline) << threads << " threads";
+    options.self_healing = entry.self_healing;
+    const auto report = run_soak(entry.plan, options);
+    ASSERT_TRUE(report.ok()) << entry.name;
+    EXPECT_EQ(report->executed_events, entry.executed_events) << entry.name;
+    EXPECT_EQ(report->schedule_hash, entry.schedule_hash) << entry.name;
+    EXPECT_EQ(fnv1a(report->to_json()), entry.report_hash) << entry.name;
   }
 }
 

@@ -20,7 +20,6 @@ namespace sciera {
 namespace {
 
 namespace a = topology::ases;
-using simnet::Domain;
 
 // Restores the process-default abort mode even when a test fails early.
 class CountModeGuard {
@@ -99,7 +98,6 @@ simnet::ScheduleDigest run_timer_scenario(std::uint64_t seed) {
   std::function<void(int)> tick = [&sim, rng, &tick](int remaining) {
     if (remaining <= 0) return;
     sim.schedule_after(
-        Domain::current(),
         static_cast<Duration>(rng->next_below(kMillisecond) + 1),
         [&tick, remaining] { tick(remaining - 1); });
   };
@@ -123,10 +121,10 @@ TEST(ScheduleDigestTest, DigestCoversOrderNotJustCount) {
   // Two simulators executing the same number of events at different times
   // must not collide.
   simnet::Simulator early;
-  early.schedule_after(Domain::current(), 1 * kMillisecond, [] {});
+  early.schedule_after(1 * kMillisecond, [] {});
   early.run_all();
   simnet::Simulator late;
-  late.schedule_after(Domain::current(), 2 * kMillisecond, [] {});
+  late.schedule_after(2 * kMillisecond, [] {});
   late.run_all();
   EXPECT_EQ(early.executed_events(), late.executed_events());
   EXPECT_NE(early.schedule_hash(), late.schedule_hash());
@@ -137,9 +135,9 @@ TEST(SimulatorInvariantTest, SchedulingInThePastIsClampedAndAudited) {
   auto& registry = CheckRegistry::instance();
   const auto before = registry.count("simnet.schedule_in_past");
   simnet::Simulator sim;
-  sim.schedule_after(Domain::current(), 5 * kMillisecond, [&sim] {
+  sim.schedule_after(5 * kMillisecond, [&sim] {
     // Absolute time 1ms is already in the past at 5ms.
-    sim.schedule(Domain::current(), 1 * kMillisecond, [] {});
+    sim.schedule(1 * kMillisecond, [] {});
   });
   sim.run_all();
   EXPECT_EQ(registry.count("simnet.schedule_in_past"), before + 1);

@@ -578,9 +578,8 @@ TEST(Pan, ScmpFailoverQuarantinesPathAndRecovers) {
   // reaches the failed egress just after and triggers the SCMP error.
   simnet::Link* cut = net.link(first->links[1]);
   ASSERT_NE(cut, nullptr);
-  net.sim().schedule_after(simnet::Domain::current(), 10 * kMillisecond,
-                           [cut] { cut->set_up(false); });
-  net.sim().schedule_after(simnet::Domain::current(), 9500 * kMicrosecond, [&] {
+  net.sim().schedule_after(10 * kMillisecond, [cut] { cut->set_up(false); });
+  net.sim().schedule_after(9500 * kMicrosecond, [&] {
     (void)(*sock)->send_to({a::ovgu(), 0x0A020211}, 8888, bytes_of("probe"));
   });
   net.sim().run_for(3 * kSecond);

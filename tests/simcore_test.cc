@@ -3,8 +3,9 @@
 // same seeded scenario — on raw timer workloads, a campaign-scale hold
 // model, sparse far-future schedules, full-network failover, and a
 // many-flow traffic matrix. Plus an exact wheel-geometry gate on the
-// overflow heap, and FramePool reuse/leak assertions (run under ASan in
-// the sanitizer job).
+// overflow heap, the input validation of scheduler configs and of the
+// TrafficMatrix builder, and FramePool reuse/leak assertions (run under
+// ASan in the sanitizer job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@ namespace sciera {
 namespace {
 
 namespace a = topology::ases;
-using simnet::Domain;
 
 simnet::SchedulerConfig config_for(simnet::SchedulerKind kind) {
   simnet::SchedulerConfig config;
@@ -60,7 +60,6 @@ TEST(SchedulerEquivalence, SeededTimerChains) {
         std::function<void(int)> tick = [&](int remaining) {
           if (remaining <= 0) return;
           sim.schedule_after(
-              Domain::current(),
               static_cast<Duration>(rng.next_below(kMillisecond) + 1),
               [&tick, remaining] { tick(remaining - 1); });
         };
@@ -78,7 +77,7 @@ TEST(SchedulerEquivalence, SameTickEventsKeepFifoOrder) {
     simnet::Simulator sim{config};
     for (int round = 0; round < 50; ++round) {
       for (int i = 0; i < 20; ++i) {
-        sim.schedule(Domain::current(), round * kMillisecond, [] {});
+        sim.schedule(round * kMillisecond, [] {});
       }
     }
     sim.run_all();
@@ -94,9 +93,8 @@ TEST(SchedulerEquivalence, SparseFarFutureSchedule) {
     Rng rng{0xFA5, "sparse"};
     for (int i = 0; i < 64; ++i) {
       const auto when = static_cast<SimTime>(rng.next_below(20 * kMinute));
-      sim.schedule(Domain::current(), when, [&sim, &rng] {
+      sim.schedule(when, [&sim, &rng] {
         sim.schedule_after(
-            Domain::current(),
             static_cast<Duration>(rng.next_below(kMinute) + 1), [] {});
       });
     }
@@ -116,7 +114,6 @@ TEST(SchedulerEquivalence, TinyWheelStressesRotation) {
     std::function<void(int)> tick = [&](int remaining) {
       if (remaining <= 0) return;
       sim.schedule_after(
-          Domain::current(),
           static_cast<Duration>(rng.next_below(100 * kMicrosecond) + 1),
           [&tick, remaining] { tick(remaining - 1); });
     };
@@ -133,8 +130,7 @@ TEST(SchedulerEquivalence, RunUntilDeadlineAgrees) {
     simnet::Simulator sim{config};
     Rng rng{0xDEAD11, "deadline"};
     for (int i = 0; i < 500; ++i) {
-      sim.schedule(Domain::current(),
-                   static_cast<SimTime>(rng.next_below(10 * kMillisecond)),
+      sim.schedule(static_cast<SimTime>(rng.next_below(10 * kMillisecond)),
                    [] {});
     }
     sim.run_until(5 * kMillisecond);
@@ -160,7 +156,7 @@ TEST(SchedulerEquivalence, CampaignScaleHoldModel) {
         std::function<void()> schedule_one = [&] {
           const auto offset =
               1 + static_cast<Duration>(rng.next_u64() & kHorizonMask);
-          sim.schedule_after(Domain::current(), offset, [&] {
+          sim.schedule_after(offset, [&] {
             if (remaining == 0) return;
             --remaining;
             schedule_one();
@@ -362,6 +358,91 @@ TEST(SchedulerGeometry, DefaultWheelKeepsManyFlowWorkloadOutOfOverflow) {
   narrow.bucket_width = Duration{1} << 16;
   narrow.bucket_count = 2048;
   EXPECT_EQ(peak_overflow_events(narrow), 1599);
+}
+
+// --- Scheduler-config validation -------------------------------------------
+
+TEST(SchedulerConfigValidation, RejectsDegenerateGeometry) {
+  simnet::SchedulerConfig config;
+  config.bucket_width = 0;
+  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
+  config = simnet::SchedulerConfig{};
+  config.bucket_width = 3;  // not a power of two
+  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
+  config = simnet::SchedulerConfig{};
+  config.bucket_count = 0;
+  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
+  config = simnet::SchedulerConfig{};
+  config.bucket_count = 48;  // not a power of two
+  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
+}
+
+TEST(SchedulerConfigValidation, AcceptsDefaultAndShardedConfigs) {
+  EXPECT_TRUE(simnet::validate_scheduler_config({}).ok());
+}
+
+// --- TrafficMatrix builder validation --------------------------------------
+
+TEST(TrafficMatrixBuilder, RequiresNet) {
+  const auto result = workload::TrafficMatrix::Builder{}.build();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, Errc::kInvalidArgument);
+}
+
+TEST(TrafficMatrixBuilder, RejectsDegenerateMatrices) {
+  controlplane::ScionNetwork net{topology::build_sciera()};
+  const auto reject = [&net](workload::WorkloadConfig config) {
+    return workload::TrafficMatrix::Builder{}
+        .net(net)
+        .config(std::move(config))
+        .build();
+  };
+  workload::WorkloadConfig config;
+  config.hosts = 1;
+  EXPECT_FALSE(reject(config).ok());
+  config = workload::WorkloadConfig{};
+  config.flows = 0;
+  EXPECT_FALSE(reject(config).ok());
+  config = workload::WorkloadConfig{};
+  config.packets_per_flow = 0;
+  EXPECT_FALSE(reject(config).ok());
+  config = workload::WorkloadConfig{};
+  config.mean_interval = 0;
+  EXPECT_FALSE(reject(config).ok());
+  config = workload::WorkloadConfig{};
+  config.mean_interval = -5;
+  EXPECT_FALSE(reject(config).ok());
+  config = workload::WorkloadConfig{};
+  config.start_window = -1;
+  EXPECT_FALSE(reject(config).ok());
+}
+
+TEST(TrafficMatrixBuilder, RejectsUnknownPlacementAs) {
+  controlplane::ScionNetwork net{topology::build_sciera()};
+  workload::WorkloadConfig config;
+  config.ases = {a::uva(), IsdAs::parse("99-99").value()};
+  const auto result = workload::TrafficMatrix::Builder{}
+                          .net(net)
+                          .config(config)
+                          .build();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, Errc::kNotFound);
+}
+
+TEST(TrafficMatrixBuilder, BuildsAndLaunchesValidatedMatrix) {
+  controlplane::ScionNetwork net{topology::build_sciera()};
+  workload::WorkloadConfig config;
+  config.hosts = 4;
+  config.flows = 6;
+  config.packets_per_flow = 3;
+  auto matrix = workload::TrafficMatrix::Builder{}
+                    .net(net)
+                    .config(config)
+                    .build();
+  ASSERT_TRUE(matrix.ok());
+  ASSERT_TRUE((*matrix)->launch().ok());
+  net.sim().run_all();
+  EXPECT_GT((*matrix)->report().packets_delivered, 0u);
 }
 
 // --- FramePool ------------------------------------------------------------

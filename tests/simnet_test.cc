@@ -29,9 +29,9 @@ class Sink : public Node {
 TEST(Simulator, ExecutesInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule(Domain::current(), 30, [&] { order.push_back(3); });
-  sim.schedule(Domain::current(), 10, [&] { order.push_back(1); });
-  sim.schedule(Domain::current(), 20, [&] { order.push_back(2); });
+  sim.schedule(30, [&] { order.push_back(3); });
+  sim.schedule(10, [&] { order.push_back(1); });
+  sim.schedule(20, [&] { order.push_back(2); });
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.executed_events(), 3u);
@@ -41,7 +41,7 @@ TEST(Simulator, SameTimeEventsRunFifo) {
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.schedule(Domain::current(), 5, [&order, i] { order.push_back(i); });
+    sim.schedule(5, [&order, i] { order.push_back(i); });
   }
   sim.run_all();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -50,8 +50,8 @@ TEST(Simulator, SameTimeEventsRunFifo) {
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
-  sim.schedule(Domain::current(), 10, [&] { ++fired; });
-  sim.schedule(Domain::current(), 100, [&] { ++fired; });
+  sim.schedule(10, [&] { ++fired; });
+  sim.schedule(100, [&] { ++fired; });
   sim.run_until(50);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), 50);
@@ -63,10 +63,9 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
 TEST(Simulator, NestedSchedulingWorks) {
   Simulator sim;
   std::vector<SimTime> times;
-  sim.schedule(Domain::current(), 10, [&] {
+  sim.schedule(10, [&] {
     times.push_back(sim.now());
-    sim.schedule_after(Domain::current(), 5,
-                       [&] { times.push_back(sim.now()); });
+    sim.schedule_after(5, [&] { times.push_back(sim.now()); });
   });
   sim.run_all();
   EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
@@ -142,8 +141,7 @@ TEST(Link, DownTransitionCancelsInFlightDeliveries) {
 
   link.send(0, std::make_shared<TestMessage>(100));
   // The failure hits mid-flight: after the send, before the delivery.
-  sim.schedule_after(Domain::current(), 5 * kMillisecond,
-                     [&] { link.set_up(false); });
+  sim.schedule_after(5 * kMillisecond, [&] { link.set_up(false); });
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
   EXPECT_EQ(link.stats().dropped_down, 1u);
@@ -162,10 +160,8 @@ TEST(Link, FlapDuringFlightStillDropsTheFrame) {
   link.attach(1, &b, 1);
 
   link.send(0, std::make_shared<TestMessage>(100));
-  sim.schedule_after(Domain::current(), 2 * kMillisecond,
-                     [&] { link.set_up(false); });
-  sim.schedule_after(Domain::current(), 4 * kMillisecond,
-                     [&] { link.set_up(true); });
+  sim.schedule_after(2 * kMillisecond, [&] { link.set_up(false); });
+  sim.schedule_after(4 * kMillisecond, [&] { link.set_up(true); });
   link.send(0, std::make_shared<TestMessage>(100));  // also pre-flap
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
@@ -201,7 +197,7 @@ TEST(Link, ReUpAfterCutStartsFromEmptyPipe) {
   for (int i = 0; i < 5; ++i) {
     link.send(0, std::make_shared<TestMessage>(1000, i));
   }
-  sim.schedule(Domain::current(), 5500 * kMicrosecond, [&] {
+  sim.schedule(5500 * kMicrosecond, [&] {
     link.set_up(false);
     // Every queued/in-flight frame is cancelled and counted at cut time.
     EXPECT_EQ(link.stats().dropped_down, 5u);
@@ -237,12 +233,12 @@ TEST(Link, CutCancelsSameTickBatchDespiteReUp) {
   // delivery batch at t=10ms.
   link.send(0, std::make_shared<TestMessage>(0, 1));
   link.send(0, std::make_shared<TestMessage>(0, 2));
-  sim.schedule_after(Domain::current(), 2 * kMillisecond, [&] {
+  sim.schedule_after(2 * kMillisecond, [&] {
     link.set_up(false);
     link.set_up(true);
   });
   // A post-flap frame from the same sender still flows.
-  sim.schedule_after(Domain::current(), 3 * kMillisecond, [&] {
+  sim.schedule_after(3 * kMillisecond, [&] {
     link.send(0, std::make_shared<TestMessage>(0, 3));
   });
   sim.run_all();
@@ -264,12 +260,11 @@ TEST(Link, MidFlightFailureScheduleIsDeterministic) {
     link.attach(0, &a, 1);
     link.attach(1, &b, 1);
     for (int i = 0; i < 5; ++i) {
-      sim.schedule(Domain::current(), i * kMillisecond, [&link, i] {
+      sim.schedule(i * kMillisecond, [&link, i] {
         link.send(0, std::make_shared<TestMessage>(200, i));
       });
     }
-    sim.schedule(Domain::current(), 7 * kMillisecond,
-                 [&] { link.set_up(false); });
+    sim.schedule(7 * kMillisecond, [&] { link.set_up(false); });
     sim.run_all();
     EXPECT_EQ(link.stats().dropped_down, 5u);
     return sim.schedule_digest();

@@ -13,6 +13,8 @@
 //     number prints the tool's usage text to stderr and makes parse()
 //     return false — callers exit 2, the uniform usage-error status.
 //
+// Plus write_output(), the one checked way the tools write their reports.
+//
 // Header-only on purpose: tools link the libraries they drive, not a
 // tools-support library.
 #pragma once
@@ -158,5 +160,30 @@ class FlagSet {
   std::vector<Spec> specs_;
   std::vector<std::string> positionals_;
 };
+
+// Writes `data` to the file at `path`, or to stdout when `path` is empty,
+// and checks every step: the open, the write, and the close (or, for
+// stdout, the flush) that surfaces a full disk. On failure it prints
+// "<program>: cannot ... <file>: <reason>" to stderr and returns false;
+// the tools then exit 1 rather than report success without a report.
+[[nodiscard]] inline bool write_output(const char* program,
+                                       const std::string& path,
+                                       const std::string& data) {
+  const bool to_stdout = path.empty();
+  const char* name = to_stdout ? "stdout" : path.c_str();
+  std::FILE* file = to_stdout ? stdout : std::fopen(name, "w");
+  if (file == nullptr) {
+    std::fprintf(stderr, "%s: cannot open %s: %s\n", program, name,
+                 std::strerror(errno));
+    return false;
+  }
+  bool ok = std::fwrite(data.data(), 1, data.size(), file) == data.size();
+  ok = (to_stdout ? std::fflush(file) : std::fclose(file)) == 0 && ok;
+  if (!ok) {
+    std::fprintf(stderr, "%s: cannot write %s: %s\n", program, name,
+                 std::strerror(errno));
+  }
+  return ok;
+}
 
 }  // namespace sciera::cli

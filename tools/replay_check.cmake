@@ -9,8 +9,6 @@
 #   BIN       binary to run
 #   OUT_DIR   scratch dir; the outputs land in run1.out and run2.out
 #   ARGS      space-separated arguments
-#   ARGS2     optional: the second run's arguments (default ARGS), for a
-#             replay that must hold across a setting such as --threads
 #   REQUIRE   optional, space-separated: `key` requires "key" in the
 #             output, `key=value` requires "key": value or "key": "value"
 #   POSITIVE  optional, space-separated keys whose numeric value must be
@@ -22,24 +20,19 @@ if(NOT DEFINED BIN OR NOT DEFINED OUT_DIR OR NOT DEFINED ARGS)
   message(FATAL_ERROR "BIN, OUT_DIR and ARGS must be defined")
 endif()
 
-if(NOT DEFINED ARGS2)
-  set(ARGS2 "${ARGS}")
-endif()
-separate_arguments(run1_args UNIX_COMMAND "${ARGS}")
-separate_arguments(run2_args UNIX_COMMAND "${ARGS2}")
-set(run_args ${run1_args})
+separate_arguments(run_args UNIX_COMMAND "${ARGS}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(first "${OUT_DIR}/run1.out")
 set(second "${OUT_DIR}/run2.out")
 
 foreach(run IN ITEMS run1 run2)
   execute_process(
-    COMMAND "${BIN}" ${${run}_args}
+    COMMAND "${BIN}" ${run_args}
     OUTPUT_FILE "${OUT_DIR}/${run}.out"
     ERROR_VARIABLE errors
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
-    message(FATAL_ERROR "${BIN} ${${run}_args} failed (${status}):\n${errors}")
+    message(FATAL_ERROR "${BIN} ${run_args} failed (${status}):\n${errors}")
   endif()
 endforeach()
 
@@ -73,6 +66,6 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files "${first}" "${second}"
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "same-seed runs of ${BIN} ${ARGS} and ${ARGS2} "
-                      "differ (${first} vs ${second})")
+  message(FATAL_ERROR "two same-seed runs of ${BIN} ${ARGS} differ "
+                      "(${first} vs ${second})")
 endif()

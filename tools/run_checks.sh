@@ -2,9 +2,9 @@
 # Correctness gate: builds the tree under ASan+UBSan with warnings as
 # errors and runs the full tier-1 ctest suite (which includes the
 # sciera_analyze static checks, the chaos soaks and the paper-result
-# gates), then the TSan flavor of the concurrency tests. Every stage after
-# the static analysis is a ctest selection, so the suite, not this
-# script, holds the commands. This is what CI should run; it is slower
+# gates), then the TSan flavor of the one multi-threaded test. Every
+# stage after the static analysis is a ctest selection, so the suite, not
+# this script, holds the commands. This is what CI should run; it is slower
 # than the plain build but catches memory-safety bugs, UB, data races and
 # lint violations in one pass.
 #
@@ -45,32 +45,35 @@ echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 # The suite includes the exact core gates: scheduler digest parity
-# (SchedulerEquivalence.*), thread parity (ThreadParity.*), the router
-# fast-path window (RouterFastPath.*: zero allocations and zero key
-# schedules over the batched parse/verify/forward pipeline, which is
-# exactly where a scratch-reuse bug such as a stale span or aliased
-# buffer would surface under ASan), the chaos soaks (batched vs scalar
-# router parity, ring cut, self-healing reconvergence, the attack A/B)
-# and the paper-result gates (paper.*).
+# (SchedulerEquivalence.*), the pinned soak digests
+# (Chaos.SoakDigestCorpus), the router fast-path window
+# (RouterFastPath.*: zero allocations and zero key schedules over the
+# batched parse/verify/forward pipeline, which is exactly where a
+# scratch-reuse bug such as a stale span or aliased buffer would surface
+# under ASan), the chaos soaks (batched vs scalar router parity, ring
+# cut, self-healing reconvergence, the attack A/B) and the paper-result
+# gates (paper.*).
 echo "== ctest (tier-1 suite under sanitizers) =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-# TSan flavor of the concurrency surfaces. When this script is already
-# running the thread flavor (SCIERA_SANITIZE=thread), the full suite above
-# covered it; otherwise build just the chaos CLI and the multithreaded
-# core tests in a separate TSan tree and run the ctests labelled chaos
-# (soaks, the 8-shard 4-vs-1-thread report parity, the thread smoke) and
-# threads (parallel_test), so the sciera::Mutex discipline the
-# thread-safety annotations promise is checked dynamically on every run.
+# TSan flavor of the concurrency surface. The simulation core is serial,
+# so the only test that starts a thread is chaos.thread_smoke, which
+# drives the mutex-guarded metrics registry and flight recorder from four
+# threads; it alone carries the `threads` label. When this script is
+# already running the thread flavor (SCIERA_SANITIZE=thread), the full
+# suite above covered it; otherwise build just the chaos CLI in a
+# separate TSan tree and run that label, so the sciera::Mutex discipline
+# the thread-safety annotations promise is checked dynamically on every
+# run.
 if [[ "$SANITIZE" != *thread* ]]; then
   TSAN_DIR="$BUILD_DIR-tsan"
-  echo "== TSan flavor: ctest -L 'chaos|threads' =="
+  echo "== TSan flavor: ctest -L threads =="
   cmake -B "$TSAN_DIR" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCIERA_SANITIZE=thread \
     -DSCIERA_WERROR=ON
-  cmake --build "$TSAN_DIR" -j "$JOBS" --target sciera_chaos_cli parallel_test
-  ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" -L 'chaos|threads'
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target sciera_chaos_cli
+  ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" -L threads
 fi
 
 echo "== run_checks: all clean =="

@@ -6,15 +6,14 @@
 // flags): two same-seed runs are byte-identical, and the chaos.soak_smoke
 // and chaos.reconverge_smoke ctests enforce that across processes.
 //
-// Exit codes: 0 success, 1 soak or report-schema failure, 2 usage error
-// (including an unknown plan name, a degenerate scheduler geometry, a
-// malformed number, or a --duration-ms outside [0, INT64_MAX / 1 ms]).
+// Exit codes: 0 success, 1 soak, report-schema or report-write failure,
+// 2 usage error (including an unknown plan name, a malformed number, or a
+// --duration-ms outside [0, INT64_MAX / 1 ms]).
 //
 // Usage: sciera_chaos <plan> [--seed N] [--duration-ms N]
 //                            [--no-resilience] [--self-healing]
-//                            [--scalar-router] [--shards N] [--threads N]
-//                            [--attack-plan NAME] [--no-defenses]
-//                            [--out FILE]
+//                            [--scalar-router] [--attack-plan NAME]
+//                            [--no-defenses] [--out FILE]
 //        sciera_chaos --list-plans
 //        sciera_chaos --thread-smoke
 #include <cstdio>
@@ -34,8 +33,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: sciera_chaos <plan> [--seed N] [--duration-ms N] "
     "[--no-resilience] [--self-healing] [--scalar-router] "
-    "[--shards N] [--threads N] [--attack-plan NAME] [--no-defenses] "
-    "[--out FILE]\n"
+    "[--attack-plan NAME] [--no-defenses] [--out FILE]\n"
     "       sciera_chaos --list-plans\n"
     "       sciera_chaos --thread-smoke";
 
@@ -156,11 +154,6 @@ int main(int argc, char** argv) {
   // be byte-identical to the batched default.
   flags.flag("--scalar-router",
              [&options] { options.batched_router = false; });
-  // Sharded parallel core: partition the topology into N shards and run
-  // them on up to N worker threads. The report must be byte-identical to
-  // the single-shard default — the soak parity smoke gates on it.
-  flags.flag("--shards", &options.scheduler.shards);
-  flags.flag("--threads", &options.scheduler.threads);
   flags.flag("--out", &out_path);
   if (!flags.parse(argc, argv, 2)) return 2;
   if (!flags.positionals().empty()) return flags.usage();
@@ -174,12 +167,6 @@ int main(int argc, char** argv) {
   }
   options.duration = duration_ms * sciera::kMillisecond;
   options.resilience = !no_resilience;
-  if (auto valid = sciera::simnet::validate_scheduler_config(options.scheduler);
-      !valid.ok()) {
-    std::fprintf(stderr, "sciera_chaos: %s\n",
-                 valid.error().message.c_str());
-    return 2;
-  }
 
   auto plan = sciera::chaos::plan_by_name(plan_name);
   if (!plan.ok()) {
@@ -212,17 +199,5 @@ int main(int argc, char** argv) {
                  "self-check\n");
     return 1;
   }
-  if (!out_path.empty()) {
-    std::FILE* file = std::fopen(out_path.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "sciera_chaos: cannot open %s\n",
-                   out_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-  } else {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-  }
-  return 0;
+  return sciera::cli::write_output("sciera_chaos", out_path, json) ? 0 : 1;
 }

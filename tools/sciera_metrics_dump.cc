@@ -5,7 +5,8 @@
 // two runs of the same scenario produce byte-identical dumps, and ctest
 // enforces that (tools.metrics_dump_deterministic).
 //
-// Exit codes: 0 success, 2 usage error (unknown flag or scenario).
+// Exit codes: 0 success, 1 the dump could not be written, 2 usage error
+// (unknown flag or scenario).
 //
 // Usage: sciera_metrics_dump [failover|campaign] [--text|--json|--both]
 #include <cstdio>
@@ -87,14 +88,14 @@ void run_failover_scenario() {
     (void)(*sock)->send_to(peer, 4242, bytes_of("mid-flight"));
     // ~1.1ms to clear the first hop, ~50ms across the Atlantic: 10ms in
     // catches the frame on the wire of the cut link.
-    network.sim().schedule_after(simnet::Domain::current(), 10 * kMillisecond,
+    network.sim().schedule_after(10 * kMillisecond,
                                  [cut] { cut->set_up(false); });
     // Sent just before the cut, arriving at the failed egress just after:
     // the border router answers with SCMP ExternalInterfaceDown and the
     // daemon quarantines the path.
-    network.sim().schedule_after(
-        simnet::Domain::current(), 9500 * kMicrosecond,
-        [&] { (void)(*sock)->send_to(peer, 4242, bytes_of("probe")); });
+    network.sim().schedule_after(9500 * kMicrosecond, [&] {
+      (void)(*sock)->send_to(peer, 4242, bytes_of("probe"));
+    });
     network.sim().run_for(3 * kSecond);
     // Failover: the quarantined path is excluded, traffic takes another.
     (void)(*sock)->send_to(peer, 4242, bytes_of("failover"));
@@ -157,6 +158,5 @@ int main(int argc, char** argv) {
     out += sciera::obs::export_trace_json(recorder);
     out += "}\n";
   }
-  std::fwrite(out.data(), 1, out.size(), stdout);
-  return 0;
+  return sciera::cli::write_output("sciera_metrics_dump", "", out) ? 0 : 1;
 }
