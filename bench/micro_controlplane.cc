@@ -79,7 +79,7 @@ BENCHMARK(BM_PcbVerification)->Unit(benchmark::kMicrosecond);
 
 void BM_PathLookupCold(benchmark::State& state) {
   namespace a = topology::ases;
-  auto* cs = net().control_service(a::sidn());
+  auto* cs = net().control_service_set(a::sidn())->primary();
   for (auto _ : state) {
     cs->flush_cache();
     benchmark::DoNotOptimize(cs->lookup_paths_now(a::ufms()));
@@ -89,7 +89,7 @@ BENCHMARK(BM_PathLookupCold)->Unit(benchmark::kMillisecond);
 
 void BM_PathLookupCached(benchmark::State& state) {
   namespace a = topology::ases;
-  auto* cs = net().control_service(a::sidn());
+  auto* cs = net().control_service_set(a::sidn())->primary();
   benchmark::DoNotOptimize(cs->lookup_paths_now(a::ufms()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(cs->lookup_paths_now(a::ufms()));

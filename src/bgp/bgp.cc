@@ -8,6 +8,13 @@ using topology::LinkId;
 using topology::LinkInfo;
 using topology::LinkType;
 
+namespace {
+
+// Cap on path-vector exchange rounds per convergence.
+constexpr int kMaxRounds = 64;
+
+}  // namespace
+
 bool Route::better_than(const Route& other) const {
   if (pref_class != other.pref_class) return pref_class < other.pref_class;
   if (as_path.size() != other.as_path.size()) {
@@ -21,17 +28,16 @@ bool Route::better_than(const Route& other) const {
   return links < other.links;
 }
 
-BgpNetwork::BgpNetwork(const topology::Topology& topo, Options options)
-    : topo_(topo), options_(options) {
+BgpNetwork::BgpNetwork(const topology::Topology& topo) : topo_(topo) {
   link_state_.assign(topo_.links().size(), true);
   for (const auto& link : topo_.links()) {
     Neighbor::Rel a_sees_b = Neighbor::Rel::kPeer;
     Neighbor::Rel b_sees_a = Neighbor::Rel::kPeer;
     switch (link.type) {
       case LinkType::kCore:
-        a_sees_b = b_sees_a = options_.core_full_transit
-                                  ? Neighbor::Rel::kCorePeer
-                                  : Neighbor::Rel::kPeer;
+        // Core links are sibling/transit links: the cores form a Tier-1
+        // backbone consortium.
+        a_sees_b = b_sees_a = Neighbor::Rel::kCorePeer;
         break;
       case LinkType::kParentChild:
         a_sees_b = Neighbor::Rel::kCustomer;  // a is the provider
@@ -93,7 +99,7 @@ void BgpNetwork::converge() {
 
   rounds_ = 0;
   bool changed = true;
-  while (changed && rounds_ < options_.max_rounds) {
+  while (changed && rounds_ < kMaxRounds) {
     changed = false;
     ++rounds_;
     for (const auto& as_info : topo_.ases()) {

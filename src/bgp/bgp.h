@@ -28,16 +28,7 @@ struct Route {
 
 class BgpNetwork {
  public:
-  struct Options {
-    // Treat core links as sibling/transit links (a Tier-1 backbone
-    // consortium). Disabling makes core links strict peering.
-    bool core_full_transit = true;
-    int max_rounds = 64;
-  };
-
-  explicit BgpNetwork(const topology::Topology& topo)
-      : BgpNetwork(topo, Options{}) {}
-  BgpNetwork(const topology::Topology& topo, Options options);
+  explicit BgpNetwork(const topology::Topology& topo);
 
   // Marks a link up/down and reconverges.
   void set_link_up(topology::LinkId id, bool up);
@@ -66,7 +57,6 @@ class BgpNetwork {
                                 Neighbor::Rel to_rel) const;
 
   const topology::Topology& topo_;
-  Options options_;
   std::vector<bool> link_state_;
   std::unordered_map<IsdAs, std::vector<Neighbor>> neighbors_;
   // ribs_[src][dst] = selected route.

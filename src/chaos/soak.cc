@@ -105,9 +105,9 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
   net_options.scheduler = options.scheduler;
   net_options.router.batched = options.batched_router;
   if (defenses) {
-    // Router overload control: a bounded data-class budget that engages
-    // when the floods overlap, an unlimited (prioritized) control class,
-    // and a per-offender SCMP error budget against amplification.
+    // Router overload control: a bounded data budget that engages when
+    // the floods overlap (SCMP is never admission-limited), and a
+    // per-offender SCMP error budget against amplification.
     net_options.router.admission.data_pps = 6000;
     net_options.router.admission.data_burst = 512;
     net_options.router.scmp_rate_pps = 200;

@@ -35,7 +35,7 @@ struct SoakOptions {
   // suite gates on it.
   bool batched_router = true;
   // Defenses A/B switch for attack plans: in-path LightningFilters on
-  // every host, router admission priority classes, and per-offender SCMP
+  // every host, router data admission, and per-offender SCMP
   // suppression. Only consulted when the plan carries adversarial events
   // (plan_has_attack) — legacy plans never stand up attack machinery, so
   // their schedules stay byte-identical to previous releases.

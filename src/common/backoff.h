@@ -54,7 +54,6 @@ class CircuitBreaker {
   [[nodiscard]] bool allow(SimTime now) const {
     return !open_ || now >= open_until_;
   }
-  [[nodiscard]] bool is_open(SimTime now) const { return !allow(now); }
 
   void record_success() {
     consecutive_failures_ = 0;

@@ -69,7 +69,6 @@ class Reader {
   explicit Reader(BytesView view) : view_(view) {}
 
   [[nodiscard]] std::size_t remaining() const { return view_.size() - pos_; }
-  [[nodiscard]] std::size_t position() const { return pos_; }
 
   Result<std::uint8_t> u8() {
     if (remaining() < 1) return overflow(1);

@@ -1,8 +1,7 @@
 #include "common/check.h"
 
+#include <cstdio>
 #include <cstdlib>
-
-#include "common/log.h"
 
 namespace sciera {
 
@@ -55,8 +54,9 @@ void check_failed(std::string_view category, const char* expr,
                   const char* file, int line) {
   auto& registry = CheckRegistry::instance();
   registry.record(category);
-  log_error("check") << "invariant violated [" << category << "] " << expr
-                     << " at " << file << ":" << line;
+  std::fprintf(stderr, "[ERR] check: invariant violated [%.*s] %s at %s:%d\n",
+               static_cast<int>(category.size()), category.data(), expr, file,
+               line);
   if (registry.fail_mode() == CheckFailMode::kAbort) std::abort();
 }
 

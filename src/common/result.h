@@ -98,8 +98,6 @@ class [[nodiscard]] Status {
   Status(Errc code, std::string message)
       : error_{code, std::move(message)}, failed_(true) {}
 
-  static Status ok_status() { return Status{}; }
-
   [[nodiscard]] bool ok() const { return !failed_; }
   explicit operator bool() const { return ok(); }
   [[nodiscard]] const Error& error() const {

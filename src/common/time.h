@@ -22,6 +22,10 @@ constexpr Duration kMinute = 60 * kSecond;
 constexpr Duration kHour = 60 * kMinute;
 constexpr Duration kDay = 24 * kHour;
 
+// Unix time, in seconds, at sim time 0. Beacons are timestamped with it
+// and border routers check hop-field expiry against it.
+constexpr std::uint32_t kUnixEpochAtSimZero = 1'700'000'000;
+
 constexpr double to_ms(Duration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);
 }

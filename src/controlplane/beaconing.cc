@@ -11,6 +11,11 @@ using topology::LinkId;
 using topology::LinkInfo;
 using topology::LinkType;
 
+// Depth cap on down-beacon walks through the intra-ISD hierarchy.
+constexpr std::size_t kMaxDownDepth = 5;
+// Hop-field expiry stamped on every entry (~24h).
+constexpr std::uint8_t kHopExpiry = 255;
+
 // Initial beta for a segment, derived from origin and timestamp (the
 // origin core AS picks it; it only needs to be unpredictable per segment).
 std::uint16_t initial_beta(IsdAs origin, std::uint32_t timestamp,
@@ -35,9 +40,9 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
                          bool add_peer_entries,
                          SignatureMemo& signed_entries) const {
   Pcb pcb;
-  pcb.timestamp = options.timestamp;
+  pcb.timestamp = kUnixEpochAtSimZero;
   // Salt with the first link id so parallel links yield distinct chains.
-  pcb.initial_beta = initial_beta(origin, options.timestamp,
+  pcb.initial_beta = initial_beta(origin, pcb.timestamp,
                                   links.empty() ? 0 : links.front() + 1);
 
   // Resolve the AS sequence from the link walk.
@@ -53,7 +58,7 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
     AsEntry entry;
     entry.ia = ases[i];
     entry.beta = beta;
-    entry.hop.exp_time = options.hop_expiry;
+    entry.hop.exp_time = kHopExpiry;
     entry.hop.cons_ingress =
         i == 0 ? 0 : topo_.find_link(links[i - 1])->iface_of(ases[i]);
     entry.hop.cons_egress =
@@ -74,7 +79,7 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
         peer.local_iface = plink->iface_of(entry.ia);
         peer.remote_iface = plink->iface_of_other(entry.ia);
         peer.hop.peering = true;
-        peer.hop.exp_time = options.hop_expiry;
+        peer.hop.exp_time = kHopExpiry;
         peer.hop.cons_ingress = peer.local_iface;
         peer.hop.cons_egress = entry.hop.cons_egress;
         // Peer hop MACs are computed over the post-main-hop accumulator so
@@ -229,7 +234,7 @@ void Beaconing::down_beaconing(SegmentStore& store,
     while (!stack.empty()) {
       Frame& frame = stack.back();
       if (frame.next >= frame.options.size() ||
-          visited.size() > options.max_down_depth) {
+          visited.size() > kMaxDownDepth) {
         if (!walk.empty()) {
           walk.pop_back();
           visited.pop_back();

@@ -23,12 +23,9 @@
 namespace sciera::controlplane {
 
 struct BeaconingOptions {
-  std::uint32_t timestamp = 1'700'000'000;
   // k-best selection: core segments kept per (origin, terminus) pair.
   std::size_t max_core_segments_per_pair = 24;
   std::size_t max_core_path_length = 6;  // in ASes
-  std::size_t max_down_depth = 5;
-  std::uint8_t hop_expiry = 255;  // ~24h
   // Beacons only walk links for which this returns true; null = all links.
   // The self-healing sweep passes the live-link predicate so segments over
   // cut circuits are never re-originated.

@@ -1,9 +1,17 @@
 #include "controlplane/control_plane.h"
 
-#include "common/log.h"
+#include <cstdio>
+
 #include "obs/flight_recorder.h"
 
 namespace sciera::controlplane {
+namespace {
+
+// Multiplicative log-normal jitter applied per link traversal.
+constexpr double kLinkJitterSigma = 0.015;
+constexpr Duration kTrcValidity = 365 * kDay;
+
+}  // namespace
 
 ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
     : topo_(std::move(topo)),
@@ -41,13 +49,14 @@ ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
   for (Isd isd : topo_.isds()) {
     auto cores = topo_.core_ases(isd);
     pkis_.emplace(isd, std::make_unique<cppki::IsdPki>(
-                           isd, cores, sim_.now(), options_.trc_validity,
+                           isd, cores, sim_.now(), kTrcValidity,
                            options_.seed ^ isd));
   }
   for (const auto& as_info : topo_.ases()) {
     const auto status = pkis_.at(as_info.ia.isd())->enroll(as_info.ia, 0);
     if (!status.ok()) {
-      log_error("scion-net") << "enroll failed: " << status.error().to_string();
+      std::fprintf(stderr, "[ERR] scion-net: enroll failed: %s\n",
+                   status.error().to_string().c_str());
     }
   }
 
@@ -75,8 +84,7 @@ void ScionNetwork::build_data_plane() {
     simnet::LinkConfig cfg;
     cfg.propagation_delay = link_info.delay;
     cfg.bandwidth_bps = link_info.bandwidth_bps;
-    cfg.jitter_sigma = options_.link_jitter_sigma;
-    cfg.loss_probability = options_.link_loss_probability;
+    cfg.jitter_sigma = kLinkJitterSigma;
     cfg.encap_overhead_bytes = topology::encap_overhead(link_info.encap);
     auto link = std::make_unique<simnet::Link>(
         sim_, cfg, rng_.fork("link-" + link_info.label));
@@ -90,8 +98,8 @@ void ScionNetwork::build_data_plane() {
   for (const auto& as_info : topo_.ases()) {
     const IsdAs ia = as_info.ia;
     routers_.at(ia)->set_local_delivery(
-        [this, ia](const dataplane::ScionPacket& packet, SimTime arrival) {
-          dispatch_local(ia, packet, arrival);
+        [this](const dataplane::ScionPacket& packet, SimTime arrival) {
+          dispatch_local(packet, arrival);
         });
   }
 }
@@ -218,11 +226,6 @@ std::vector<Path> ScionNetwork::paths(IsdAs src, IsdAs dst,
   return combinator.combine(src, dst, options);
 }
 
-ControlService* ScionNetwork::control_service(IsdAs ia) {
-  auto* set = control_service_set(ia);
-  return set == nullptr ? nullptr : set->primary();
-}
-
 ControlServiceSet* ScionNetwork::control_service_set(IsdAs ia) {
   auto it = services_.find(ia);
   if (it == services_.end()) {
@@ -283,15 +286,10 @@ Status ScionNetwork::send_from_host(const dataplane::ScionPacket& packet) {
   return br->inject(packet);
 }
 
-void ScionNetwork::dispatch_local(IsdAs ia,
-                                  const dataplane::ScionPacket& packet,
+void ScionNetwork::dispatch_local(const dataplane::ScionPacket& packet,
                                   SimTime arrival) {
   const auto it = hosts_.find({packet.dst.ia.packed(), packet.dst.host});
-  if (it == hosts_.end()) {
-    log_debug("scion-net") << "no host " << packet.dst.to_string() << " in "
-                           << ia.to_string();
-    return;
-  }
+  if (it == hosts_.end()) return;
   it->second(packet, arrival);
 }
 

@@ -51,10 +51,6 @@ class ScionNetwork {
   struct Options {
     std::uint64_t seed = 0x5C1E2A;
     BeaconingOptions beaconing{};
-    // Multiplicative log-normal jitter applied per link traversal.
-    double link_jitter_sigma = 0.015;
-    double link_loss_probability = 0.0;
-    Duration trc_validity = 365 * kDay;
     // Event-scheduler backend for the network's simulator. The calendar
     // queue is the production default; kBinaryHeap exists for equivalence
     // testing and as the referee for the ordering contract.
@@ -88,10 +84,6 @@ class ScionNetwork {
   [[nodiscard]] SegmentStore beacon_with(const BeaconingOptions& options) const;
   [[nodiscard]] std::vector<Path> paths(
       IsdAs src, IsdAs dst, const CombinatorOptions& options = {}) const;
-  // Legacy accessor: the primary replica of the AS's service set. Prefer
-  // control_service_set() — endhost code must go through the set (lint
-  // rule direct-control-lookup).
-  [[nodiscard]] ControlService* control_service(IsdAs ia);
   [[nodiscard]] ControlServiceSet* control_service_set(IsdAs ia);
 
   // --- Self-healing ---------------------------------------------------------
@@ -124,8 +116,7 @@ class ScionNetwork {
 
  private:
   void build_data_plane();
-  void dispatch_local(IsdAs ia, const dataplane::ScionPacket& packet,
-                      SimTime arrival);
+  void dispatch_local(const dataplane::ScionPacket& packet, SimTime arrival);
   void start_healing();
   void on_link_state_change(SimTime at);
   void healing_tick();

@@ -10,8 +10,7 @@ ControlServiceSet::ControlServiceSet(simnet::Simulator& sim, IsdAs ia,
                                      const topology::Topology& topo,
                                      const SegmentStore& store,
                                      const cppki::Trc* local_trc,
-                                     std::size_t replicas,
-                                     ControlService::Config config)
+                                     std::size_t replicas)
     : ia_(ia) {
   SCIERA_CHECK(replicas >= 1, "controlplane.empty_service_set");
   replicas_.reserve(replicas);
@@ -21,7 +20,7 @@ ControlServiceSet::ControlServiceSet(simnet::Simulator& sim, IsdAs ia,
     const std::string name =
         k == 0 ? ia.to_string() : ia.to_string() + "#r" + std::to_string(k);
     replicas_.push_back(std::make_unique<ControlService>(
-        sim, ia, topo, store, local_trc, config, name));
+        sim, ia, topo, store, local_trc, name));
   }
 }
 

@@ -19,8 +19,7 @@ class ControlServiceSet {
  public:
   ControlServiceSet(simnet::Simulator& sim, IsdAs ia,
                     const topology::Topology& topo, const SegmentStore& store,
-                    const cppki::Trc* local_trc, std::size_t replicas,
-                    ControlService::Config config = {});
+                    const cppki::Trc* local_trc, std::size_t replicas);
 
   [[nodiscard]] IsdAs isd_as() const { return ia_; }
   [[nodiscard]] std::size_t size() const { return replicas_.size(); }

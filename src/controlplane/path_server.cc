@@ -3,18 +3,23 @@
 #include "obs/flight_recorder.h"
 
 namespace sciera::controlplane {
+namespace {
+
+constexpr Duration kIntraAsRtt = 600 * kMicrosecond;  // host <-> service
+constexpr Duration kProcessing = 200 * kMicrosecond;
+
+}  // namespace
 
 ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
                                const topology::Topology& topo,
                                const SegmentStore& store,
-                               const cppki::Trc* local_trc, Config config,
+                               const cppki::Trc* local_trc,
                                const std::string& instance_name)
     : sim_(sim),
       ia_(ia),
       topo_(topo),
       combinator_(topo, store),
-      trc_(local_trc),
-      config_(config) {
+      trc_(local_trc) {
   auto& registry = obs::MetricsRegistry::global();
   const std::string& name =
       instance_name.empty() ? ia.to_string() : instance_name;
@@ -49,7 +54,7 @@ Duration ControlService::cold_lookup_latency(IsdAs dst) const {
   // Local path server asks a core path server in its ISD, which may ask a
   // core path server in the destination ISD. Approximate each round trip
   // with the fastest core distance from this AS / between the ISDs.
-  Duration budget = config_.processing;
+  Duration budget = kProcessing;
   // Reaching the local core: one representative intra-ISD round trip.
   Duration to_core = 20 * kMillisecond;
   for (topology::LinkId id : topo_.links_of(ia_)) {
@@ -79,8 +84,8 @@ void ControlService::lookup_paths(
   const auto it = cache_.find(dst);
   const bool cached =
       it != cache_.end() &&
-      sim_.now() - it->second.fetched_at < config_.cache_ttl;
-  Duration latency = config_.intra_as_rtt + config_.processing;
+      sim_.now() - it->second.fetched_at < kCacheTtl;
+  Duration latency = kIntraAsRtt + kProcessing;
   if (!cached) latency += cold_lookup_latency(dst);
   latency = static_cast<Duration>(static_cast<double>(latency) * slowdown_);
   sim_.schedule_after(latency, [this, dst, callback = std::move(callback)] {
@@ -104,10 +109,10 @@ PathSet ControlService::lookup_paths_now(IsdAs dst) {
     return no_paths();
   }
   auto it = cache_.find(dst);
-  // Fresh iff age < ttl: an entry aged exactly cache_ttl is stale (the
+  // Fresh iff age < ttl: an entry aged exactly kCacheTtl is stale (the
   // same boundary convention the daemon uses).
   const bool hit = it != cache_.end() &&
-                   sim_.now() - it->second.fetched_at < config_.cache_ttl;
+                   sim_.now() - it->second.fetched_at < kCacheTtl;
   obs::FlightRecorder::global().record(
       obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
       "cs-" + ia_.to_string(), dst.to_string() + (hit ? " hit" : " miss"));

@@ -19,25 +19,17 @@ namespace sciera::controlplane {
 
 class ControlService {
  public:
-  struct Config {
-    Duration intra_as_rtt = 600 * kMicrosecond;  // host <-> control service
-    Duration processing = 200 * kMicrosecond;
-    // Cache freshness convention (shared with endhost::Daemon): an entry
-    // aged exactly cache_ttl is stale.
-    Duration cache_ttl = 10 * kMinute;
-  };
+  // Cache freshness convention (shared with endhost::Daemon): an entry
+  // aged exactly kCacheTtl is stale.
+  static constexpr Duration kCacheTtl = 10 * kMinute;
 
   // `instance_name` labels this service's metric series; empty uses the
   // AS string (the single-service legacy naming). ControlServiceSet names
   // replica k > 0 as "<ia>#rk" so per-replica counters stay separable.
   ControlService(simnet::Simulator& sim, IsdAs ia,
                  const topology::Topology& topo, const SegmentStore& store,
-                 const cppki::Trc* local_trc, Config config,
+                 const cppki::Trc* local_trc,
                  const std::string& instance_name = {});
-  ControlService(simnet::Simulator& sim, IsdAs ia,
-                 const topology::Topology& topo, const SegmentStore& store,
-                 const cppki::Trc* local_trc)
-      : ControlService(sim, ia, topo, store, local_trc, Config{}) {}
 
   [[nodiscard]] IsdAs isd_as() const { return ia_; }
   [[nodiscard]] const cppki::Trc* local_trc() const { return trc_; }
@@ -96,7 +88,6 @@ class ControlService {
   const topology::Topology& topo_;
   Combinator combinator_;
   const cppki::Trc* trc_;
-  Config config_;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   bool available_ = true;
   double slowdown_ = 1.0;

@@ -50,7 +50,6 @@ struct Trc {
 
   [[nodiscard]] Bytes signing_payload() const;
   [[nodiscard]] const TrcRootEntry* root_for(IsdAs as) const;
-  [[nodiscard]] bool is_core(IsdAs as) const { return root_for(as) != nullptr; }
   [[nodiscard]] bool covers(SimTime now) const {
     return now >= valid_from && now < valid_until;
   }
@@ -76,7 +75,6 @@ class TrustStore {
 
   [[nodiscard]] const Trc* latest(Isd isd) const;
   [[nodiscard]] const std::vector<Trc>* chain(Isd isd) const;
-  [[nodiscard]] std::size_t isd_count() const { return chains_.size(); }
 
  private:
   struct IsdChain {

@@ -4,12 +4,14 @@
 
 #include "common/check.h"
 #include "dataplane/frame_pool.h"
-#include "common/log.h"
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
 
 namespace sciera::dataplane {
 namespace {
+
+// Time to cross the intra-AS fabric to a local host.
+constexpr Duration kIntraAsDelay = 300 * kMicrosecond;
 
 IfaceId effective_ingress(const InfoField& info, const HopField& hop) {
   return info.construction_dir ? hop.cons_ingress : hop.cons_egress;
@@ -81,7 +83,6 @@ BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
   verifier_.set_cache_counters(metrics_.mac_cache_hits,
                                metrics_.mac_cache_misses);
   data_bucket_ = TokenBucket{config_.admission.data_burst, 0};
-  control_bucket_ = TokenBucket{config_.admission.control_burst, 0};
 }
 
 void BorderRouter::crash() {
@@ -130,15 +131,13 @@ bool BorderRouter::take_token(TokenBucket& bucket, double pps, double burst,
 }
 
 bool BorderRouter::admit(const ScionPacket& packet) {
-  const bool control = packet.next_hdr == kProtoScmp;
   const Config::Admission& adm = config_.admission;
-  const double pps = control ? adm.control_pps : adm.data_pps;
-  if (pps <= 0) return true;  // class unlimited — the legacy default
-  TokenBucket& bucket = control ? control_bucket_ : data_bucket_;
-  const double burst = control ? adm.control_burst : adm.data_burst;
-  if (take_token(bucket, pps, burst, sim_.now())) return true;
-  (control ? metrics_.admission_dropped_control
-           : metrics_.admission_dropped_data)->inc();
+  // SCMP bypasses admission; data is unlimited at 0 pps, the default.
+  if (packet.next_hdr == kProtoScmp || adm.data_pps <= 0) return true;
+  if (take_token(data_bucket_, adm.data_pps, adm.data_burst, sim_.now())) {
+    return true;
+  }
+  metrics_.admission_dropped_data->inc();
   return false;
 }
 
@@ -160,7 +159,7 @@ void BorderRouter::attach_iface(IfaceId iface, simnet::Link* link, int side) {
 }
 
 std::uint32_t BorderRouter::now_unix() const {
-  return config_.unix_epoch +
+  return kUnixEpochAtSimZero +
          static_cast<std::uint32_t>(sim_.now() / kSecond);
 }
 
@@ -203,8 +202,6 @@ void BorderRouter::receive(const simnet::MessagePtr& message,
   auto packet = ScionPacket::parse(frame->scion_bytes);
   if (!packet) {
     metrics_.drop_malformed->inc();
-    log_debug("router") << name() << " drops malformed packet: "
-                        << packet.error().to_string();
     return;
   }
   if (!admit(packet.value())) return;
@@ -242,8 +239,6 @@ void BorderRouter::receive_batch(std::span<const simnet::MessagePtr> batch,
     auto status = ScionPacket::parse_into(frame->scion_bytes, batch_scratch_[i]);
     if (!status.ok()) {
       metrics_.drop_malformed->inc();
-      log_debug("router") << name() << " drops malformed packet: "
-                          << status.error().to_string();
       continue;
     }
     batch_ok_[i] = 1;
@@ -309,10 +304,7 @@ void BorderRouter::process(ScionPacket& packet, IfaceId arrival_iface,
                            bool from_local) {
   for (;;) {
     auto egress = process_current_hop(packet, arrival_iface, from_local);
-    if (!egress) {
-      log_debug("router") << name() << " drop: " << egress.error().to_string();
-      return;
-    }
+    if (!egress) return;
     ScionPath& path = packet.path;
     const bool last_segment = path.curr_inf + 1u >= path.num_segments();
 
@@ -343,7 +335,9 @@ void BorderRouter::process(ScionPacket& packet, IfaceId arrival_iface,
         metrics_.drop_no_route->inc();
         return;
       }
-      if (config_.answer_scmp_echo && packet.next_hdr == kProtoScmp) {
+      // Echo requests to this AS are answered at the border, the usual
+      // responder for infrastructure pings.
+      if (packet.next_hdr == kProtoScmp) {
         if (auto msg = ScmpMessage::parse(packet.payload);
             msg.ok() && msg->type == ScmpType::kEchoRequest) {
           answer_echo(packet);
@@ -386,7 +380,7 @@ void BorderRouter::deliver_local(const ScionPacket& packet) {
   // The endpoint handoff copies the packet (it outlives the scratch slot
   // it may live in); the forwarding fast path never takes this branch
   // for transit traffic, so the copy is off the hot path.
-  sim_.schedule_after(config_.intra_as_delay, [delivery, packet, &sim = sim_] {
+  sim_.schedule_after(kIntraAsDelay, [delivery, packet, &sim = sim_] {
     delivery(packet, sim.now());
   });
 }

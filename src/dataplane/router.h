@@ -27,13 +27,6 @@ namespace sciera::dataplane {
 class BorderRouter final : public simnet::Node {
  public:
   struct Config {
-    // Time to cross the intra-AS fabric to a local host.
-    Duration intra_as_delay = 300 * kMicrosecond;
-    // Offset mapping sim time 0 to a unix timestamp (for hop expiry).
-    std::uint32_t unix_epoch = 1'700'000'000;
-    // Whether to answer SCMP echo requests addressed to this AS directly
-    // at the border (the usual responder for infrastructure pings).
-    bool answer_scmp_echo = true;
     // Fast path: drain a link's same-tick frame batch as one staged pass
     // (parse all, then verify + forward in arrival order) over reused
     // scratch packets. Scalar mode (false) processes frame by frame,
@@ -43,19 +36,16 @@ class BorderRouter final : public simnet::Node {
     bool batched = true;
     // MAC verification context knobs (cache size, bench baseline mode).
     HopVerifier::Config mac{};
-    // Overload control (off by default — 0 disables a class's bucket):
-    // bounded ingress admission with priority classes. Frames arriving
-    // from the wire are classified (SCMP/control vs data) and each class
-    // draws from its own token bucket, so a data flood cannot starve the
-    // SCMP/control traffic the self-healing control plane needs to keep
-    // converging. Admission drops are silent (no SCMP — an overloaded
-    // router must not amplify). Local host injections are not admitted
-    // here; the host stack polices those.
+    // Overload control (off by default — 0 disables the bucket): bounded
+    // ingress admission for data frames arriving from the wire. SCMP is
+    // never admission-limited, so a data flood cannot starve the SCMP
+    // traffic the self-healing control plane needs to keep converging.
+    // Admission drops are silent (no SCMP — an overloaded router must not
+    // amplify). Local host injections are not admitted here; the host
+    // stack polices those.
     struct Admission {
-      double data_pps = 0;  // 0 = data class unlimited (legacy)
+      double data_pps = 0;  // 0 = unlimited (legacy)
       double data_burst = 256;
-      double control_pps = 0;  // 0 = control class unlimited (legacy)
-      double control_burst = 64;
     };
     Admission admission{};
     // SCMP error generation rate limit, per offending source AS (token
@@ -95,7 +85,6 @@ class BorderRouter final : public simnet::Node {
   [[nodiscard]] IsdAs isd_as() const { return ia_; }
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const FwdKey& fwd_key() const { return verifier_.key(); }
-  [[nodiscard]] const HopVerifier& verifier() const { return verifier_; }
   // Forwarding-key rollover: re-derives the cached verification context
   // (one key schedule) and invalidates every cached MAC.
   void rekey(const FwdKey& fwd_key) { verifier_.rekey(fwd_key); }
@@ -156,7 +145,7 @@ class BorderRouter final : public simnet::Node {
   // Refills `bucket` to `now` and takes one token; false = out of budget.
   static bool take_token(TokenBucket& bucket, double pps, double burst,
                          SimTime now);
-  // Class-aware ingress admission; counts the drop when it refuses.
+  // Ingress admission of data frames; counts the drop when it refuses.
   [[nodiscard]] bool admit(const ScionPacket& packet);
   // Per-offender SCMP error budget; false = this error must be suppressed.
   [[nodiscard]] bool scmp_budget_ok(IsdAs offender);
@@ -198,9 +187,8 @@ class BorderRouter final : public simnet::Node {
   // success flag per slot.
   std::vector<ScionPacket> batch_scratch_;
   std::vector<std::uint8_t> batch_ok_;
-  // Per-class admission buckets (primed to their burst at construction).
+  // Data admission bucket (primed to its burst at construction).
   TokenBucket data_bucket_;
-  TokenBucket control_bucket_;
   // Direct-mapped per-offender SCMP budgets: bounded, clock-free state. A
   // slot collision evicts the previous offender and resets its budget —
   // for a defense knob, bounded memory beats per-source exactness.

@@ -12,8 +12,8 @@ Bytes SignedTopology::signing_payload() const {
 
 BootstrapServer::BootstrapServer(IsdAs as, std::string local_view_text,
                                  const cppki::AsCredentials& creds,
-                                 std::vector<cppki::Trc> trcs, Config config)
-    : trcs_(std::move(trcs)), config_(config) {
+                                 std::vector<cppki::Trc> trcs)
+    : trcs_(std::move(trcs)) {
   topology_.as = as;
   topology_.topology_text = std::move(local_view_text);
   refresh(topology_.topology_text, creds);

@@ -25,27 +25,19 @@ struct SignedTopology {
 
 class BootstrapServer {
  public:
-  struct Config {
-    // HTTP service time for one request, before network latency.
-    Duration service_time = 2 * kMillisecond;
-  };
+  // HTTP service time for one request, before network latency.
+  static constexpr Duration kServiceTime = 2 * kMillisecond;
 
   // `local_view` is the AS's topology slice (its own entry and links);
   // the signing key is the AS's control-plane key.
   BootstrapServer(IsdAs as, std::string local_view_text,
                   const cppki::AsCredentials& creds,
-                  std::vector<cppki::Trc> trcs, Config config);
-  BootstrapServer(IsdAs as, std::string local_view_text,
-                  const cppki::AsCredentials& creds,
-                  std::vector<cppki::Trc> trcs)
-      : BootstrapServer(as, std::move(local_view_text), creds,
-                        std::move(trcs), Config{}) {}
+                  std::vector<cppki::Trc> trcs);
 
   // GET /topology
   [[nodiscard]] const SignedTopology& topology() const { return topology_; }
   // GET /trcs
   [[nodiscard]] const std::vector<cppki::Trc>& trcs() const { return trcs_; }
-  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::size_t requests_served() const { return requests_; }
   void count_request() const { ++requests_; }
 
@@ -55,7 +47,6 @@ class BootstrapServer {
  private:
   SignedTopology topology_;
   std::vector<cppki::Trc> trcs_;
-  Config config_;
   mutable std::size_t requests_ = 0;
 };
 

@@ -36,7 +36,7 @@ Result<BootstrapResult> Bootstrapper::run(const BootstrapServer& server,
   for (int request = 0; request < 2; ++request) {
     const double wire_ms =
         to_ms(2 * env_.lan_one_way) * rng.lognormal_median(1.0, 0.25);
-    const double service_ms = to_ms(server.config().service_time) *
+    const double service_ms = to_ms(BootstrapServer::kServiceTime) *
                               rng.lognormal_median(1.0, 0.5);
     const double stack_ms = to_ms(os_.syscall_overhead * 4) *
                             rng.lognormal_median(1.0, os_.variance_sigma);
@@ -54,13 +54,9 @@ Result<BootstrapResult> Bootstrapper::run(const BootstrapServer& server,
         !status.ok()) {
       return status.error();
     }
-  } else if (config_.trust_on_first_use) {
-    if (auto status = result.trust_store.anchor(trcs.front()); !status.ok()) {
-      return status.error();
-    }
-  } else {
-    return Error{Errc::kVerificationFailed,
-                 "no out-of-band TRC and TOFU disabled"};
+  } else if (auto status = result.trust_store.anchor(trcs.front());
+             !status.ok()) {
+    return status.error();
   }
   // Later TRCs must chain from the anchor.
   for (std::size_t i = 1; i < trcs.size(); ++i) {

@@ -34,9 +34,6 @@ class Bootstrapper {
     // Preference order mirrors Appendix A's discussion: DHCP first (most
     // deployed), then DNS family, multicast last.
     std::vector<HintMechanism> preference = all_hint_mechanisms();
-    // TOFU anchoring of the first TRC when no out-of-band TRC is present
-    // (the TLS-or-out-of-band caveat of Section 4.1.2).
-    bool trust_on_first_use = true;
   };
 
   Bootstrapper(const NetworkEnvironment& env, OsProfile os, Config config);
@@ -44,7 +41,8 @@ class Bootstrapper {
       : Bootstrapper(env, std::move(os), Config{}) {}
 
   // Runs the full bootstrap against a server. An out-of-band TRC, if
-  // provided, is used as the anchor instead of TOFU.
+  // provided, is the anchor; otherwise the server's first TRC is trusted
+  // on first use (TOFU, the TLS-or-out-of-band caveat of Section 4.1.2).
   [[nodiscard]] Result<BootstrapResult> run(
       const BootstrapServer& server, Rng& rng, SimTime now,
       const cppki::Trc* out_of_band_trc = nullptr);

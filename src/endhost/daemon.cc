@@ -7,16 +7,6 @@
 
 namespace sciera::endhost {
 
-const char* path_source_name(PathSource source) {
-  switch (source) {
-    case PathSource::kFreshCache: return "fresh_cache";
-    case PathSource::kFetched: return "fetched";
-    case PathSource::kStaleCache: return "stale_cache";
-    case PathSource::kUnavailable: return "unavailable";
-  }
-  return "unknown";
-}
-
 Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
     : net_(net), ia_(ia), config_(config),
       services_(net.control_service_set(ia)),
@@ -118,8 +108,7 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
       net_.sim().now() - it->second.fetched_at >= max_age) {
     have_stale = false;
   }
-  const bool serve_stale = config_.resilience.enabled &&
-                           config_.resilience.serve_stale && have_stale;
+  const bool serve_stale = config_.resilience.enabled && have_stale;
   if (serve_stale) {
     stale_served_->inc();
     if (first_stale_at_ < 0) first_stale_at_ = net_.sim().now();
@@ -176,13 +165,6 @@ Daemon::Answer Daemon::answer(IsdAs dst) {
     return Answer{it->second.paths, PathSource::kFetched};
   }
   return degraded(dst);
-}
-
-void Daemon::paths_async(
-    IsdAs dst, std::function<void(std::vector<controlplane::Path>)> cb) {
-  paths_async_detailed(dst, [cb = std::move(cb)](PathLookup lookup) {
-    cb(std::move(lookup.paths));
-  });
 }
 
 void Daemon::paths_async_detailed(IsdAs dst,

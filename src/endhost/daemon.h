@@ -31,8 +31,6 @@ enum class PathSource : std::uint8_t {
   kUnavailable,  // nothing to serve: fetch failed and no cached entry
 };
 
-[[nodiscard]] const char* path_source_name(PathSource source);
-
 // A path lookup with its provenance. `stale` is the stale-but-marked bit:
 // the caller knows it is riding cached state through an outage.
 struct PathLookup {
@@ -54,9 +52,6 @@ class Daemon {
     Duration lookup_timeout = 150 * kMillisecond;
     BackoffPolicy backoff{};
     CircuitBreaker::Config breaker{};
-    // Degrade to an expired cache entry (marked stale) when the service
-    // is unreachable or the breaker is open.
-    bool serve_stale = true;
     // Ceiling on how old a stale entry may be and still be served: an
     // entry aged >= max_stale_age answers kUnavailable instead of
     // kStaleCache (degraded mode cannot ride arbitrarily old paths
@@ -66,7 +61,7 @@ class Daemon {
 
   struct Config {
     // An entry aged exactly path_cache_ttl is stale (the same boundary
-    // convention as ControlService::Config::cache_ttl).
+    // convention as ControlService::kCacheTtl).
     Duration path_cache_ttl = 5 * kMinute;
     Duration down_path_penalty = 90 * kSecond;
     Resilience resilience{};
@@ -94,8 +89,6 @@ class Daemon {
   // breaker or attempt budget is exhausted, then degraded; with it
   // disabled an outage means the callback never fires (the legacy
   // behaviour the chaos campaigns exposed).
-  void paths_async(IsdAs dst,
-                   std::function<void(std::vector<controlplane::Path>)> cb);
   void paths_async_detailed(IsdAs dst, std::function<void(PathLookup)> cb);
 
   // The daemon's TRC database (fed from the local control service's ISD

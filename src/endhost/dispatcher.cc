@@ -3,6 +3,17 @@
 #include "endhost/lightning_filter.h"
 
 namespace sciera::endhost {
+namespace {
+
+// Per-socket kernel path capacity with RSS (per application).
+constexpr double kDispatcherlessPps = 1'800'000;
+// Local delivery hop (unix domain socket / loopback).
+constexpr Duration kLocalHop = 30 * kMicrosecond;
+// The ephemeral port range (the IANA dynamic range).
+constexpr std::uint16_t kFirstEphemeralPort = 32768;
+constexpr std::size_t kEphemeralPorts = 65536 - kFirstEphemeralPort;
+
+}  // namespace
 
 HostStack::HostStack(controlplane::ScionNetwork& net, dataplane::Address addr,
                      Config config)
@@ -35,8 +46,16 @@ HostStack::~HostStack() { net_.unregister_host(addr_); }
 
 Result<std::uint16_t> HostStack::bind(std::uint16_t port, Receiver receiver) {
   if (port == 0) {
-    while (ports_.contains(next_ephemeral_)) ++next_ephemeral_;
-    port = next_ephemeral_++;
+    for (std::size_t tried = 0; port == 0; ++tried) {
+      if (tried == kEphemeralPorts) {
+        return Error{Errc::kResourceExhausted, "no free ephemeral port"};
+      }
+      const std::uint16_t candidate = next_ephemeral_;
+      next_ephemeral_ = candidate == 65535
+                            ? kFirstEphemeralPort
+                            : static_cast<std::uint16_t>(candidate + 1);
+      if (!ports_.contains(candidate)) port = candidate;
+    }
   }
   if (ports_.contains(port)) {
     return Error{Errc::kResourceExhausted,
@@ -74,7 +93,7 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
     if (!message) return;
     auto receiver = scmp_receiver_;
     net_.sim().schedule_after(
-        config_.local_hop,
+        kLocalHop,
         [receiver, packet, message = std::move(message).value(),
          &sim = net_.sim()] { receiver(packet, message, sim.now()); });
     return;
@@ -99,7 +118,7 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
     return;
   }
 
-  Duration extra = config_.local_hop;
+  Duration extra = kLocalHop;
   if (config_.mode == HostMode::kDispatcher) {
     const auto queued = dispatcher_delay(arrival);
     if (!queued) {
@@ -109,7 +128,7 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
     extra += *queued;
   } else {
     extra += static_cast<Duration>(static_cast<double>(kSecond) /
-                                   config_.dispatcherless_pps);
+                                   kDispatcherlessPps);
   }
 
   delivered_->inc();

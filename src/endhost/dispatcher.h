@@ -34,10 +34,6 @@ class HostStack {
     // every application on the host.
     double dispatcher_pps = 250'000;
     std::size_t dispatcher_queue = 512;
-    // Per-socket kernel path capacity with RSS (per application).
-    double dispatcherless_pps = 1'800'000;
-    // Local delivery hop (unix domain socket / loopback).
-    Duration local_hop = 30 * kMicrosecond;
   };
 
   struct Stats {  // registry-backed snapshot
@@ -64,7 +60,8 @@ class HostStack {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] controlplane::ScionNetwork& network() { return net_; }
 
-  // Binds a UDP port; fails if taken. Port 0 picks an ephemeral port.
+  // Binds a UDP port; fails if taken. Port 0 picks a free ephemeral port
+  // (32768-65535, handed out round-robin) and fails once none is free.
   Result<std::uint16_t> bind(std::uint16_t port, Receiver receiver);
   void unbind(std::uint16_t port);
 
@@ -87,7 +84,6 @@ class HostStack {
   // is control traffic and passes unfiltered. The filter must outlive
   // this stack; nullptr uninstalls.
   void set_ingress_filter(LightningFilter* filter) { filter_ = filter; }
-  [[nodiscard]] LightningFilter* ingress_filter() const { return filter_; }
 
  private:
   void on_local_delivery(const dataplane::ScionPacket& packet,

@@ -4,20 +4,14 @@
 
 namespace sciera::endhost {
 
-const char* transport_name(Transport transport) {
-  switch (transport) {
-    case Transport::kScion: return "scion";
-    case Transport::kIpv6: return "ipv6";
-    case Transport::kIpv4: return "ipv4";
-  }
-  return "?";
-}
-
 HappyEyeballs::HappyEyeballs(controlplane::ScionNetwork& net,
                              bgp::BgpNetwork& bgp, Config config)
     : net_(net), bgp_(bgp), config_(config) {}
 
 namespace {
+
+// Give up on a transport whose handshake takes longer than this.
+constexpr Duration kAttemptTimeout = 2 * kSecond;
 
 // Local RTT sampler (propagation + hop-scaled log-normal jitter); the
 // measurement module has a richer version, but endhost cannot depend on it.
@@ -82,7 +76,7 @@ Result<DialResult> HappyEyeballs::dial(IsdAs src, IsdAs dst, Rng& rng) {
   for (const auto& candidate : candidates) {
     ++result.attempts_started;
     if (!candidate.handshake) continue;
-    if (*candidate.handshake > config_.attempt_timeout) continue;
+    if (*candidate.handshake > kAttemptTimeout) continue;
     const Duration completion = candidate.start_offset + *candidate.handshake;
     if (!best_completion || completion < *best_completion) {
       best_completion = completion;

@@ -13,8 +13,6 @@ namespace sciera::endhost {
 
 enum class Transport : std::uint8_t { kScion, kIpv6, kIpv4 };
 
-[[nodiscard]] const char* transport_name(Transport transport);
-
 struct DialResult {
   Transport chosen = Transport::kIpv4;
   Duration connect_time = 0;   // time until the winning handshake completed
@@ -28,8 +26,6 @@ class HappyEyeballs {
     // RFC 8305 "Connection Attempt Delay" between staggered starts;
     // preference order is SCION, IPv6, IPv4.
     Duration attempt_delay = 250 * kMillisecond;
-    // Give up on a transport after this long.
-    Duration attempt_timeout = 2 * kSecond;
     bool scion_enabled = true;
     bool ipv6_enabled = true;
   };

@@ -4,26 +4,35 @@
 #include <map>
 
 namespace sciera::endhost {
+namespace {
+
+constexpr std::size_t kPayloadBytes = 1200;  // per packet
+constexpr double kXdpPpsPerCore = 4'000'000;
+constexpr int kCores = 8;
+constexpr double kNicBps = 100e9;
+
+}  // namespace
 
 double Hercules::host_limit_bps() const {
   const double bits_per_packet =
-      static_cast<double>(config_.payload_bytes + 100) * 8.0;  // + headers
+      static_cast<double>(kPayloadBytes + 100) * 8.0;  // + headers
   double pps = 0;
   if (config_.use_xdp) {
     // XDP bypasses the dispatcher and scales over cores via RSS... but
     // only because it uses per-queue sockets; the single dispatcher port
     // would pin everything to one queue.
-    pps = config_.xdp_pps_per_core * config_.cores;
+    pps = kXdpPpsPerCore * kCores;
   } else if (config_.receiver_mode == HostMode::kDispatcher) {
     // All SCION traffic enters one UDP port served by one process:
     // "its processing capacity was shared across all SCION applications"
-    // and RSS cannot spread one port across cores (Section 4.8).
-    pps = config_.dispatcher_pps;
+    // and RSS cannot spread one port across cores (Section 4.8). Its
+    // single-core capacity is the host stack's default.
+    pps = HostStack::Config{}.dispatcher_pps;
   } else {
     // Dispatcherless: per-application sockets, kernel fast path + RSS.
-    pps = config_.xdp_pps_per_core * 0.45 * config_.cores;
+    pps = kXdpPpsPerCore * 0.45 * kCores;
   }
-  return std::min(pps * bits_per_packet, config_.nic_bps);
+  return std::min(pps * bits_per_packet, kNicBps);
 }
 
 TransferReport Hercules::plan(const std::vector<controlplane::Path>& paths,

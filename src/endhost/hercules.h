@@ -14,13 +14,8 @@
 namespace sciera::endhost {
 
 struct HerculesConfig {
-  std::size_t payload_bytes = 1200;  // per packet
   HostMode receiver_mode = HostMode::kDispatcherless;
   bool use_xdp = false;              // XDP bypass (Section 4.8's band-aid)
-  double dispatcher_pps = 250'000;   // shared single-core dispatcher
-  double xdp_pps_per_core = 4'000'000;
-  int cores = 8;
-  double nic_bps = 100e9;
 };
 
 struct PathAllocation {

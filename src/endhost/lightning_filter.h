@@ -57,8 +57,6 @@ class LightningFilter {
     // Per-source-AS token bucket (packets/second, burst).
     double rate_pps = 0;  // 0 = unlimited
     double burst = 1000;
-    int cores = 8;
-    double per_core_pps = 3'000'000;  // DPDK per-core CMAC check rate
     // Bound on the per-source state table (cached verification context +
     // token bucket per source AS). 0 = unbounded (legacy behaviour).
     std::size_t max_sources = 4096;

@@ -47,7 +47,7 @@ Result<std::unique_ptr<PanContext>> PanContext::Builder::build(Rng rng) {
       return Error{Errc::kUnreachable,
                    "standalone mode needs a reachable bootstrap server"};
     }
-    Bootstrapper bootstrapper{ctx->env_.network_env, ctx->env_.os};
+    Bootstrapper bootstrapper{ctx->env_.network_env, linux_profile()};
     auto result = bootstrapper.run(*ctx->env_.bootstrap_server, rng,
                                    ctx->env_.net->sim().now());
     if (!result) return result.error();
@@ -131,7 +131,7 @@ Result<Duration> PanContext::handle_network_change(Rng& rng) {
       if (env_.bootstrap_server == nullptr) {
         return Error{Errc::kUnreachable, "no bootstrap server"};
       }
-      Bootstrapper bootstrapper{env_.network_env, env_.os};
+      Bootstrapper bootstrapper{env_.network_env, linux_profile()};
       auto result = bootstrapper.run(*env_.bootstrap_server, rng,
                                      env_.net->sim().now());
       if (!result) return result.error();

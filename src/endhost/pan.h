@@ -41,7 +41,6 @@ class PanContext {
     const BootstrapResult* bootstrapper_state = nullptr;  // pre-installed
     const BootstrapServer* bootstrap_server = nullptr;    // reachable in-AS
     NetworkEnvironment network_env;
-    OsProfile os = linux_profile();
     HostStack::Config stack_config;
   };
 
@@ -79,10 +78,6 @@ class PanContext {
     }
     Builder& network_env(NetworkEnvironment network_env) {
       env_.network_env = std::move(network_env);
-      return *this;
-    }
-    Builder& os(OsProfile os) {
-      env_.os = os;
       return *this;
     }
     Builder& stack_config(HostStack::Config config) {

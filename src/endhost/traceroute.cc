@@ -1,6 +1,12 @@
 #include "endhost/traceroute.h"
 
 namespace sciera::endhost {
+namespace {
+
+constexpr Duration kProbeTimeout = 3 * kSecond;
+constexpr std::uint16_t kIdentifier = 0x7EAC;  // SCMP echo identifier
+
+}  // namespace
 
 std::vector<TracerouteHop> Traceroute::run(const dataplane::Address& dst,
                                            const controlplane::Path& path) {
@@ -42,11 +48,11 @@ std::vector<TracerouteHop> Traceroute::run(const dataplane::Address& dst,
     probe.hop_limit = static_cast<std::uint8_t>(ttl);
     probe.path = path.dataplane_path;
     probe.payload = dataplane::make_echo_request(
-                        config_.identifier, static_cast<std::uint16_t>(ttl))
+                        kIdentifier, static_cast<std::uint16_t>(ttl))
                         .serialize();
     const SimTime sent = sim.now();
     if (!stack_.send(std::move(probe)).ok()) break;
-    const SimTime deadline = sent + config_.probe_timeout;
+    const SimTime deadline = sent + kProbeTimeout;
     while (!response.received && sim.now() < deadline) {
       sim.run_for(10 * kMillisecond);
     }

@@ -18,15 +18,9 @@ struct TracerouteHop {
 
 class Traceroute {
  public:
-  struct Config {
-    Duration probe_timeout = 3 * kSecond;
-    std::uint16_t identifier = 0x7EAC;
-  };
-
   // The host stack must have no other SCMP receiver attached while a
   // traceroute runs (the utility installs and removes its own).
-  Traceroute(HostStack& stack, Config config) : stack_(stack), config_(config) {}
-  explicit Traceroute(HostStack& stack) : Traceroute(stack, Config{}) {}
+  explicit Traceroute(HostStack& stack) : stack_(stack) {}
 
   // Probes `path` toward dst, driving the simulator. One probe per hop,
   // sequentially, like the classic utility.
@@ -35,7 +29,6 @@ class Traceroute {
 
  private:
   HostStack& stack_;
-  Config config_;
 };
 
 }  // namespace sciera::endhost

@@ -9,6 +9,41 @@
 namespace sciera::measure {
 namespace {
 
+constexpr int kPingsPerInterval = 60;  // 1/s in the paper
+// Multiplicative log-normal jitter of one ping sample.
+constexpr double kScionJitterSigma = 0.02;
+constexpr double kIpJitterSigma = 0.02;
+// IP congestion (Section 4.3.1: SCION gets reserved bandwidth, IP shares
+// with commodity traffic): a per-interval multiplicative queueing factor
+// of 1 + Exp(mean), with occasional heavy spikes.
+// Congestion is heterogeneous across IP routes: a minority of commodity
+// paths are chronically congested (under-provisioned transits), the rest
+// are clean. This is what produces the paper's Figure 5/6 combination —
+// most pair means comparable, but a fat IP tail that SCION avoids.
+constexpr double kIpCongestedFraction = 0.42;
+constexpr double kIpCongestionMean = 0.22;        // congested pairs
+constexpr double kIpSpikeProbability = 0.50;      // congested pairs
+constexpr double kIpCleanCongestionMean = 0.015;  // clean pairs
+constexpr double kIpCleanSpikeProbability = 0.02;
+// The commodity Internet offers direct commercial routes that SCIERA's
+// L2 footprint does not: the ICMP baseline uses the better of the
+// BGP-over-SCIERA-links route and a direct commercial route. Those
+// commercial routes are also unaffected by SCIERA incidents (the paper's
+// "corresponding IP paths exhibit relatively low RTTs" during BRIDGES
+// instability). Commercial routing quality is heterogeneous: most pairs
+// get near-direct routes, but routes to remote R&E sites often detour
+// badly (the IP tail SCION's path choice avoids).
+constexpr double kCommodityRouteStretch = 1.75;     // well-routed pairs
+constexpr double kCommodityBadRouteStretch = 3.1;   // badly-routed pairs
+constexpr double kCommodityBadRouteFraction = 0.38;
+constexpr double kPingLoss = 0.002;
+// Paths considered by the prober per pair (multiping probes a bounded
+// set; combination still sees every path for the path-count figures).
+constexpr std::size_t kProbeTopPaths = 40;
+// Reselect the three paths at least this often, in intervals (plus on
+// any failure).
+constexpr int kReselectEvery = 6;
+
 // Shared interface count between two sorted GlobalIfaceId vectors.
 std::size_t shared_ifaces(const std::vector<GlobalIfaceId>& a,
                           const std::vector<GlobalIfaceId>& b) {
@@ -169,12 +204,12 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
   }
   // Full path probe: refresh per-path RTTs for the probed set.
   const std::size_t considered =
-      std::min(pair.usable.size(), options_.probe_top_paths);
+      std::min(pair.usable.size(), kProbeTopPaths);
   for (std::size_t k = 0; k < considered; ++k) {
     const std::size_t i = pair.usable[k];
     pair.probe_rtt[i] =
         sample_rtt(pair.meta[i].static_rtt, pair.meta[i].hops,
-                   options_.scion_jitter_sigma, rng);
+                   kScionJitterSigma, rng);
   }
   // Shortest: fewest hops, lowest fingerprint (paths are pre-sorted by
   // hops/rtt/fingerprint, so the first usable is the shortest).
@@ -222,15 +257,13 @@ CampaignResult Campaign::run() {
   // Precompute path sets per ordered pair.
   pairs_.clear();
   pair_paths_.clear();
-  controlplane::CombinatorOptions comb;
-  comb.max_paths = options_.max_paths;
   for (IsdAs src : sources_) {
     for (IsdAs dst : targets_) {
       if (src == dst) continue;
       PairPaths pp;
       pp.src = src;
       pp.dst = dst;
-      pp.paths = net_.paths(src, dst, comb);
+      pp.paths = net_.paths(src, dst);
       Pair pair;
       pair.src = src;
       pair.dst = dst;
@@ -243,21 +276,21 @@ CampaignResult Campaign::run() {
       Rng pair_rng{options_.seed ^ (lo * 0x9E3779B97F4A7C15ULL) ^ hi,
                    "pair-class"};
       const double stretch =
-          pair_rng.chance(options_.commodity_bad_route_fraction)
-              ? options_.commodity_bad_route_stretch
-              : options_.commodity_route_stretch;
+          pair_rng.chance(kCommodityBadRouteFraction)
+              ? kCommodityBadRouteStretch
+              : kCommodityRouteStretch;
       pair.commodity_rtt =
           2 * topology::fiber_delay(
                   topology::great_circle_km(src_info->location,
                                             dst_info->location),
                   stretch) +
           2 * 600 * kMicrosecond;
-      if (pair_rng.chance(options_.ip_congested_fraction)) {
-        pair.ip_congestion_mean = options_.ip_congestion_mean;
-        pair.ip_spike_probability = options_.ip_spike_probability;
+      if (pair_rng.chance(kIpCongestedFraction)) {
+        pair.ip_congestion_mean = kIpCongestionMean;
+        pair.ip_spike_probability = kIpSpikeProbability;
       } else {
-        pair.ip_congestion_mean = options_.ip_clean_congestion_mean;
-        pair.ip_spike_probability = options_.ip_clean_spike_probability;
+        pair.ip_congestion_mean = kIpCleanCongestionMean;
+        pair.ip_spike_probability = kIpCleanSpikeProbability;
       }
       for (const auto& path : pp.paths) {
         PathMeta meta;
@@ -324,15 +357,15 @@ CampaignResult Campaign::run() {
     for (auto& pair : pairs_) {
       if (pair.usable_epoch != link_epoch_) refresh_usable(pair);
       const bool reselect_now =
-          !pair.selection_valid || tick % options_.reselect_every == 0;
+          !pair.selection_valid || tick % kReselectEvery == 0;
       if (reselect_now) reselect(pair, rng);
 
       IntervalRecord record;
       record.start = now;
       record.src = pair.src;
       record.dst = pair.dst;
-      record.scion_sent = options_.pings_per_interval;
-      record.ip_sent = options_.pings_per_interval;
+      record.scion_sent = kPingsPerInterval;
+      record.ip_sent = kPingsPerInterval;
       metrics_.intervals->inc();
       metrics_.scion_probes->inc(
           static_cast<std::uint64_t>(record.scion_sent));
@@ -348,9 +381,9 @@ CampaignResult Campaign::run() {
         for (int c = 0; c < 3; ++c) {
           const auto& meta = pair.meta[chosen[c]];
           for (int s = 0; s < options_.samples_per_path; ++s) {
-            if (rng.chance(options_.ping_loss)) continue;
-            const Duration sample = sample_rtt(
-                meta.static_rtt, meta.hops, options_.scion_jitter_sigma, rng);
+            if (rng.chance(kPingLoss)) continue;
+            const Duration sample = sample_rtt(meta.static_rtt, meta.hops,
+                                               kScionJitterSigma, rng);
             if (sample < best) {
               best = sample;
               record.scion_best = names[c];
@@ -387,9 +420,9 @@ CampaignResult Campaign::run() {
             static_cast<Duration>(static_cast<double>(ip_base) * congestion);
         Duration best = INT64_MAX;
         for (int s = 0; s < options_.samples_per_path; ++s) {
-          if (rng.chance(options_.ping_loss)) continue;
+          if (rng.chance(kPingLoss)) continue;
           const Duration sample = sample_rtt(congested_base, ip_hops,
-                                             options_.ip_jitter_sigma, rng);
+                                             kIpJitterSigma, rng);
           best = std::min(best, sample);
         }
         if (best != INT64_MAX) {

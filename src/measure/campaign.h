@@ -32,41 +32,8 @@ struct Incident {
 struct CampaignOptions {
   Duration duration = 20 * kDay;
   Duration interval = 10 * kMinute;  // aggregation granularity
-  int pings_per_interval = 60;       // 1/s in the paper
   int samples_per_path = 6;          // Monte-Carlo draws per path/interval
-  double scion_jitter_sigma = 0.02;
-  double ip_jitter_sigma = 0.02;
-  // IP congestion (Section 4.3.1: SCION gets reserved bandwidth, IP shares
-  // with commodity traffic): a per-interval multiplicative queueing factor
-  // of 1 + Exp(mean), with occasional heavy spikes.
-  // Congestion is heterogeneous across IP routes: a minority of commodity
-  // paths are chronically congested (under-provisioned transits), the rest
-  // are clean. This is what produces the paper's Figure 5/6 combination —
-  // most pair means comparable, but a fat IP tail that SCION avoids.
-  double ip_congested_fraction = 0.42;
-  double ip_congestion_mean = 0.22;        // congested pairs
-  double ip_spike_probability = 0.50;      // congested pairs
-  double ip_clean_congestion_mean = 0.015;  // clean pairs
-  double ip_clean_spike_probability = 0.02;
-  // The commodity Internet offers direct commercial routes that SCIERA's
-  // L2 footprint does not: the ICMP baseline uses the better of the
-  // BGP-over-SCIERA-links route and a direct commercial route. Those
-  // commercial routes are also unaffected by SCIERA incidents (the paper's
-  // "corresponding IP paths exhibit relatively low RTTs" during BRIDGES
-  // instability). Commercial routing quality is heterogeneous: most pairs
-  // get near-direct routes, but routes to remote R&E sites often detour
-  // badly (the IP tail SCION's path choice avoids).
-  double commodity_route_stretch = 1.75;       // well-routed pairs
-  double commodity_bad_route_stretch = 3.1;   // badly-routed pairs
-  double commodity_bad_route_fraction = 0.38;
-  double ping_loss = 0.002;
   std::uint64_t seed = 20250117;
-  // Paths considered by the prober per pair (multiping probes a bounded
-  // set; combination still sees everything for the path-count figures).
-  std::size_t probe_top_paths = 40;
-  std::size_t max_paths = 250;
-  // Reselect the three paths at least this often (plus on any failure).
-  int reselect_every = 6;
 };
 
 struct PairPaths {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace sciera::measure {
 
@@ -15,69 +14,6 @@ const char* path_choice_name(PathChoice choice) {
   return "?";
 }
 
-std::vector<const controlplane::Path*> ThreePaths::all() const {
-  std::vector<const controlplane::Path*> out;
-  for (const auto* path : {shortest, fastest, disjoint}) {
-    if (path != nullptr) out.push_back(path);
-  }
-  return out;
-}
-
-ThreePaths select_three_paths(
-    const std::vector<const controlplane::Path*>& usable,
-    const std::map<std::string, Duration>& last_probe_rtts) {
-  ThreePaths chosen;
-  if (usable.empty()) return chosen;
-
-  // Shortest: fewest AS hops, then lowest path identifier (fingerprint).
-  chosen.shortest = *std::min_element(
-      usable.begin(), usable.end(),
-      [](const controlplane::Path* x, const controlplane::Path* y) {
-        if (x->as_sequence.size() != y->as_sequence.size()) {
-          return x->as_sequence.size() < y->as_sequence.size();
-        }
-        return x->fingerprint() < y->fingerprint();
-      });
-
-  // Fastest: lowest RTT measured during the last full path probe; fall
-  // back to the static estimate for never-probed paths.
-  auto probed_rtt = [&](const controlplane::Path* path) {
-    const auto it = last_probe_rtts.find(path->fingerprint());
-    return it == last_probe_rtts.end() ? path->static_rtt : it->second;
-  };
-  chosen.fastest = *std::min_element(
-      usable.begin(), usable.end(),
-      [&](const controlplane::Path* x, const controlplane::Path* y) {
-        const Duration rx = probed_rtt(x);
-        const Duration ry = probed_rtt(y);
-        if (rx != ry) return rx < ry;
-        return x->fingerprint() < y->fingerprint();
-      });
-
-  // Most disjoint: lowest number of interface IDs shared with the shortest
-  // and the fastest paths.
-  std::set<GlobalIfaceId> reference;
-  for (const auto* path : {chosen.shortest, chosen.fastest}) {
-    reference.insert(path->interfaces.begin(), path->interfaces.end());
-  }
-  auto shared_count = [&](const controlplane::Path* path) {
-    std::size_t shared = 0;
-    for (const auto& gid : path->interfaces) {
-      if (reference.contains(gid)) ++shared;
-    }
-    return shared;
-  };
-  chosen.disjoint = *std::min_element(
-      usable.begin(), usable.end(),
-      [&](const controlplane::Path* x, const controlplane::Path* y) {
-        const std::size_t sx = shared_count(x);
-        const std::size_t sy = shared_count(y);
-        if (sx != sy) return sx < sy;
-        return x->fingerprint() < y->fingerprint();
-      });
-  return chosen;
-}
-
 Duration sample_rtt(Duration base, std::size_t hops, double jitter_sigma,
                     Rng& rng) {
   // Jitter accumulates over hops (queueing at each router); a square-root
@@ -86,12 +22,6 @@ Duration sample_rtt(Duration base, std::size_t hops, double jitter_sigma,
       jitter_sigma * std::sqrt(static_cast<double>(std::max<std::size_t>(hops, 1)));
   return static_cast<Duration>(static_cast<double>(base) *
                                rng.lognormal_median(1.0, sigma));
-}
-
-Duration sample_path_rtt(const controlplane::Path& path, double jitter_sigma,
-                         Rng& rng) {
-  return sample_rtt(path.static_rtt, path.as_sequence.size(), jitter_sigma,
-                    rng);
 }
 
 }  // namespace sciera::measure

@@ -1,14 +1,13 @@
 // scion-go-multiping (Section 5.4): from each vantage AS, every interval,
 // SCMP pings over three SCION paths — the shortest, the fastest, and the
 // most disjoint — in parallel with ICMP pings over the BGP path. A full
-// path probe refreshes the path set and per-path RTTs every minute (and
-// after failures). Pings are sampled analytically from per-path RTT
-// distributions (propagation + log-normal jitter), which keeps 20-day
-// campaigns tractable while preserving the distributions the figures
-// aggregate.
+// path probe refreshes the per-path RTTs and reselects the three paths
+// every few intervals and after failures (Campaign::reselect). Pings are
+// sampled analytically from per-path RTT distributions (propagation +
+// log-normal jitter), which keeps 20-day campaigns tractable while
+// preserving the distributions the figures aggregate.
 #pragma once
 
-#include <map>
 #include <optional>
 
 #include "bgp/bgp.h"
@@ -20,26 +19,8 @@ enum class PathChoice : std::uint8_t { kShortest, kFastest, kMostDisjoint };
 
 [[nodiscard]] const char* path_choice_name(PathChoice choice);
 
-// The three-path selection of Section 5.4.
-struct ThreePaths {
-  const controlplane::Path* shortest = nullptr;
-  const controlplane::Path* fastest = nullptr;
-  const controlplane::Path* disjoint = nullptr;
-
-  [[nodiscard]] std::vector<const controlplane::Path*> all() const;
-};
-
-// Shortest: fewest AS hops, lowest path identifier. Fastest: lowest RTT in
-// the last full path probe. Most disjoint: fewest interface IDs shared
-// with shortest+fastest.
-[[nodiscard]] ThreePaths select_three_paths(
-    const std::vector<const controlplane::Path*>& usable,
-    const std::map<std::string, Duration>& last_probe_rtts);
-
-// One ping RTT sample for a path: static propagation plus multiplicative
-// log-normal jitter that grows with hop count.
-[[nodiscard]] Duration sample_path_rtt(const controlplane::Path& path,
-                                       double jitter_sigma, Rng& rng);
+// One ping RTT sample: static propagation plus multiplicative log-normal
+// jitter that grows with hop count.
 [[nodiscard]] Duration sample_rtt(Duration base, std::size_t hops,
                                   double jitter_sigma, Rng& rng);
 

@@ -143,7 +143,8 @@ StatusDashboard Orchestrator::dashboard() {
   dash.generated_at = net_.sim().now();
 
   // Control service.
-  auto* cs = net_.control_service(as_);
+  auto* services = net_.control_service_set(as_);
+  auto* cs = services == nullptr ? nullptr : services->primary();
   dash.services.push_back(ServiceStatus{
       "control-service",
       cs != nullptr ? ServiceHealth::kHealthy : ServiceHealth::kDown,

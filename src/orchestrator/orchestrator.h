@@ -95,7 +95,6 @@ class Monitor {
   };
 
   struct Config {
-    Duration probe_interval = kMinute;
     // Consecutive failed probes before alerting (avoids flapping mail).
     int failure_threshold = 3;
   };

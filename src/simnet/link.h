@@ -52,7 +52,6 @@ class Link {
   // before the first send (once the series is registered the name sticks);
   // unnamed links register as "link", "link#2", ...
   void set_label(std::string label);
-  [[nodiscard]] const std::string& label() const { return label_; }
 
   // Sends from endpoint `from_side` to the opposite endpoint.
   void send(int from_side, const MessagePtr& message);

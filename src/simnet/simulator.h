@@ -100,7 +100,6 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const { return queue_.now_; }
-  [[nodiscard]] SchedulerKind scheduler_kind() const { return config_.kind; }
 
   // Schedules `action` at absolute time `when`. A time in the past is a
   // bug in the caller: debug builds fail a check, release builds clamp

@@ -151,7 +151,6 @@ Topology build_sciera(const ScieraOptions& options) {
     LinkType type;
     GeoPoint ga, gb;
     double bw;
-    bool optional_post_jan25 = false;
     bool under_construction = false;
   };
   using enum LinkType;
@@ -163,8 +162,10 @@ Topology build_sciera(const ScieraOptions& options) {
       {"switch71-switch64", a::switch71(), a::switch64(), kCore, kGeneva, kZurich, kCoreBw},
       // --- Transatlantic / transpacific core.
       {"geant-bridges", a::geant(), a::bridges(), kCore, kFrankfurt, kMcLean, kCoreBw},
-      {"geant-bridges-2", a::geant(), a::bridges(), kCore, kFrankfurt, kMcLean, kCoreBw, true},
-      {"kisti-ams-bridges", a::kisti_ams(), a::bridges(), kCore, kAmsterdam, kMcLean, kCoreBw, true},
+      // The additional EU<->US circuits that became available during the
+      // measurement campaign (Section 5.4 / Figure 7).
+      {"geant-bridges-2", a::geant(), a::bridges(), kCore, kFrankfurt, kMcLean, kCoreBw},
+      {"kisti-ams-bridges", a::kisti_ams(), a::bridges(), kCore, kAmsterdam, kMcLean, kCoreBw},
       {"geant-kisti-sg", a::geant(), a::kisti_sg(), kCore, kFrankfurt, kSingapore, kCoreBw},
       {"bridges-kisti-chg", a::bridges(), a::kisti_chg(), kCore, kMcLean, kChicago, kCoreBw},
       // --- KREONET northern-hemisphere ring (20 Gbps, Section 4.7.1):
@@ -204,7 +205,7 @@ Topology build_sciera(const ScieraOptions& options) {
       {"bridges-rnp", a::bridges(), a::rnp(), kParentChild, kMcLean, kSaoPaulo, kLeafBw},
       {"rnp-ufms", a::rnp(), a::ufms(), kParentChild, kSaoPaulo, kCampoGrande, kLeafBw},
       {"rnp-ufms-2", a::rnp(), a::ufms(), kParentChild, kSaoPaulo, kCampoGrande, kLeafBw},
-      {"rnp-ufpr", a::rnp(), a::ufpr(), kParentChild, kSaoPaulo, kCuritiba, kLeafBw, false, true},
+      {"rnp-ufpr", a::rnp(), a::ufpr(), kParentChild, kSaoPaulo, kCuritiba, kLeafBw, true},
       // --- Asia / Middle East leaves.
       {"kisti-sg-sec", a::kisti_sg(), a::sec(), kParentChild, kSingapore, kSingapore, kLeafBw},
       {"kisti-sg-nus", a::kisti_sg(), a::nus(), kParentChild, kSingapore, kSingapore, kLeafBw},
@@ -217,7 +218,6 @@ Topology build_sciera(const ScieraOptions& options) {
   };
 
   for (const auto& spec : link_specs) {
-    if (spec.optional_post_jan25 && !options.post_jan25_eu_us_links) continue;
     if (spec.under_construction && !options.include_under_construction) continue;
     auto id = topo.add_link(spec.label, spec.a, spec.b, spec.type,
                             city_delay(spec.ga, spec.gb), spec.bw);

@@ -13,9 +13,6 @@ namespace sciera::topology {
 struct ScieraOptions {
   // Include links marked "under construction" in Figure 1 (UFPR).
   bool include_under_construction = false;
-  // Include the additional EU<->US core links that became available after
-  // January 25th of the measurement campaign (Section 5.4 / Figure 7).
-  bool post_jan25_eu_us_links = true;
 };
 
 // Builds the full SCIERA topology (ISD 71 plus the two ISD-64 ASes

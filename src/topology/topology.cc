@@ -4,15 +4,6 @@
 
 namespace sciera::topology {
 
-const char* link_type_name(LinkType type) {
-  switch (type) {
-    case LinkType::kCore: return "core";
-    case LinkType::kParentChild: return "parent-child";
-    case LinkType::kPeering: return "peering";
-  }
-  return "?";
-}
-
 const char* encap_name(Encap encap) {
   switch (encap) {
     case Encap::kVlan: return "vlan";

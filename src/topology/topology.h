@@ -22,8 +22,6 @@ enum class LinkType : std::uint8_t {
   kPeering,      // non-transit peering between non-core ASes
 };
 
-[[nodiscard]] const char* link_type_name(LinkType type);
-
 // Local encapsulation carrying SCION frames over the circuit (Section 2:
 // "or other local encapsulations, if present, such as MPLS"; Appendix C:
 // SEC could only get a VXLAN over SingAREN).

@@ -17,15 +17,6 @@ constexpr std::uint16_t kAttackSrcPort = 51000;
 constexpr std::uint64_t kSpoofedIsd = 42;
 }  // namespace
 
-const char* attack_kind_name(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kForgedFlood: return "forged_flood";
-    case AttackKind::kSpoofedFlood: return "spoofed_flood";
-    case AttackKind::kFlashCrowd: return "flash_crowd";
-  }
-  return "unknown";
-}
-
 AttackMatrix::AttackMatrix(controlplane::ScionNetwork& net,
                            TrafficMatrix& victims, AttackConfig config)
     : net_(net),

@@ -36,8 +36,6 @@ enum class AttackKind {
   kFlashCrowd,    // legitimate surge: valid authenticators, surge marker
 };
 
-[[nodiscard]] const char* attack_kind_name(AttackKind kind);
-
 // One burst of hostile traffic, launched at the chaos event's fire time
 // and lasting `duration` from there.
 struct AttackBurst {

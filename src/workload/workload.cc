@@ -61,7 +61,7 @@ Result<std::unique_ptr<TrafficMatrix>> TrafficMatrix::Builder::build() const {
     return Error{Errc::kInvalidArgument,
                  "workload sealing/filtering requires a filter_secret"};
   }
-  return std::make_unique<TrafficMatrix>(*net_, config_);
+  return std::unique_ptr<TrafficMatrix>(new TrafficMatrix(*net_, config_));
 }
 
 TrafficMatrix::TrafficMatrix(controlplane::ScionNetwork& net,
@@ -71,24 +71,9 @@ TrafficMatrix::TrafficMatrix(controlplane::ScionNetwork& net,
 TrafficMatrix::~TrafficMatrix() = default;
 
 Status TrafficMatrix::launch() {
+  // Builder::build() has validated placement, host count and the filter
+  // secret.
   const std::vector<IsdAs> ases = placement_ases(net_, config_);
-  if (ases.empty()) {
-    return Error{Errc::kInvalidArgument, "workload needs a topology with ASes"};
-  }
-  for (const IsdAs ia : ases) {
-    if (net_.topology().find_as(ia) == nullptr) {
-      return Error{Errc::kNotFound,
-                   "workload placement names unknown AS " + ia.to_string()};
-    }
-  }
-  if (config_.hosts < 2) {
-    return Error{Errc::kInvalidArgument, "workload needs at least two hosts"};
-  }
-  if ((config_.seal_payloads || config_.install_filters) &&
-      config_.filter_secret.empty()) {
-    return Error{Errc::kInvalidArgument,
-                 "workload sealing/filtering requires a filter_secret"};
-  }
   payload_.assign(config_.payload_bytes, kLegitMarker);
 
   hosts_.reserve(config_.hosts);

@@ -74,9 +74,10 @@ struct WorkloadReport {  // value snapshot, safe to copy around
 class TrafficMatrix {
  public:
   // Validated construction, mirroring endhost::PanContext::Builder: the
-  // builder rejects degenerate matrices (fewer than two hosts, zero
-  // flows, zero packets per flow, non-positive send rates) and placement
-  // over ASes the topology does not contain, so a misconfigured
+  // only way to make a matrix. The builder rejects degenerate matrices
+  // (fewer than two hosts, zero flows, zero packets per flow, non-positive
+  // send rates), placement over ASes the topology does not contain, and
+  // sealing or filtering without a filter secret, so a misconfigured
   // experiment fails at build time with a clear error instead of
   // producing an empty or crashing run. build() returns the constructed
   // (not yet launched) matrix.
@@ -97,7 +98,6 @@ class TrafficMatrix {
     WorkloadConfig config_{};
   };
 
-  TrafficMatrix(controlplane::ScionNetwork& net, WorkloadConfig config);
   ~TrafficMatrix();
   TrafficMatrix(const TrafficMatrix&) = delete;
   TrafficMatrix& operator=(const TrafficMatrix&) = delete;
@@ -158,6 +158,8 @@ class TrafficMatrix {
     std::size_t src = 0;
     std::size_t dst = 0;
   };
+
+  TrafficMatrix(controlplane::ScionNetwork& net, WorkloadConfig config);
 
   void schedule_flow(const Flow& flow);
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "chaos/chaos_engine.h"
 #include "chaos/fault_plan.h"
@@ -158,8 +159,8 @@ TEST(Chaos, ControlOutageAndSlowdownApplyAndRevert) {
             4.0, 2 * kSecond});
   ASSERT_TRUE(engine.arm(plan).ok());
 
-  auto* uva_cs = net.control_service(a::uva());
-  auto* geant_cs = net.control_service(a::geant());
+  auto* uva_cs = net.control_service_set(a::uva())->primary();
+  auto* geant_cs = net.control_service_set(a::geant())->primary();
   EXPECT_TRUE(uva_cs->available());
 
   net.sim().run_for(1500 * kMillisecond);
@@ -220,7 +221,7 @@ TEST(Daemon, AsyncLookupTimesOutBacksOffAndDegrades) {
   config.resilience.backoff.max_attempts = 3;
   endhost::Daemon daemon{net, a::uva(), config};
 
-  net.control_service(a::uva())->set_available(false);
+  net.control_service_set(a::uva())->primary()->set_available(false);
   bool answered = false;
   daemon.paths_async_detailed(a::ovgu(), [&](endhost::PathLookup lookup) {
     answered = true;
@@ -244,7 +245,7 @@ TEST(Daemon, AsyncLookupTimesOutBacksOffAndDegrades) {
   net.sim().run_for(1 * kMillisecond);
   EXPECT_TRUE(fast);
 
-  net.control_service(a::uva())->set_available(true);
+  net.control_service_set(a::uva())->primary()->set_available(true);
   net.sim().run_for(config.resilience.breaker.open_for);
   bool fetched = false;
   daemon.paths_async_detailed(a::ovgu(), [&](endhost::PathLookup lookup) {
@@ -265,7 +266,7 @@ TEST(Daemon, SyncLookupServesStaleMarkedPathsDuringOutage) {
   // Warm the cache, then let it expire during a control outage.
   const auto warm = daemon.paths_detailed(a::ovgu());
   EXPECT_EQ(warm.source, endhost::PathSource::kFetched);
-  net.control_service(a::uva())->set_available(false);
+  net.control_service_set(a::uva())->primary()->set_available(false);
   net.sim().run_for(2 * kSecond);
 
   const auto degraded = daemon.paths_detailed(a::ovgu());
@@ -388,8 +389,10 @@ TEST(Chaos, ArmedPlanReplaysBitIdentically) {
     config.hosts = 6;
     config.flows = 12;
     config.packets_per_flow = 30;
-    workload::TrafficMatrix workload{net, config};
-    EXPECT_TRUE(workload.launch().ok());
+    auto matrix =
+        workload::TrafficMatrix::Builder{}.net(net).config(config).build();
+    EXPECT_TRUE(matrix.ok());
+    EXPECT_TRUE((*matrix)->launch().ok());
     ChaosEngine engine{net, 99};
     EXPECT_TRUE(engine.arm(mixed_mayhem_plan()).ok());
     net.sim().run_for(3 * kSecond);
@@ -480,7 +483,7 @@ TEST(Daemon, StaleServingCapsAtMaxStaleAge) {
             endhost::PathSource::kFetched);
   ASSERT_EQ(unbounded.paths_detailed(a::ovgu()).source,
             endhost::PathSource::kFetched);
-  net.control_service(a::uva())->set_available(false);
+  net.control_service_set(a::uva())->primary()->set_available(false);
 
   net.sim().run_for(4999 * kMillisecond);  // age just below the cap
   const auto near_cap = capped.paths_detailed(a::ovgu());
@@ -783,7 +786,10 @@ TEST(Chaos, AttackBurstValidationRejectsBadEvents) {
   config.hosts = 4;
   config.flows = 4;
   config.packets_per_flow = 4;
-  workload::TrafficMatrix victims{net, config};
+  auto built =
+      workload::TrafficMatrix::Builder{}.net(net).config(config).build();
+  ASSERT_TRUE(built.ok());
+  workload::TrafficMatrix& victims = **built;
   ASSERT_TRUE(victims.launch().ok());
   workload::AttackMatrix attack{net, victims, {}};
 
@@ -958,33 +964,57 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // the report JSON (the CLI prints exactly to_json()), so any change to
 // what the core executes or to what the report says about it moves one
 // of them.
-TEST(Chaos, SoakDigestCorpus) {
-  struct Entry {
-    const char* name;
-    FaultPlan plan;
-    bool self_healing;
-    std::uint64_t executed_events;
-    std::uint64_t schedule_hash;
-    std::uint64_t report_hash;
-  };
-  const Entry corpus[] = {
-      {"kreonet-ring-cut", kreonet_ring_cut_plan(), false, 16976,
-       0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
-      {"kreonet-ring-cut --self-healing", kreonet_ring_cut_plan(), true, 17450,
-       0xdce6409542b9b17fULL, 0xbe5b963dbe55c5c9ULL},
-      {"forged-flood --self-healing", forged_flood_plan(), true, 222583,
-       0x63cb9dd02722247dULL, 0x09c43b6e7e4a1c58ULL},
-  };
-  for (const Entry& entry : corpus) {
+struct CorpusEntry {
+  const char* name;
+  FaultPlan plan;
+  bool self_healing;
+  bool batched_router;
+  std::uint64_t executed_events;
+  std::uint64_t schedule_hash;
+  std::uint64_t report_hash;
+};
+
+void expect_corpus(const std::vector<CorpusEntry>& corpus) {
+  for (const CorpusEntry& entry : corpus) {
     SoakOptions options;
     options.seed = 7;
     options.self_healing = entry.self_healing;
+    options.batched_router = entry.batched_router;
     const auto report = run_soak(entry.plan, options);
     ASSERT_TRUE(report.ok()) << entry.name;
     EXPECT_EQ(report->executed_events, entry.executed_events) << entry.name;
     EXPECT_EQ(report->schedule_hash, entry.schedule_hash) << entry.name;
     EXPECT_EQ(fnv1a(report->to_json()), entry.report_hash) << entry.name;
   }
+}
+
+TEST(Chaos, SoakDigestCorpus) {
+  expect_corpus({
+      {"kreonet-ring-cut", kreonet_ring_cut_plan(), false, true, 16976,
+       0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+      {"kreonet-ring-cut --self-healing", kreonet_ring_cut_plan(), true, true,
+       17450, 0xdce6409542b9b17fULL, 0xbe5b963dbe55c5c9ULL},
+      {"forged-flood --self-healing", forged_flood_plan(), true, true, 222583,
+       0x63cb9dd02722247dULL, 0x09c43b6e7e4a1c58ULL},
+  });
+}
+
+// The remaining named plans, and the ring cut under the scalar router
+// (which must equal the batched entry above). A separate test so that
+// `ctest -j` runs the two halves of the corpus side by side.
+TEST(Chaos, SoakDigestCorpusNamedPlans) {
+  expect_corpus({
+      {"transatlantic-flap", transatlantic_flap_plan(), false, true, 26400,
+       0x02b80ae88c31a184ULL, 0xf1008165e9fa2e9fULL},
+      {"control-maintenance", control_maintenance_plan(), false, true, 24783,
+       0x293fd2577afe959cULL, 0x3fe3e26f5c6d8657ULL},
+      {"sg-ams-storm", sg_ams_storm_plan(), false, true, 26394,
+       0xc426960fb3dbaa6dULL, 0x2c4e1d0a53b31337ULL},
+      {"mixed-mayhem", mixed_mayhem_plan(), false, true, 25106,
+       0x06745dc1ad2203dcULL, 0xcf65474ec6a3c768ULL},
+      {"kreonet-ring-cut --scalar-router", kreonet_ring_cut_plan(), false,
+       false, 16976, 0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+  });
 }
 
 }  // namespace

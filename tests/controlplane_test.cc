@@ -571,7 +571,7 @@ TEST_F(ScieraFixture, WrongIngressIsDropped) {
 
 TEST_F(ScieraFixture, ControlServiceCachesLookups) {
   auto& net = ScieraFixture::net();
-  auto* cs = net.control_service(a::sidn());
+  auto* cs = net.control_service_set(a::sidn())->primary();
   ASSERT_NE(cs, nullptr);
   std::vector<SimTime> completions;
   const SimTime t0 = net.sim().now();
@@ -593,12 +593,12 @@ TEST_F(ScieraFixture, ControlServiceCachesLookups) {
   EXPECT_GE(cs->cache_hits(), 1u);
 }
 
-// Regression: ControlService treated an entry aged exactly cache_ttl as
+// Regression: ControlService treated an entry aged exactly its cache TTL as
 // stale while the daemon treated it as fresh. The shared convention is
 // "stale at age >= ttl" — this pins the control-service side.
 TEST_F(ScieraFixture, ControlServiceCacheEntryAgedExactlyTtlIsStale) {
   auto& net = ScieraFixture::net();
-  auto* cs = net.control_service(a::ufms());
+  auto* cs = net.control_service_set(a::ufms())->primary();
   ASSERT_NE(cs, nullptr);
   cs->flush_cache();
   const auto misses0 = cs->cache_misses();
@@ -608,7 +608,7 @@ TEST_F(ScieraFixture, ControlServiceCacheEntryAgedExactlyTtlIsStale) {
   (void)cs->lookup_paths_now(a::uva());
   EXPECT_EQ(cs->cache_hits() - hits0, 1u);
   // Exactly the TTL later the entry must be refetched, not served.
-  net.sim().run_for(ControlService::Config{}.cache_ttl);
+  net.sim().run_for(ControlService::kCacheTtl);
   (void)cs->lookup_paths_now(a::uva());
   EXPECT_EQ(cs->cache_misses() - misses0, 2u);
   EXPECT_EQ(cs->cache_hits() - hits0, 1u);
@@ -616,7 +616,7 @@ TEST_F(ScieraFixture, ControlServiceCacheEntryAgedExactlyTtlIsStale) {
 
 TEST_F(ScieraFixture, TrcAvailableFromControlService) {
   auto& net = ScieraFixture::net();
-  auto* cs = net.control_service(a::uva());
+  auto* cs = net.control_service_set(a::uva())->primary();
   ASSERT_NE(cs, nullptr);
   ASSERT_NE(cs->local_trc(), nullptr);
   EXPECT_EQ(cs->local_trc()->isd, 71);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "crypto/aes128.h"
 #include "endhost/bootstrapper.h"
@@ -453,7 +454,7 @@ TEST(Daemon, CacheEntryAgedExactlyTtlIsStale) {
   EXPECT_EQ(daemon.cache_hits(), 1u);
 }
 
-// Regression (satellite of the chaos PR): paths_async used its own
+// Regression (satellite of the chaos PR): the async lookup used its own
 // freshness check (`age > ttl`) and skipped quarantine pruning, so the
 // async and sync entry points disagreed at the exact-TTL tick and the
 // async path let the quarantine map grow. Both now route through one
@@ -803,6 +804,28 @@ TEST(Dispatcher, PortManagement) {
   EXPECT_TRUE(stack.bind(7000, [](auto&&...) {}).ok());
 }
 
+// Ephemeral ports come from 32768-65535 and never wrap into the
+// well-known range. With that range exhausted, bind(0) fails instead of
+// spinning, and a freed port is handed out again.
+TEST(Dispatcher, EphemeralPortsStayInRangeAndExhaustCleanly) {
+  auto& net = shared_net();
+  HostStack stack{net, {a::uva(), 0x0A040406}};
+  std::set<std::uint16_t> seen;
+  for (int i = 0; i < 32768; ++i) {
+    const auto port = stack.bind(0, [](auto&&...) {});
+    ASSERT_TRUE(port.ok()) << i;
+    ASSERT_GE(port.value(), 32768) << i;
+    ASSERT_TRUE(seen.insert(port.value()).second) << port.value();
+  }
+  const auto exhausted = stack.bind(0, [](auto&&...) {});
+  ASSERT_FALSE(exhausted.ok()) << "got port " << exhausted.value();
+  EXPECT_EQ(exhausted.error().code, Errc::kResourceExhausted);
+  stack.unbind(40000);
+  const auto reused = stack.bind(0, [](auto&&...) {});
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(reused.value(), 40000);
+}
+
 // --- Hercules ---------------------------------------------------------------------------
 
 TEST(Hercules, MultipathBeatsSinglePath) {
@@ -859,6 +882,26 @@ TEST(Hercules, SharedLinksNotDoubleCounted) {
   const auto twice = hercules.plan({paths[0], paths[0]}, 1'000'000);
   EXPECT_NEAR(twice.network_limit_bps, once.network_limit_bps,
               once.network_limit_bps * 0.01);
+}
+
+// The Section 4.8 receive-side and filter models, pinned exactly: the
+// dispatcher caps a 1,200-byte-payload transfer at one core's 250 kpps,
+// the dispatcherless stack and XDP both reach the 100 Gb/s NIC, and the
+// filter's per-core check rate scales over 8 cores with RSS.
+TEST(Hercules, Section48ModelOutputs) {
+  auto& net = shared_net();
+  const auto host_limit = [&](HostMode mode, bool xdp) {
+    HerculesConfig cfg;
+    cfg.receiver_mode = mode;
+    cfg.use_xdp = xdp;
+    return Hercules{net.topology(), cfg}.plan({}, 0).host_limit_bps;
+  };
+  EXPECT_EQ(host_limit(HostMode::kDispatcher, false), 2.6e9);
+  EXPECT_EQ(host_limit(HostMode::kDispatcherless, false), 100e9);
+  EXPECT_EQ(host_limit(HostMode::kDispatcher, true), 100e9);
+  const LightningFilter filter{bytes_of("s")};
+  EXPECT_EQ(filter.throughput_bps(1500, /*rss=*/false), 36e9);
+  EXPECT_EQ(filter.throughput_bps(1500, /*rss=*/true), 288e9);
 }
 
 // --- LightningFilter -----------------------------------------------------------------------

@@ -19,53 +19,6 @@ SharedNets& nets() {
   return shared;
 }
 
-TEST(ThreePaths, SelectionFollowsDefinitions) {
-  auto& s = nets();
-  const auto paths = s.net.paths(a::uva(), a::ufms());
-  ASSERT_GE(paths.size(), 3u);
-  std::vector<const controlplane::Path*> usable;
-  for (const auto& path : paths) usable.push_back(&path);
-
-  std::map<std::string, Duration> probe_rtts;
-  // Make an arbitrary non-shortest path the measured-fastest.
-  const controlplane::Path* forced_fastest = usable.back();
-  for (const auto* path : usable) {
-    probe_rtts[path->fingerprint()] =
-        path == forced_fastest ? kMillisecond : kSecond;
-  }
-  const ThreePaths chosen = select_three_paths(usable, probe_rtts);
-  ASSERT_NE(chosen.shortest, nullptr);
-  ASSERT_NE(chosen.fastest, nullptr);
-  ASSERT_NE(chosen.disjoint, nullptr);
-  // Shortest has globally minimal hop count.
-  for (const auto* path : usable) {
-    EXPECT_LE(chosen.shortest->as_sequence.size(), path->as_sequence.size());
-  }
-  // Fastest follows the probe measurements.
-  EXPECT_EQ(chosen.fastest->fingerprint(), forced_fastest->fingerprint());
-  // Most-disjoint minimizes shared interfaces with shortest+fastest.
-  std::set<GlobalIfaceId> reference;
-  for (const auto* p : {chosen.shortest, chosen.fastest}) {
-    reference.insert(p->interfaces.begin(), p->interfaces.end());
-  }
-  auto shared_count = [&](const controlplane::Path* path) {
-    std::size_t shared = 0;
-    for (const auto& gid : path->interfaces) {
-      shared += reference.contains(gid) ? 1 : 0;
-    }
-    return shared;
-  };
-  for (const auto* path : usable) {
-    EXPECT_LE(shared_count(chosen.disjoint), shared_count(path));
-  }
-}
-
-TEST(ThreePaths, EmptyUsableSetYieldsNothing) {
-  const ThreePaths chosen = select_three_paths({}, {});
-  EXPECT_EQ(chosen.shortest, nullptr);
-  EXPECT_TRUE(chosen.all().empty());
-}
-
 TEST(Sampling, RttJitterIsMultiplicativeAndPositive) {
   Rng rng{5};
   const Duration base = 100 * kMillisecond;
@@ -241,6 +194,32 @@ TEST(CampaignDeterminism, SameSeedSameResult) {
     EXPECT_EQ(a1.intervals[i].ip_min_rtt, a2.intervals[i].ip_min_rtt);
   }
   EXPECT_EQ(a1.probes_csv(), a2.probes_csv());
+}
+
+// FNV-1a over a CSV export: one constant pins every byte of it.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// Golden digests of a 2-day campaign with every other option at its
+// default (10-minute intervals): the RTT sampler, the path reselection
+// the campaign runs and the incident schedule all reach these records.
+TEST(CampaignDeterminism, DefaultCampaignDigests) {
+  controlplane::ScionNetwork net{topology::build_sciera()};
+  bgp::BgpNetwork bgp{net.topology()};
+  CampaignOptions options;
+  options.duration = 2 * kDay;
+  Campaign campaign{net, bgp, options};
+  const auto result = campaign.run();
+  EXPECT_EQ(result.intervals.size(), 85536u);
+  EXPECT_EQ(result.probes.size(), 85536u);
+  EXPECT_EQ(fnv1a(result.intervals_csv()), 0x4c4a3ce3ad1bfb28ULL);
+  EXPECT_EQ(fnv1a(result.probes_csv()), 0x9c9a4e517b92ddc0ULL);
 }
 
 TEST(CampaignDeterminism, DifferentSeedDifferentSamples) {

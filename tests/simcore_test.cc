@@ -232,10 +232,12 @@ simnet::ScheduleDigest run_many_flow_with(
   wconfig.hosts = 6;
   wconfig.flows = 18;
   wconfig.packets_per_flow = 8;
-  workload::TrafficMatrix matrix{net, wconfig};
-  EXPECT_TRUE(matrix.launch().ok());
+  auto matrix =
+      workload::TrafficMatrix::Builder{}.net(net).config(wconfig).build();
+  EXPECT_TRUE(matrix.ok());
+  EXPECT_TRUE((*matrix)->launch().ok());
   net.sim().run_all();
-  EXPECT_GT(matrix.report().packets_delivered, 0u);
+  EXPECT_GT((*matrix)->report().packets_delivered, 0u);
   return net.sim().schedule_digest();
 }
 

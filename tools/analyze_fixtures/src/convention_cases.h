@@ -47,7 +47,4 @@ inline void retry_loops(int retries) {
   }
 }
 
-// direct-control-lookup is armed only in src/endhost/.
-inline void lookup_outside_endhost(Net& net) { net.control_service(0); }
-
 }  // namespace fixtures

@@ -13,6 +13,7 @@
 #             output, `key=value` requires "key": value or "key": "value"
 #   POSITIVE  optional, space-separated keys whose numeric value must be
 #             greater than 0
+#   SHA256    optional, the SHA-256 the first run's output must have
 #
 # Scripts that gate more than replay include() this one and then read
 # the first run's output from ${first} and its arguments from ${run_args}.
@@ -68,4 +69,12 @@ execute_process(
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR "two same-seed runs of ${BIN} ${ARGS} differ "
                       "(${first} vs ${second})")
+endif()
+
+if(DEFINED SHA256)
+  file(SHA256 "${first}" digest)
+  if(NOT digest STREQUAL SHA256)
+    message(FATAL_ERROR "output of ${BIN} ${ARGS} has SHA-256 ${digest}, "
+                        "expected ${SHA256} (${first})")
+  endif()
 endif()

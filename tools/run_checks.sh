@@ -23,7 +23,8 @@ export UBSAN_OPTIONS="suppressions=$SUPP_DIR/ubsan.supp:print_stacktrace=1:halt_
 export LSAN_OPTIONS="suppressions=$SUPP_DIR/lsan.supp:${LSAN_OPTIONS:-}"
 
 # Static analysis runs before any build: sciera_analyze must report zero
-# unsuppressed findings over src/, tests/ and bench/, warnings included.
+# unsuppressed findings over src/, tests/, bench/ and examples/, warnings
+# included.
 # A host-compiler build of the analyzer is enough — it has no dependency
 # on the sciera library.
 echo "== sciera_analyze (static analysis) =="
@@ -31,7 +32,7 @@ ANALYZE_DIR="$BUILD_DIR-analyze"
 mkdir -p "$ANALYZE_DIR"
 c++ -std=c++20 -O1 -o "$ANALYZE_DIR/sciera_analyze" \
   "$ROOT/tools/sciera_analyze.cc"
-"$ANALYZE_DIR/sciera_analyze" --werror --json "$ROOT" src tests bench \
+"$ANALYZE_DIR/sciera_analyze" --werror --json "$ROOT" src tests bench examples \
   > "$ANALYZE_DIR/ANALYZE_findings.json" \
   || { cat "$ANALYZE_DIR/ANALYZE_findings.json"; exit 1; }
 

@@ -84,9 +84,6 @@
 //                         identifier in src/ outside src/chaos/ and
 //                         src/common/backoff.*: retries go through
 //                         BackoffPolicy + CircuitBreaker.
-//   direct-control-lookup a `control_service(...)` call in src/endhost/:
-//                         end-host lookups go through the replicated
-//                         ControlServiceSet.
 //   io                    a file that cannot be read.
 //
 // suppression hygiene
@@ -657,19 +654,6 @@ void rule_line_conventions(const RuleContext& ctx, bool retry_scope,
   }
 }
 
-void rule_direct_control_lookup(const RuleContext& ctx) {
-  const auto& toks = ctx.lexed.tokens;
-  const TokenCursor cur{toks};
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (cur.call(i, "control_service")) {
-      ctx.add(toks[i].line, "direct-control-lookup", Severity::kError,
-              "direct ControlService lookup from endhost code — use "
-              "ScionNetwork::control_service_set() so replica failover "
-              "applies");
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Driver.
 
@@ -753,7 +737,6 @@ FileAnalysis analyze_file(const fs::path& file, const std::string& rel) {
                                  path == "src/common/backoff.cc";
   rule_line_conventions(ctx, in_src && !owns_retry_policy,
                         in_src && !path.starts_with("src/obs/"));
-  if (path.starts_with("src/endhost/")) rule_direct_control_lookup(ctx);
   if (in_src) {
     rule_unordered_iteration(ctx);
     const bool digest_visible = path.starts_with("src/simnet/") ||

@@ -125,11 +125,7 @@ int thread_smoke() {
 int main(int argc, char** argv) {
   sciera::cli::FlagSet flags("sciera_chaos", kUsage);
   if (argc < 2) return flags.usage();
-  // --list is the original spelling; --list-plans the documented one.
-  if (std::strcmp(argv[1], "--list") == 0 ||
-      std::strcmp(argv[1], "--list-plans") == 0) {
-    return list_plans();
-  }
+  if (std::strcmp(argv[1], "--list-plans") == 0) return list_plans();
   if (std::strcmp(argv[1], "--thread-smoke") == 0) {
     return thread_smoke();
   }
