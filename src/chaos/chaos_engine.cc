@@ -268,8 +268,8 @@ void ChaosEngine::apply(const FaultEvent& event) {
     case FaultKind::kForgedFlood:
     case FaultKind::kSpoofedFlood:
     case FaultKind::kFlashCrowd:
-      // The generator schedules the whole burst now and ends it on its
-      // own (`hold` is the burst duration) — nothing to revert. Launch
+      // The generator starts the burst now and ends it on its own
+      // (`hold` is the burst duration) — nothing to revert. Launch
       // failures can only be mid-run conditions (e.g. the origin router
       // crashed); they are noted, not fatal.
       if (!attack_hooks_.launch(event).ok()) note(event, "launch-failed");

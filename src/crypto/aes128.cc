@@ -1,5 +1,8 @@
 #include "crypto/aes128.h"
 
+#include <atomic>
+#include <bit>
+
 namespace sciera::crypto {
 namespace {
 
@@ -16,9 +19,19 @@ std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   return p;
 }
 
-struct SBox {
-  std::array<std::uint8_t, 256> fwd{};
-  SBox() {
+std::uint8_t xtime(std::uint8_t x) {
+  return static_cast<std::uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1B : 0x00));
+}
+
+// The S-box and the four T-tables of the round function. te[0][x] is the
+// MixColumns column (2, 1, 1, 3) * S[x], packed with row 0 in the top
+// byte; te[1..3] are its byte rotations, one per input row. One lookup
+// per state byte then does SubBytes, ShiftRows (which column a row is
+// read from) and MixColumns together.
+struct Tables {
+  std::array<std::uint8_t, 256> sbox{};
+  std::array<std::array<std::uint32_t, 256>, 4> te{};
+  Tables() {
     // Multiplicative inverse table via brute force (256x256 is trivial),
     // then the AES affine transform.
     std::array<std::uint8_t, 256> inv{};
@@ -39,36 +52,55 @@ struct SBox {
                       ((i >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
         s = static_cast<std::uint8_t>(s | (v << bit));
       }
-      fwd[static_cast<std::size_t>(x)] = s;
+      sbox[static_cast<std::size_t>(x)] = s;
+    }
+    for (std::size_t x = 0; x < 256; ++x) {
+      const std::uint32_t s = sbox[x];
+      const std::uint32_t s2 = xtime(sbox[x]);
+      const std::uint32_t column =
+          (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s);
+      for (int row = 0; row < 4; ++row) {
+        te[static_cast<std::size_t>(row)][x] = std::rotr(column, 8 * row);
+      }
     }
   }
 };
 
-const SBox& sbox() {
-  static const SBox box;
-  return box;
+const Tables& tables() {
+  static const Tables t;
+  return t;
 }
 
-std::uint8_t xtime(std::uint8_t x) {
-  return static_cast<std::uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1B : 0x00));
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-// Not atomic: construction happens on the sim thread (or in single-threaded
-// tests); the counter exists so regressions can prove schedule reuse.
-std::uint64_t g_key_schedules_run = 0;
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+// Relaxed: a pure tally, read as deltas by tests and benchmarks.
+std::atomic<std::uint64_t> g_key_schedules_run{0};
 
 }  // namespace
 
-std::uint64_t Aes128::key_schedules_run() { return g_key_schedules_run; }
+std::uint64_t Aes128::key_schedules_run() {
+  return g_key_schedules_run.load(std::memory_order_relaxed);
+}
 
 Aes128::Aes128(const Key& key) {
-  ++g_key_schedules_run;
-  const auto& s = sbox().fwd;
-  std::memcpy(round_keys_.data(), key.data(), 16);
+  g_key_schedules_run.fetch_add(1, std::memory_order_relaxed);
+  const auto& s = tables().sbox;
+  std::array<std::uint8_t, 176> bytes{};
+  std::memcpy(bytes.data(), key.data(), 16);
   std::uint8_t rcon = 0x01;
   for (int round = 1; round <= 10; ++round) {
-    const std::uint8_t* prev = round_keys_.data() + (round - 1) * 16;
-    std::uint8_t* out = round_keys_.data() + round * 16;
+    const std::uint8_t* prev = bytes.data() + (round - 1) * 16;
+    std::uint8_t* out = bytes.data() + round * 16;
     // RotWord + SubWord + Rcon on the last word of the previous round key.
     std::uint8_t t[4] = {s[prev[13]], s[prev[14]], s[prev[15]], s[prev[12]]};
     t[0] ^= rcon;
@@ -78,39 +110,53 @@ Aes128::Aes128(const Key& key) {
       out[i] = static_cast<std::uint8_t>(prev[i] ^ out[i - 4]);
     }
   }
+  for (std::size_t i = 0; i < round_keys_.size(); ++i) {
+    round_keys_[i] = load_be32(bytes.data() + 4 * i);
+  }
 }
 
 void Aes128::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  const auto& s = sbox().fwd;
-  std::uint8_t state[16];
-  for (int i = 0; i < 16; ++i) state[i] = in[i] ^ round_keys_[static_cast<std::size_t>(i)];
-  for (int round = 1; round <= 10; ++round) {
-    // SubBytes
-    for (auto& b : state) b = s[b];
-    // ShiftRows (column-major state layout: state[r + 4c])
-    std::uint8_t tmp[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        tmp[r + 4 * c] = state[r + 4 * ((c + r) % 4)];
-      }
-    }
-    std::memcpy(state, tmp, 16);
-    // MixColumns (skipped in the final round)
-    if (round != 10) {
-      for (int c = 0; c < 4; ++c) {
-        std::uint8_t* col = state + 4 * c;
-        const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
-    // AddRoundKey
-    const std::uint8_t* rk = round_keys_.data() + round * 16;
-    for (int i = 0; i < 16; ++i) state[i] ^= rk[i];
+  const Tables& t = tables();
+  const auto& te0 = t.te[0];
+  const auto& te1 = t.te[1];
+  const auto& te2 = t.te[2];
+  const auto& te3 = t.te[3];
+  // The state is four big-endian column words, row 0 in the top byte.
+  // Output column c takes row r from input column c + r (ShiftRows).
+  const auto mix = [&](std::uint32_t c0, std::uint32_t c1, std::uint32_t c2,
+                       std::uint32_t c3) {
+    return te0[c0 >> 24] ^ te1[(c1 >> 16) & 0xFF] ^ te2[(c2 >> 8) & 0xFF] ^
+           te3[c3 & 0xFF];
+  };
+  // The final round has no MixColumns: plain S-box bytes, shifted.
+  const auto sub = [&](std::uint32_t c0, std::uint32_t c1, std::uint32_t c2,
+                       std::uint32_t c3) {
+    return (std::uint32_t{t.sbox[c0 >> 24]} << 24) |
+           (std::uint32_t{t.sbox[(c1 >> 16) & 0xFF]} << 16) |
+           (std::uint32_t{t.sbox[(c2 >> 8) & 0xFF]} << 8) |
+           std::uint32_t{t.sbox[c3 & 0xFF]};
+  };
+  const std::uint32_t* rk = round_keys_.data();
+  std::uint32_t s0 = load_be32(in) ^ rk[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
+  for (int round = 1; round < 10; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = mix(s0, s1, s2, s3) ^ rk[0];
+    const std::uint32_t t1 = mix(s1, s2, s3, s0) ^ rk[1];
+    const std::uint32_t t2 = mix(s2, s3, s0, s1) ^ rk[2];
+    const std::uint32_t t3 = mix(s3, s0, s1, s2) ^ rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  std::memcpy(out, state, 16);
+  rk += 4;
+  store_be32(out, sub(s0, s1, s2, s3) ^ rk[0]);
+  store_be32(out + 4, sub(s1, s2, s3, s0) ^ rk[1]);
+  store_be32(out + 8, sub(s2, s3, s0, s1) ^ rk[2]);
+  store_be32(out + 12, sub(s3, s0, s1, s2) ^ rk[3]);
 }
 
 Aes128::Block Aes128::encrypt(const Block& in) const {

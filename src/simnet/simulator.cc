@@ -227,6 +227,30 @@ void Simulator::schedule(SimTime when, Action action) {
   queue_.push(Event{when, queue_.next_seq_++, std::move(action)});
 }
 
+std::uint64_t Simulator::reserve_sequence(std::uint64_t count) {
+  const std::uint64_t first = queue_.next_seq_;
+  queue_.next_seq_ += count;
+  if (count > 0) reservations_.emplace(first + count, first);
+  return first;
+}
+
+void Simulator::schedule_reserved(SimTime when, std::uint64_t seq,
+                                  Action action) {
+  // The only reservation that can hold `seq` is the first one ending
+  // after it; it does if `seq` is not below its next unplaced number.
+  const auto it = reservations_.upper_bound(seq);
+  const bool reserved = it != reservations_.end() && it->second <= seq;
+  SCIERA_CHECK(reserved, "simnet.reserved_unknown_seq");
+  SCIERA_CHECK(when >= queue_.now_, "simnet.reserved_in_past");
+  if (reserved) {
+    it->second = seq + 1;
+    if (it->second == it->first) reservations_.erase(it);
+  } else {
+    seq = queue_.next_seq_++;
+  }
+  queue_.push(Event{std::max(when, queue_.now_), seq, std::move(action)});
+}
+
 void Simulator::schedule_after(Duration delay, Action action) {
   schedule(now() + (delay < 0 ? 0 : delay), std::move(action));
 }

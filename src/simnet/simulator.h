@@ -4,7 +4,9 @@
 // replays exactly from its seed.
 //
 // Two interchangeable scheduler backends implement the same ordering
-// contract — events fire in strict (time, insertion-sequence) order:
+// contract — events fire in strict (time, insertion-sequence) order, where
+// the sequence number is taken when the event is scheduled or, for
+// schedule_reserved(), when its number was reserved:
 //
 //   kBinaryHeap     the classic std::priority_queue, O(log n) per op.
 //                   Kept as the referee the calendar queue's schedule is
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <queue>
 #include <string>
 #include <vector>
@@ -106,6 +109,20 @@ class Simulator {
   // to now() and count the violation ("simnet.schedule_in_past").
   void schedule(SimTime when, Action action);
   void schedule_after(Duration delay, Action action);
+
+  // Reserves `count` consecutive sequence numbers and returns the first.
+  // Events placed at them later with schedule_reserved() order exactly as
+  // if schedule() had been called `count` times now, so a producer that
+  // knows a long series of events up front can keep only the next one
+  // pending.
+  [[nodiscard]] std::uint64_t reserve_sequence(std::uint64_t count);
+  // Schedules `action` at `when` under the reserved number `seq`. Each
+  // reserved number is placed at most once, in increasing order within
+  // its reservation, and `when` must not be in the past. Either violation
+  // fails a check ("simnet.reserved_unknown_seq" /
+  // "simnet.reserved_in_past"); if the check only counts, the event takes
+  // a fresh number / now().
+  void schedule_reserved(SimTime when, std::uint64_t seq, Action action);
 
   // Runs until the queue drains or the given time is passed.
   void run_until(SimTime deadline);
@@ -198,6 +215,9 @@ class Simulator {
 
   SchedulerConfig config_;
   EventQueue queue_;
+  // Open reservations: one past each reservation's last number -> its
+  // next number not yet placed.
+  std::map<std::uint64_t, std::uint64_t> reservations_;
 
   // Owned, null when disabled.
   obs_cells::SimulatorGauges* gauges_ SCIERA_GUARDED_BY(sim_thread_role) =

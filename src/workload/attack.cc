@@ -1,5 +1,6 @@
 #include "workload/attack.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,14 +70,14 @@ Status AttackMatrix::launch(const AttackBurst& burst) {
 
   // Each burst draws from its own forked stream, keyed by launch ordinal:
   // replaying the same armed plan replays the same packet schedule.
-  Rng rng = rng_.fork("burst-" + std::to_string(bursts_launched_++));
+  Rng rng = rng_.fork("burst-" + std::to_string(bursts_.size()));
   const bool surge = burst.kind == AttackKind::kFlashCrowd;
 
   // The payload is built once per burst: marker-filled body plus a
   // 16-byte authenticator — valid (sealed per origin AS) for a surge,
   // all-zero (never verifies) for a flood. Zero per-send crypto.
-  Bytes data(config_.payload_bytes, surge ? kSurgeMarker : kAttackMarker);
-  if (data.empty()) data.push_back(surge ? kSurgeMarker : kAttackMarker);
+  Bytes data(std::max<std::size_t>(config_.payload_bytes, 1),
+             surge ? kSurgeMarker : kAttackMarker);
   if (surge) {
     const endhost::LightningSealer sealer(config_.filter_secret,
                                           burst.source);
@@ -87,64 +88,85 @@ Status AttackMatrix::launch(const AttackBurst& burst) {
   }
 
   auto& sim = net_.sim();
-  const SimTime start = sim.now();
-  const SimTime end = start + burst.duration;
-  const double mean = static_cast<double>(kSecond) / burst.pps;
-  // Paths are resolved once per victim AS at launch time — the network
-  // state the compromised sender would see when it starts flooding.
-  std::map<IsdAs, dataplane::ScionPath> path_by_as;
-  std::uint64_t sequence = 0;
-  SimTime t = start;
-  for (;;) {
-    t += 1 + static_cast<Duration>(rng.exponential(mean));
-    if (t >= end) break;
-    const std::size_t victim = pool[rng.next_below(pool.size())];
-    const dataplane::Address dst = victims_.host_address(victim);
-    auto it = path_by_as.find(dst.ia);
-    if (it == path_by_as.end()) {
-      auto paths = net_.paths(burst.source, dst.ia);
-      if (paths.empty()) {
-        ++report_.send_failures;
-        continue;
-      }
-      it = path_by_as.emplace(dst.ia, paths.front().dataplane_path).first;
-    }
-    dataplane::ScionPacket packet;
-    packet.dst = dst;
-    packet.path = it->second;
-    packet.payload =
-        dataplane::UdpDatagram{kAttackSrcPort, kWorkloadPort, data}
-            .serialize();
-    switch (burst.kind) {
-      case AttackKind::kForgedFlood:
-      case AttackKind::kFlashCrowd:
-        // Compromised hosts inside the origin AS, a small rotating fleet.
-        packet.src = {burst.source,
-                      static_cast<std::uint32_t>(0xAA000000 + sequence % 64)};
-        break;
-      case AttackKind::kSpoofedFlood:
-        // Fabricated origin AS per packet: routers never validate the
-        // source address, so each one lands as a fresh "source AS" at the
-        // victim's filter — the table-exhaustion vector.
-        packet.src = {IsdAs::from_packed((kSpoofedIsd << 48) | sequence),
-                      0xAA000001};
-        break;
-    }
-    ++sequence;
-    schedule_send(t, router, std::move(packet), surge);
-  }
+  Burst& b = bursts_.emplace_back();
+  b.kind = burst.kind;
+  b.source = burst.source;
+  b.router = router;
+  b.pool = std::move(pool);
+  b.mean_gap = static_cast<double>(kSecond) / burst.pps;
+  b.end = sim.now() + burst.duration;
+  b.rng = rng;
+  b.at = sim.now();
+  b.packet.payload =
+      dataplane::UdpDatagram{kAttackSrcPort, kWorkloadPort, std::move(data)}
+          .serialize();
+
+  // Walk the whole schedule once to count the sends, resolving each
+  // victim AS's path on first sight — the network state the compromised
+  // sender sees when it starts flooding. Then rewind and reserve one
+  // sequence number per send.
+  std::uint64_t sends = 0;
+  while (draw_send(b, &report_.send_failures)) ++sends;
+  b.rng = rng;
+  b.at = sim.now();
+  b.first_seq = sim.reserve_sequence(sends);
+  if (draw_send(b)) place(b);
   return {};
 }
 
-void AttackMatrix::schedule_send(SimTime at, dataplane::BorderRouter* router,
-                                 dataplane::ScionPacket packet, bool surge) {
-  net_.sim().schedule(at, [this, router, packet = std::move(packet), surge] {
-    if (!router->inject(packet).ok()) {
-      ++report_.send_failures;
-      return;
+bool AttackMatrix::draw_send(Burst& burst, std::uint64_t* no_path) {
+  for (;;) {
+    burst.at +=
+        1 + static_cast<Duration>(burst.rng.exponential(burst.mean_gap));
+    if (burst.at >= burst.end) return false;
+    const dataplane::Address& dst = victims_.host_address(
+        burst.pool[burst.rng.next_below(burst.pool.size())]);
+    auto it = burst.path_by_as.find(dst.ia);
+    if (it == burst.path_by_as.end()) {
+      auto paths = net_.paths(burst.source, dst.ia);
+      std::optional<dataplane::ScionPath> path;
+      if (!paths.empty()) path = std::move(paths.front().dataplane_path);
+      it = burst.path_by_as.emplace(dst.ia, std::move(path)).first;
     }
-    ++(surge ? report_.surge_sent : report_.attack_sent);
-  });
+    if (it->second) {
+      burst.packet.dst = dst;
+      burst.packet.path = *it->second;
+      return true;
+    }
+    if (no_path != nullptr) ++*no_path;
+  }
+}
+
+void AttackMatrix::place(Burst& burst) {
+  net_.sim().schedule_reserved(burst.at, burst.first_seq + burst.sent,
+                               [this, &burst] { fire(burst); });
+}
+
+void AttackMatrix::fire(Burst& burst) {
+  dataplane::ScionPacket& packet = burst.packet;
+  switch (burst.kind) {
+    case AttackKind::kForgedFlood:
+    case AttackKind::kFlashCrowd:
+      // Compromised hosts inside the origin AS, a small rotating fleet.
+      packet.src = {burst.source,
+                    static_cast<std::uint32_t>(0xAA000000 + burst.sent % 64)};
+      break;
+    case AttackKind::kSpoofedFlood:
+      // Fabricated origin AS per packet: routers never validate the
+      // source address, so each one lands as a fresh "source AS" at the
+      // victim's filter — the table-exhaustion vector.
+      packet.src = {IsdAs::from_packed((kSpoofedIsd << 48) | burst.sent),
+                    0xAA000001};
+      break;
+  }
+  ++burst.sent;
+  if (!burst.router->inject(packet).ok()) {
+    ++report_.send_failures;
+  } else {
+    ++(burst.kind == AttackKind::kFlashCrowd ? report_.surge_sent
+                                             : report_.attack_sent);
+  }
+  if (draw_send(burst)) place(burst);
 }
 
 }  // namespace sciera::workload

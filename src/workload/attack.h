@@ -11,6 +11,14 @@
 // origin AS's border router, exactly where a compromised host fleet would
 // sit.
 //
+// A burst keeps one pending send, not one per packet. Launch walks the
+// burst's whole schedule once to count its sends and reserves that many
+// consecutive scheduler sequence numbers (Simulator::reserve_sequence).
+// Each send then redraws the next one from a copy of the burst's Rng and
+// places it at its reserved (time, sequence) — where scheduling every
+// send at launch would have put it — so the executed schedule is the
+// same. A burst's state is O(victim ASes), whatever its length.
+//
 // Traffic classes are told apart end to end by the first payload byte:
 // legitimate workload packets carry kLegitMarker, flash-crowd surges
 // kSurgeMarker (valid authenticator), floods kAttackMarker (garbage
@@ -18,7 +26,10 @@
 // from hostile traffic without any side channel.
 #pragma once
 
+#include <deque>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "controlplane/control_plane.h"
 #include "workload/workload.h"
@@ -70,14 +81,18 @@ class AttackMatrix {
   // victim fleet is attached.
   AttackMatrix(controlplane::ScionNetwork& net, TrafficMatrix& victims,
                AttackConfig config);
+  // Pending sends hold the matrix's address and its bursts'.
+  AttackMatrix(const AttackMatrix&) = delete;
+  AttackMatrix& operator=(const AttackMatrix&) = delete;
 
   // Arm-time validation: a burst that names an AS the topology does not
   // contain, a non-positive rate/duration, or a flash crowd without a
   // filter secret is rejected before the soak starts.
   [[nodiscard]] Status validate(const AttackBurst& burst) const;
 
-  // Schedules every send of the burst from sim.now() onward. Called from
-  // the chaos engine's apply path.
+  // Starts the burst at sim.now(): reserves a sequence number for each of
+  // its sends and schedules the first. Called from the chaos engine's
+  // apply path.
   Status launch(const AttackBurst& burst);
 
   // Wired to TrafficMatrix::set_on_foreign_delivery: counts hostile
@@ -93,16 +108,40 @@ class AttackMatrix {
   [[nodiscard]] AttackReport report() const { return report_; }
 
  private:
-  // One scheduled hostile send: the packet is fully built at burst-launch
-  // time so the send event itself is injection only.
-  void schedule_send(SimTime at, dataplane::BorderRouter* router,
-                     dataplane::ScionPacket packet, bool surge);
+  // A launched burst and its cursor, the pending send.
+  struct Burst {
+    AttackKind kind = AttackKind::kForgedFlood;
+    IsdAs source;
+    dataplane::BorderRouter* router = nullptr;
+    // Victim host indices: every workload host outside the origin AS.
+    std::vector<std::size_t> pool;
+    // Paths resolved once per victim AS at launch (nullopt: no path; its
+    // sends are skipped).
+    std::map<IsdAs, std::optional<dataplane::ScionPath>> path_by_as;
+    double mean_gap = 0;  // ns between sends
+    SimTime end = 0;
+    Rng rng;
+    std::uint64_t first_seq = 0;  // reserved number of the first send
+    std::uint64_t sent = 0;       // sends fired so far
+    SimTime at = 0;               // the pending send's time
+    // The pending send: draw_send() sets its destination and path, fire()
+    // its source. The serialised UDP payload is the same for every send.
+    dataplane::ScionPacket packet;
+  };
+
+  // Advances the cursor to the burst's next send; false once it falls past
+  // the burst's end. A draw whose victim AS has no path is skipped and
+  // counted in `*no_path` if given (launch counts them; replays do not).
+  bool draw_send(Burst& burst, std::uint64_t* no_path = nullptr);
+  // Injects the pending send and places the next one.
+  void fire(Burst& burst);
+  void place(Burst& burst);
 
   controlplane::ScionNetwork& net_;
   TrafficMatrix& victims_;
   AttackConfig config_;
   Rng rng_;
-  std::size_t bursts_launched_ = 0;
+  std::deque<Burst> bursts_;  // stable addresses for the pending sends
   AttackReport report_;
 };
 

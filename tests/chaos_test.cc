@@ -811,6 +811,36 @@ TEST(Chaos, AttackBurstValidationRejectsBadEvents) {
   EXPECT_FALSE(attack.validate(crowd).ok());
 }
 
+// A burst keeps one pending send however long it is: launching 10 s of a
+// 10k pps forged flood (about 100k sends) adds exactly one event to the
+// queue, and that event keeps the flood going.
+TEST(Chaos, AttackBurstKeepsOnePendingSend) {
+  ScionNetwork net{topology::build_sciera()};
+  workload::WorkloadConfig config = soak_default_workload();
+  config.hosts = 4;
+  config.flows = 4;
+  config.packets_per_flow = 4;
+  auto built =
+      workload::TrafficMatrix::Builder{}.net(net).config(config).build();
+  ASSERT_TRUE(built.ok());
+  workload::TrafficMatrix& victims = **built;
+  ASSERT_TRUE(victims.launch().ok());
+  workload::AttackMatrix attack{net, victims, {}};
+
+  workload::AttackBurst flood;
+  flood.kind = workload::AttackKind::kForgedFlood;
+  flood.source = a::geant();
+  flood.pps = 10'000;
+  flood.duration = 10 * kSecond;
+  const std::size_t before = net.sim().pending_events();
+  ASSERT_TRUE(attack.launch(flood).ok());
+  EXPECT_EQ(net.sim().pending_events(), before + 1);
+
+  net.sim().run_for(kSecond);
+  EXPECT_GT(attack.report().attack_sent, 9'000u);
+  EXPECT_LT(attack.report().attack_sent, 11'000u);
+}
+
 // Router ingress admission: with a tiny data-class budget a data burst is
 // shed at the first on-path router, while SCMP (the control class, left
 // unlimited) keeps flowing — the priority inversion the flood would
@@ -972,12 +1002,15 @@ struct CorpusEntry {
   std::uint64_t executed_events;
   std::uint64_t schedule_hash;
   std::uint64_t report_hash;
+  std::uint64_t seed = 7;
+  Duration duration = SoakOptions{}.duration;
 };
 
 void expect_corpus(const std::vector<CorpusEntry>& corpus) {
   for (const CorpusEntry& entry : corpus) {
     SoakOptions options;
-    options.seed = 7;
+    options.seed = entry.seed;
+    options.duration = entry.duration;
     options.self_healing = entry.self_healing;
     options.batched_router = entry.batched_router;
     const auto report = run_soak(entry.plan, options);
@@ -1014,6 +1047,20 @@ TEST(Chaos, SoakDigestCorpusNamedPlans) {
        0x06745dc1ad2203dcULL, 0xcf65474ec6a3c768ULL},
       {"kreonet-ring-cut --scalar-router", kreonet_ring_cut_plan(), false,
        false, 16976, 0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+  });
+}
+
+// Attack schedules without healing: the plain forged flood at the 12 s
+// default, and the same plan at seed 11 cut at 3 s, while the forged and
+// spoofed bursts still have sends pending and the flash crowd has just
+// launched. A third test, so `ctest -j` runs it beside the other two.
+TEST(Chaos, SoakDigestCorpusAttack) {
+  expect_corpus({
+      {"forged-flood", forged_flood_plan(), false, true, 222569,
+       0x0ab731c29f3b945cULL, 0x62bec9fdeb17a7baULL},
+      {"forged-flood --seed 11 --duration-ms 3000", forged_flood_plan(),
+       false, true, 62430, 0x607393382d49b315ULL, 0x28a59607b68ae148ULL, 11,
+       3 * kSecond},
   });
 }
 

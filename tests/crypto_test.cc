@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/cmac.h"
@@ -255,6 +257,50 @@ TEST_F(CmacRfc4493, ConstructionRunsExactlyOneKeySchedule) {
     (void)fresh.verify(msg_, BytesView{mac.data(), AesCmac::kMinTagLen});
   }
   EXPECT_EQ(Aes128::key_schedules_run(), constructed);
+}
+
+void fill_random(Rng& rng, std::span<std::uint8_t> out) {
+  for (std::size_t i = 0; i < out.size(); i += 8) {
+    const std::uint64_t word = rng.next_u64();
+    for (std::size_t j = 0; j < 8 && i + j < out.size(); ++j) {
+      out[i + j] = static_cast<std::uint8_t>(word >> (8 * j));
+    }
+  }
+}
+
+TEST(Crypto, AesCmacParityCorpus) {
+  // Parity gate for the AES round: one SHA-256 over 204,800 ciphertext
+  // blocks (2,048 seeded keys x 100 random blocks each), then over the
+  // CMACs of every message length 0..300 under eight more keys. The
+  // digest was taken from the byte-wise SubBytes/ShiftRows/MixColumns
+  // round the T-table round replaced; a wrong table entry, a misplaced
+  // rotation or a bad final round moves it.
+  Rng rng{0xAE5128, "aes-cmac-corpus"};
+  Sha256 digest;
+  for (int k = 0; k < 2048; ++k) {
+    Aes128::Key key;
+    fill_random(rng, key);
+    const Aes128 aes{key};
+    for (int i = 0; i < 100; ++i) {
+      Aes128::Block block;
+      fill_random(rng, block);
+      const Aes128::Block out = aes.encrypt(block);
+      digest.update(BytesView{out.data(), out.size()});
+    }
+  }
+  for (int k = 0; k < 8; ++k) {
+    Aes128::Key key;
+    fill_random(rng, key);
+    const AesCmac cmac{key};
+    for (std::size_t len = 0; len <= 300; ++len) {
+      Bytes msg(len);
+      fill_random(rng, msg);
+      const AesCmac::Mac mac = cmac.compute(msg);
+      digest.update(BytesView{mac.data(), mac.size()});
+    }
+  }
+  EXPECT_EQ(to_hex(digest.finish()),
+            "04d4de71e8a11545dc541aee07f65e41a50cdc1680f56e1bdc710a9f243cb459");
 }
 
 // --- Ed25519 (RFC 8032 test vectors) ---------------------------------------------

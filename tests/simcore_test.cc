@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "controlplane/control_plane.h"
 #include "dataplane/frame_pool.h"
@@ -168,6 +169,103 @@ TEST(SchedulerEquivalence, CampaignScaleHoldModel) {
       });
   EXPECT_EQ(digest.executed, 220'000u);
   EXPECT_EQ(digest.hash, 0x128ddd7ecd4c2b52ULL);
+}
+
+// A series launched from inside an event, as an attack burst is: 3,000
+// sends with exponential gaps (mean 1 ms, so the series runs past the
+// wheel horizon), each scheduling a tie at the next send's exact time
+// while timer chains keep drawing fresh numbers. Scheduled all at launch,
+// or placed one at a time at numbers reserved at launch, it must run the
+// same schedule.
+simnet::ScheduleDigest run_series(simnet::SchedulerConfig config,
+                                  bool reserved) {
+  constexpr std::size_t kSends = 3000;
+  simnet::Simulator sim{config};
+  Rng rng{0x5E41E5, "chains"};
+  std::function<void(int)> tick = [&](int remaining) {
+    if (remaining <= 0) return;
+    sim.schedule_after(
+        static_cast<Duration>(rng.next_below(5 * kMillisecond) + 1),
+        [&tick, remaining] { tick(remaining - 1); });
+  };
+  for (int chain = 0; chain < 8; ++chain) tick(400);
+
+  std::vector<SimTime> at;  // the series' send times, drawn at launch
+  std::uint64_t first = 0;  // its first reserved number
+  std::function<void(std::size_t)> send = [&](std::size_t i) {
+    if (i + 1 == kSends) return;
+    // Same time as the next send, but a later sequence number.
+    sim.schedule(at[i + 1], [] {});
+    if (reserved) {
+      sim.schedule_reserved(at[i + 1], first + i + 1,
+                            [&send, i] { send(i + 1); });
+    }
+  };
+  sim.schedule(2 * kMillisecond, [&] {
+    Rng gaps{0x5E41E5, "gaps"};
+    SimTime t = sim.now();
+    for (std::size_t i = 0; i < kSends; ++i) {
+      t += 1 + static_cast<Duration>(gaps.exponential(kMillisecond));
+      at.push_back(t);
+    }
+    if (reserved) {
+      first = sim.reserve_sequence(kSends);
+      sim.schedule_reserved(at[0], first, [&send] { send(0); });
+    } else {
+      for (std::size_t i = 0; i < kSends; ++i) {
+        sim.schedule(at[i], [&send, i] { send(i); });
+      }
+    }
+  });
+  sim.run_all();
+  return sim.schedule_digest();
+}
+
+TEST(SchedulerEquivalence, ReservedSequenceMatchesEagerSchedule) {
+  const auto eager = expect_backends_agree(
+      [](simnet::SchedulerConfig config) { return run_series(config, false); });
+  const auto reserved = expect_backends_agree(
+      [](simnet::SchedulerConfig config) { return run_series(config, true); });
+  EXPECT_EQ(eager, reserved);
+  EXPECT_EQ(eager.executed, 8u * 400u + 1u + 3000u + 2999u);
+}
+
+// schedule_reserved's contract: a number comes from a reservation and is
+// placed once, in increasing order, at a time not in the past. Each
+// violation fails its check; in count mode the event still runs, at
+// now() or under a fresh number.
+TEST(ScheduleReserved, PastTimeOrUnreservedSequenceFailsCheck) {
+  CheckRegistry::instance().set_fail_mode(CheckFailMode::kCount);
+  auto& checks = CheckRegistry::instance();
+  const auto past = checks.count("simnet.reserved_in_past");
+  const auto unknown = checks.count("simnet.reserved_unknown_seq");
+  simnet::Simulator sim;
+  sim.schedule(10 * kMillisecond, [] {});  // takes number 0
+  sim.run_all();
+  const std::uint64_t first = sim.reserve_sequence(3);
+  EXPECT_EQ(first, 1u);
+  int ran = 0;
+  const auto run = [&ran] { ++ran; };
+
+  sim.schedule_reserved(5 * kMillisecond, first, run);  // in the past
+  EXPECT_EQ(checks.count("simnet.reserved_in_past"), past + 1);
+  EXPECT_EQ(checks.count("simnet.reserved_unknown_seq"), unknown);
+
+  sim.schedule_reserved(20 * kMillisecond, first + 3, run);  // not reserved
+  sim.schedule_reserved(20 * kMillisecond, 0, run);      // schedule()'s
+  sim.schedule_reserved(20 * kMillisecond, first, run);  // placed already
+  EXPECT_EQ(checks.count("simnet.reserved_unknown_seq"), unknown + 3);
+
+  sim.schedule_reserved(20 * kMillisecond, first + 2, run);  // skips one
+  EXPECT_EQ(checks.count("simnet.reserved_unknown_seq"), unknown + 3);
+  sim.schedule_reserved(20 * kMillisecond, first + 1, run);  // out of order
+  EXPECT_EQ(checks.count("simnet.reserved_unknown_seq"), unknown + 4);
+  EXPECT_EQ(checks.count("simnet.reserved_in_past"), past + 1);
+  CheckRegistry::instance().set_fail_mode(CheckFailMode::kAbort);
+
+  sim.run_all();
+  EXPECT_EQ(ran, 6);
+  EXPECT_EQ(sim.now(), 20 * kMillisecond);
 }
 
 // --- Full-network scenarios ----------------------------------------------

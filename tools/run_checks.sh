@@ -2,11 +2,12 @@
 # Correctness gate: builds the tree under ASan+UBSan with warnings as
 # errors and runs the full tier-1 ctest suite (which includes the
 # sciera_analyze static checks, the chaos soaks and the paper-result
-# gates), then the TSan flavor of the one multi-threaded test. Every
-# stage after the static analysis is a ctest selection, so the suite, not
-# this script, holds the commands. This is what CI should run; it is slower
-# than the plain build but catches memory-safety bugs, UB, data races and
-# lint violations in one pass.
+# gates), then the TSan flavor of the one multi-threaded test, then a
+# plain Release build with warnings as errors. Every test stage after the
+# static analysis is a ctest selection, so the suite, not this script,
+# holds the commands. This is what CI should run; it is slower than the
+# plain build but catches memory-safety bugs, UB, data races, lint
+# violations and -O3-only warnings in one pass.
 #
 # Usage: tools/run_checks.sh [build-dir]        (default: build-checks)
 #   SCIERA_SANITIZE=thread tools/run_checks.sh  to run the TSan flavor.
@@ -76,5 +77,16 @@ if [[ "$SANITIZE" != *thread* ]]; then
   cmake --build "$TSAN_DIR" -j "$JOBS" --target sciera_chaos_cli
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" -L threads
 fi
+
+# Release flavor: GCC warns about some code only at -O3, after inlining,
+# and the sanitizer builds above never see it. Build every target of the
+# default Release configuration with -Werror. No ctest here: the
+# sanitizer stage already ran the suite.
+RELEASE_DIR="$BUILD_DIR-release"
+echo "== Release build (-Werror) =="
+cmake -B "$RELEASE_DIR" -S "$ROOT" \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DSCIERA_WERROR=ON
+cmake --build "$RELEASE_DIR" -j "$JOBS"
 
 echo "== run_checks: all clean =="

@@ -69,7 +69,8 @@ int thread_smoke() {
   workers.reserve(kWorkers);
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&registry, &recorder, w] {
-      const std::string worker = "w" + std::to_string(w);
+      std::string worker = "w";
+      worker += std::to_string(w);
       for (std::size_t i = 0; i < kIterations; ++i) {
         // Registration path: same key re-resolved every iteration, plus a
         // rotating slot label so fresh series keep being created while
