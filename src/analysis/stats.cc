@@ -133,11 +133,11 @@ PathMatrix path_matrices(const measure::CampaignResult& result,
   };
 
   std::map<std::pair<int, int>, std::vector<int>> counts;
-  for (const auto& probe : result.probes) {
-    const int i = index_of(probe.src);
-    const int j = index_of(probe.dst);
+  for (const auto& record : result.intervals) {
+    const int i = index_of(record.src);
+    const int j = index_of(record.dst);
     if (i < 0 || j < 0 || i == j) continue;
-    counts[{i, j}].push_back(static_cast<int>(probe.active_paths));
+    counts[{i, j}].push_back(static_cast<int>(record.active_paths));
   }
   for (auto& [key, values] : counts) {
     std::sort(values.begin(), values.end());

@@ -1,6 +1,7 @@
 #include "measure/campaign.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
@@ -44,20 +45,12 @@ constexpr std::size_t kProbeTopPaths = 40;
 // any failure).
 constexpr int kReselectEvery = 6;
 
-// Shared interface count between two sorted GlobalIfaceId vectors.
-std::size_t shared_ifaces(const std::vector<GlobalIfaceId>& a,
-                          const std::vector<GlobalIfaceId>& b) {
-  std::size_t i = 0, j = 0, shared = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++shared;
-      ++i;
-      ++j;
-    }
+// Links in both of two equally sized link masks.
+std::size_t shared_links(const std::vector<std::uint64_t>& a,
+                         const std::vector<std::uint64_t>& b) {
+  std::size_t shared = 0;
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    shared += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
   }
   return shared;
 }
@@ -166,32 +159,31 @@ std::vector<Incident> Campaign::paper_incidents() {
   return incidents;
 }
 
-void Campaign::apply_link_event(const std::string& label, bool scion_up,
-                                bool ip_up) {
+void Campaign::apply_link_event(const std::string& label, int scion_delta,
+                                int ip_delta) {
   const auto* info = net_.topology().find_link_by_label(label);
   if (info == nullptr) return;
-  if (scion_link_up_[info->id] != scion_up) {
-    scion_link_up_[info->id] = scion_up;
+  const topology::LinkId id = info->id;
+  const bool scion_was_up = scion_outages_[id] == 0;
+  scion_outages_[id] += scion_delta;
+  const bool scion_up = scion_outages_[id] == 0;
+  if (scion_up != scion_was_up) {
+    down_links_[id / 64] ^= std::uint64_t{1} << (id % 64);
     net_.set_link_up(label, scion_up);  // data plane follows
     ++link_epoch_;
     metrics_.link_events->inc();
   }
-  if (bgp_.link_up(info->id) != ip_up) {
-    bgp_.set_link_up(info->id, ip_up);
-  }
+  ip_outages_[id] += ip_delta;
+  const bool ip_up = ip_outages_[id] == 0;
+  if (bgp_.link_up(id) != ip_up) bgp_.set_link_up(id, ip_up);
 }
 
 void Campaign::refresh_usable(Pair& pair) {
   pair.usable.clear();
   for (std::size_t i = 0; i < pair.meta.size(); ++i) {
-    bool up = true;
-    for (topology::LinkId id : pair.meta[i].links) {
-      if (!scion_link_up_[id]) {
-        up = false;
-        break;
-      }
+    if (shared_links(pair.meta[i].link_mask, down_links_) == 0) {
+      pair.usable.push_back(i);
     }
-    if (up) pair.usable.push_back(i);
   }
   pair.usable_epoch = link_epoch_;
   pair.selection_valid = false;
@@ -202,34 +194,32 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
     pair.selection_valid = false;
     return;
   }
-  // Full path probe: refresh per-path RTTs for the probed set.
-  const std::size_t considered =
-      std::min(pair.usable.size(), kProbeTopPaths);
-  for (std::size_t k = 0; k < considered; ++k) {
-    const std::size_t i = pair.usable[k];
-    pair.probe_rtt[i] =
-        sample_rtt(pair.meta[i].static_rtt, pair.meta[i].hops,
-                   kScionJitterSigma, rng);
-  }
   // Shortest: fewest hops, lowest fingerprint (paths are pre-sorted by
   // hops/rtt/fingerprint, so the first usable is the shortest).
   pair.sel_shortest = pair.usable.front();
-  // Fastest: lowest probed RTT.
-  std::size_t best = pair.usable.front();
+  // Full path probe of the probed set; fastest: lowest probed RTT.
+  const std::size_t considered =
+      std::min(pair.usable.size(), kProbeTopPaths);
+  Duration fastest_rtt = 0;
   for (std::size_t k = 0; k < considered; ++k) {
     const std::size_t i = pair.usable[k];
-    if (pair.probe_rtt[i] < pair.probe_rtt[best]) best = i;
+    const Duration rtt = sample_rtt(pair.meta[i].static_rtt,
+                                    pair.meta[i].hops, kScionJitterSigma, rng);
+    if (k == 0 || rtt < fastest_rtt) {
+      pair.sel_fastest = i;
+      fastest_rtt = rtt;
+    }
   }
-  pair.sel_fastest = best;
-  // Most disjoint from shortest+fastest.
-  const auto& ref_a = pair.meta[pair.sel_shortest].ifaces_sorted;
-  const auto& ref_b = pair.meta[pair.sel_fastest].ifaces_sorted;
+  // Most disjoint from shortest+fastest. A path lists both interfaces of
+  // each link it crosses, so shared links rank as shared interfaces do.
+  const auto& ref_a = pair.meta[pair.sel_shortest].link_mask;
+  const auto& ref_b = pair.meta[pair.sel_fastest].link_mask;
   std::size_t best_disjoint = pair.usable.front();
   std::size_t best_shared = SIZE_MAX;
   for (std::size_t k = 0; k < considered; ++k) {
     const std::size_t i = pair.usable[k];
-    const std::size_t shared = shared_ifaces(pair.meta[i].ifaces_sorted, ref_a) +
-                               shared_ifaces(pair.meta[i].ifaces_sorted, ref_b);
+    const std::size_t shared = shared_links(pair.meta[i].link_mask, ref_a) +
+                               shared_links(pair.meta[i].link_mask, ref_b);
     if (shared < best_shared) {
       best_shared = shared;
       best_disjoint = i;
@@ -243,20 +233,24 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
 CampaignResult Campaign::run() {
   Rng rng{options_.seed, "campaign"};
 
-  scion_link_up_.assign(net_.topology().links().size(), true);
+  const std::size_t link_count = net_.topology().links().size();
+  const std::size_t mask_words = (link_count + 63) / 64;
+  scion_outages_.assign(link_count, 0);
+  ip_outages_.assign(link_count, 0);
+  down_links_.assign(mask_words, 0);
 
   // Links that only come up mid-campaign start down.
   for (const auto& incident : incidents_) {
     if (incident.scope == Incident::Scope::kLinkComesUp) {
       for (const auto& label : incident.links) {
-        apply_link_event(label, false, false);
+        apply_link_event(label, 1, 1);
       }
     }
   }
 
   // Precompute path sets per ordered pair.
-  pairs_.clear();
-  pair_paths_.clear();
+  std::vector<Pair> pairs;
+  std::vector<PairPaths> pair_paths;
   for (IsdAs src : sources_) {
     for (IsdAs dst : targets_) {
       if (src == dst) continue;
@@ -296,38 +290,38 @@ CampaignResult Campaign::run() {
         PathMeta meta;
         meta.static_rtt = path.static_rtt;
         meta.hops = path.as_sequence.size();
-        meta.fingerprint = path.fingerprint();
-        meta.ifaces_sorted = path.interfaces;
-        std::sort(meta.ifaces_sorted.begin(), meta.ifaces_sorted.end());
-        meta.links = path.links;
+        meta.link_mask.assign(mask_words, 0);
+        for (const topology::LinkId id : path.links) {
+          meta.link_mask[id / 64] |= std::uint64_t{1} << (id % 64);
+        }
         pair.meta.push_back(std::move(meta));
       }
-      pair.probe_rtt.assign(pair.meta.size(), 0);
-      pairs_.push_back(std::move(pair));
-      pair_paths_.push_back(std::move(pp));
+      pairs.push_back(std::move(pair));
+      pair_paths.push_back(std::move(pp));
     }
   }
 
-  // Incident event timeline.
+  // Incident event timeline: each incident holds one outage for [from, to),
+  // so a link is down until its last overlapping incident ends.
   struct Event {
     SimTime at;
     std::string label;
-    bool scion_up, ip_up;
+    int scion_delta, ip_delta;
   };
   std::vector<Event> events;
   for (const auto& incident : incidents_) {
     for (const auto& label : incident.links) {
       switch (incident.scope) {
         case Incident::Scope::kBoth:
-          events.push_back({incident.from, label, false, false});
-          events.push_back({incident.to, label, true, true});
+          events.push_back({incident.from, label, 1, 1});
+          events.push_back({incident.to, label, -1, -1});
           break;
         case Incident::Scope::kScionOnly:
-          events.push_back({incident.from, label, false, true});
-          events.push_back({incident.to, label, true, true});
+          events.push_back({incident.from, label, 1, 0});
+          events.push_back({incident.to, label, -1, 0});
           break;
         case Incident::Scope::kLinkComesUp:
-          events.push_back({incident.from, label, true, true});
+          events.push_back({incident.from, label, -1, -1});
           break;
       }
     }
@@ -338,14 +332,18 @@ CampaignResult Campaign::run() {
   CampaignResult result;
   result.duration = options_.duration;
   result.interval = options_.interval;
+  std::size_t ticks = 0;
+  for (SimTime t = 0; t < options_.duration; t += options_.interval) ++ticks;
+  result.intervals.reserve(ticks * pairs.size());
 
   std::size_t next_event = 0;
   int tick = 0;
   for (SimTime now = 0; now < options_.duration;
        now += options_.interval, ++tick) {
     while (next_event < events.size() && events[next_event].at <= now) {
-      apply_link_event(events[next_event].label, events[next_event].scion_up,
-                       events[next_event].ip_up);
+      apply_link_event(events[next_event].label,
+                       events[next_event].scion_delta,
+                       events[next_event].ip_delta);
       ++next_event;
     }
 
@@ -354,7 +352,7 @@ CampaignResult Campaign::run() {
     const std::uint64_t burst_base =
         metrics_.scion_probes->value() + metrics_.ip_probes->value();
 
-    for (auto& pair : pairs_) {
+    for (auto& pair : pairs) {
       if (pair.usable_epoch != link_epoch_) refresh_usable(pair);
       const bool reselect_now =
           !pair.selection_valid || tick % kReselectEvery == 0;
@@ -366,6 +364,7 @@ CampaignResult Campaign::run() {
       record.dst = pair.dst;
       record.scion_sent = kPingsPerInterval;
       record.ip_sent = kPingsPerInterval;
+      record.active_paths = static_cast<std::uint32_t>(pair.usable.size());
       metrics_.intervals->inc();
       metrics_.scion_probes->inc(
           static_cast<std::uint64_t>(record.scion_sent));
@@ -380,14 +379,12 @@ CampaignResult Campaign::run() {
         Duration best = INT64_MAX;
         for (int c = 0; c < 3; ++c) {
           const auto& meta = pair.meta[chosen[c]];
-          for (int s = 0; s < options_.samples_per_path; ++s) {
-            if (rng.chance(kPingLoss)) continue;
-            const Duration sample = sample_rtt(meta.static_rtt, meta.hops,
-                                               kScionJitterSigma, rng);
-            if (sample < best) {
-              best = sample;
-              record.scion_best = names[c];
-            }
+          const auto sample =
+              sample_min_rtt(meta.static_rtt, meta.hops, kScionJitterSigma,
+                             options_.samples_per_path, kPingLoss, rng);
+          if (sample && *sample < best) {
+            best = *sample;
+            record.scion_best = names[c];
           }
         }
         if (best != INT64_MAX) {
@@ -418,37 +415,31 @@ CampaignResult Campaign::run() {
         }
         const auto congested_base =
             static_cast<Duration>(static_cast<double>(ip_base) * congestion);
-        Duration best = INT64_MAX;
-        for (int s = 0; s < options_.samples_per_path; ++s) {
-          if (rng.chance(kPingLoss)) continue;
-          const Duration sample = sample_rtt(congested_base, ip_hops,
-                                             kIpJitterSigma, rng);
-          best = std::min(best, sample);
-        }
-        if (best != INT64_MAX) {
-          record.ip_min_rtt = best;
+        record.ip_min_rtt =
+            sample_min_rtt(congested_base, ip_hops, kIpJitterSigma,
+                           options_.samples_per_path, kPingLoss, rng);
+        if (record.ip_min_rtt) {
           record.ip_ok = record.ip_sent;
-          metrics_.ip_rtt_ms->observe(static_cast<std::int64_t>(to_ms(best)));
+          metrics_.ip_rtt_ms->observe(
+              static_cast<std::int64_t>(to_ms(*record.ip_min_rtt)));
         }
       }
 
       result.intervals.push_back(record);
-      result.probes.push_back(
-          PathProbeRecord{now, pair.src, pair.dst, pair.usable.size()});
     }
 
     obs::FlightRecorder::global().record(
         obs::TraceType::kProbeBurst, now, static_cast<std::uint64_t>(tick),
         "campaign",
-        strformat("tick=%d pairs=%zu", tick, pairs_.size()),
+        strformat("tick=%d pairs=%zu", tick, pairs.size()),
         static_cast<std::int64_t>(metrics_.scion_probes->value() +
                                   metrics_.ip_probes->value() - burst_base));
   }
-  result.pair_paths = pair_paths_;
+  result.pair_paths = std::move(pair_paths);
 
   // Restore link state for subsequent users of the shared networks.
-  for (std::size_t id = 0; id < scion_link_up_.size(); ++id) {
-    if (!scion_link_up_[id]) {
+  for (std::size_t id = 0; id < link_count; ++id) {
+    if (scion_outages_[id] != 0) {
       net_.link(static_cast<topology::LinkId>(id))->set_up(true);
     }
     if (!bgp_.link_up(static_cast<topology::LinkId>(id))) {
@@ -480,11 +471,11 @@ std::string CampaignResult::intervals_csv() const {
 
 std::string CampaignResult::probes_csv() const {
   std::string out = "time_s,src,dst,active_paths\n";
-  for (const auto& probe : probes) {
-    out += strformat("%lld,%s,%s,%zu\n",
-                     static_cast<long long>(probe.time / kSecond),
-                     probe.src.to_string().c_str(),
-                     probe.dst.to_string().c_str(), probe.active_paths);
+  for (const auto& record : intervals) {
+    out += strformat("%lld,%s,%s,%u\n",
+                     static_cast<long long>(record.start / kSecond),
+                     record.src.to_string().c_str(),
+                     record.dst.to_string().c_str(), record.active_paths);
   }
   return out;
 }

@@ -44,7 +44,6 @@ struct PairPaths {
 
 struct CampaignResult {
   std::vector<IntervalRecord> intervals;
-  std::vector<PathProbeRecord> probes;
   std::vector<PairPaths> pair_paths;
   Duration duration = 0;
   Duration interval = 0;
@@ -79,9 +78,7 @@ class Campaign {
   struct PathMeta {
     Duration static_rtt = 0;
     std::size_t hops = 0;
-    std::string fingerprint;
-    std::vector<GlobalIfaceId> ifaces_sorted;
-    std::vector<topology::LinkId> links;
+    std::vector<std::uint64_t> link_mask;  // one bit per LinkId crossed
   };
   struct Pair {
     IsdAs src;
@@ -94,10 +91,10 @@ class Campaign {
     std::uint64_t usable_epoch = ~0ull;
     std::size_t sel_shortest = 0, sel_fastest = 0, sel_disjoint = 0;
     bool selection_valid = false;
-    std::vector<Duration> probe_rtt;     // last probe per path
   };
 
-  void apply_link_event(const std::string& label, bool scion_up, bool ip_up);
+  void apply_link_event(const std::string& label, int scion_delta,
+                        int ip_delta);
   void refresh_usable(Pair& pair);
   void reselect(Pair& pair, Rng& rng);
 
@@ -117,10 +114,11 @@ class Campaign {
   std::vector<Incident> incidents_;
   std::vector<IsdAs> sources_;
   std::vector<IsdAs> targets_;
-  std::vector<bool> scion_link_up_;
+  // Outages holding each link down; a link is up while its count is 0.
+  std::vector<int> scion_outages_;
+  std::vector<int> ip_outages_;
+  std::vector<std::uint64_t> down_links_;  // SCION-down, one bit per LinkId
   std::uint64_t link_epoch_ = 0;
-  std::vector<PairPaths> pair_paths_;
-  std::vector<Pair> pairs_;
   Metrics metrics_;
 };
 

@@ -24,7 +24,14 @@ enum class PathChoice : std::uint8_t { kShortest, kFastest, kMostDisjoint };
 [[nodiscard]] Duration sample_rtt(Duration base, std::size_t hops,
                                   double jitter_sigma, Rng& rng);
 
-// Per-aggregation-interval record (the 60-second database rows).
+// The smallest of `samples` sample_rtt() pings, each lost first with
+// probability `loss`; nullopt if all are lost. Same draws and value as that
+// loop, but one exp(): the RTT is monotone in its normal draw.
+[[nodiscard]] std::optional<Duration> sample_min_rtt(
+    Duration base, std::size_t hops, double jitter_sigma, int samples,
+    double loss, Rng& rng);
+
+// One row per interval and AS pair: its pings and its path probe.
 struct IntervalRecord {
   SimTime start = 0;
   IsdAs src;
@@ -37,15 +44,10 @@ struct IntervalRecord {
   // IP side.
   int ip_sent = 0;
   int ip_ok = 0;
+  // Path probe: SCION paths with every link up (fills ip_ok's padding).
+  std::uint32_t active_paths = 0;
   std::optional<Duration> ip_min_rtt;
 };
-
-// Full path probe result: the usable path count at a probe instant.
-struct PathProbeRecord {
-  SimTime time = 0;
-  IsdAs src;
-  IsdAs dst;
-  std::size_t active_paths = 0;
-};
+static_assert(sizeof(IntervalRecord) == 96);
 
 }  // namespace sciera::measure

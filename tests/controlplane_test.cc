@@ -290,6 +290,36 @@ TEST_F(ScieraFixture, CombinedPathIdentityAndOrderMatchReferenceDigest) {
             "2001a71589937471941d75543aecfbf1bffae4f9ad74df5b5c3f9edef79e8e31");
 }
 
+TEST_F(ScieraFixture, EveryCrossingListsItsLinksTwoInterfaces) {
+  // Multiping ranks disjointness by shared links, which equals half the
+  // shared interfaces: for every path of every measurement pair,
+  // interfaces[2k] and interfaces[2k + 1] are the two ends of links[k], and
+  // no link is crossed twice.
+  std::size_t paths = 0;
+  for (IsdAs src : topology::measurement_ases()) {
+    for (const auto& dst : net().topology().ases()) {
+      for (const auto& path : net().paths(src, dst.ia)) {
+        ASSERT_EQ(path.interfaces.size(), 2 * path.links.size());
+        const std::set<topology::LinkId> distinct(path.links.begin(),
+                                                  path.links.end());
+        EXPECT_EQ(distinct.size(), path.links.size());
+        for (std::size_t k = 0; k < path.links.size(); ++k) {
+          const auto* link = net().topology().find_link(path.links[k]);
+          ASSERT_NE(link, nullptr);
+          const std::set<GlobalIfaceId> ends{
+              GlobalIfaceId{link->a, link->a_iface},
+              GlobalIfaceId{link->b, link->b_iface}};
+          const std::set<GlobalIfaceId> crossed{path.interfaces[2 * k],
+                                                path.interfaces[2 * k + 1]};
+          EXPECT_EQ(crossed, ends) << path.to_string() << " link " << k;
+        }
+        ++paths;
+      }
+    }
+  }
+  EXPECT_GT(paths, 1000u);
+}
+
 TEST_F(ScieraFixture, SingleBgpPathButManyScionPathsDaejeonSingapore) {
   // Section 5.5: "while there is only a single BGP path from the Daejeon
   // core to the Singapore core, SCIERA also provides paths around the

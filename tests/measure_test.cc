@@ -19,6 +19,16 @@ SharedNets& nets() {
   return shared;
 }
 
+// FNV-1a over a CSV export: one constant pins every byte of it.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
 TEST(Sampling, RttJitterIsMultiplicativeAndPositive) {
   Rng rng{5};
   const Duration base = 100 * kMillisecond;
@@ -35,6 +45,54 @@ TEST(Sampling, RttJitterIsMultiplicativeAndPositive) {
   EXPECT_GT(lo, 80 * kMillisecond);       // tight sigma
   EXPECT_LT(hi, 130 * kMillisecond);
   EXPECT_LT(lo, hi);
+}
+
+// The per-sample loop sample_min_rtt() replaces: each ping lost or one
+// sample_rtt() draw, keeping the smallest.
+std::optional<Duration> per_sample_min_rtt(Duration base, std::size_t hops,
+                                           double sigma, int samples,
+                                           double loss, Rng& rng) {
+  std::optional<Duration> best;
+  for (int s = 0; s < samples; ++s) {
+    if (rng.chance(loss)) continue;
+    const Duration sample = sample_rtt(base, hops, sigma, rng);
+    if (!best || sample < *best) best = sample;
+  }
+  return best;
+}
+
+TEST(Sampling, MinRttMatchesPerSampleLoop) {
+  // Same value from the same stream, and each stream left in the same
+  // state: the next normal() checks the Box-Muller spare, the next
+  // next_u64() the generator.
+  Rng inputs{17};
+  Rng fast{23};
+  Rng slow{23};
+  std::size_t calls = 0, all_lost = 0;
+  for (int round = 0; round < 140; ++round) {
+    const double sigma = round % 2 == 0 ? 0.02 : 0.5;
+    for (int samples = 0; samples <= 8; ++samples) {
+      for (const double loss : {0.0, 0.002, 0.5, 1.0}) {
+        for (std::size_t hops = 0; hops <= 20; ++hops) {
+          const auto base = static_cast<Duration>(
+              inputs.uniform(0.5, 600.0) * static_cast<double>(kMillisecond));
+          const auto expected =
+              per_sample_min_rtt(base, hops, sigma, samples, loss, slow);
+          const auto actual =
+              sample_min_rtt(base, hops, sigma, samples, loss, fast);
+          ASSERT_EQ(actual, expected)
+              << "samples " << samples << " loss " << loss << " hops " << hops;
+          ASSERT_EQ(fast.normal(), slow.normal());
+          ASSERT_EQ(fast.next_u64(), slow.next_u64());
+          all_lost += !actual.has_value();
+          ++calls;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(calls, 105840u);
+  EXPECT_GT(all_lost, 0u);
+  EXPECT_LT(all_lost, calls);
 }
 
 class CampaignFixture : public ::testing::Test {
@@ -56,7 +114,6 @@ class CampaignFixture : public ::testing::Test {
 TEST_F(CampaignFixture, ProducesRecordsForAllPairsAndIntervals) {
   const auto& r = result();
   EXPECT_FALSE(r.intervals.empty());
-  EXPECT_EQ(r.intervals.size(), r.probes.size());
   // 11 sources x (targets - self) pairs per interval tick.
   std::set<std::pair<std::uint64_t, std::uint64_t>> pairs;
   for (const auto& record : r.intervals) {
@@ -128,16 +185,16 @@ TEST_F(CampaignFixture, PathCountsDropDuringKreonetOutage) {
   const auto& r = result();
   // Daejeon <-> Singapore: the dj-hk outage (days 10..16.5) removes the
   // short ring direction; active path count must dip in that window.
-  std::size_t before_max = 0, during_min = SIZE_MAX;
-  for (const auto& probe : r.probes) {
-    if (!(probe.src == a::kisti_dj() && probe.dst == a::kisti_sg())) continue;
-    const double day = static_cast<double>(probe.time) / kDay;
-    if (day < 8.0) before_max = std::max(before_max, probe.active_paths);
+  std::uint32_t before_max = 0, during_min = UINT32_MAX;
+  for (const auto& record : r.intervals) {
+    if (!(record.src == a::kisti_dj() && record.dst == a::kisti_sg())) continue;
+    const double day = static_cast<double>(record.start) / kDay;
+    if (day < 8.0) before_max = std::max(before_max, record.active_paths);
     if (day > 10.5 && day < 16.0) {
-      during_min = std::min(during_min, probe.active_paths);
+      during_min = std::min(during_min, record.active_paths);
     }
   }
-  ASSERT_NE(during_min, SIZE_MAX);
+  ASSERT_NE(during_min, UINT32_MAX);
   EXPECT_LT(during_min, before_max);
 }
 
@@ -153,7 +210,17 @@ TEST_F(CampaignFixture, CsvExportsParse) {
         std::count(text.begin(), text.end(), '\n'));
   };
   EXPECT_EQ(count_lines(intervals), r.intervals.size() + 1);
-  EXPECT_EQ(count_lines(probes), r.probes.size() + 1);
+  EXPECT_EQ(count_lines(probes), r.intervals.size() + 1);
+}
+
+TEST_F(CampaignFixture, FullScheduleDigests) {
+  // Every byte of the fixture's 20-day run. It is the one pin that reaches
+  // the day 8.5-18.8 KREONET outage, which takes IP down too and so
+  // reconverges BGP.
+  const auto& r = result();
+  EXPECT_EQ(r.intervals.size(), 142560u);
+  EXPECT_EQ(fnv1a(r.intervals_csv()), 0x14628deac1375836ULL);
+  EXPECT_EQ(fnv1a(r.probes_csv()), 0x17a66f6daa462afcULL);
 }
 
 TEST_F(CampaignFixture, LinkStateRestoredAfterRun) {
@@ -179,6 +246,51 @@ TEST(CampaignIncidents, PaperScheduleIsWellFormed) {
 }
 
 
+TEST(CampaignIncidents, OverlappingOutagesHoldLinkDown) {
+  // Two SCION outages of KREONET's Daejeon-Hong Kong link, [1 h, 5 h) and
+  // [3 h, 8 h): the link stays down until the later one ends.
+  using Scope = Incident::Scope;
+  auto& s = nets();
+  CampaignOptions options;
+  options.duration = 10 * kHour;
+  options.interval = kHour;
+  Campaign campaign{s.net, s.bgp, options};
+  campaign.set_sources({a::kisti_dj()});
+  campaign.set_targets({a::kisti_sg()});
+  campaign.set_incidents(
+      {{"first", {"kreonet-dj-hk"}, kHour, 5 * kHour, Scope::kScionOnly},
+       {"second", {"kreonet-dj-hk"}, 3 * kHour, 8 * kHour, Scope::kScionOnly}});
+  const auto result = campaign.run();
+  ASSERT_EQ(result.intervals.size(), 10u);
+  for (const auto& record : result.intervals) {
+    const bool held = record.start >= kHour && record.start < 8 * kHour;
+    EXPECT_EQ(record.active_paths, held ? 22u : 23u)
+        << "hour " << record.start / kHour;
+  }
+}
+
+TEST(CampaignIncidents, ScionOnlyOutageInsidePhysicalOutageChangesNothing) {
+  // A SCION-only incident inside a physical outage of the same link, ending
+  // with it, must leave IP down as well as SCION: every record equals the
+  // physical outage's alone.
+  using Scope = Incident::Scope;
+  auto& s = nets();
+  const auto run = [&](std::vector<Incident> incidents) {
+    CampaignOptions options;
+    options.duration = 10 * kHour;
+    options.interval = kHour;
+    Campaign campaign{s.net, s.bgp, options};
+    campaign.set_sources({a::kisti_dj()});
+    campaign.set_incidents(std::move(incidents));
+    return campaign.run().intervals_csv();
+  };
+  const Incident cut{"cut", {"kreonet-dj-hk"}, kHour, 8 * kHour, Scope::kBoth};
+  const Incident vlan{"vlan", {"kreonet-dj-hk"}, 3 * kHour, 8 * kHour,
+                      Scope::kScionOnly};
+  EXPECT_EQ(run({cut, vlan}), run({cut}));
+  EXPECT_EQ(run({vlan, cut}), run({cut}));
+}
+
 TEST(CampaignDeterminism, SameSeedSameResult) {
   auto& s = nets();
   CampaignOptions options;
@@ -196,16 +308,6 @@ TEST(CampaignDeterminism, SameSeedSameResult) {
   EXPECT_EQ(a1.probes_csv(), a2.probes_csv());
 }
 
-// FNV-1a over a CSV export: one constant pins every byte of it.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
 // Golden digests of a 2-day campaign with every other option at its
 // default (10-minute intervals): the RTT sampler, the path reselection
 // the campaign runs and the incident schedule all reach these records.
@@ -217,9 +319,50 @@ TEST(CampaignDeterminism, DefaultCampaignDigests) {
   Campaign campaign{net, bgp, options};
   const auto result = campaign.run();
   EXPECT_EQ(result.intervals.size(), 85536u);
-  EXPECT_EQ(result.probes.size(), 85536u);
   EXPECT_EQ(fnv1a(result.intervals_csv()), 0x4c4a3ce3ad1bfb28ULL);
   EXPECT_EQ(fnv1a(result.probes_csv()), 0x9c9a4e517b92ddc0ULL);
+}
+
+// SCIERA plus 22 stub customers of GEANT, each on one 1 ms link: 65 links,
+// so the last LinkId does not fit in one 64-bit word. That link is down
+// for SCION from 6 h to 12 h on top of the paper's schedule.
+TEST(CampaignDeterminism, WideTopologyDigests) {
+  topology::Topology topo = topology::build_sciera();
+  const topology::AsInfo geant = *topo.find_as(a::geant());
+  for (std::uint64_t k = 0; k < 22; ++k) {
+    topology::AsInfo stub;
+    stub.ia = IsdAs{71, As{64000 + k}};
+    stub.name = "stub-" + std::to_string(k);
+    stub.city = geant.city;
+    stub.location = geant.location;
+    ASSERT_TRUE(topo.add_as(stub).ok());
+    ASSERT_TRUE(topo.add_link("geant-stub-" + std::to_string(k), geant.ia,
+                              stub.ia, topology::LinkType::kParentChild,
+                              kMillisecond)
+                    .ok());
+  }
+  ASSERT_EQ(topo.links().size(), 65u);
+  const IsdAs last_stub = topo.links().back().b;
+  controlplane::ScionNetwork net{std::move(topo)};
+  bgp::BgpNetwork bgp{net.topology()};
+  CampaignOptions options;
+  options.duration = kDay;
+  options.interval = kHour;
+  Campaign campaign{net, bgp, options};
+  auto incidents = Campaign::paper_incidents();
+  incidents.push_back({"stub-21-down", {"geant-stub-21"}, 6 * kHour,
+                       12 * kHour, Incident::Scope::kScionOnly});
+  campaign.set_incidents(std::move(incidents));
+  const auto result = campaign.run();
+  EXPECT_EQ(result.intervals.size(), 12936u);
+  for (const auto& record : result.intervals) {
+    if (record.dst != last_stub) continue;
+    const bool down = record.start >= 6 * kHour && record.start < 12 * kHour;
+    EXPECT_EQ(record.active_paths == 0, down)
+        << record.src.to_string() << " hour " << record.start / kHour;
+  }
+  EXPECT_EQ(fnv1a(result.intervals_csv()), 0x8a6079de7bccef1cULL);
+  EXPECT_EQ(fnv1a(result.probes_csv()), 0xa25f212772506be5ULL);
 }
 
 TEST(CampaignDeterminism, DifferentSeedDifferentSamples) {

@@ -3,11 +3,12 @@
 # errors and runs the full tier-1 ctest suite (which includes the
 # sciera_analyze static checks, the chaos soaks and the paper-result
 # gates), then the TSan flavor of the one multi-threaded test, then a
-# plain Release build with warnings as errors. Every test stage after the
-# static analysis is a ctest selection, so the suite, not this script,
-# holds the commands. This is what CI should run; it is slower than the
-# plain build but catches memory-safety bugs, UB, data races, lint
-# violations and -O3-only warnings in one pass.
+# plain Release build with warnings as errors, and last the benchmark's
+# smoke run. Every test stage between the static analysis and the
+# benchmark is a ctest selection, so the suite, not this script, holds
+# the commands. This is what CI should run; it is slower than the plain
+# build but catches memory-safety bugs, UB, data races, lint violations,
+# -O3-only warnings and benchmark gate failures in one pass.
 #
 # Usage: tools/run_checks.sh [build-dir]        (default: build-checks)
 #   SCIERA_SANITIZE=thread tools/run_checks.sh  to run the TSan flavor.
@@ -88,5 +89,15 @@ cmake -B "$RELEASE_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=Release \
   -DSCIERA_WERROR=ON
 cmake --build "$RELEASE_DIR" -j "$JOBS"
+
+# The benchmark of record is its own CMake project over the same src/, so
+# no stage above compiles it. Build it in Release and run its smoke size
+# (one rep and one traced rep per workload, about a minute): sciera_perf
+# exits non-zero when any digest or report gate fails.
+BENCH_DIR="$BUILD_DIR-bench"
+echo "== benchmark: sciera_perf --smoke =="
+cmake -B "$BENCH_DIR" -S "$ROOT/benchmark" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BENCH_DIR" -j "$JOBS"
+"$BENCH_DIR/sciera_perf" --smoke
 
 echo "== run_checks: all clean =="
