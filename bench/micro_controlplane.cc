@@ -1,10 +1,12 @@
 // Control-plane microbenchmarks: beaconing sweeps, path combination as the
 // option space grows toward the >100-path pairs of Figure 8, PCB
-// verification, and path-server lookups (cold vs cached) — the ablations
-// behind the DESIGN.md design-choice list.
+// verification, the Ed25519 sign and verify calls under both, and
+// path-server lookups (cold vs cached) — the ablations behind the DESIGN.md
+// design-choice list.
 #include <benchmark/benchmark.h>
 
 #include "controlplane/control_plane.h"
+#include "crypto/ed25519.h"
 #include "topology/sciera_net.h"
 
 namespace {
@@ -76,6 +78,36 @@ void BM_PcbVerification(benchmark::State& state) {
                           static_cast<std::int64_t>(longest->pcb.length()));
 }
 BENCHMARK(BM_PcbVerification)->Unit(benchmark::kMicrosecond);
+
+// One Ed25519 call on a 200-byte message. Deriving the key builds the
+// fixed-base table, so neither loop pays for it.
+crypto::KeyPair ed25519_key() {
+  crypto::Ed25519::Seed seed{};
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = static_cast<std::uint8_t>(7 * i + 1);
+  }
+  return crypto::KeyPair::from_seed(seed);
+}
+
+void BM_Ed25519Sign(benchmark::State& state) {
+  const auto key = ed25519_key();
+  const Bytes message(200, 0xA5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Ed25519::sign(key, message));
+  }
+}
+BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
+
+void BM_Ed25519Verify(benchmark::State& state) {
+  const auto key = ed25519_key();
+  const Bytes message(200, 0xA5);
+  const auto signature = crypto::Ed25519::sign(key, message);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::Ed25519::verify(key.pub, message, signature));
+  }
+}
+BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);
 
 void BM_PathLookupCold(benchmark::State& state) {
   namespace a = topology::ases;

@@ -13,6 +13,14 @@ std::atomic<std::uint64_t> g_signatures_made{0};
 
 // ---------------------------------------------------------------------------
 // Field arithmetic over GF(p), p = 2^255 - 19, with 5 x 51-bit limbs.
+//
+// Reduction is lazy; DESIGN.md §15 derives the per-limb bounds. A value is
+// "carried" when every limb is below 2^51 + 2^13: fe_mul, fe_sq and fe_sub
+// return carried values, and every coordinate of a GePoint is one. fe_add
+// does not carry, so its sum of two carried values has limbs below
+// 2^52 + 2^14. fe_mul and fe_sq accept limbs below 2^54, which admits a sum
+// of up to three carried values (at most two un-carried additions) before a
+// multiply. fe_sub's subtrahend may be a sum of two carried values, no more.
 // ---------------------------------------------------------------------------
 
 struct Fe {
@@ -28,11 +36,32 @@ Fe fe_one() {
   return r;
 }
 
-Fe fe_add(const Fe& a, const Fe& b);
+// One carry pass over the limbs, the top carry wrapping around times 19.
+// From limbs below 2^55 it leaves limb 0 below 2^51 + 2^9 and the rest
+// below 2^51.
+void fe_carry_pass(Fe& f) {
+  std::uint64_t c;
+  for (int i = 0; i < 4; ++i) {
+    c = f.v[i] >> 51;
+    f.v[i] &= kMask51;
+    f.v[i + 1] += c;
+  }
+  c = f.v[4] >> 51;
+  f.v[4] &= kMask51;
+  f.v[0] += c * 19;
+}
 
-void fe_carry(Fe& f);
+// Two passes: from limbs below 2^54, limb 0 ends below 2^51 + 19 and the
+// rest below 2^51, so the value is below 2p, as fe_tobytes' final
+// subtraction of p expects.
+void fe_carry(Fe& f) {
+  fe_carry_pass(f);
+  fe_carry_pass(f);
+}
 
-// a - b + 4p, so limbs never go negative for any weakly-reduced inputs.
+// a - b + 4p, carried once. a: limbs below 2^54. b: limbs at most 4p's
+// (2^53 - 76, then 2^53 - 4), so b may be a sum of two carried values.
+// Returns a carried value.
 Fe fe_sub(const Fe& a, const Fe& b) {
   // 2p in 51-bit limbs: {2^52-38, 2^52-2, 2^52-2, 2^52-2, 2^52-2}.
   constexpr std::uint64_t kTwoP0 = 0xFFFFFFFFFFFDAULL;
@@ -43,35 +72,24 @@ Fe fe_sub(const Fe& a, const Fe& b) {
   r.v[2] = a.v[2] + kTwoPi * 2 - b.v[2];
   r.v[3] = a.v[3] + kTwoPi * 2 - b.v[3];
   r.v[4] = a.v[4] + kTwoPi * 2 - b.v[4];
-  fe_carry(r);
+  fe_carry_pass(r);
   return r;
 }
 
-// Weak reduction: brings limbs back under ~2^52.
-void fe_carry(Fe& f) {
-  std::uint64_t c;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < 4; ++i) {
-      c = f.v[i] >> 51;
-      f.v[i] &= kMask51;
-      f.v[i + 1] += c;
-    }
-    c = f.v[4] >> 51;
-    f.v[4] &= kMask51;
-    f.v[0] += c * 19;
-  }
-}
-
+// Limb-wise sum, not carried: each output limb is the sum of the inputs'.
 Fe fe_add(const Fe& a, const Fe& b) {
   Fe r;
   for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  fe_carry(r);
   return r;
 }
 
 using u128 = unsigned __int128;
 
 // Carries five 128-bit column sums of a product back into 51-bit limbs.
+// From inputs below 2^54, t0..t3 stay below 77 * 2^108 < 2^115, and t4,
+// the one column without a factor 19, below 5 * 2^108 plus its carry-in;
+// so the wrap carry out of t4 is below 2^59.4 and 19 times it below 2^64.
+// One more carry from limb 0 into limb 1 leaves the result carried.
 Fe fe_carry_wide(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   Fe r;
   std::uint64_t carry;
@@ -90,10 +108,12 @@ Fe fe_carry_wide(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   r.v[4] = (std::uint64_t)t4 & kMask51;
   carry = (std::uint64_t)(t4 >> 51);
   r.v[0] += carry * 19;
-  fe_carry(r);
+  r.v[1] += r.v[0] >> 51;
+  r.v[0] &= kMask51;
   return r;
 }
 
+// a * b. Inputs: limbs below 2^54. Returns a carried value.
 Fe fe_mul(const Fe& a, const Fe& b) {
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
                       a4 = a.v[4];
@@ -116,6 +136,7 @@ Fe fe_mul(const Fe& a, const Fe& b) {
 }
 
 // fe_mul(a, a) with the symmetric cross terms merged: 15 products, not 25.
+// Same bounds as fe_mul.
 Fe fe_sq(const Fe& a) {
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
                       a4 = a.v[4];
@@ -139,10 +160,11 @@ Fe fe_sq_times(const Fe& a, int n) {
 }
 
 // Full reduction into [0, p) and serialization, little-endian 32 bytes.
+// Input: limbs below 2^54.
 void fe_tobytes(std::uint8_t out[32], const Fe& in) {
   Fe f = in;
   fe_carry(f);
-  // Now limbs < 2^51 + small; subtract p if needed, twice to be safe.
+  // Now limbs < 2^51 + 19; subtract p if needed, twice to be safe.
   for (int pass = 0; pass < 2; ++pass) {
     // q = whether f >= p.
     std::uint64_t q = (f.v[0] + 19) >> 51;
@@ -297,6 +319,14 @@ struct GePrecomp {
   Fe xy2d;  // 2d * x * y
 };
 
+// A projective point in the form addition consumes.
+struct GeCached {
+  Fe ypx;  // Y + X
+  Fe ymx;  // Y - X
+  Fe z;
+  Fe t2d;  // 2d * T
+};
+
 GePoint ge_identity() {
   GePoint p;
   p.x = fe_zero();
@@ -306,32 +336,17 @@ GePoint ge_identity() {
   return p;
 }
 
-// Unified addition ("add-2008-hwcd-3"): also valid when a == b.
-GePoint ge_add(const GePoint& p, const GePoint& q) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const Fe c = fe_mul(fe_mul(p.t, fc().d2), q.t);
-  const Fe dd = fe_mul(fe_add(p.z, p.z), q.z);
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(dd, c);
-  const Fe g = fe_add(dd, c);
-  const Fe h = fe_add(b, a);
-  GePoint r;
-  r.x = fe_mul(e, f);
-  r.y = fe_mul(g, h);
-  r.t = fe_mul(e, h);
-  r.z = fe_mul(f, g);
-  return r;
+GeCached ge_cached(const GePoint& p) {
+  return GeCached{fe_add(p.y, p.x), fe_sub(p.y, p.x), p.z,
+                  fe_mul(p.t, fc().d2)};
 }
 
-// p + q (negate = false) or p - q (negate = true) for an affine q: the
-// unified formula above with Z2 = 1 and 2d*T2 precomputed. Negating q
-// swaps y+x with y-x and flips the sign of its 2dxy term.
-GePoint ge_madd(const GePoint& p, const GePrecomp& q, bool negate) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), negate ? q.ypx : q.ymx);
-  const Fe b = fe_mul(fe_add(p.y, p.x), negate ? q.ymx : q.ypx);
-  const Fe c = fe_mul(p.t, q.xy2d);
-  const Fe dd = fe_add(p.z, p.z);
+// The last step of unified addition ("add-2008-hwcd-3"), from its four
+// products A = (Y1-X1)(Y2-X2), B = (Y1+X1)(Y2+X2), C = 2d T1 T2 and
+// D = 2 Z1 Z2. Negating the second point swaps its y+x with y-x and flips
+// the sign of C; the caller does the swap, `negate` the sign.
+GePoint ge_add_finish(const Fe& a, const Fe& b, const Fe& c, const Fe& dd,
+                      bool negate) {
   const Fe e = fe_sub(b, a);
   const Fe f = negate ? fe_add(dd, c) : fe_sub(dd, c);
   const Fe g = negate ? fe_sub(dd, c) : fe_add(dd, c);
@@ -344,21 +359,100 @@ GePoint ge_madd(const GePoint& p, const GePrecomp& q, bool negate) {
   return r;
 }
 
-GePoint ge_neg(const GePoint& p) {
-  GePoint r = p;
-  r.x = fe_neg(p.x);
-  r.t = fe_neg(p.t);
+// p + q (negate = false) or p - q (negate = true). Unified: also valid when
+// p == q, and complete on this curve (a = -1 is a square, d is not).
+GePoint ge_add(const GePoint& p, const GeCached& q, bool negate) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), negate ? q.ypx : q.ymx);
+  const Fe b = fe_mul(fe_add(p.y, p.x), negate ? q.ymx : q.ypx);
+  const Fe c = fe_mul(p.t, q.t2d);
+  const Fe dd = fe_mul(fe_add(p.z, p.z), q.z);
+  return ge_add_finish(a, b, c, dd, negate);
+}
+
+// The same for an affine q, with Z2 = 1 saving a multiplication.
+GePoint ge_madd(const GePoint& p, const GePrecomp& q, bool negate) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), negate ? q.ypx : q.ymx);
+  const Fe b = fe_mul(fe_add(p.y, p.x), negate ? q.ymx : q.ypx);
+  const Fe c = fe_mul(p.t, q.xy2d);
+  return ge_add_finish(a, b, c, fe_add(p.z, p.z), negate);
+}
+
+// 2p by "dbl-2008-hwcd" with a = -1: 4 squarings and 4 multiplications,
+// where adding p to itself takes 9 multiplications. With A = X^2, B = Y^2,
+// E = 2XY = (X+Y)^2 - A - B, G = B - A, F = 2Z^2 - G and H = A + B, the
+// double is (E F : G H : F G : E H), the formula's own result scaled by -1.
+// Complete, like the addition: G and F are nonzero on the curve.
+GePoint ge_dbl(const GePoint& p) {
+  const Fe a = fe_sq(p.x);
+  const Fe b = fe_sq(p.y);
+  const Fe zz = fe_sq(p.z);
+  const Fe h = fe_add(a, b);
+  const Fe e = fe_sub(fe_sq(fe_add(p.x, p.y)), h);
+  const Fe g = fe_sub(b, a);
+  const Fe f = fe_sub(fe_add(zz, zz), g);
+  GePoint r;
+  r.x = fe_mul(e, f);
+  r.y = fe_mul(g, h);
+  r.t = fe_mul(e, h);
+  r.z = fe_mul(f, g);
   return r;
 }
 
-// Variable-time scalar multiplication, scalar as 32 little-endian bytes.
+// Recodes a scalar below 2^255 into N signed digits of W bits, e_i in
+// [-2^(W-1), 2^(W-1)] with scalar = sum e_i * 2^(W i). Every digit but the
+// top one lies in [-2^(W-1), 2^(W-1)); the top one absorbs the last carry.
+template <int W, int N>
+void recode_signed(std::int8_t (&e)[N], const std::uint8_t scalar[32]) {
+  static_assert(W * N >= 255 && W * (N - 1) < 255);
+  for (int i = 0; i < N; ++i) {
+    const int bit = W * i;
+    unsigned window = scalar[bit / 8] >> (bit % 8);
+    if (bit % 8 + W > 8 && bit / 8 + 1 < 32) {
+      window |= unsigned{scalar[bit / 8 + 1]} << (8 - bit % 8);
+    }
+    e[i] = static_cast<std::int8_t>(window & ((1u << W) - 1));
+  }
+  int carry = 0;
+  for (int i = 0; i < N - 1; ++i) {
+    const int digit = e[i] + carry;
+    carry = (digit + (1 << (W - 1))) >> W;
+    e[i] = static_cast<std::int8_t>(digit - (carry << W));
+  }
+  e[N - 1] = static_cast<std::int8_t>(e[N - 1] + carry);
+}
+
+// Variable-time scalar * p for a scalar below 2^255 (verify's k is reduced
+// mod L): 64 signed radix-16 digits in [-8, 8] over 8 cached multiples of
+// p, so 252 doublings and at most 64 additions.
 GePoint ge_scalar_mult(const GePoint& p, const std::uint8_t scalar[32]) {
+  GeCached multiples[8];  // (j + 1) * p
+  multiples[0] = ge_cached(p);
+  GePoint multiple = p;
+  for (int j = 1; j < 8; ++j) {
+    multiple = ge_add(multiple, multiples[0], false);
+    multiples[j] = ge_cached(multiple);
+  }
+
+  std::int8_t e[64]{};
+  recode_signed<4>(e, scalar);
   GePoint acc = ge_identity();
-  for (int bit = 255; bit >= 0; --bit) {
-    acc = ge_add(acc, acc);
-    if ((scalar[bit / 8] >> (bit % 8)) & 1) acc = ge_add(acc, p);
+  for (int i = 63; i >= 0; --i) {
+    if (i < 63) {
+      for (int k = 0; k < 4; ++k) acc = ge_dbl(acc);
+    }
+    if (e[i] == 0) continue;
+    const bool negate = e[i] < 0;
+    const int magnitude = negate ? -e[i] : e[i];
+    acc = ge_add(acc, multiples[magnitude - 1], negate);
   }
   return acc;
+}
+
+// Whether 8p is the identity, i.e. p is one of the eight points of small
+// order: (0 : Y : Y : 0) after three doublings.
+bool ge_has_small_order(const GePoint& p) {
+  const GePoint p8 = ge_dbl(ge_dbl(ge_dbl(p)));
+  return fe_is_zero(p8.x) && fe_equal(p8.y, p8.z);
 }
 
 void ge_compress(std::uint8_t out[32], const GePoint& p) {
@@ -416,26 +510,41 @@ const GePoint& ge_base() {
   return base;
 }
 
-// Multiples of the base point for signed radix-16 scalar multiplication:
-// at[i][j] = (j + 1) * 16^i * B for i < 64, j < 8. 512 affine points,
-// computed once from ge_base() at first use.
+// Multiples of the base point for signed radix-64 scalar multiplication:
+// at[i][j] = (j + 1) * 64^i * B for i < 43, j < 32. 1,376 affine points
+// (≈161 KiB), computed once from ge_base() at first use. Each row is built
+// as 32 projective multiples whose Z's share one inversion (Montgomery's
+// trick), so the table costs 43 inversions, not 1,376; the working space
+// is one row's worth, on the stack.
 struct BaseTable {
-  GePrecomp at[64][8];
+  GePrecomp at[43][32];
 
   BaseTable() {
-    GePoint power = ge_base();  // 16^i * B
+    GePoint power = ge_base();  // 64^i * B
     for (auto& row : at) {
-      GePoint multiple = power;
-      for (auto& entry : row) {
-        const Fe zinv = fe_invert(multiple.z);
-        const Fe x = fe_mul(multiple.x, zinv);
-        const Fe y = fe_mul(multiple.y, zinv);
-        entry.ypx = fe_add(y, x);
-        entry.ymx = fe_sub(y, x);
-        entry.xy2d = fe_mul(fe_mul(x, y), fc().d2);
-        multiple = ge_add(multiple, power);
+      GePoint multiple[32];  // (j + 1) * power
+      Fe prefix[32];         // z_0 * z_1 * ... * z_j
+      const GeCached step = ge_cached(power);
+      multiple[0] = power;
+      prefix[0] = power.z;
+      for (int j = 1; j < 32; ++j) {
+        multiple[j] = ge_add(multiple[j - 1], step, false);
+        prefix[j] = fe_mul(prefix[j - 1], multiple[j].z);
       }
-      for (int i = 0; i < 4; ++i) power = ge_add(power, power);
+      Fe inv = fe_invert(prefix[31]);  // 1 / (z_0 ... z_j), j from 31 down
+      for (int j = 31; j >= 0; --j) {
+        Fe zinv = inv;
+        if (j > 0) {
+          zinv = fe_mul(inv, prefix[j - 1]);
+          inv = fe_mul(inv, multiple[j].z);
+        }
+        const Fe x = fe_mul(multiple[j].x, zinv);
+        const Fe y = fe_mul(multiple[j].y, zinv);
+        row[j].ypx = fe_add(y, x);
+        row[j].ymx = fe_sub(y, x);
+        row[j].xy2d = fe_mul(fe_mul(x, y), fc().d2);
+      }
+      power = ge_dbl(multiple[31]);  // 2 * 32 * power
     }
   }
 };
@@ -447,25 +556,16 @@ const BaseTable& base_table() {
 
 // scalar * B for a scalar below 2^255 (every caller's is: clamped secret
 // scalars clear bit 255, and the others are reduced mod L). The scalar is
-// recoded into 64 signed digits e_i in [-8, 8] with sum e_i * 16^i, so
-// the product is at most 64 table additions and no doublings.
+// recoded into 43 signed digits e_i in [-32, 32] with sum e_i * 64^i, so
+// the product is at most 43 table additions and no doublings. The top
+// digit covers bits 252..254 plus the last carry, so it is at most 8.
 GePoint ge_scalar_mult_base(const std::uint8_t scalar[32]) {
-  std::int8_t e[64];
-  for (int i = 0; i < 32; ++i) {
-    e[2 * i] = static_cast<std::int8_t>(scalar[i] & 15);
-    e[2 * i + 1] = static_cast<std::int8_t>(scalar[i] >> 4);
-  }
-  int carry = 0;
-  for (int i = 0; i < 63; ++i) {
-    const int digit = e[i] + carry;
-    carry = (digit + 8) >> 4;
-    e[i] = static_cast<std::int8_t>(digit - (carry << 4));
-  }
-  e[63] = static_cast<std::int8_t>(e[63] + carry);
+  std::int8_t e[43]{};
+  recode_signed<6>(e, scalar);
 
   const BaseTable& table = base_table();
   GePoint acc = ge_identity();
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 43; ++i) {
     if (e[i] == 0) continue;
     const bool negate = e[i] < 0;
     const int magnitude = negate ? -e[i] : e[i];
@@ -718,17 +818,17 @@ bool Ed25519::verify(const PublicKey& pub, BytesView message,
   if (!sc_is_canonical(s)) return false;
 
   GePoint a;
-  if (!ge_decompress(a, pub.data())) return false;
+  if (!ge_decompress(a, pub.data()) || ge_has_small_order(a)) return false;
 
   const auto k_hash =
       hash3(BytesView{r_enc, 32}, BytesView{pub.data(), pub.size()}, message);
   std::uint8_t k[32];
   sc_reduce(k, k_hash.data());
 
-  // Check encode(s*B + k*(-A)) == R.
+  // Check encode(s*B - k*A) == R.
   const GePoint sb = ge_scalar_mult_base(s);
-  const GePoint ka = ge_scalar_mult(ge_neg(a), k);
-  const GePoint r_check = ge_add(sb, ka);
+  const GePoint ka = ge_scalar_mult(a, k);
+  const GePoint r_check = ge_add(sb, ge_cached(ka), true);
   std::uint8_t r_check_enc[32];
   ge_compress(r_check_enc, r_check);
   return std::memcmp(r_check_enc, r_enc, 32) == 0;

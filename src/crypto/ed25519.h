@@ -1,14 +1,16 @@
 // Ed25519 signatures (RFC 8032), implemented from scratch: GF(2^255-19)
-// field arithmetic (51-bit limbs), unified twisted-Edwards point addition,
-// and scalar arithmetic mod the group order (Barrett reduction over 32-bit
-// limbs). Variable-time is acceptable here: keys live inside a simulated
-// control plane, not on an exposed host. Curve constants (d, 2d, sqrt(-1))
-// are computed from first principles at startup, not transcribed, and so
-// is the fixed-base table: 64 x 8 affine multiples (j+1) * 16^i * B of the
-// base point, which turns every r*B (signing, key derivation) and the s*B
-// half of verification into at most 64 mixed additions over signed
-// radix-16 digits, with no doublings. Field inversion is the 254-squaring
-// addition chain for p-2.
+// field arithmetic (51-bit limbs, lazily reduced), unified twisted-Edwards
+// point addition with a dedicated doubling, and scalar arithmetic mod the
+// group order (Barrett reduction over 32-bit limbs). Variable-time is
+// acceptable here: keys live inside a simulated control plane, not on an
+// exposed host. Curve constants (d, 2d, sqrt(-1)) are computed from first
+// principles at startup, not transcribed, and so is the fixed-base table:
+// 43 x 32 affine multiples (j+1) * 64^i * B of the base point, which turns
+// every r*B (signing, key derivation) and the s*B half of verification into
+// at most 43 mixed additions over signed radix-64 digits, with no
+// doublings. Verification's k*A is a signed radix-16 window over 8
+// multiples of A. Field inversion is the 254-squaring addition chain for
+// p-2.
 //
 // Signing takes the signer's KeyPair: the public key is hashed into every
 // signature, and deriving it again per call would cost a second scalar
@@ -42,7 +44,9 @@ struct Ed25519 {
   static Signature sign(const KeyPair& key, BytesView message);
 
   // Rejects non-canonical encodings: s >= L, and a public key whose y is
-  // not below p (RFC 8032 section 5.1.3).
+  // not below p (RFC 8032 section 5.1.3). Also rejects the eight public
+  // keys of small order (8*A is the identity), under which a signature
+  // that ignores the message can verify.
   [[nodiscard]] static bool verify(const PublicKey& pub, BytesView message,
                                    const Signature& sig);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 
 #include "common/rng.h"
 #include "crypto/aes128.h"
@@ -367,16 +368,23 @@ TEST(Ed25519Sig, RejectsWrongKey) {
   EXPECT_FALSE(Ed25519::verify(pk_b, msg, sig));
 }
 
+// (R = B, s = 1), which verifies under any public key A with k*A equal to
+// the identity, since s*B - k*A = B.
+Ed25519::Signature base_point_forgery() {
+  Ed25519::Signature forged{};
+  forged[0] = 0x58;  // R = encoding of the base point (y = 4/5)
+  for (std::size_t i = 1; i < 32; ++i) forged[i] = 0x66;
+  forged[32] = 1;  // s = 1
+  return forged;
+}
+
 TEST(Ed25519Sig, RejectsNonCanonicalPublicKey) {
   // RFC 8032 section 5.1.3: a point encoding whose y is not below p must
   // fail to decode. EE FF..FF 7F is y = p + 1, which reduces to y = 1, the
   // identity. Decoded leniently, A = identity makes (R = B, s = 1) verify
   // over any message: s*B - k*A = B. Every y in [p, p + 18], with either
   // sign bit, must be rejected.
-  Ed25519::Signature forged{};
-  forged[0] = 0x58;  // R = encoding of the base point (y = 4/5)
-  for (int i = 1; i < 32; ++i) forged[static_cast<std::size_t>(i)] = 0x66;
-  forged[32] = 1;  // s = 1
+  const Ed25519::Signature forged = base_point_forgery();
   for (int k = 0; k <= 18; ++k) {
     for (const std::uint8_t sign : {0x00, 0x80}) {
       Ed25519::PublicKey pub{};
@@ -411,6 +419,58 @@ TEST(Ed25519Sig, SignatureCorpusMatchesReferenceDigest) {
   }
   EXPECT_EQ(to_hex(digest.finish()),
             "113fa8fe3e47ced3dee0140ef0fe6c33b57ecdb58e05256da4bdb9bbddfe61d5");
+}
+
+TEST(Ed25519Sig, PublicKeyCorpusMatchesReferenceDigest) {
+  // Parity gate for key derivation: SHA-256 over the public keys of 4,096
+  // seeded keys. Clamping sets bit 254 of every secret scalar, so this is
+  // the corpus that reaches the top digit of the fixed-base recoding (the
+  // signing corpus above multiplies B only by scalars reduced mod L). The
+  // digest was taken from the radix-16 table before the radix-64 one.
+  Sha256 digest;
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    Rng rng{0xB45E0000 + i};
+    Ed25519::Seed seed{};
+    for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto pub = Ed25519::public_key(seed);
+    digest.update(BytesView{pub.data(), pub.size()});
+  }
+  EXPECT_EQ(to_hex(digest.finish()),
+            "e2036188dddeebdbfb6d0686269dece2a2cd2c5b209575283666cdc0d51db624");
+}
+
+TEST(Ed25519Sig, RejectsSmallOrderPublicKeys) {
+  // The eight curve points whose order divides 8, canonically encoded.
+  // Under such an A, k*A is the identity whenever the order divides
+  // k = H(R || A || M), and then (R = B, s = 1) verifies: s*B - k*A = B.
+  // Under the identity key that is every message; under the others, half,
+  // a quarter or an eighth of them. No key from KeyPair::from_seed has
+  // small order (a*B lies in the prime-order subgroup).
+  const char* const small_order[] = {
+      // identity (0, 1)
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      // (0, -1), order 2
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      // (+-sqrt(-1), 0), order 4
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0000000000000000000000000000000000000000000000000000000000000080",
+      // order 8, both signs of x for each of the two y values
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+  };
+  const Ed25519::Signature forged = base_point_forgery();
+  for (const char* encoding : small_order) {
+    const auto pub = array_from_hex<32>(encoding);
+    int accepted = 0;
+    for (int m = 0; m < 64; ++m) {
+      const Bytes msg = bytes_of("message " + std::to_string(m));
+      accepted += Ed25519::verify(pub, msg, forged) ? 1 : 0;
+    }
+    EXPECT_EQ(accepted, 0) << encoding << " accepted " << accepted
+                           << " of 64 forgeries";
+  }
 }
 
 TEST(Ed25519Sig, SignaturesMadeCountsSignCallsOnly) {

@@ -378,15 +378,18 @@ TEST_P(Ed25519Fuzz, RandomAndBitFlippedTriplesNeverVerify) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Ed25519Fuzz, ::testing::Range(0, 10));
 
 TEST(Ed25519Fuzz, EverySingleBitFlipOfKeyAndSignatureRejected) {
-  Rng rng{4099};
-  const SignedTriple valid = signed_triple(rng);
-  ASSERT_TRUE(Ed25519::verify(valid.pub, valid.msg, valid.sig));
-  for (std::size_t bit = 0; bit < (valid.pub.size() + valid.sig.size()) * 8;
-       ++bit) {
-    SignedTriple mutated = valid;
-    flip_bit(mutated, bit);
-    EXPECT_FALSE(Ed25519::verify(mutated.pub, mutated.msg, mutated.sig))
-        << "bit " << bit;
+  // Eight keys: every flipped key bit is a fresh A for verify's k*A.
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    Rng rng{4099 + key};
+    const SignedTriple valid = signed_triple(rng);
+    ASSERT_TRUE(Ed25519::verify(valid.pub, valid.msg, valid.sig)) << key;
+    for (std::size_t bit = 0;
+         bit < (valid.pub.size() + valid.sig.size()) * 8; ++bit) {
+      SignedTriple mutated = valid;
+      flip_bit(mutated, bit);
+      EXPECT_FALSE(Ed25519::verify(mutated.pub, mutated.msg, mutated.sig))
+          << "key " << key << ", bit " << bit;
+    }
   }
 }
 
