@@ -104,7 +104,7 @@ void BM_Ed25519Verify(benchmark::State& state) {
   const auto signature = crypto::Ed25519::sign(key, message);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        crypto::Ed25519::verify(key.pub, message, signature));
+        crypto::Ed25519::verify(key.pub(), message, signature));
   }
 }
 BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);

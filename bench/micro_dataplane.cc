@@ -145,7 +145,7 @@ void BM_Ed25519Verify(benchmark::State& state) {
   const auto key = crypto::KeyPair::from_seed(seed);
   const auto sig = crypto::Ed25519::sign(key, msg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Ed25519::verify(key.pub, msg, sig));
+    benchmark::DoNotOptimize(crypto::Ed25519::verify(key.pub(), msg, sig));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -1,11 +1,13 @@
 // Ablation: the dispatcher bottleneck of Section 4.8 and the Science-DMZ
 // datapath (Section 4.7.1). Quantifies why SCIERA migrated to a
 // dispatcherless end-host stack, why Hercules reached for XDP, and what
-// RSS buys LightningFilter.
+// RSS buys LightningFilter. Also the end host's two per-packet costs: a
+// warm PAN send and a warm local delivery.
 #include <benchmark/benchmark.h>
 
 #include "endhost/hercules.h"
 #include "endhost/lightning_filter.h"
+#include "endhost/pan.h"
 #include "topology/sciera_net.h"
 
 namespace {
@@ -64,6 +66,80 @@ BENCHMARK(BM_HostStackBurst)
     ->Args({1, 2000})
     ->Args({0, 2000})
     ->Unit(benchmark::kMillisecond);
+
+// A daemon-mode PAN socket at UVa, on its own host address.
+struct UvaSocket {
+  UvaSocket(std::uint32_t host, std::uint16_t port,
+            PanSocket::Handler handler)
+      : daemon(net(), topology::ases::uva()),
+        ctx(PanContext::Builder{}
+                .net(net())
+                .address({topology::ases::uva(), host})
+                .daemon(daemon)
+                .build(Rng{1})
+                .value()),
+        socket(PanSocket::open(*ctx, port, std::move(handler)).value()) {}
+
+  Daemon daemon;
+  std::unique_ptr<PanContext> ctx;
+  std::unique_ptr<PanSocket> socket;
+};
+
+// One warm send_to of a 64-byte datagram from UVa: path choice over the
+// destination's ranked set, UDP framing, and the router's first hop.
+// Arg: the destination's path count, 3 (Princeton) or 96 (Korea
+// University). The simulator is drained, untimed, every 256 sends.
+void BM_PanSendWarm(benchmark::State& state) {
+  namespace a = topology::ases;
+  const IsdAs dst = state.range(0) == 3 ? a::princeton() : a::korea_univ();
+  UvaSocket uva{0x0B000010, 0, [](auto&&...) {}};
+  const dataplane::Address peer{dst, 0x0B000011};
+  const Bytes payload(64, 0x5A);
+  if (!uva.socket->send_to(peer, 7000, payload).ok() ||
+      uva.daemon.path_set(dst)->size() !=
+          static_cast<std::size_t>(state.range(0))) {
+    state.SkipWithError("unexpected path set");
+    return;
+  }
+  net().sim().run_all();
+  std::size_t sent = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(uva.socket->send_to(peer, 7000, payload));
+    if (++sent % 256 == 0) {
+      state.PauseTiming();
+      net().sim().run_all();
+      state.ResumeTiming();
+    }
+  }
+  net().sim().run_all();
+}
+BENCHMARK(BM_PanSendWarm)->Arg(3)->Arg(96);
+
+// One warm local delivery of a 200-byte datagram from another host of the
+// AS over the empty path: BorderRouter::inject, the intra-AS hop, the
+// host stack and a PAN socket's handler, with the simulator run to empty.
+void BM_LocalDeliveryWarm(benchmark::State& state) {
+  namespace a = topology::ases;
+  std::int64_t received = 0;
+  UvaSocket uva{0x0B000020, 9000, [&received](auto&&...) { ++received; }};
+  dataplane::ScionPacket pkt;
+  pkt.path_type = dataplane::PathType::kEmpty;
+  pkt.dst = {a::uva(), 0x0B000020};
+  pkt.src = {a::uva(), 0x0B000021};
+  dataplane::UdpDatagram dg;
+  dg.src_port = 40000;
+  dg.dst_port = 9000;
+  dg.data.assign(200, 0x42);
+  pkt.payload = dg.serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net().send_from_host(pkt));
+    net().sim().run_all();
+  }
+  if (received != static_cast<std::int64_t>(state.iterations())) {
+    state.SkipWithError("a datagram was not delivered");
+  }
+}
+BENCHMARK(BM_LocalDeliveryWarm);
 
 // Hercules receive-throughput model across datapath generations.
 void BM_HerculesHostLimit(benchmark::State& state) {

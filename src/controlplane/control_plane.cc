@@ -98,7 +98,7 @@ void ScionNetwork::build_data_plane() {
   for (const auto& as_info : topo_.ases()) {
     const IsdAs ia = as_info.ia;
     routers_.at(ia)->set_local_delivery(
-        [this](const dataplane::ScionPacket& packet, SimTime arrival) {
+        [this](dataplane::ScionPacket& packet, SimTime arrival) {
           dispatch_local(packet, arrival);
         });
   }
@@ -286,7 +286,7 @@ Status ScionNetwork::send_from_host(const dataplane::ScionPacket& packet) {
   return br->inject(packet);
 }
 
-void ScionNetwork::dispatch_local(const dataplane::ScionPacket& packet,
+void ScionNetwork::dispatch_local(dataplane::ScionPacket& packet,
                                   SimTime arrival) {
   const auto it = hosts_.find({packet.dst.ia.packed(), packet.dst.host});
   if (it == hosts_.end()) return;

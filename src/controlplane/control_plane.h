@@ -11,6 +11,7 @@
 #include "controlplane/beaconing.h"
 #include "controlplane/control_service_set.h"
 #include "controlplane/path_server.h"
+#include "dataplane/local_delivery.h"
 #include "dataplane/router.h"
 #include "obs/metrics.h"
 #include "simnet/simulator.h"
@@ -102,21 +103,30 @@ class ScionNetwork {
   [[nodiscard]] bool path_usable(const Path& path) const;
 
   // --- Hosts ----------------------------------------------------------------
+  // The handler may take the packet (swap it out): it is the router's
+  // parked copy (BorderRouter::LocalDelivery).
   using HostHandler =
-      std::function<void(const dataplane::ScionPacket&, SimTime)>;
+      std::function<void(dataplane::ScionPacket&, SimTime)>;
   // Registers a host address within its AS; local deliveries for that
   // address are handed to the handler (the end-host stack demuxes further).
   Status register_host(const dataplane::Address& addr, HostHandler handler);
   void unregister_host(const dataplane::Address& addr);
   // Hands a packet from a host to its AS border router.
   Status send_from_host(const dataplane::ScionPacket& packet);
+  // UDP deliveries the host stacks have accepted and not yet handed to a
+  // socket. They live here, as long as the simulator, not in a stack, so
+  // a stack destroyed with deliveries pending leaves them valid.
+  [[nodiscard]] dataplane::SlotPool<dataplane::ParkedDatagram>&
+  parked_datagrams() {
+    return parked_datagrams_;
+  }
 
   // Runs the PKI renewal sweep (the orchestrator cron job).
   std::size_t renew_certificates();
 
  private:
   void build_data_plane();
-  void dispatch_local(const dataplane::ScionPacket& packet, SimTime arrival);
+  void dispatch_local(dataplane::ScionPacket& packet, SimTime arrival);
   void start_healing();
   void on_link_state_change(SimTime at);
   void healing_tick();
@@ -138,6 +148,7 @@ class ScionNetwork {
   // would make the walk depend on which host asked first.
   std::map<IsdAs, std::unique_ptr<ControlServiceSet>> services_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, HostHandler> hosts_;
+  dataplane::SlotPool<dataplane::ParkedDatagram> parked_datagrams_;
   std::string metrics_label_;
   obs::Counter* beaconing_runs_ = nullptr;
   obs::Gauge* segments_up_ = nullptr;

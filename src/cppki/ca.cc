@@ -100,7 +100,7 @@ IsdPki::IsdPki(Isd isd, std::vector<IsdAs> core_ases, SimTime now,
   for (IsdAs core : core_ases) {
     auto voting = next_key("voting");
     voting_keys_.emplace(core, voting);
-    trc_.roots.push_back(TrcRootEntry{core, voting.pub, root_key_.pub});
+    trc_.roots.push_back(TrcRootEntry{core, voting.pub(), root_key_.pub()});
   }
   // All core ASes self-sign the base TRC.
   const Bytes payload = trc_.signing_payload();
@@ -118,7 +118,7 @@ IsdPki::IsdPki(Isd isd, std::vector<IsdAs> core_ases, SimTime now,
   ca_cert.subject = ca_as;
   ca_cert.issuer = ca_as;  // root entry lives at the same core AS
   ca_cert.serial = 1;
-  ca_cert.subject_key = ca_key.pub;
+  ca_cert.subject_key = ca_key.pub();
   ca_cert.valid_from = now;
   ca_cert.valid_until = now + trc_validity;
   sign_certificate(ca_cert, root_key_);
@@ -135,7 +135,7 @@ Status IsdPki::enroll(IsdAs as, SimTime now) {
   }
   AsCredentials creds;
   creds.signing_key = next_key("as-signing");
-  auto cert = ca_->issue(as, creds.signing_key.pub, now);
+  auto cert = ca_->issue(as, creds.signing_key.pub(), now);
   if (!cert) return cert.error();
   creds.as_cert = std::move(cert).value();
   creds.ca_cert = ca_->ca_certificate();
@@ -152,7 +152,7 @@ std::size_t IsdPki::renew_expiring(SimTime now) {
   std::size_t renewed = 0;
   for (auto& [as, creds] : members_) {
     if (creds.as_cert.valid_until - now <= kRenewalMargin) {
-      auto cert = ca_->issue(as, creds.signing_key.pub, now);
+      auto cert = ca_->issue(as, creds.signing_key.pub(), now);
       if (cert) {
         creds.as_cert = std::move(cert).value();
         ++renewed;

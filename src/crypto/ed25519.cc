@@ -761,27 +761,28 @@ Sha512::Digest hash3(BytesView a, BytesView b, BytesView c) {
 
 }  // namespace
 
+KeyPair KeyPair::from_seed(const Ed25519::Seed& seed) {
+  const auto h = Sha512::hash(BytesView{seed.data(), seed.size()});
+  KeyPair key;
+  key.seed_ = seed;
+  std::memcpy(key.scalar_.data(), h.data(), 32);
+  clamp(key.scalar_.data());
+  std::memcpy(key.prefix_.data(), h.data() + 32, 32);
+  ge_compress(key.pub_.data(), ge_scalar_mult_base(key.scalar_.data()));
+  return key;
+}
+
 Ed25519::PublicKey Ed25519::public_key(const Seed& seed) {
-  auto h = Sha512::hash(BytesView{seed.data(), seed.size()});
-  std::uint8_t a[32];
-  std::memcpy(a, h.data(), 32);
-  clamp(a);
-  const GePoint big_a = ge_scalar_mult_base(a);
-  PublicKey pk;
-  ge_compress(pk.data(), big_a);
-  return pk;
+  return KeyPair::from_seed(seed).pub();
 }
 
 Ed25519::Signature Ed25519::sign(const KeyPair& key, BytesView message) {
   g_signatures_made.fetch_add(1, std::memory_order_relaxed);
-  auto h = Sha512::hash(BytesView{key.seed.data(), key.seed.size()});
-  std::uint8_t a[32];
-  std::memcpy(a, h.data(), 32);
-  clamp(a);
+  const std::uint8_t* a = key.scalar_.data();
 
   // r = H(prefix || M) mod L
   Sha512 rh;
-  rh.update(BytesView{h.data() + 32, 32}).update(message);
+  rh.update(BytesView{key.prefix_.data(), key.prefix_.size()}).update(message);
   const auto r_hash = rh.finish();
   std::uint8_t r[32];
   sc_reduce(r, r_hash.data());
@@ -793,7 +794,8 @@ Ed25519::Signature Ed25519::sign(const KeyPair& key, BytesView message) {
 
   // k = H(R || A || M) mod L
   const auto k_hash = hash3(BytesView{r_enc, 32},
-                            BytesView{key.pub.data(), key.pub.size()}, message);
+                            BytesView{key.pub_.data(), key.pub_.size()},
+                            message);
   std::uint8_t k[32];
   sc_reduce(k, k_hash.data());
 

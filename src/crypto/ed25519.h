@@ -14,7 +14,9 @@
 //
 // Signing takes the signer's KeyPair: the public key is hashed into every
 // signature, and deriving it again per call would cost a second scalar
-// multiplication.
+// multiplication. The KeyPair also keeps the expanded secret (the clamped
+// scalar and the nonce prefix of SHA-512(seed)), so a signature hashes
+// only the message, twice.
 #pragma once
 
 #include <array>
@@ -25,7 +27,7 @@
 
 namespace sciera::crypto {
 
-struct KeyPair;
+class KeyPair;
 
 struct Ed25519 {
   static constexpr std::size_t kSeedSize = 32;
@@ -39,8 +41,7 @@ struct Ed25519 {
   // Derives the public key for a 32-byte seed (the RFC 8032 private key).
   static PublicKey public_key(const Seed& seed);
 
-  // Signs with key.seed; key.pub must be public_key(key.seed), as
-  // KeyPair::from_seed guarantees.
+  // Signs with a key built by KeyPair::from_seed.
   static Signature sign(const KeyPair& key, BytesView message);
 
   // Rejects non-canonical encodings: s >= L, and a public key whose y is
@@ -56,14 +57,27 @@ struct Ed25519 {
   [[nodiscard]] static std::uint64_t signatures_made();
 };
 
-// A convenience bundle for PKI code.
-struct KeyPair {
-  Ed25519::Seed seed{};
-  Ed25519::PublicKey pub{};
+// A signing key: the seed, its public key and its expanded secret, all
+// derived once by from_seed(). The fields are private, so every key that
+// can sign was built by from_seed(). A default-constructed KeyPair is a
+// placeholder to assign one to.
+class KeyPair {
+ public:
+  KeyPair() = default;
+  static KeyPair from_seed(const Ed25519::Seed& seed);
 
-  static KeyPair from_seed(const Ed25519::Seed& seed) {
-    return KeyPair{seed, Ed25519::public_key(seed)};
-  }
+  [[nodiscard]] const Ed25519::Seed& seed() const { return seed_; }
+  [[nodiscard]] const Ed25519::PublicKey& pub() const { return pub_; }
+
+ private:
+  friend struct Ed25519;
+
+  Ed25519::Seed seed_{};
+  Ed25519::PublicKey pub_{};
+  // SHA-512(seed): the first half clamped (the secret scalar a), the
+  // second half the prefix that derives each signature's nonce.
+  std::array<std::uint8_t, 32> scalar_{};
+  std::array<std::uint8_t, 32> prefix_{};
 };
 
 }  // namespace sciera::crypto

@@ -278,8 +278,14 @@ std::size_t ScionPacket::wire_size() const {
   return size + payload.size();
 }
 
+namespace {
+constexpr std::size_t kUdpHeaderSize = 8;  // src port, dst port, length
+}  // namespace
+
 Bytes UdpDatagram::serialize() const {
-  Writer w;
+  Bytes out;
+  out.reserve(kUdpHeaderSize + data.size());
+  Writer w{std::move(out)};
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(static_cast<std::uint32_t>(data.size()));
@@ -288,18 +294,21 @@ Bytes UdpDatagram::serialize() const {
 }
 
 Result<UdpDatagram> UdpDatagram::parse(BytesView bytes) {
+  auto view = UdpDatagramView::parse(bytes);
+  if (!view) return view.error();
+  return UdpDatagram{view->src_port, view->dst_port,
+                     Bytes{view->data.begin(), view->data.end()}};
+}
+
+Result<UdpDatagramView> UdpDatagramView::parse(BytesView bytes) {
   Reader r{bytes};
   auto src = r.u16();
   auto dst = r.u16();
   auto len = r.u32();
   if (!src || !dst || !len) return Error{Errc::kParseError, "short UDP header"};
-  auto data = r.raw(*len);
+  auto data = r.raw_view(*len);
   if (!data) return data.error();
-  UdpDatagram dg;
-  dg.src_port = *src;
-  dg.dst_port = *dst;
-  dg.data = std::move(data).value();
-  return dg;
+  return UdpDatagramView{*src, *dst, *data};
 }
 
 }  // namespace sciera::dataplane

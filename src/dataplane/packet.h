@@ -136,8 +136,20 @@ struct UdpDatagram {
   std::uint16_t dst_port = 0;
   Bytes data;
 
+  // One allocation: the buffer is reserved to the datagram's exact size.
   [[nodiscard]] Bytes serialize() const;
   static Result<UdpDatagram> parse(BytesView bytes);
+};
+
+// A UDP datagram read in place: the header's ports, and the data as a view
+// into the buffer it was read from, valid while that buffer is. Host
+// ingress filters and demultiplexes on this before it copies anything.
+struct UdpDatagramView {
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  BytesView data;
+
+  static Result<UdpDatagramView> parse(BytesView bytes);
 };
 
 }  // namespace sciera::dataplane

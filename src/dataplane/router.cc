@@ -175,14 +175,15 @@ Status BorderRouter::inject(const ScionPacket& packet) {
                    "empty path can only reach the local AS"};
     }
     metrics_.injected->inc();
-    deliver_local(packet);
+    inject_scratch_ = packet;
+    deliver_local(inject_scratch_);
     return {};
   }
   if (auto status = packet.path.validate(); !status.ok()) return status;
   metrics_.injected->inc();
   // process() consumes its packet in place; the caller keeps theirs.
-  ScionPacket working = packet;
-  process(working, /*arrival_iface=*/0, /*from_local=*/true);
+  inject_scratch_ = packet;
+  process(inject_scratch_, /*arrival_iface=*/0, /*from_local=*/true);
   return {};
 }
 
@@ -373,15 +374,17 @@ void BorderRouter::process(ScionPacket& packet, IfaceId arrival_iface,
   }
 }
 
-void BorderRouter::deliver_local(const ScionPacket& packet) {
+void BorderRouter::deliver_local(ScionPacket& packet) {
   metrics_.delivered->inc();
   if (!local_delivery_) return;
-  auto delivery = local_delivery_;
-  // The endpoint handoff copies the packet (it outlives the scratch slot
-  // it may live in); the forwarding fast path never takes this branch
-  // for transit traffic, so the copy is off the hot path.
-  sim_.schedule_after(kIntraAsDelay, [delivery, packet, &sim = sim_] {
-    delivery(packet, sim.now());
+  // Every packet delivered in this AS passes here. It outlives the
+  // scratch it was processed in, so it is swapped into a parked slot,
+  // not copied; the event carries only the slot's index.
+  const std::uint32_t slot = parked_.acquire();
+  std::swap(parked_[slot], packet);
+  sim_.schedule_after(kIntraAsDelay, [this, slot] {
+    local_delivery_(parked_[slot], sim_.now());
+    parked_.release(slot);
   });
 }
 

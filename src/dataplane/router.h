@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dataplane/hopfield.h"
+#include "dataplane/local_delivery.h"
 #include "dataplane/packet.h"
 #include "dataplane/scmp.h"
 #include "dataplane/underlay.h"
@@ -101,9 +102,11 @@ class BorderRouter final : public simnet::Node {
   void restart() { online_ = true; }
   [[nodiscard]] bool online() const { return online_; }
 
-  // Handler for packets addressed to hosts/services in this AS.
+  // Handler for packets addressed to hosts/services in this AS. The packet
+  // is the router's parked copy: the handler may take it (swap it out),
+  // and whatever it leaves is reused for a later delivery.
   using LocalDelivery =
-      std::function<void(const ScionPacket& packet, SimTime arrival)>;
+      std::function<void(ScionPacket& packet, SimTime arrival)>;
   void set_local_delivery(LocalDelivery delivery) {
     local_delivery_ = std::move(delivery);
   }
@@ -126,13 +129,14 @@ class BorderRouter final : public simnet::Node {
 
   // Processes a packet in place (path pointers and seg_id accumulators
   // advance as it transits). The packet is consumed: forwarding
-  // serializes it out, local delivery copies it into the handler.
+  // serializes it out, local delivery swaps it into a parked slot.
   void process(ScionPacket& packet, IfaceId arrival_iface, bool from_local);
   // Verifies + chains the current hop. Returns the effective egress iface,
   // or an error describing the drop reason.
   Result<IfaceId> process_current_hop(ScionPacket& packet,
                                       IfaceId arrival_iface, bool from_local);
-  void deliver_local(const ScionPacket& packet);
+  // Parks the packet (swapped out of `packet`) for the intra-AS hop.
+  void deliver_local(ScionPacket& packet);
   void forward(const ScionPacket& packet, IfaceId egress);
   void send_scmp_error(const ScionPacket& offending, ScmpMessage error);
   void answer_echo(const ScionPacket& request);
@@ -187,6 +191,12 @@ class BorderRouter final : public simnet::Node {
   // success flag per slot.
   std::vector<ScionPacket> batch_scratch_;
   std::vector<std::uint8_t> batch_ok_;
+  // A host injection is copied here and processed in place: copy-
+  // assignment keeps the scratch's capacity across injections.
+  ScionPacket inject_scratch_;
+  // Local deliveries in their intra-AS hop. A scheduled delivery captures
+  // [this, slot]; the router lives as long as its network's simulator.
+  SlotPool<ScionPacket> parked_;
   // Data admission bucket (primed to its burst at construction).
   TokenBucket data_bucket_;
   // Direct-mapped per-offender SCMP budgets: bounded, clock-free state. A

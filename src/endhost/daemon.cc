@@ -10,7 +10,8 @@ namespace sciera::endhost {
 Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
     : net_(net), ia_(ia), config_(config),
       services_(net.control_service_set(ia)),
-      rng_(net.options().seed, "daemon-" + ia.to_string()) {
+      subject_("daemon-" + ia.to_string()),
+      rng_(net.options().seed, subject_) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"daemon", registry.instance_label("daemon", ia.to_string())}};
@@ -63,7 +64,7 @@ const Daemon::CacheEntry* Daemon::begin_lookup(IsdAs dst) {
       net_.sim().now() - it->second.fetched_at < config_.path_cache_ttl;
   obs::FlightRecorder::global().record(
       obs::TraceType::kPathLookup, net_.sim().now(),
-      net_.sim().executed_events(), "daemon-" + ia_.to_string(),
+      net_.sim().executed_events(), subject_,
       dst.to_string() + (hit ? " hit" : " miss"));
   if (!hit) {
     cache_misses_->inc();
@@ -118,7 +119,7 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
   }
   obs::FlightRecorder::global().record(
       obs::TraceType::kLookupDegraded, net_.sim().now(),
-      net_.sim().executed_events(), "daemon-" + ia_.to_string(),
+      net_.sim().executed_events(), subject_,
       dst.to_string() + (serve_stale ? " stale" : " empty"));
   if (serve_stale) return Answer{it->second.paths, PathSource::kStaleCache};
   return Answer{controlplane::no_paths(), PathSource::kUnavailable};
@@ -254,7 +255,7 @@ void Daemon::report_path_down(const std::string& fingerprint) {
   quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
   obs::FlightRecorder::global().record(
       obs::TraceType::kPathDown, net_.sim().now(),
-      net_.sim().executed_events(), "daemon-" + ia_.to_string(), fingerprint);
+      net_.sim().executed_events(), subject_, fingerprint);
 }
 
 bool Daemon::path_alive(const controlplane::Path& path) const {

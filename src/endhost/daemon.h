@@ -186,6 +186,9 @@ class Daemon {
   IsdAs ia_;
   Config config_;
   controlplane::ControlServiceSet* services_;
+  // "daemon-<ia>": the RNG fork's name and every trace event's subject,
+  // built once.
+  std::string subject_;
   Rng rng_;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   std::unordered_map<IsdAs, std::vector<CircuitBreaker>> breakers_;

@@ -31,7 +31,7 @@ HostStack::HostStack(controlplane::ScionNetwork& net, dataplane::Address addr,
   dropped_overload_ = dropped("overload");
   dropped_filtered_ = dropped("filtered");
   const auto status = net_.register_host(
-      addr_, [this](const dataplane::ScionPacket& packet, SimTime arrival) {
+      addr_, [this](dataplane::ScionPacket& packet, SimTime arrival) {
         on_local_delivery(packet, arrival);
       });
   (void)status;
@@ -61,7 +61,8 @@ Result<std::uint16_t> HostStack::bind(std::uint16_t port, Receiver receiver) {
     return Error{Errc::kResourceExhausted,
                  "port " + std::to_string(port) + " already bound"};
   }
-  ports_.emplace(port, std::move(receiver));
+  ports_.emplace(port,
+                 std::make_shared<const Receiver>(std::move(receiver)));
   return port;
 }
 
@@ -85,7 +86,7 @@ std::optional<Duration> HostStack::dispatcher_delay(SimTime now) {
   return (start + service) - now;
 }
 
-void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
+void HostStack::on_local_delivery(dataplane::ScionPacket& packet,
                                   SimTime arrival) {
   if (packet.next_hdr == dataplane::kProtoScmp) {
     if (!scmp_receiver_) return;
@@ -99,7 +100,7 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
     return;
   }
   if (packet.next_hdr != dataplane::kProtoUdp) return;
-  auto datagram = dataplane::UdpDatagram::parse(packet.payload);
+  const auto datagram = dataplane::UdpDatagramView::parse(packet.payload);
   if (!datagram) {
     dropped_no_port_->inc();
     return;
@@ -132,10 +133,26 @@ void HostStack::on_local_delivery(const dataplane::ScionPacket& packet,
   }
 
   delivered_->inc();
-  Receiver& receiver = it->second;
-  auto dg = std::move(datagram).value();
-  net_.sim().schedule_after(extra, [receiver, packet, dg, &sim = net_.sim()] {
-    receiver(packet, dg, sim.now());
+  // Parked in the network's pool, not in this stack: the event captures
+  // no `this`, so a stack destroyed or a port unbound with deliveries
+  // pending leaves them valid, each holding its receiver.
+  auto& parked = net_.parked_datagrams();
+  const std::uint32_t slot = parked.acquire();
+  dataplane::ParkedDatagram& delivery = parked[slot];
+  delivery.datagram.src_port = datagram->src_port;
+  delivery.datagram.dst_port = datagram->dst_port;
+  // The view points into the packet's payload: copy before the swap.
+  delivery.datagram.data.assign(datagram->data.begin(), datagram->data.end());
+  delivery.receiver = it->second;
+  delivery.arrival = net_.sim().now() + extra;
+  std::swap(delivery.packet, packet);
+  net_.sim().schedule_after(extra, [pool = &parked, slot] {
+    dataplane::ParkedDatagram& parked_delivery = (*pool)[slot];
+    (*parked_delivery.receiver)(parked_delivery.packet,
+                                parked_delivery.datagram,
+                                parked_delivery.arrival);
+    parked_delivery.receiver.reset();
+    pool->release(slot);
   });
 }
 

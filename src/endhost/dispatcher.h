@@ -17,6 +17,7 @@
 #include <unordered_map>
 
 #include "controlplane/control_plane.h"
+#include "dataplane/local_delivery.h"
 #include "dataplane/packet.h"
 #include "obs/metrics.h"
 
@@ -43,9 +44,7 @@ class HostStack {
     std::uint64_t dropped_filtered = 0;
   };
 
-  using Receiver = std::function<void(const dataplane::ScionPacket& packet,
-                                      const dataplane::UdpDatagram& datagram,
-                                      SimTime arrival)>;
+  using Receiver = dataplane::UdpReceiver;
 
   HostStack(controlplane::ScionNetwork& net, dataplane::Address addr,
             Config config);
@@ -86,8 +85,8 @@ class HostStack {
   void set_ingress_filter(LightningFilter* filter) { filter_ = filter; }
 
  private:
-  void on_local_delivery(const dataplane::ScionPacket& packet,
-                         SimTime arrival);
+  // Takes the packet (swaps it into a parked slot) when it delivers it.
+  void on_local_delivery(dataplane::ScionPacket& packet, SimTime arrival);
   // Models the dispatcher's shared single queue; returns the added delay
   // or nullopt when the queue overflows.
   [[nodiscard]] std::optional<Duration> dispatcher_delay(SimTime now);
@@ -95,7 +94,8 @@ class HostStack {
   controlplane::ScionNetwork& net_;
   dataplane::Address addr_;
   Config config_;
-  std::unordered_map<std::uint16_t, Receiver> ports_;
+  // Shared with the deliveries in flight, which outlive an unbind.
+  std::unordered_map<std::uint16_t, std::shared_ptr<const Receiver>> ports_;
   ScmpReceiver scmp_receiver_;
   LightningFilter* filter_ = nullptr;
   std::uint16_t next_ephemeral_ = 32768;

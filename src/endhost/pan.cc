@@ -167,7 +167,7 @@ PanSocket::~PanSocket() {
 }
 
 Status PanSocket::select_path(IsdAs dst, std::size_t index) {
-  const auto options = ctx_.paths(dst, policy_);
+  const auto options = ctx_.paths(dst, selector_.policy());
   if (index >= options.size()) {
     return Error{Errc::kNotFound,
                  "path index " + std::to_string(index) + " out of range (" +
@@ -180,26 +180,27 @@ Status PanSocket::select_path(IsdAs dst, std::size_t index) {
 Result<PanSocket::ResolvedPath> PanSocket::resolve_path(IsdAs dst) {
   const auto pin = pinned_.find(dst);
   if (pin != pinned_.end() && ctx_.network().path_usable(pin->second)) {
-    return ResolvedPath{pin->second, false};
+    return ResolvedPath{&pin->second, nullptr, false};
   }
-  // `best` points into the set: hold the set until the path is copied.
-  const controlplane::PathSet set = ctx_.path_set(dst);
-  const controlplane::Path* best =
-      policy_.best(*set, [this](const controlplane::Path& path) {
+  ResolvedPath resolved;
+  resolved.set = ctx_.path_set(dst);
+  resolved.path = selector_.first(
+      dst, resolved.set, [this](const controlplane::Path& path) {
         return ctx_.path_alive(path) && ctx_.network().path_usable(path);
       });
-  if (best == nullptr) {
+  if (resolved.path == nullptr) {
     return Error{Errc::kUnreachable, "no usable path to " + dst.to_string()};
   }
   // A substitution only counts as failover when a pin existed and was
   // skipped; the everyday no-pin case is just path selection.
-  return ResolvedPath{*best, pin != pinned_.end()};
+  resolved.failover = pin != pinned_.end();
+  return resolved;
 }
 
 Result<controlplane::Path> PanSocket::current_path(IsdAs dst) {
   auto resolved = resolve_path(dst);
   if (!resolved) return resolved.error();
-  return std::move(resolved->path);
+  return *resolved->path;
 }
 
 void PanSocket::unpin_fingerprint(std::string fingerprint) {
@@ -221,9 +222,9 @@ Result<SendReceipt> PanSocket::send_to(const dataplane::Address& dst,
   } else {
     auto resolved = resolve_path(dst.ia);
     if (!resolved) return resolved.error();
-    receipt.path_fingerprint = resolved->path.fingerprint();
+    receipt.path_fingerprint = resolved->path->fingerprint();
     receipt.failover = resolved->failover;
-    packet.path = std::move(resolved->path.dataplane_path);
+    packet.path = resolved->path->dataplane_path;
   }
   dataplane::UdpDatagram datagram;
   datagram.src_port = port_;
@@ -231,7 +232,6 @@ Result<SendReceipt> PanSocket::send_to(const dataplane::Address& dst,
   datagram.data = Bytes{data.begin(), data.end()};
   packet.payload = datagram.serialize();
   receipt.bytes_queued = packet.wire_size();
-  ++sent_;
   if (auto status = ctx_.stack().send(std::move(packet)); !status.ok()) {
     return status.error();
   }

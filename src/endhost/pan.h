@@ -101,7 +101,7 @@ class PanContext {
 
   // Live paths toward dst under a policy (already sorted best-first): a
   // copy of the lookup's set for listings and interactive selection.
-  // Sends select without copying (PathPolicy::best over path_set()).
+  // Sends select without copying (a PathSelector over path_set()).
   [[nodiscard]] std::vector<controlplane::Path> paths(
       IsdAs dst, const PathPolicy& policy = PathPolicy{});
 
@@ -177,7 +177,11 @@ class PanSocket {
 
   [[nodiscard]] std::uint16_t local_port() const { return port_; }
 
-  void set_policy(PathPolicy policy) { policy_ = std::move(policy); }
+  // Replaces the policy; every destination is ranked again on its next
+  // send.
+  void set_policy(PathPolicy policy) {
+    selector_.set_policy(std::move(policy));
+  }
   // Interactive path selection (the bat tool's --interactive flag): pin
   // the nth policy-admitted path for a destination.
   Status select_path(IsdAs dst, std::size_t index);
@@ -190,15 +194,21 @@ class PanSocket {
   Result<SendReceipt> send_to(const dataplane::Address& dst,
                               std::uint16_t dst_port, BytesView data);
 
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
+  // Rankings this socket has built: one per destination, plus one each
+  // time the lookup hands back a new set or the policy changes.
+  [[nodiscard]] std::uint64_t rankings_built() const {
+    return selector_.rankings_built();
+  }
 
  private:
   friend class PanContext;
   PanSocket(PanContext& ctx, std::uint16_t port);
 
   struct ResolvedPath {
-    controlplane::Path path;
-    bool failover = false;  // pinned path skipped as unusable
+    // The pinned path, or the selected one inside `set`.
+    const controlplane::Path* path = nullptr;
+    controlplane::PathSet set;  // holds a selected path alive
+    bool failover = false;      // pinned path skipped as unusable
   };
   [[nodiscard]] Result<ResolvedPath> resolve_path(IsdAs dst);
   // Drops any pinned path with this fingerprint (down-report feedback).
@@ -207,9 +217,8 @@ class PanSocket {
 
   PanContext& ctx_;
   std::uint16_t port_;
-  PathPolicy policy_;
+  PathSelector selector_;
   std::map<IsdAs, controlplane::Path> pinned_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace sciera::endhost

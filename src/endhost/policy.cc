@@ -131,14 +131,40 @@ bool PathPolicy::less(const controlplane::Path& x,
   return x.fingerprint() < y.fingerprint();
 }
 
+std::vector<std::size_t> PathPolicy::rank(
+    const std::vector<controlplane::Path>& paths) const {
+  std::vector<std::size_t> order;
+  order.reserve(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (admits(paths[i])) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [this, &paths](std::size_t x, std::size_t y) {
+                     return less(paths[x], paths[y]);
+                   });
+  return order;
+}
+
 std::vector<controlplane::Path> PathPolicy::apply(
     std::vector<controlplane::Path> paths) const {
-  std::erase_if(paths,
-                [this](const controlplane::Path& p) { return !admits(p); });
-  std::stable_sort(paths.begin(), paths.end(),
-                   [this](const controlplane::Path& x,
-                          const controlplane::Path& y) { return less(x, y); });
-  return paths;
+  std::vector<controlplane::Path> sorted;
+  const std::vector<std::size_t> order = rank(paths);
+  sorted.reserve(order.size());
+  for (const std::size_t index : order) {
+    sorted.push_back(std::move(paths[index]));
+  }
+  return sorted;
+}
+
+const std::vector<std::size_t>& PathSelector::ranking(
+    IsdAs dst, const controlplane::PathSet& set) {
+  Ranking& entry = rankings_[dst];
+  if (entry.set != set) {
+    entry.order = policy_.rank(*set);
+    entry.set = set;
+    ++built_;
+  }
+  return entry.order;
 }
 
 PathPolicy lowest_latency_policy() {

@@ -3,10 +3,13 @@
 // sorting (hops, latency, disjointness, carbon-aware "green" routing).
 // This is what the PAN-style socket exposes to applications via its
 // policy/preference flags — the bat tool's CLI options in Section 5.2.
-// Sends pick their path with best() over the daemon's shared set; apply()
-// is the full sorted list for path listings and interactive selection.
+// rank() is the policy's order over a set, computed once per set: a
+// PathSelector keeps it per destination, so a send walks a ranking instead
+// of scanning the set. apply() is the same order as a sorted copy, for
+// path listings and interactive selection.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -66,25 +69,58 @@ struct PathPolicy {
   // order.
   [[nodiscard]] bool less(const controlplane::Path& x,
                           const controlplane::Path& y) const;
-  // Filters + stable-sorts under less(); the first element is the
-  // policy's preferred path. For callers that want the whole list.
+  // The indices of the admitted paths, stable-sorted under less(): the
+  // first index is the policy's preferred path.
+  [[nodiscard]] std::vector<std::size_t> rank(
+      const std::vector<controlplane::Path>& paths) const;
+  // The admitted paths in rank() order, for callers that want the whole
+  // list.
   [[nodiscard]] std::vector<controlplane::Path> apply(
       std::vector<controlplane::Path> paths) const;
-  // The preferred admitted path that also passes `keep` (e.g. liveness,
-  // link state), or nullptr if none does: the front of apply(paths)
-  // filtered by `keep`, found in one pass that copies and sorts nothing.
-  // A path replaces the candidate only when strictly less, so ties keep
-  // the pick stable_sort makes.
-  template <typename Keep>
-  [[nodiscard]] const controlplane::Path* best(
-      const std::vector<controlplane::Path>& paths, Keep&& keep) const {
-    const controlplane::Path* chosen = nullptr;
-    for (const controlplane::Path& path : paths) {
-      if (!admits(path) || !keep(path)) continue;
-      if (chosen == nullptr || less(path, *chosen)) chosen = &path;
-    }
-    return chosen;
+};
+
+// A sender's policy with its per-destination rankings (PanSocket,
+// ScionIpGateway). For each destination it keeps the shared set it last
+// ranked and that set's rank() order. Holding the set keeps its address
+// from being reused by another set, so a pointer comparison tells whether
+// a lookup handed back the set already ranked. A ranking is rebuilt only
+// when the lookup hands back a different set object or set_policy()
+// replaces the policy.
+class PathSelector {
+ public:
+  [[nodiscard]] const PathPolicy& policy() const { return policy_; }
+  void set_policy(PathPolicy policy) {
+    policy_ = std::move(policy);
+    rankings_.clear();
   }
+
+  // The preferred admitted path of `set` that also passes `keep` (e.g.
+  // liveness, link state), or nullptr if none does: the front of
+  // policy().apply(*set) filtered by `keep`. It points into `set`.
+  template <typename Keep>
+  [[nodiscard]] const controlplane::Path* first(
+      IsdAs dst, const controlplane::PathSet& set, Keep&& keep) {
+    for (const std::size_t index : ranking(dst, set)) {
+      const controlplane::Path& path = (*set)[index];
+      if (keep(path)) return &path;
+    }
+    return nullptr;
+  }
+
+  // Rankings built so far, re-rankings included.
+  [[nodiscard]] std::uint64_t rankings_built() const { return built_; }
+
+ private:
+  struct Ranking {
+    controlplane::PathSet set;
+    std::vector<std::size_t> order;
+  };
+  [[nodiscard]] const std::vector<std::size_t>& ranking(
+      IsdAs dst, const controlplane::PathSet& set);
+
+  PathPolicy policy_;
+  std::map<IsdAs, Ranking> rankings_;
+  std::uint64_t built_ = 0;
 };
 
 // Convenience builders mirroring the bat tool's CLI flags.

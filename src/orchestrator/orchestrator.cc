@@ -132,7 +132,7 @@ Status Orchestrator::renew_certificate() {
   }
   // Force re-issuance through the CA (a renewal, §4.5).
   auto& ca = const_cast<cppki::CertificateAuthority&>(pki->ca());
-  auto cert = ca.issue(as_, creds->signing_key.pub, net_.sim().now());
+  auto cert = ca.issue(as_, creds->signing_key.pub(), net_.sim().now());
   if (!cert) return cert.error();
   return {};
 }

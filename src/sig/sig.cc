@@ -78,18 +78,18 @@ Status ScionIpGateway::send_ip(const IpPacket& packet) {
   tunnel.dst = *remote;
   tunnel.next_hdr = dataplane::kProtoUdp;
   if (remote->ia != stack_.address().ia) {
-    // `best` points into the set: hold the set until the path is copied.
+    // `chosen` points into the set: hold the set until the path is copied.
     const controlplane::PathSet set = daemon_.path_set(remote->ia);
-    const controlplane::Path* best =
-        policy_.best(*set, [this](const controlplane::Path& path) {
+    const controlplane::Path* chosen = selector_.first(
+        remote->ia, set, [this](const controlplane::Path& path) {
           return daemon_.path_alive(path) && net_.path_usable(path);
         });
-    if (best == nullptr) {
+    if (chosen == nullptr) {
       send_failures_->inc();
       return Error{Errc::kUnreachable,
                    "no usable path to remote SIG " + remote->to_string()};
     }
-    tunnel.path = best->dataplane_path;
+    tunnel.path = chosen->dataplane_path;
   } else {
     tunnel.path_type = dataplane::PathType::kEmpty;
   }

@@ -62,8 +62,11 @@ class ScionIpGateway {
   // Traffic rule: IP packets for `prefix` tunnel to the SIG at `remote`.
   void add_rule(IpPrefix prefix, dataplane::Address remote);
 
-  // Path policy applied to tunnel traffic (e.g. geofencing).
-  void set_policy(endhost::PathPolicy policy) { policy_ = std::move(policy); }
+  // Path policy applied to tunnel traffic (e.g. geofencing). Every remote
+  // AS is ranked again on its next send.
+  void set_policy(endhost::PathPolicy policy) {
+    selector_.set_policy(std::move(policy));
+  }
 
   // Entry point from the legacy LAN side.
   Status send_ip(const IpPacket& packet);
@@ -83,7 +86,7 @@ class ScionIpGateway {
   controlplane::ScionNetwork& net_;
   endhost::HostStack stack_;
   endhost::Daemon daemon_;
-  endhost::PathPolicy policy_;
+  endhost::PathSelector selector_;
   IpDelivery delivery_;
   std::vector<std::pair<IpPrefix, dataplane::Address>> rules_;
   obs::Counter* encapsulated_ = nullptr;

@@ -29,7 +29,7 @@ Certificate make_cert(CertType type, IsdAs subject, IsdAs issuer,
   cert.subject = subject;
   cert.issuer = issuer;
   cert.serial = 7;
-  cert.subject_key = subject_key.pub;
+  cert.subject_key = subject_key.pub();
   cert.valid_from = from;
   cert.valid_until = until;
   return cert;
@@ -41,7 +41,7 @@ TEST(Certificate, SignAndVerify) {
   auto cert = make_cert(CertType::kAs, a::uva(), a::geant(), subject_key, 0,
                         3 * kDay);
   sign_certificate(cert, issuer_key);
-  EXPECT_TRUE(cert.verify(issuer_key.pub, kDay).ok());
+  EXPECT_TRUE(cert.verify(issuer_key.pub(), kDay).ok());
 }
 
 TEST(Certificate, RejectsWrongIssuerKey) {
@@ -50,7 +50,7 @@ TEST(Certificate, RejectsWrongIssuerKey) {
   auto cert = make_cert(CertType::kAs, a::uva(), a::geant(), make_key(2), 0,
                         3 * kDay);
   sign_certificate(cert, issuer_key);
-  const auto status = cert.verify(other_key.pub, kDay);
+  const auto status = cert.verify(other_key.pub(), kDay);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Errc::kVerificationFailed);
 }
@@ -60,7 +60,7 @@ TEST(Certificate, RejectsExpired) {
   auto cert = make_cert(CertType::kAs, a::uva(), a::geant(), make_key(2), 0,
                         3 * kDay);
   sign_certificate(cert, issuer_key);
-  const auto status = cert.verify(issuer_key.pub, 4 * kDay);
+  const auto status = cert.verify(issuer_key.pub(), 4 * kDay);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Errc::kExpired);
 }
@@ -71,7 +71,7 @@ TEST(Certificate, RejectsTamperedFields) {
                         3 * kDay);
   sign_certificate(cert, issuer_key);
   cert.subject = a::princeton();  // tamper after signing
-  EXPECT_FALSE(cert.verify(issuer_key.pub, kDay).ok());
+  EXPECT_FALSE(cert.verify(issuer_key.pub(), kDay).ok());
 }
 
 TEST(Certificate, RejectsEmptyValidity) {
@@ -79,7 +79,7 @@ TEST(Certificate, RejectsEmptyValidity) {
   auto cert = make_cert(CertType::kAs, a::uva(), a::geant(), make_key(2),
                         2 * kDay, 2 * kDay);
   sign_certificate(cert, issuer_key);
-  EXPECT_FALSE(cert.verify(issuer_key.pub, kDay).ok());
+  EXPECT_FALSE(cert.verify(issuer_key.pub(), kDay).ok());
 }
 
 class PkiFixture : public ::testing::Test {
@@ -168,7 +168,7 @@ TEST_F(PkiFixture, TrustStoreRejectsForgedUpdate) {
   Trc forged = pki_.trc();
   forged.version.serial += 1;
   const auto attacker = make_key(66);
-  forged.roots[0].voting_key = attacker.pub;
+  forged.roots[0].voting_key = attacker.pub();
   forged.votes.clear();
   const Bytes payload = forged.signing_payload();
   forged.votes.push_back(
@@ -203,7 +203,7 @@ TEST(Ca, RefusesCrossIsdSubjects) {
   // ca() is GEANT's CA for ISD 71; an ISD-64 subject must be refused.
   auto& ca = const_cast<CertificateAuthority&>(pki.ca());
   const auto key = make_key(12);
-  EXPECT_FALSE(ca.issue(a::eth(), key.pub, 0).ok());
+  EXPECT_FALSE(ca.issue(a::eth(), key.pub(), 0).ok());
 }
 
 TEST(Ca, ChainFailsWithWrongTrc) {

@@ -315,26 +315,26 @@ KeyPair random_key(Rng& rng) {
 TEST(Ed25519Sig, Rfc8032Vector1EmptyMessage) {
   const auto key = KeyPair::from_seed(array_from_hex<32>(
       "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"));
-  EXPECT_EQ(to_hex(key.pub),
+  EXPECT_EQ(to_hex(key.pub()),
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a");
   const auto sig = Ed25519::sign(key, {});
   EXPECT_EQ(to_hex(sig),
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
             "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b");
-  EXPECT_TRUE(Ed25519::verify(key.pub, {}, sig));
+  EXPECT_TRUE(Ed25519::verify(key.pub(), {}, sig));
 }
 
 TEST(Ed25519Sig, Rfc8032Vector2OneByte) {
   const auto key = KeyPair::from_seed(array_from_hex<32>(
       "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb"));
-  EXPECT_EQ(to_hex(key.pub),
+  EXPECT_EQ(to_hex(key.pub()),
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c");
   const Bytes msg = hex("72");
   const auto sig = Ed25519::sign(key, msg);
   EXPECT_EQ(to_hex(sig),
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00");
-  EXPECT_TRUE(Ed25519::verify(key.pub, msg, sig));
+  EXPECT_TRUE(Ed25519::verify(key.pub(), msg, sig));
 }
 
 TEST(Ed25519Sig, RejectsTamperedMessage) {
@@ -342,10 +342,10 @@ TEST(Ed25519Sig, RejectsTamperedMessage) {
   const auto key = random_key(rng);
   const Bytes msg = bytes_of("path segment payload");
   const auto sig = Ed25519::sign(key, msg);
-  EXPECT_TRUE(Ed25519::verify(key.pub, msg, sig));
+  EXPECT_TRUE(Ed25519::verify(key.pub(), msg, sig));
   Bytes tampered = msg;
   tampered[0] ^= 1;
-  EXPECT_FALSE(Ed25519::verify(key.pub, tampered, sig));
+  EXPECT_FALSE(Ed25519::verify(key.pub(), tampered, sig));
 }
 
 TEST(Ed25519Sig, RejectsTamperedSignature) {
@@ -355,7 +355,7 @@ TEST(Ed25519Sig, RejectsTamperedSignature) {
   const Bytes msg = bytes_of("x");
   auto sig = Ed25519::sign(key, msg);
   sig[40] ^= 0x20;
-  EXPECT_FALSE(Ed25519::verify(key.pub, msg, sig));
+  EXPECT_FALSE(Ed25519::verify(key.pub(), msg, sig));
 }
 
 TEST(Ed25519Sig, RejectsWrongKey) {
@@ -482,8 +482,8 @@ TEST(Ed25519Sig, SignaturesMadeCountsSignCallsOnly) {
   (void)Ed25519::sign(key, msg);
   EXPECT_EQ(Ed25519::signatures_made() - before, 2u);
   // Key derivation and verification are not signatures.
-  (void)KeyPair::from_seed(key.seed);
-  EXPECT_TRUE(Ed25519::verify(key.pub, msg, sig));
+  (void)KeyPair::from_seed(key.seed());
+  EXPECT_TRUE(Ed25519::verify(key.pub(), msg, sig));
   EXPECT_EQ(Ed25519::signatures_made() - before, 2u);
 }
 
@@ -496,10 +496,10 @@ TEST_P(Ed25519Property, SignVerifyRoundTrip) {
   Bytes msg(GetParam());
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
   const auto sig = Ed25519::sign(key, msg);
-  EXPECT_TRUE(Ed25519::verify(key.pub, msg, sig));
+  EXPECT_TRUE(Ed25519::verify(key.pub(), msg, sig));
   if (!msg.empty()) {
     msg[msg.size() / 2] ^= 0x80;
-    EXPECT_FALSE(Ed25519::verify(key.pub, msg, sig));
+    EXPECT_FALSE(Ed25519::verify(key.pub(), msg, sig));
   }
 }
 

@@ -433,6 +433,67 @@ TEST(Pan, SendReceiptFlagsFailoverOffPinnedPath) {
   net.sim().run_all();
 }
 
+// A socket ranks a destination's set once. It re-ranks only when the
+// lookup hands back a different set object or set_policy replaces the
+// policy, and each time it picks the front of apply() over that set.
+TEST(Pan, SocketReRanksOnlyForANewSetOrPolicy) {
+  ScionNetwork net{topology::build_sciera()};
+  Daemon daemon{net, a::uva()};
+  auto ctx = PanContext::Builder{}
+                 .net(net)
+                 .address({a::uva(), 0x0A040407})
+                 .daemon(daemon)
+                 .build(Rng{16});
+  ASSERT_TRUE(ctx.ok());
+  auto sock = PanSocket::open(**ctx, 0, [](auto&&...) {});
+  ASSERT_TRUE(sock.ok());
+  const IsdAs dst = a::korea_univ();
+  const auto picked = [&] {
+    const auto path = (*sock)->current_path(dst);
+    EXPECT_TRUE(path.ok());
+    return path.ok() ? path->fingerprint() : std::string{};
+  };
+  const auto front = [&](const PathPolicy& policy) {
+    return policy.apply(*daemon.path_set(dst)).front().fingerprint();
+  };
+  const PathPolicy latency = lowest_latency_policy();
+
+  EXPECT_EQ(picked(), front(latency));
+  EXPECT_EQ((*sock)->rankings_built(), 1u);
+  EXPECT_EQ(picked(), front(latency));
+  EXPECT_EQ((*sock)->rankings_built(), 1u);
+
+  // The daemon refetches, and the control service answers from its cache:
+  // the same set object, so no re-rank.
+  const controlplane::PathSet first_set = daemon.path_set(dst);
+  daemon.flush_cache();
+  EXPECT_EQ(picked(), front(latency));
+  EXPECT_EQ(daemon.path_set(dst).get(), first_set.get());
+  EXPECT_EQ((*sock)->rankings_built(), 1u);
+
+  // Both caches flushed: the control service combines a new set object.
+  net.control_service_set(a::uva())->flush_caches();
+  daemon.flush_cache();
+  EXPECT_EQ(picked(), front(latency));
+  EXPECT_NE(daemon.path_set(dst).get(), first_set.get());
+  EXPECT_EQ((*sock)->rankings_built(), 2u);
+
+  // A new policy that denies an AS of the latency front which some other
+  // path avoids: re-ranked under it, so the pick moves.
+  const auto current = (*sock)->current_path(dst);
+  ASSERT_TRUE(current.ok());
+  PathPolicy detour = lowest_latency_policy();
+  for (const IsdAs transit : current->as_sequence) {
+    detour.deny_ases = {transit};
+    if (!detour.apply(*daemon.path_set(dst)).empty()) break;
+  }
+  ASSERT_FALSE(detour.apply(*daemon.path_set(dst)).empty());
+  (*sock)->set_policy(detour);
+  EXPECT_NE(front(detour), front(latency));
+  EXPECT_EQ(picked(), front(detour));
+  EXPECT_EQ((*sock)->rankings_built(), 3u);
+}
+
 // --- Daemon cache and path liveness ------------------------------------------
 
 // Regression: the daemon used to treat an entry aged exactly
@@ -678,9 +739,10 @@ TEST(Policy, MaxHopsAndDenyLists) {
   }
 }
 
-// best() is apply()'s front found in one pass. Over every ordered pair of
+// A send takes the first path of its set's ranking that passes its
+// predicates (PathSelector::first over rank()). Over every ordered pair of
 // SCIERA ASes, under each policy, with every link up and again with the
-// KREONET ring cut, it names the same path as the front of apply()
+// KREONET ring cut, that is the same path as the front of apply()
 // filtered by path_usable, and nullptr exactly when that list is empty.
 TEST(Policy, BestIsFrontOfUsableApplyForEveryPairAndPolicy) {
   ScionNetwork net{topology::build_sciera()};
@@ -711,13 +773,17 @@ TEST(Policy, BestIsFrontOfUsableApplyForEveryPairAndPolicy) {
         // Most disjoint from the pair's first combined path.
         policies.back().disjoint_reference.reset();
         if (!paths.empty()) policies.back().disjoint_reference = paths.front();
+        const controlplane::PathSet set =
+            std::make_shared<const std::vector<controlplane::Path>>(paths);
         for (const PathPolicy& policy : policies) {
           auto sorted = policy.apply(paths);
           if (!sorted.empty() && !usable(sorted.front())) ++front_unusable;
           std::erase_if(sorted, [&usable](const controlplane::Path& path) {
             return !usable(path);
           });
-          const controlplane::Path* best = policy.best(paths, usable);
+          PathSelector selector;
+          selector.set_policy(policy);
+          const controlplane::Path* best = selector.first(dst.ia, set, usable);
           if (sorted.empty()) {
             EXPECT_EQ(best, nullptr) << where;
             ++none;
@@ -802,6 +868,68 @@ TEST(Dispatcher, PortManagement) {
   EXPECT_NE(eph1.value(), eph2.value());
   stack.unbind(7000);
   EXPECT_TRUE(stack.bind(7000, [](auto&&...) {}).ok());
+}
+
+// Deliveries a host stack has scheduled toward a socket stay valid when
+// the socket and its whole PAN context are destroyed first: the receiver
+// sees every datagram, with the same contents and at the same times, as
+// when the context stays up. A scheduled delivery that reached back into
+// the destroyed stack would read freed memory (ASan runs this suite).
+struct Seen {
+  dataplane::Address src;
+  std::uint16_t src_port = 0;
+  Bytes data;
+  SimTime at = 0;
+  friend bool operator==(const Seen&, const Seen&) = default;
+};
+
+TEST(Dispatcher, PendingDeliveriesOutliveTheirStack) {
+  const auto run = [](bool destroy_early) {
+    ScionNetwork net{topology::build_sciera()};
+    Daemon daemon{net, a::uva()};
+    const dataplane::Address host{a::uva(), 0x0A040408};
+    std::vector<Seen> seen;
+    auto ctx = PanContext::Builder{}
+                   .net(net)
+                   .address(host)
+                   .daemon(daemon)
+                   .build(Rng{18})
+                   .value();
+    auto sock = PanSocket::open(*ctx, 9000,
+                                [&seen](const dataplane::Address& src,
+                                        std::uint16_t src_port,
+                                        const Bytes& data, SimTime at) {
+                                  seen.push_back({src, src_port, data, at});
+                                })
+                    .value();
+    for (std::uint8_t i = 0; i < 8; ++i) {
+      dataplane::ScionPacket pkt;
+      pkt.path_type = dataplane::PathType::kEmpty;
+      pkt.dst = host;
+      pkt.src = {a::uva(), 0x0A040409};
+      dataplane::UdpDatagram dg;
+      dg.src_port = static_cast<std::uint16_t>(4000 + i);
+      dg.dst_port = 9000;
+      dg.data.assign(16 + i, i);
+      pkt.payload = dg.serialize();
+      EXPECT_TRUE(net.send_from_host(pkt).ok());
+    }
+    // Past the 300 us intra-AS hop: every datagram has reached the host
+    // stack, and its 30 us hop to the socket is still pending.
+    net.sim().run_for(310 * kMicrosecond);
+    EXPECT_TRUE(seen.empty());
+    EXPECT_EQ(net.sim().pending_events(), 8u);
+    if (destroy_early) {
+      sock.reset();
+      ctx.reset();
+    }
+    net.sim().run_for(kSecond);
+    return seen;
+  };
+  const std::vector<Seen> kept = run(false);
+  ASSERT_EQ(kept.size(), 8u);
+  EXPECT_EQ(kept.back().data, Bytes(23, 7));
+  EXPECT_EQ(run(true), kept);
 }
 
 // Ephemeral ports come from 32768-65535 and never wrap into the

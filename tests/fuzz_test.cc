@@ -328,7 +328,7 @@ SignedTriple signed_triple(Rng& rng) {
       crypto::KeyPair::from_seed(random_array<Ed25519::kSeedSize>(rng));
   Bytes msg = random_bytes(rng, 200);
   const auto sig = Ed25519::sign(key, msg);
-  return SignedTriple{key.pub, sig, std::move(msg)};
+  return SignedTriple{key.pub(), sig, std::move(msg)};
 }
 
 // Flips bit `bit` of pub || sig || msg.

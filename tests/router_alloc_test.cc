@@ -1,9 +1,11 @@
-// Exact allocation gates on the two per-packet fast paths, counts rather
-// than timings. Border router: once warm, the batched router forwards
-// same-tick frame batches with zero heap allocations and zero AES key
-// schedules, and forwards every frame it was sent. Path selection: a warm
-// send picks its path from the daemon's shared set without copying it, so
-// its allocations do not grow with the number of paths.
+// Exact allocation gates on the per-packet fast paths, counts rather than
+// timings. Border router: once warm, the batched router forwards same-tick
+// frame batches with zero heap allocations and zero AES key schedules, and
+// forwards every frame it was sent. Local delivery: once warm, handing a
+// packet from the router to a host stack and on to a socket allocates
+// nothing. Path selection: a warm send walks a ranking of the daemon's
+// shared set, so its allocations do not grow with the number of paths, and
+// a warm send_to allocates an exact, named count.
 //
 // This is its own executable because it replaces global operator new to
 // count allocations. The replacement set must be COMPLETE (throwing,
@@ -188,8 +190,9 @@ namespace a = topology::ases;
 // A daemon-mode PAN socket at UVa, whose destinations range from 3
 // combined paths (Princeton) to 96 (Korea University).
 struct SelectionFixture {
-  SelectionFixture()
-      : net(topology::build_sciera()),
+  explicit SelectionFixture(
+      simnet::SchedulerKind scheduler = simnet::SchedulerKind::kCalendarQueue)
+      : net(topology::build_sciera(), options(scheduler)),
         daemon(net, a::uva()),
         ctx(PanContext::Builder{}
                 .net(net)
@@ -207,6 +210,13 @@ struct SelectionFixture {
     while (recorder.size() < recorder.capacity()) {
       recorder.record(obs::TraceType::kPathLookup, 0, 0, "warm-up");
     }
+  }
+
+  static controlplane::ScionNetwork::Options options(
+      simnet::SchedulerKind scheduler) {
+    controlplane::ScionNetwork::Options options;
+    options.scheduler.kind = scheduler;
+    return options;
   }
 
   controlplane::ScionNetwork net;
@@ -233,19 +243,155 @@ TEST(PathSelection, WarmSendAllocationsDoNotGrowWithThePathCount) {
   EXPECT_EQ(allocs_of(few), allocs_of(many));
 }
 
+// Once a set is ranked, picking its best usable path allocates nothing.
 TEST(PathSelection, BestOverAWarmSetAllocatesNothing) {
   SelectionFixture f;
-  const controlplane::PathSet set = f.daemon.path_set(a::korea_univ());
+  const IsdAs dst = a::korea_univ();
+  const controlplane::PathSet set = f.daemon.path_set(dst);
   ASSERT_EQ(set->size(), 96u);
-  const PathPolicy policy;
+  const auto usable = [&f](const controlplane::Path& path) {
+    return f.daemon.path_alive(path) && f.net.path_usable(path);
+  };
+  PathSelector selector;
+  ASSERT_NE(selector.first(dst, set, usable), nullptr);  // ranks the set
   const std::uint64_t before = g_allocs.load();
-  const controlplane::Path* best =
-      policy.best(*set, [&f](const controlplane::Path& path) {
-        return f.daemon.path_alive(path) && f.net.path_usable(path);
-      });
+  const controlplane::Path* best = selector.first(dst, set, usable);
   EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(selector.rankings_built(), 1u);
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->fingerprint(), policy.apply(*set).front().fingerprint());
+  EXPECT_EQ(best->fingerprint(),
+            selector.policy().apply(*set).front().fingerprint());
+}
+
+// A warm send_to to another AS makes exactly five allocations, at 3 paths
+// and at 96:
+//   1. the receipt's copy of the path fingerprint (longer than the
+//      small-string buffer);
+//   2. the packet's copy of the chosen path's info fields;
+//   3. and of its hop fields;
+//   4. the datagram's copy of the payload;
+//   5. the datagram's serialization, reserved to its exact size.
+// The route to the router allocates nothing, nor does the daemon's
+// lookup: its trace subject, "daemon-71-225", fits the small-string
+// buffer. The binary-heap scheduler keeps the count exact, as in
+// RouterFastPath: the calendar wheel would add first-touch bucket growth,
+// a scheduler cost.
+TEST(PathSelection, WarmSendToMakesExactlyTheNamedAllocations) {
+  SelectionFixture f{simnet::SchedulerKind::kBinaryHeap};
+  const Bytes payload(64, 0x5A);
+  for (const IsdAs dst : {a::princeton(), a::korea_univ()}) {
+    const dataplane::Address peer{dst, 0x0A000002};
+    ASSERT_TRUE(f.socket->send_to(peer, 9000, payload).ok());  // warm-up
+    f.net.sim().run_all();
+    const std::uint64_t before = g_allocs.load();
+    const auto receipt = f.socket->send_to(peer, 9000, payload);
+    const std::uint64_t allocs = g_allocs.load() - before;
+    ASSERT_TRUE(receipt.ok()) << dst.to_string();
+    EXPECT_EQ(allocs, 5u) << dst.to_string();
+    f.net.sim().run_all();
+  }
+  EXPECT_EQ(f.socket->rankings_built(), 2u);
+}
+
+// A warm window of local deliveries from the router to a socket:
+// BorderRouter::deliver_local → HostStack::on_local_delivery → the PAN
+// socket's receiver, for packets injected by a host of the AS and for
+// packets arriving from the wire. Each packet is parked twice, for the
+// intra-AS hop and for the host's own delay, in reused slots; no packet
+// or receiver is copied into a scheduled closure.
+TEST(LocalDelivery, WarmWindowAllocatesNothing) {
+  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kWarmupRounds = 4;
+  constexpr std::size_t kRounds = 120;
+
+  // Binary-heap scheduler, as in RouterFastPath: its event storage keeps
+  // its capacity across rounds.
+  controlplane::ScionNetwork::Options options;
+  options.scheduler.kind = simnet::SchedulerKind::kBinaryHeap;
+  controlplane::ScionNetwork net{topology::build_sciera(), options};
+  Daemon daemon{net, a::uva()};
+  const dataplane::Address host{a::uva(), 0x0A000001};
+  auto ctx = PanContext::Builder{}
+                 .net(net)
+                 .address(host)
+                 .daemon(daemon)
+                 .build(Rng{1})
+                 .value();
+  std::uint64_t received = 0;
+  std::uint64_t received_bytes = 0;
+  auto socket =
+      PanSocket::open(*ctx, 9000,
+                      [&](const dataplane::Address&, std::uint16_t,
+                          const Bytes& data, SimTime) {
+                        ++received;
+                        received_bytes += data.size();
+                      })
+          .value();
+
+  // Half the datagrams come from another host of the AS over the empty
+  // path (BorderRouter::inject). The other half arrive from the wire as
+  // one same-tick batch, each on a one-hop SCION path that ends here
+  // (receive_batch → process). Equal sizes, so the warm-up grows every
+  // circulating buffer to its size.
+  dataplane::BorderRouter& router = *net.router(a::uva());
+  const dataplane::FwdKey& key = net.fwd_key(a::uva());
+  std::vector<dataplane::ScionPacket> injected;
+  std::vector<Bytes> wire;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    dataplane::ScionPacket pkt;
+    pkt.dst = host;
+    dataplane::UdpDatagram datagram;
+    datagram.src_port = static_cast<std::uint16_t>(40000 + i);
+    datagram.dst_port = 9000;
+    datagram.data.assign(200, static_cast<std::uint8_t>(i));
+    pkt.payload = datagram.serialize();
+    if (i % 2 == 0) {
+      pkt.path_type = dataplane::PathType::kEmpty;
+      pkt.src = {a::uva(), 0x0A000002};
+      injected.push_back(pkt);
+      continue;
+    }
+    pkt.src = {a::princeton(), 0x0A000003};
+    dataplane::InfoField info;
+    info.seg_id = static_cast<std::uint16_t>(0x4000 + i);
+    info.timestamp = kUnixEpochAtSimZero + static_cast<std::uint32_t>(i);
+    dataplane::HopField hop;  // no ingress to check, egress 0: deliver
+    hop.exp_time = 255;
+    hop.mac = dataplane::compute_hop_mac(key, info.seg_id, info.timestamp,
+                                         hop);
+    pkt.path.info = {info};
+    pkt.path.seg_len = {1, 0, 0};
+    pkt.path.hops = {hop};
+    wire.push_back(pkt.serialize().value());
+  }
+  std::vector<simnet::MessagePtr> batch;
+  batch.reserve(wire.size());
+  const auto fire_batch = [&] {
+    for (const dataplane::ScionPacket& pkt : injected) {
+      ASSERT_TRUE(net.send_from_host(pkt).ok());
+    }
+    for (const Bytes& bytes : wire) {
+      auto frame = dataplane::FramePool::global().acquire();
+      frame->scion_bytes.assign(bytes.begin(), bytes.end());
+      batch.push_back(std::move(frame));
+    }
+    router.receive_batch(batch, simnet::Arrival{nullptr, 1, net.sim().now()});
+    batch.clear();
+    net.sim().run_all();
+  };
+  for (std::size_t r = 0; r < kWarmupRounds; ++r) fire_batch();
+
+  const std::uint64_t received_before = received;
+  const std::uint64_t delivered_before = router.stats().delivered;
+  const std::uint64_t allocs_before = g_allocs.load();
+  for (std::size_t r = 0; r < kRounds; ++r) fire_batch();
+  const std::uint64_t allocs = g_allocs.load() - allocs_before;
+
+  EXPECT_EQ(allocs, 0u);
+  const std::uint64_t sent = kRounds * kBatch;
+  EXPECT_EQ(router.stats().delivered - delivered_before, sent);
+  EXPECT_EQ(received - received_before, sent);
+  EXPECT_EQ(received_bytes, (kWarmupRounds + kRounds) * kBatch * 200);
 }
 
 }  // namespace
