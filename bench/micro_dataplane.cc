@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "controlplane/control_plane.h"
-#include "crypto/ed25519.h"
+#include "crypto/cmac.h"
 #include "crypto/sha256.h"
 #include "topology/sciera_net.h"
 
@@ -126,30 +126,19 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_Ed25519Sign(benchmark::State& state) {
-  crypto::Ed25519::Seed seed{};
-  seed[0] = 42;
-  const auto key = crypto::KeyPair::from_seed(seed);
-  const Bytes msg = bytes_of("pcb entry payload for signing benchmarks");
+// One AES-CMAC over a message of state.range(0) bytes: the LightningFilter
+// check at host ingress is one of these per packet. On a CPU with AES-NI
+// this runs the hardware rounds.
+void BM_AesCmac(benchmark::State& state) {
+  const crypto::AesCmac cmac{bench_key()};
+  const Bytes message(static_cast<std::size_t>(state.range(0)), 0x5A);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Ed25519::sign(key, msg));
+    benchmark::DoNotOptimize(cmac.compute(message));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
-
-void BM_Ed25519Verify(benchmark::State& state) {
-  crypto::Ed25519::Seed seed{};
-  seed[0] = 42;
-  const Bytes msg = bytes_of("pcb entry payload for signing benchmarks");
-  const auto key = crypto::KeyPair::from_seed(seed);
-  const auto sig = crypto::Ed25519::sign(key, msg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Ed25519::verify(key.pub(), msg, sig));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AesCmac)->Arg(16)->Arg(256)->Arg(1500);
 
 }  // namespace
 

@@ -49,7 +49,9 @@ bool parse_replica_index(const std::string& suffix, std::size_t& index) {
 }  // namespace
 
 ChaosEngine::ChaosEngine(controlplane::ScionNetwork& net, std::uint64_t seed)
-    : net_(net), rng_(seed, "chaos-engine") {
+    : net_(net),
+      rng_(seed, "chaos-engine"),
+      trace_subject_(obs::FlightRecorder::global().intern("chaos")) {
   auto& registry = obs::MetricsRegistry::global();
   for (std::size_t i = 0; i < kAllKinds.size(); ++i) {
     injected_by_kind_[i] = &registry.counter(
@@ -197,11 +199,15 @@ void ChaosEngine::schedule(const FaultEvent& event) {
 }
 
 void ChaosEngine::note(const FaultEvent& event, const char* action) {
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kChaosInject, net_.sim().now(),
-      net_.sim().executed_events(), "chaos",
-      std::string(action) + " " + fault_kind_name(event.kind) + " " +
-          event.target);
+  note_text_.assign(action);
+  note_text_ += ' ';
+  note_text_ += fault_kind_name(event.kind);
+  note_text_ += ' ';
+  note_text_ += event.target;
+  auto& recorder = obs::FlightRecorder::global();
+  recorder.record(obs::TraceType::kChaosInject, net_.sim().now(),
+                  net_.sim().executed_events(), trace_subject_,
+                  obs::TraceDetail::kText, recorder.intern(note_text_));
 }
 
 void ChaosEngine::apply(const FaultEvent& event) {

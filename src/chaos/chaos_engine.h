@@ -69,6 +69,11 @@ class ChaosEngine {
   std::uint64_t injected_ SCIERA_GUARDED_BY(sim_thread_role) = 0;
   std::array<obs::Counter*, 12> injected_by_kind_{};
   AttackHooks attack_hooks_{};
+  // "chaos", interned for the flight recorder, and the buffer a note's
+  // text is composed in before it is interned (reused, so a note
+  // allocates only the first time a text is seen).
+  obs::TraceId trace_subject_ = 0;
+  std::string note_text_;
 };
 
 }  // namespace sciera::chaos

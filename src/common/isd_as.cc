@@ -18,22 +18,31 @@ std::optional<std::uint64_t> parse_u64(std::string_view text, int base) {
 }  // namespace
 
 std::string As::to_string() const {
-  if (value_ <= kMaxBgpStyle) return std::to_string(value_);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void As::append_to(std::string& out) const {
+  char buf[20];
+  if (value_ <= kMaxBgpStyle) {
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value_);
+    (void)ec;
+    out.append(buf, ptr);
+    return;
+  }
   // Three 16-bit groups in lower-case hex without leading zeros per group.
-  std::array<std::uint16_t, 3> groups = {
+  const std::array<std::uint16_t, 3> groups = {
       static_cast<std::uint16_t>(value_ >> 32),
       static_cast<std::uint16_t>(value_ >> 16),
       static_cast<std::uint16_t>(value_),
   };
-  std::string out;
   for (int i = 0; i < 3; ++i) {
     if (i > 0) out.push_back(':');
-    char buf[5];
-    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, groups[i], 16);
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, groups[i], 16);
     (void)ec;
     out.append(buf, ptr);
   }
-  return out;
 }
 
 std::optional<As> As::parse(std::string_view text) {
@@ -63,7 +72,18 @@ std::optional<As> As::parse(std::string_view text) {
 }
 
 std::string IsdAs::to_string() const {
-  return std::to_string(isd_) + "-" + as_.to_string();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void IsdAs::append_to(std::string& out) const {
+  char buf[5];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, isd_);
+  (void)ec;
+  out.append(buf, ptr);
+  out.push_back('-');
+  as_.append_to(out);
 }
 
 std::optional<IsdAs> IsdAs::parse(std::string_view text) {

@@ -30,6 +30,8 @@ class As {
 
   [[nodiscard]] constexpr std::uint64_t value() const { return value_; }
   [[nodiscard]] std::string to_string() const;
+  // Appends the to_string() text to `out` without a temporary.
+  void append_to(std::string& out) const;
 
   // Parses either decimal ("559") or colon-separated hex ("2:0:3b").
   static std::optional<As> parse(std::string_view text);
@@ -52,6 +54,8 @@ class IsdAs {
     return isd_ == 0 && as_.value() == 0;
   }
   [[nodiscard]] std::string to_string() const;
+  // Appends the to_string() text to `out` without a temporary.
+  void append_to(std::string& out) const;
 
   // Packs to the 64-bit wire representation: ISD in the top 16 bits.
   [[nodiscard]] constexpr std::uint64_t packed() const {

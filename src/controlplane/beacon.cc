@@ -1,5 +1,7 @@
 #include "controlplane/beacon.h"
 
+#include <charconv>
+
 #include "common/check.h"
 #include "crypto/sha256.h"
 
@@ -59,15 +61,27 @@ Bytes Pcb::header_payload() const {
 
 std::string Pcb::fingerprint() const {
   std::string out;
+  append_fingerprint(out);
+  return out;
+}
+
+void Pcb::append_fingerprint(std::string& out) const {
+  // "71-2:0:3b[1,3]" is 14 characters; most entries fit in 24.
+  out.reserve(out.size() + 24 * entries.size());
+  const auto append_iface = [&out](IfaceId iface) {
+    char buf[8];
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, iface);
+    (void)ec;
+    out.append(buf, ptr);
+  };
   for (const auto& entry : entries) {
-    out += entry.ia.to_string();
+    entry.ia.append_to(out);
     out += '[';
-    out += std::to_string(entry.hop.cons_ingress);
+    append_iface(entry.hop.cons_ingress);
     out += ',';
-    out += std::to_string(entry.hop.cons_egress);
+    append_iface(entry.hop.cons_egress);
     out += ']';
   }
-  return out;
 }
 
 Status verify_pcb(const Pcb& pcb, const KeyLookup& keys) {

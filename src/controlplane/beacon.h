@@ -59,6 +59,8 @@ struct Pcb {
 
   // Stable identity: origin, terminus and the interface chain.
   [[nodiscard]] std::string fingerprint() const;
+  // Appends the fingerprint() text to `out`, in one reservation.
+  void append_fingerprint(std::string& out) const;
 };
 
 // Key/cert lookup used during PCB verification.

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/flight_recorder.h"
-
 namespace sciera::controlplane {
 namespace {
 
@@ -20,6 +18,7 @@ ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
       rng_(options.seed, "network") {
   auto& registry = obs::MetricsRegistry::global();
   metrics_label_ = registry.instance_label("network", "net");
+  trace_subject_ = obs::FlightRecorder::global().intern(metrics_label_);
   sim_.enable_metrics(metrics_label_);
   const obs::Labels base{{"network", metrics_label_}};
   beaconing_runs_ = &registry.counter("sciera_beaconing_runs_total", base);
@@ -117,7 +116,7 @@ void ScionNetwork::run_beaconing() {
   publish_segment_gauges();
   obs::FlightRecorder::global().record(
       obs::TraceType::kBeaconOriginated, sim_.now(), sim_.executed_events(),
-      metrics_label_, "beaconing sweep",
+      trace_subject_, obs::TraceDetail::kBeaconingSweep, 0, 0,
       static_cast<std::int64_t>(segments_.size()));
 }
 
@@ -192,7 +191,7 @@ void ScionNetwork::healing_sweep() {
   }
   obs::FlightRecorder::global().record(
       obs::TraceType::kBeaconOriginated, now, sim_.executed_events(),
-      metrics_label_, "healing sweep",
+      trace_subject_, obs::TraceDetail::kHealingSweep, 0, 0,
       static_cast<std::int64_t>(segments_.size()));
 }
 

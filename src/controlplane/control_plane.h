@@ -13,6 +13,7 @@
 #include "controlplane/path_server.h"
 #include "dataplane/local_delivery.h"
 #include "dataplane/router.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/simulator.h"
 #include "topology/topology.h"
@@ -150,6 +151,8 @@ class ScionNetwork {
   std::map<std::pair<std::uint64_t, std::uint32_t>, HostHandler> hosts_;
   dataplane::SlotPool<dataplane::ParkedDatagram> parked_datagrams_;
   std::string metrics_label_;
+  // metrics_label_, interned for the flight recorder.
+  obs::TraceId trace_subject_ = 0;
   obs::Counter* beaconing_runs_ = nullptr;
   obs::Gauge* segments_up_ = nullptr;
   obs::Gauge* segments_core_ = nullptr;

@@ -1,7 +1,5 @@
 #include "controlplane/path_server.h"
 
-#include "obs/flight_recorder.h"
-
 namespace sciera::controlplane {
 namespace {
 
@@ -19,7 +17,9 @@ ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
       ia_(ia),
       topo_(topo),
       combinator_(topo, store),
-      trc_(local_trc) {
+      trc_(local_trc),
+      trace_subject_(
+          obs::FlightRecorder::global().intern("cs-" + ia.to_string())) {
   auto& registry = obs::MetricsRegistry::global();
   const std::string& name =
       instance_name.empty() ? ia.to_string() : instance_name;
@@ -47,7 +47,9 @@ void ControlService::set_available(bool available) {
   available_gauge_->set(available ? 1 : 0);
   obs::FlightRecorder::global().record(
       obs::TraceType::kChaosInject, sim_.now(), sim_.executed_events(),
-      "cs-" + ia_.to_string(), available ? "service up" : "service outage");
+      trace_subject_,
+      available ? obs::TraceDetail::kServiceUp
+                : obs::TraceDetail::kServiceOutage);
 }
 
 Duration ControlService::cold_lookup_latency(IsdAs dst) const {
@@ -78,7 +80,7 @@ void ControlService::lookup_paths(
     lookups_dropped_->inc();
     obs::FlightRecorder::global().record(
         obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-        "cs-" + ia_.to_string(), dst.to_string() + " dropped");
+        trace_subject_, obs::TraceDetail::kLookupDropped, dst.packed());
     return;
   }
   const auto it = cache_.find(dst);
@@ -105,7 +107,7 @@ PathSet ControlService::lookup_paths_now(IsdAs dst) {
     lookups_dropped_->inc();
     obs::FlightRecorder::global().record(
         obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-        "cs-" + ia_.to_string(), dst.to_string() + " dropped");
+        trace_subject_, obs::TraceDetail::kLookupDropped, dst.packed());
     return no_paths();
   }
   auto it = cache_.find(dst);
@@ -115,7 +117,9 @@ PathSet ControlService::lookup_paths_now(IsdAs dst) {
                    sim_.now() - it->second.fetched_at < kCacheTtl;
   obs::FlightRecorder::global().record(
       obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-      "cs-" + ia_.to_string(), dst.to_string() + (hit ? " hit" : " miss"));
+      trace_subject_,
+      hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
+      dst.packed());
   if (hit) {
     cache_hits_->inc();
     return it->second.paths;

@@ -12,6 +12,7 @@
 
 #include "controlplane/combinator.h"
 #include "cppki/trc.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/simulator.h"
 
@@ -88,6 +89,8 @@ class ControlService {
   const topology::Topology& topo_;
   Combinator combinator_;
   const cppki::Trc* trc_;
+  // "cs-<ia>", interned for the flight recorder.
+  obs::TraceId trace_subject_ = 0;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   bool available_ = true;
   double slowdown_ = 1.0;

@@ -33,7 +33,10 @@ struct PathSegment {
   [[nodiscard]] IsdAs origin() const { return pcb.origin(); }
   [[nodiscard]] IsdAs terminus() const { return pcb.terminus(); }
   [[nodiscard]] std::string fingerprint() const {
-    return std::string{seg_type_name(type)} + ":" + pcb.fingerprint();
+    std::string out{seg_type_name(type)};
+    out += ':';
+    pcb.append_fingerprint(out);
+    return out;
   }
 };
 

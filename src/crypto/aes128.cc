@@ -2,6 +2,11 @@
 
 #include <atomic>
 #include <bit>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <wmmintrin.h>
+#endif
 
 namespace sciera::crypto {
 namespace {
@@ -86,6 +91,34 @@ void store_be32(std::uint8_t* p, std::uint32_t v) {
 // Relaxed: a pure tally, read as deltas by tests and benchmarks.
 std::atomic<std::uint64_t> g_key_schedules_run{0};
 
+#if defined(__x86_64__)
+// The AES-NI chain: the 11 round keys stay in registers across blocks, and
+// each block is one whitening XOR, nine AESENC rounds and one AESENCLAST.
+// Compiled for the "aes" target alone, so the rest of the program keeps
+// the baseline instruction set; called only when the CPU reports AES-NI.
+__attribute__((target("aes"))) void chain_aesni(
+    const std::uint8_t* round_keys, std::uint8_t* state,
+    const std::uint8_t* data, std::size_t blocks) {
+  const auto load = [](const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  __m128i rk[11];
+  for (int i = 0; i < 11; ++i) rk[i] = load(round_keys + 16 * i);
+  __m128i s = load(state);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    s = _mm_xor_si128(_mm_xor_si128(s, load(data + 16 * b)), rk[0]);
+    for (int round = 1; round < 10; ++round) s = _mm_aesenc_si128(s, rk[round]);
+    s = _mm_aesenclast_si128(s, rk[10]);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), s);
+}
+
+bool cpu_has_aesni() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes");
+}
+#endif
+
 }  // namespace
 
 std::uint64_t Aes128::key_schedules_run() {
@@ -95,7 +128,7 @@ std::uint64_t Aes128::key_schedules_run() {
 Aes128::Aes128(const Key& key) {
   g_key_schedules_run.fetch_add(1, std::memory_order_relaxed);
   const auto& s = tables().sbox;
-  std::array<std::uint8_t, 176> bytes{};
+  std::array<std::uint8_t, 176>& bytes = round_key_bytes_;
   std::memcpy(bytes.data(), key.data(), 16);
   std::uint8_t rcon = 0x01;
   for (int round = 1; round <= 10; ++round) {
@@ -163,6 +196,21 @@ Aes128::Block Aes128::encrypt(const Block& in) const {
   Block out;
   encrypt_block(in.data(), out.data());
   return out;
+}
+
+void Aes128::chain(Block& state, const std::uint8_t* data,
+                   std::size_t blocks) const {
+#if defined(__x86_64__)
+  static const bool kAesNi = cpu_has_aesni();
+  if (kAesNi) {
+    chain_aesni(round_key_bytes_.data(), state.data(), data, blocks);
+    return;
+  }
+#endif
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t i = 0; i < kBlockSize; ++i) state[i] ^= data[16 * b + i];
+    encrypt_block(state.data(), state.data());
+  }
 }
 
 }  // namespace sciera::crypto

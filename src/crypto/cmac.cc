@@ -33,29 +33,20 @@ AesCmac::Mac AesCmac::compute(BytesView message) const {
       message.empty() ? 1 : (message.size() + 15) / 16;
   const bool complete = !message.empty() && message.size() % 16 == 0;
 
+  // Every block but the last chains straight from the message.
   Aes128::Block x{};
-  for (std::size_t i = 0; i + 1 < n_blocks; ++i) {
-    for (int b = 0; b < 16; ++b) {
-      x[static_cast<std::size_t>(b)] ^= message[i * 16 + static_cast<std::size_t>(b)];
-    }
-    x = cipher_.encrypt(x);
-  }
+  cipher_.chain(x, message.data(), n_blocks - 1);
 
+  // The last block, padded if short, is masked with K1 (complete) or K2.
   Aes128::Block last{};
   const std::size_t tail_offset = (n_blocks - 1) * 16;
   const std::size_t tail_len = message.size() - std::min(message.size(), tail_offset);
-  if (complete) {
-    for (int b = 0; b < 16; ++b) {
-      last[static_cast<std::size_t>(b)] =
-          message[tail_offset + static_cast<std::size_t>(b)] ^ k1_[static_cast<std::size_t>(b)];
-    }
-  } else {
-    for (std::size_t b = 0; b < tail_len; ++b) last[b] = message[tail_offset + b];
-    last[tail_len] = 0x80;
-    for (int b = 0; b < 16; ++b) last[static_cast<std::size_t>(b)] ^= k2_[static_cast<std::size_t>(b)];
-  }
-  for (int b = 0; b < 16; ++b) last[static_cast<std::size_t>(b)] ^= x[static_cast<std::size_t>(b)];
-  return cipher_.encrypt(last);
+  for (std::size_t b = 0; b < tail_len; ++b) last[b] = message[tail_offset + b];
+  if (!complete) last[tail_len] = 0x80;
+  const Aes128::Block& mask = complete ? k1_ : k2_;
+  for (std::size_t b = 0; b < last.size(); ++b) last[b] ^= mask[b];
+  cipher_.chain(x, last.data(), 1);
+  return x;
 }
 
 bool AesCmac::verify(BytesView message, BytesView mac) const {

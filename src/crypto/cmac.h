@@ -1,6 +1,11 @@
 // AES-CMAC (RFC 4493 / NIST SP 800-38B). SCION hop-field MACs use
-// AES-CMAC keyed with the AS forwarding key; this is the data-plane
-// hot path exercised on every packet at every border router.
+// AES-CMAC keyed with the AS forwarding key, and the LightningFilter
+// checks one CMAC per packet at host ingress, every packet of a flood.
+//
+// compute() is two Aes128::chain calls: one over the first n-1 message
+// blocks, one over the K1/K2-masked last block. On AES-NI CPUs both run
+// the hardware rounds, with the round keys loaded once per call; the
+// subkeys come from the portable round at construction.
 #pragma once
 
 #include <array>

@@ -4,8 +4,6 @@
 
 #include "common/check.h"
 #include "dataplane/frame_pool.h"
-#include "common/strings.h"
-#include "obs/flight_recorder.h"
 
 namespace sciera::dataplane {
 namespace {
@@ -43,7 +41,8 @@ BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
       sim_(sim),
       ia_(ia),
       config_(config),
-      verifier_(fwd_key, config.mac) {
+      verifier_(fwd_key, config.mac),
+      trace_subject_(obs::FlightRecorder::global().intern(name())) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"router", registry.instance_label("router", ia.to_string())}};
@@ -91,7 +90,7 @@ void BorderRouter::crash() {
   metrics_.crashes->inc();
   obs::FlightRecorder::global().record(
       obs::TraceType::kChaosInject, sim_.now(), sim_.executed_events(),
-      name(), "router crash");
+      trace_subject_, obs::TraceDetail::kRouterCrash);
 }
 
 BorderRouter::Stats BorderRouter::stats() const {
@@ -407,8 +406,8 @@ void BorderRouter::forward(const ScionPacket& packet, IfaceId egress) {
   }
   metrics_.forwarded->inc();
   obs::FlightRecorder::global().record(
-      obs::TraceType::kPacketHop, sim_.now(), sim_.executed_events(), name(),
-      strformat("egress=%u", static_cast<unsigned>(egress)));
+      obs::TraceType::kPacketHop, sim_.now(), sim_.executed_events(),
+      trace_subject_, obs::TraceDetail::kEgress, egress);
   it->second.link->send(it->second.side, frame);
 }
 
@@ -440,9 +439,11 @@ void BorderRouter::send_scmp_error(const ScionPacket& offending,
     metrics_.scmp_suppressed->inc();
     return;
   }
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kScmpEmitted, sim_.now(), sim_.executed_events(), name(),
-      scmp_type_name(error.type));
+  auto& recorder = obs::FlightRecorder::global();
+  recorder.record(obs::TraceType::kScmpEmitted, sim_.now(),
+                  sim_.executed_events(), trace_subject_,
+                  obs::TraceDetail::kText,
+                  recorder.intern(scmp_type_name(error.type)));
   ScionPacket reply = reverse_packet(offending);
   // The offending packet's pointer already advanced past this AS's hop;
   // position the reverse pointer on this AS's hop so the reply starts here.

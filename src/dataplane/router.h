@@ -19,6 +19,7 @@
 #include "dataplane/packet.h"
 #include "dataplane/scmp.h"
 #include "dataplane/underlay.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/link.h"
 #include "simnet/simulator.h"
@@ -185,6 +186,8 @@ class BorderRouter final : public simnet::Node {
   std::unordered_map<IfaceId, IfaceBinding> ifaces_;
   LocalDelivery local_delivery_;
   Metrics metrics_;
+  // name(), interned for the flight recorder.
+  obs::TraceId trace_subject_ = 0;
   bool online_ = true;
   // Reused batch scratch: one parsed packet per slot (grow-only, so a
   // steady-state batch parses with zero heap allocations) plus a parse

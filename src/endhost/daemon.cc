@@ -10,8 +10,9 @@ namespace sciera::endhost {
 Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
     : net_(net), ia_(ia), config_(config),
       services_(net.control_service_set(ia)),
-      subject_("daemon-" + ia.to_string()),
-      rng_(net.options().seed, subject_) {
+      rng_(net.options().seed, "daemon-" + ia.to_string()),
+      subject_(obs::FlightRecorder::global().intern("daemon-" +
+                                                     ia.to_string())) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"daemon", registry.instance_label("daemon", ia.to_string())}};
@@ -65,7 +66,8 @@ const Daemon::CacheEntry* Daemon::begin_lookup(IsdAs dst) {
   obs::FlightRecorder::global().record(
       obs::TraceType::kPathLookup, net_.sim().now(),
       net_.sim().executed_events(), subject_,
-      dst.to_string() + (hit ? " hit" : " miss"));
+      hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
+      dst.packed());
   if (!hit) {
     cache_misses_->inc();
     return nullptr;
@@ -120,7 +122,9 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
   obs::FlightRecorder::global().record(
       obs::TraceType::kLookupDegraded, net_.sim().now(),
       net_.sim().executed_events(), subject_,
-      dst.to_string() + (serve_stale ? " stale" : " empty"));
+      serve_stale ? obs::TraceDetail::kLookupStale
+                  : obs::TraceDetail::kLookupEmpty,
+      dst.packed());
   if (serve_stale) return Answer{it->second.paths, PathSource::kStaleCache};
   return Answer{controlplane::no_paths(), PathSource::kUnavailable};
 }
@@ -253,9 +257,10 @@ void Daemon::report_path_down(const std::string& fingerprint) {
   prune_quarantine();
   down_until_[fingerprint] = net_.sim().now() + config_.down_path_penalty;
   quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kPathDown, net_.sim().now(),
-      net_.sim().executed_events(), subject_, fingerprint);
+  auto& recorder = obs::FlightRecorder::global();
+  recorder.record(obs::TraceType::kPathDown, net_.sim().now(),
+                  net_.sim().executed_events(), subject_,
+                  obs::TraceDetail::kText, recorder.intern(fingerprint));
 }
 
 bool Daemon::path_alive(const controlplane::Path& path) const {

@@ -19,6 +19,7 @@
 
 #include "common/backoff.h"
 #include "controlplane/control_plane.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace sciera::endhost {
@@ -186,10 +187,10 @@ class Daemon {
   IsdAs ia_;
   Config config_;
   controlplane::ControlServiceSet* services_;
-  // "daemon-<ia>": the RNG fork's name and every trace event's subject,
-  // built once.
-  std::string subject_;
+  // "daemon-<ia>" names the RNG fork and, interned, every trace event's
+  // subject.
   Rng rng_;
+  obs::TraceId subject_ = 0;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   std::unordered_map<IsdAs, std::vector<CircuitBreaker>> breakers_;
   std::map<std::string, SimTime> down_until_;

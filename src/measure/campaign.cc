@@ -59,7 +59,10 @@ std::size_t shared_links(const std::vector<std::uint64_t>& a,
 
 Campaign::Campaign(controlplane::ScionNetwork& net, bgp::BgpNetwork& bgp,
                    CampaignOptions options)
-    : net_(net), bgp_(bgp), options_(options) {
+    : net_(net),
+      bgp_(bgp),
+      options_(options),
+      trace_subject_(obs::FlightRecorder::global().intern("campaign")) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"campaign", registry.instance_label("campaign", "multiping")}};
@@ -430,8 +433,8 @@ CampaignResult Campaign::run() {
 
     obs::FlightRecorder::global().record(
         obs::TraceType::kProbeBurst, now, static_cast<std::uint64_t>(tick),
-        "campaign",
-        strformat("tick=%d pairs=%zu", tick, pairs.size()),
+        trace_subject_, obs::TraceDetail::kProbeTick,
+        static_cast<std::uint64_t>(tick), pairs.size(),
         static_cast<std::int64_t>(metrics_.scion_probes->value() +
                                   metrics_.ip_probes->value() - burst_base));
   }

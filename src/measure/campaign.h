@@ -11,6 +11,7 @@
 #pragma once
 
 #include "measure/multiping.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace sciera::measure {
@@ -120,6 +121,8 @@ class Campaign {
   std::vector<std::uint64_t> down_links_;  // SCION-down, one bit per LinkId
   std::uint64_t link_epoch_ = 0;
   Metrics metrics_;
+  // "campaign", interned for the flight recorder.
+  obs::TraceId trace_subject_ = 0;
 };
 
 }  // namespace sciera::measure

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include "common/isd_as.h"
 #include "common/strings.h"
 
 namespace sciera::obs {
@@ -55,6 +56,49 @@ std::string json_labels(const Labels& labels) {
   }
   out += "}";
   return out;
+}
+
+// The interned text `id` names; an id the table does not hold renders
+// as empty text.
+const std::string& text_of(const std::vector<std::string>& texts,
+                           std::uint64_t id) {
+  static const std::string kEmpty;
+  return id < texts.size() ? texts[static_cast<std::size_t>(id)] : kEmpty;
+}
+
+// Renders an event's detail: the one place a detail code becomes text.
+void render_detail(const TraceEvent& event,
+                   const std::vector<std::string>& texts, std::string& out) {
+  out.clear();
+  const auto lookup = [&](const char* verdict) {
+    IsdAs::from_packed(event.arg).append_to(out);
+    out += ' ';
+    out += verdict;
+  };
+  switch (event.detail) {
+    case TraceDetail::kNone: return;
+    case TraceDetail::kText: out = text_of(texts, event.arg); return;
+    case TraceDetail::kEgress:
+      out = strformat("egress=%llu", static_cast<unsigned long long>(event.arg));
+      return;
+    case TraceDetail::kLookupHit: return lookup("hit");
+    case TraceDetail::kLookupMiss: return lookup("miss");
+    case TraceDetail::kLookupDropped: return lookup("dropped");
+    case TraceDetail::kLookupStale: return lookup("stale");
+    case TraceDetail::kLookupEmpty: return lookup("empty");
+    case TraceDetail::kProbeTick:
+      out = strformat("tick=%lld pairs=%llu", static_cast<long long>(event.arg),
+                      static_cast<unsigned long long>(event.arg2));
+      return;
+    case TraceDetail::kCutInFlight: out = "cut-in-flight"; return;
+    case TraceDetail::kLinkUp: out = "up"; return;
+    case TraceDetail::kLinkDown: out = "down"; return;
+    case TraceDetail::kRouterCrash: out = "router crash"; return;
+    case TraceDetail::kServiceUp: out = "service up"; return;
+    case TraceDetail::kServiceOutage: out = "service outage"; return;
+    case TraceDetail::kBeaconingSweep: out = "beaconing sweep"; return;
+    case TraceDetail::kHealingSweep: out = "healing sweep"; return;
+  }
 }
 
 }  // namespace
@@ -155,12 +199,17 @@ std::string export_trace_text(const FlightRecorder& recorder) {
       static_cast<unsigned long long>(recorder.recorded()),
       static_cast<unsigned long long>(recorder.overwritten()),
       recorder.capacity());
-  for (const auto& event : recorder.snapshot()) {
+  const std::vector<TraceEvent> events = recorder.snapshot();
+  const std::vector<std::string> texts = recorder.texts();
+  std::string detail;
+  for (const auto& event : events) {
+    render_detail(event, texts, detail);
     out += strformat("%08llu t=%lld %s %s",
                      static_cast<unsigned long long>(event.seq),
                      static_cast<long long>(event.time),
-                     trace_type_name(event.type), event.subject.c_str());
-    if (!event.detail.empty()) out += " " + event.detail;
+                     trace_type_name(event.type),
+                     text_of(texts, event.subject).c_str());
+    if (!detail.empty()) out += " " + detail;
     if (event.value != 0) {
       out += strformat(" v=%lld", static_cast<long long>(event.value));
     }
@@ -174,16 +223,20 @@ std::string export_trace_json(const FlightRecorder& recorder) {
       "{\"recorded\":%llu,\"overwritten\":%llu,\"events\":[",
       static_cast<unsigned long long>(recorder.recorded()),
       static_cast<unsigned long long>(recorder.overwritten()));
+  const std::vector<TraceEvent> events = recorder.snapshot();
+  const std::vector<std::string> texts = recorder.texts();
+  std::string detail;
   bool first = true;
-  for (const auto& event : recorder.snapshot()) {
+  for (const auto& event : events) {
     if (!first) out += ",";
     first = false;
+    render_detail(event, texts, detail);
     out += strformat(
         "{\"seq\":%llu,\"time\":%lld,\"type\":\"%s\",\"subject\":\"%s\","
         "\"detail\":\"%s\",\"value\":%lld}",
         static_cast<unsigned long long>(event.seq),
         static_cast<long long>(event.time), trace_type_name(event.type),
-        escape(event.subject).c_str(), escape(event.detail).c_str(),
+        escape(text_of(texts, event.subject)).c_str(), escape(detail).c_str(),
         static_cast<long long>(event.value));
   }
   out += "]}";

@@ -21,8 +21,10 @@ const char* trace_type_name(TraceType type) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  ring_.reserve(capacity_);
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      ring_(capacity_),
+      texts_{std::string{}} {
+  ids_.emplace(std::string{}, 0);
 }
 
 FlightRecorder& FlightRecorder::global() {
@@ -30,37 +32,52 @@ FlightRecorder& FlightRecorder::global() {
   return recorder;
 }
 
-void FlightRecorder::record(TraceType type, SimTime time, std::uint64_t seq,
-                            std::string subject, std::string detail,
-                            std::int64_t value) {
-  TraceEvent event{type, time, seq, std::move(subject), std::move(detail),
-                   value};
+TraceId FlightRecorder::intern(std::string_view text) {
   const sciera::MutexLock lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[next_] = std::move(event);
-  }
-  next_ = (next_ + 1) % capacity_;
+  if (const auto it = ids_.find(text); it != ids_.end()) return it->second;
+  const auto id = static_cast<TraceId>(texts_.size());
+  texts_.emplace_back(text);
+  ids_.emplace(std::string{text}, id);
+  return id;
+}
+
+std::vector<std::string> FlightRecorder::texts() const {
+  const sciera::MutexLock lock(mutex_);
+  return texts_;
+}
+
+void FlightRecorder::record(TraceType type, SimTime time, std::uint64_t seq,
+                            TraceId subject, TraceDetail detail,
+                            std::uint64_t arg, std::uint64_t arg2,
+                            std::int64_t value) {
+  const sciera::MutexLock lock(mutex_);
+  ring_[next_] = TraceEvent{type, detail, subject, time, seq, arg, arg2, value};
+  next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
   ++recorded_;
+}
+
+std::size_t FlightRecorder::size_locked() const {
+  return recorded_ < capacity_ ? static_cast<std::size_t>(recorded_)
+                               : capacity_;
 }
 
 std::vector<TraceEvent> FlightRecorder::snapshot() const {
   const sciera::MutexLock lock(mutex_);
-  std::vector<TraceEvent> events;
-  events.reserve(ring_.size());
+  const std::size_t size = size_locked();
   // Before the first wrap the ring is in order from slot 0; afterwards the
   // oldest retained event sits at next_.
-  const std::size_t start = ring_.size() < capacity_ ? 0 : next_;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    events.push_back(ring_[(start + i) % ring_.size()]);
+  const std::size_t start = size < capacity_ ? 0 : next_;
+  std::vector<TraceEvent> events;
+  events.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    events.push_back(ring_[(start + i) % capacity_]);
   }
   return events;
 }
 
 std::size_t FlightRecorder::size() const {
   const sciera::MutexLock lock(mutex_);
-  return ring_.size();
+  return size_locked();
 }
 
 std::uint64_t FlightRecorder::recorded() const {
@@ -70,12 +87,11 @@ std::uint64_t FlightRecorder::recorded() const {
 
 std::uint64_t FlightRecorder::overwritten() const {
   const sciera::MutexLock lock(mutex_);
-  return recorded_ - ring_.size();
+  return recorded_ - size_locked();
 }
 
 void FlightRecorder::clear() {
   const sciera::MutexLock lock(mutex_);
-  ring_.clear();
   next_ = 0;
   recorded_ = 0;
 }

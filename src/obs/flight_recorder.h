@@ -5,13 +5,24 @@
 // exported trace has a deterministic total order: same seed, same
 // construction order => byte-identical export.
 //
+// A record holds no text, so recording never allocates. The emitting
+// component's name is an interned id, taken once when the component is
+// built; the detail is a code plus integers (an egress interface, a packed
+// ISD-AS, a tick); rare free text (chaos notes, SCMP type names, path-down
+// fingerprints) is an interned text id, bounded by its distinct values.
+// Text is rendered only by export_trace_text / export_trace_json.
+//
 // The recorder deliberately has no dependency on simnet — callers pass
 // (time, seq) explicitly, which also lets analytic (non-simulated) code
 // like the measurement campaign record its own tick-indexed events.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -34,27 +45,65 @@ enum class TraceType : std::uint8_t {
 
 [[nodiscard]] const char* trace_type_name(TraceType type);
 
+// An interned string: an index into the recorder's text table. Id 0 is the
+// empty string.
+using TraceId = std::uint32_t;
+
+// What an event's detail says, and which of its integers it reads.
+enum class TraceDetail : std::uint8_t {
+  kNone,            // no detail
+  kText,            // interned free text; arg = its TraceId
+  kEgress,          // "egress=<arg>"
+  kLookupHit,       // "<ia> hit"; arg = IsdAs::packed()
+  kLookupMiss,      // "<ia> miss"
+  kLookupDropped,   // "<ia> dropped"
+  kLookupStale,     // "<ia> stale"
+  kLookupEmpty,     // "<ia> empty"
+  kProbeTick,       // "tick=<arg> pairs=<arg2>"
+  kCutInFlight,     // "cut-in-flight"
+  kLinkUp,          // "up"
+  kLinkDown,        // "down"
+  kRouterCrash,     // "router crash"
+  kServiceUp,       // "service up"
+  kServiceOutage,   // "service outage"
+  kBeaconingSweep,  // "beaconing sweep"
+  kHealingSweep,    // "healing sweep"
+};
+
 struct TraceEvent {
   TraceType type = TraceType::kPacketHop;
-  SimTime time = 0;       // simulation time of the event
-  std::uint64_t seq = 0;  // Simulator::executed_events() at record time
-  std::string subject;    // emitting component ("br-71-225", link label, ...)
-  std::string detail;     // free-form context ("egress=3", "hit", ...)
-  std::int64_t value = 0; // optional numeric payload
+  TraceDetail detail = TraceDetail::kNone;
+  TraceId subject = 0;     // emitting component ("br-71-225", link label, ...)
+  SimTime time = 0;        // simulation time of the event
+  std::uint64_t seq = 0;   // Simulator::executed_events() at record time
+  std::uint64_t arg = 0;   // the detail's integers (see TraceDetail)
+  std::uint64_t arg2 = 0;
+  std::int64_t value = 0;  // optional numeric payload
 };
+// Ring slots are overwritten by plain copies; nothing in a record owns heap
+// memory.
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
 
+  // Allocates all `capacity` ring slots up front.
   explicit FlightRecorder(std::size_t capacity);
   FlightRecorder() : FlightRecorder(kDefaultCapacity) {}
 
   // The process-wide recorder the instrumented components feed.
   static FlightRecorder& global();
 
+  // The id of `text`, added to the table on first sight. Ids are stable
+  // for the recorder's lifetime; clear() keeps them.
+  [[nodiscard]] TraceId intern(std::string_view text);
+  // The interned texts, indexed by TraceId.
+  [[nodiscard]] std::vector<std::string> texts() const;
+
   void record(TraceType type, SimTime time, std::uint64_t seq,
-              std::string subject, std::string detail = {},
+              TraceId subject, TraceDetail detail = TraceDetail::kNone,
+              std::uint64_t arg = 0, std::uint64_t arg2 = 0,
               std::int64_t value = 0);
 
   // Retained events, oldest first (at most capacity()).
@@ -66,15 +115,20 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const;
   [[nodiscard]] std::uint64_t overwritten() const;
 
+  // Empties the ring; interned ids stay valid.
   void clear();
 
  private:
+  [[nodiscard]] std::size_t size_locked() const SCIERA_REQUIRES(mutex_);
+
   const std::size_t capacity_;  // immutable after construction
   mutable sciera::Mutex mutex_;
   std::vector<TraceEvent> ring_ SCIERA_GUARDED_BY(mutex_);
   // Ring slot the next event lands in.
   std::size_t next_ SCIERA_GUARDED_BY(mutex_) = 0;
   std::uint64_t recorded_ SCIERA_GUARDED_BY(mutex_) = 0;
+  std::vector<std::string> texts_ SCIERA_GUARDED_BY(mutex_);
+  std::map<std::string, TraceId, std::less<>> ids_ SCIERA_GUARDED_BY(mutex_);
 };
 
 }  // namespace sciera::obs

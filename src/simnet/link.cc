@@ -16,7 +16,10 @@ void Link::attach(int side, Node* node, IfaceId local_iface) {
   end.iface = local_iface;
 }
 
-void Link::set_label(std::string label) { label_ = std::move(label); }
+void Link::set_label(std::string label) {
+  label_ = std::move(label);
+  trace_subject_ = obs::FlightRecorder::global().intern(display_name());
+}
 
 const std::string& Link::display_name() const {
   static const std::string kUnnamed = "link";
@@ -66,7 +69,7 @@ void Link::set_up(bool up) {
           metrics().dropped_down->inc();
           obs::FlightRecorder::global().record(
               obs::TraceType::kPacketDrop, sim_.now(), sim_.executed_events(),
-              display_name(), "cut-in-flight");
+              trace_subject_, obs::TraceDetail::kCutInFlight);
         }
         recycle_batch(std::move(batch.items));
       }
@@ -76,7 +79,8 @@ void Link::set_up(bool up) {
   }
   obs::FlightRecorder::global().record(
       obs::TraceType::kLinkTransition, sim_.now(), sim_.executed_events(),
-      display_name(), up ? "up" : "down");
+      trace_subject_,
+      up ? obs::TraceDetail::kLinkUp : obs::TraceDetail::kLinkDown);
   if (on_state_change_) on_state_change_(up, sim_.now());
 }
 
@@ -171,7 +175,7 @@ void Link::deliver_batch(int to_side, SimTime deliver_at) {
       metrics().dropped_down->inc();
       obs::FlightRecorder::global().record(
           obs::TraceType::kPacketDrop, sim_.now(), sim_.executed_events(),
-          display_name(), "cut-in-flight");
+          trace_subject_, obs::TraceDetail::kCutInFlight);
       continue;
     }
     metrics().delivered->inc();

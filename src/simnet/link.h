@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/thread_annotations.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/node.h"
 #include "simnet/simulator.h"
@@ -42,7 +43,10 @@ class Link {
   };
 
   Link(Simulator& sim, LinkConfig config, Rng jitter_rng)
-      : sim_(sim), config_(config), rng_(jitter_rng) {}
+      : sim_(sim),
+        config_(config),
+        rng_(jitter_rng),
+        trace_subject_(obs::FlightRecorder::global().intern(display_name())) {}
 
   // Attaches endpoint `side` (0 or 1). The owner names its end of the link
   // with its own interface id.
@@ -159,6 +163,8 @@ class Link {
   Rng rng_ SCIERA_GUARDED_BY(sim_thread_role);
   std::array<End, 2> ends_ SCIERA_GUARDED_BY(sim_thread_role){};
   std::string label_;
+  // display_name(), interned for the flight recorder.
+  obs::TraceId trace_subject_ = 0;
   mutable Metrics metrics_;
   bool up_ SCIERA_GUARDED_BY(sim_thread_role) = true;
   // Bumped on every up->down transition; deliveries scheduled before the

@@ -51,6 +51,35 @@ TEST_F(ScieraFixture, BeaconingProducesAllSegmentTypes) {
   EXPECT_EQ(store.count(SegType::kUp), store.count(SegType::kDown));
 }
 
+// Fingerprint text pins, taken before fingerprint() was rebuilt to append
+// into one reserved string: a beaconed segment that mixes BGP-style and
+// SCION-style ASes, and a synthetic one at the edges of every number it
+// spells (largest ISD, decimal and hex AS forms, interface 0 and 65535).
+TEST_F(ScieraFixture, SegmentFingerprintTextIsPinned) {
+  const auto& segments = net().segments().all();
+  ASSERT_GT(segments.size(), 5u);
+  EXPECT_EQ(segments[5].fingerprint(),
+            "core:71-20965[0,2]71-2:0:3e[1,3]71-2:0:3f[2,1]71-2:0:35[4,0]");
+
+  PathSegment segment;
+  segment.type = SegType::kDown;
+  AsEntry first;
+  first.ia = IsdAs{65535, As{4294967295ULL}};
+  first.hop.cons_ingress = 65535;
+  AsEntry second;
+  second.ia = IsdAs{71, As{4294967296ULL}};
+  second.hop.cons_ingress = 1;
+  second.hop.cons_egress = 65535;
+  AsEntry third;
+  third.hop.cons_ingress = 10;
+  third.hop.cons_egress = 100;
+  segment.pcb.entries = {first, second, third};
+  EXPECT_EQ(segment.pcb.fingerprint(),
+            "65535-4294967295[65535,0]71-1:0:0[1,65535]0-0[10,100]");
+  EXPECT_EQ(segment.fingerprint(),
+            "down:65535-4294967295[65535,0]71-1:0:0[1,65535]0-0[10,100]");
+}
+
 // --- Segment expiry and the self-healing refresh sweep ----------------------
 
 TEST(SegmentStore, PruneExpiredDropsAgedKeepsImmortal) {

@@ -304,6 +304,38 @@ TEST(Crypto, AesCmacParityCorpus) {
             "04d4de71e8a11545dc541aee07f65e41a50cdc1680f56e1bdc710a9f243cb459");
 }
 
+TEST(Crypto, AesChainMatchesPortableRounds) {
+  // chain() against the referee, a loop over the portable T-table round:
+  // 64 seeded keys, every chain length 0..64 and all 16 start offsets
+  // into the buffer (so the blocks sit at every alignment). On a CPU with
+  // AES-NI this checks the hardware rounds against the T-table rounds.
+  Rng rng{0xC4A1, "aes-chain"};
+  Bytes buffer(64 * Aes128::kBlockSize + 16);
+  for (int k = 0; k < 64; ++k) {
+    Aes128::Key key;
+    fill_random(rng, key);
+    const Aes128 aes{key};
+    fill_random(rng, buffer);
+    for (std::size_t blocks = 0; blocks <= 64; ++blocks) {
+      const std::size_t offset = (static_cast<std::size_t>(k) + blocks) % 16;
+      const std::uint8_t* data = buffer.data() + offset;
+      Aes128::Block iv;
+      fill_random(rng, iv);
+      Aes128::Block expected = iv;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t i = 0; i < Aes128::kBlockSize; ++i) {
+          expected[i] ^= data[16 * b + i];
+        }
+        aes.encrypt_block(expected.data(), expected.data());
+      }
+      Aes128::Block state = iv;
+      aes.chain(state, data, blocks);
+      ASSERT_EQ(to_hex(state), to_hex(expected))
+          << "key " << k << ", " << blocks << " blocks at offset " << offset;
+    }
+  }
+}
+
 // --- Ed25519 (RFC 8032 test vectors) ---------------------------------------------
 
 KeyPair random_key(Rng& rng) {

@@ -28,7 +28,6 @@
 #include "dataplane/frame_pool.h"
 #include "dataplane/router.h"
 #include "endhost/pan.h"
-#include "obs/flight_recorder.h"
 #include "simnet/link.h"
 #include "simnet/simulator.h"
 #include "topology/sciera_net.h"
@@ -187,30 +186,24 @@ namespace {
 
 namespace a = topology::ases;
 
-// A daemon-mode PAN socket at UVa, whose destinations range from 3
-// combined paths (Princeton) to 96 (Korea University).
+// A daemon-mode PAN socket at `home` (UVa by default, whose destinations
+// range from 3 combined paths (Princeton) to 96 (Korea University)).
 struct SelectionFixture {
   explicit SelectionFixture(
+      IsdAs home = a::uva(),
       simnet::SchedulerKind scheduler = simnet::SchedulerKind::kCalendarQueue)
       : net(topology::build_sciera(), options(scheduler)),
-        daemon(net, a::uva()),
+        daemon(net, home),
         ctx(PanContext::Builder{}
                 .net(net)
-                .address({a::uva(), 0x0A000001})
+                .address({home, 0x0A000001})
                 .daemon(daemon)
                 .build(Rng{1})
                 .value()),
         socket(PanSocket::open(*ctx, 0,
                                [](const dataplane::Address&, std::uint16_t,
                                   const Bytes&, SimTime) {})
-                   .value()) {
-    // Fill the process-wide flight recorder's ring: from then on a lookup
-    // moves its trace event into a slot instead of growing the ring.
-    auto& recorder = obs::FlightRecorder::global();
-    while (recorder.size() < recorder.capacity()) {
-      recorder.record(obs::TraceType::kPathLookup, 0, 0, "warm-up");
-    }
-  }
+                   .value()) {}
 
   static controlplane::ScionNetwork::Options options(
       simnet::SchedulerKind scheduler) {
@@ -264,7 +257,7 @@ TEST(PathSelection, BestOverAWarmSetAllocatesNothing) {
 }
 
 // A warm send_to to another AS makes exactly five allocations, at 3 paths
-// and at 96:
+// and at 96, from UVa and from KISTI Daejeon:
 //   1. the receipt's copy of the path fingerprint (longer than the
 //      small-string buffer);
 //   2. the packet's copy of the chosen path's info fields;
@@ -272,25 +265,30 @@ TEST(PathSelection, BestOverAWarmSetAllocatesNothing) {
 //   4. the datagram's copy of the payload;
 //   5. the datagram's serialization, reserved to its exact size.
 // The route to the router allocates nothing, nor does the daemon's
-// lookup: its trace subject, "daemon-71-225", fits the small-string
-// buffer. The binary-heap scheduler keeps the count exact, as in
-// RouterFastPath: the calendar wheel would add first-touch bucket growth,
-// a scheduler cost.
+// lookup: its trace event holds the daemon's interned subject id, so the
+// subject's length costs nothing. At KISTI Daejeon the subject,
+// "daemon-71-2:0:3b", is 16 characters, one more than the small-string
+// buffer; when each record copied it, a send from there made 6. The
+// binary-heap scheduler keeps the count exact, as in RouterFastPath: the
+// calendar wheel would add first-touch bucket growth, a scheduler cost.
 TEST(PathSelection, WarmSendToMakesExactlyTheNamedAllocations) {
-  SelectionFixture f{simnet::SchedulerKind::kBinaryHeap};
   const Bytes payload(64, 0x5A);
-  for (const IsdAs dst : {a::princeton(), a::korea_univ()}) {
-    const dataplane::Address peer{dst, 0x0A000002};
-    ASSERT_TRUE(f.socket->send_to(peer, 9000, payload).ok());  // warm-up
-    f.net.sim().run_all();
-    const std::uint64_t before = g_allocs.load();
-    const auto receipt = f.socket->send_to(peer, 9000, payload);
-    const std::uint64_t allocs = g_allocs.load() - before;
-    ASSERT_TRUE(receipt.ok()) << dst.to_string();
-    EXPECT_EQ(allocs, 5u) << dst.to_string();
-    f.net.sim().run_all();
+  for (const IsdAs home : {a::uva(), a::kisti_dj()}) {
+    SelectionFixture f{home, simnet::SchedulerKind::kBinaryHeap};
+    for (const IsdAs dst : {a::princeton(), a::korea_univ()}) {
+      const dataplane::Address peer{dst, 0x0A000002};
+      ASSERT_TRUE(f.socket->send_to(peer, 9000, payload).ok());  // warm-up
+      f.net.sim().run_all();
+      const std::uint64_t before = g_allocs.load();
+      const auto receipt = f.socket->send_to(peer, 9000, payload);
+      const std::uint64_t allocs = g_allocs.load() - before;
+      ASSERT_TRUE(receipt.ok()) << home.to_string() << " -> "
+                                << dst.to_string();
+      EXPECT_EQ(allocs, 5u) << home.to_string() << " -> " << dst.to_string();
+      f.net.sim().run_all();
+    }
+    EXPECT_EQ(f.socket->rankings_built(), 2u) << home.to_string();
   }
-  EXPECT_EQ(f.socket->rankings_built(), 2u);
 }
 
 // A warm window of local deliveries from the router to a socket:

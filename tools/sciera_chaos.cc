@@ -46,8 +46,10 @@ int list_plans() {
 
 // Hammers the genuinely thread-safe observability surfaces from
 // concurrent threads: MetricsRegistry series registration /
-// instance_label and the FlightRecorder ring (record, snapshot, size are
-// all mutex-protected). Counter cells themselves are single-writer by
+// instance_label and the FlightRecorder (intern, record, snapshot, texts
+// and size are all mutex-protected). Each worker interns its own subjects
+// while the others record and snapshot, so the intern table grows under
+// contention. Counter cells themselves are single-writer by
 // design — each worker increments only its own series, and the verifying
 // registry snapshot happens after the join. Run under
 // SCIERA_SANITIZE=thread this checks the sciera::Mutex discipline the
@@ -56,11 +58,13 @@ int thread_smoke() {
   using sciera::obs::FlightRecorder;
   using sciera::obs::Labels;
   using sciera::obs::MetricsRegistry;
+  using sciera::obs::TraceDetail;
   using sciera::obs::TraceType;
 
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kIterations = 2000;
   constexpr std::size_t kRecorderCapacity = 512;
+  constexpr std::size_t kSlots = 8;
 
   MetricsRegistry registry;
   FlightRecorder recorder(kRecorderCapacity);
@@ -81,13 +85,19 @@ int thread_smoke() {
         auto& slot = registry.counter(
             "sciera_smoke_slot_total",
             Labels{{"worker", worker},
-                   {"slot", std::to_string(i % 8)}});
+                   {"slot", std::to_string(i % kSlots)}});
         slot.inc();
         (void)registry.instance_label("smoke", "smoke-" + worker);
+        // One subject per (worker, slot): new on the first pass over the
+        // slots, looked up after that.
+        const auto subject =
+            recorder.intern(worker + "-" + std::to_string(i % kSlots));
         recorder.record(TraceType::kProbeBurst, static_cast<sciera::SimTime>(i),
-                        i, worker, "thread-smoke");
+                        i, subject, TraceDetail::kText,
+                        recorder.intern("thread-smoke"));
         if (i % 64 == 0) {
           (void)recorder.snapshot();
+          (void)recorder.texts();
           (void)recorder.size();
           (void)registry.series();
         }
@@ -111,13 +121,20 @@ int thread_smoke() {
   if (recorder.recorded() != expected) ok = false;
   if (recorder.size() != kRecorderCapacity) ok = false;
   if (recorder.overwritten() != expected - kRecorderCapacity) ok = false;
+  // Every subject interned exactly once ("", "thread-smoke" and one per
+  // worker slot), and every retained event names one of them.
+  const std::vector<std::string> texts = recorder.texts();
+  if (texts.size() != 2 + kWorkers * kSlots) ok = false;
+  for (const auto& event : recorder.snapshot()) {
+    if (event.subject == 0 || event.subject >= texts.size()) ok = false;
+  }
   std::printf(
       "thread smoke: workers=%zu iterations=%zu counted=%llu/%llu "
-      "recorded=%llu retained=%zu %s\n",
+      "recorded=%llu retained=%zu interned=%zu %s\n",
       kWorkers, kIterations, static_cast<unsigned long long>(total),
       static_cast<unsigned long long>(expected),
       static_cast<unsigned long long>(recorder.recorded()), recorder.size(),
-      ok ? "OK" : "FAILED");
+      texts.size(), ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 
