@@ -6,13 +6,13 @@
 namespace sciera::chaos {
 
 namespace {
-constexpr std::array<FaultKind, 12> kAllKinds = {
-    FaultKind::kLinkDown,       FaultKind::kLinkUp,
-    FaultKind::kLinkFlap,       FaultKind::kRegionOutage,
-    FaultKind::kControlOutage,  FaultKind::kControlSlowdown,
-    FaultKind::kRouterCrash,    FaultKind::kLossStorm,
-    FaultKind::kJitterStorm,    FaultKind::kForgedFlood,
-    FaultKind::kSpoofedFlood,   FaultKind::kFlashCrowd,
+constexpr std::array<FaultKind, 11> kAllKinds = {
+    FaultKind::kLinkDown,      FaultKind::kLinkUp,
+    FaultKind::kLinkFlap,      FaultKind::kRegionOutage,
+    FaultKind::kControlOutage, FaultKind::kRouterCrash,
+    FaultKind::kLossStorm,     FaultKind::kJitterStorm,
+    FaultKind::kForgedFlood,   FaultKind::kSpoofedFlood,
+    FaultKind::kFlashCrowd,
 };
 
 // Control-fault targets address replicas with an optional '#' suffix:
@@ -128,8 +128,7 @@ Status ChaosEngine::validate(const FaultEvent& event) {
     case FaultKind::kRegionOutage:
       if (region_link_labels(event.target).empty()) return bad("region");
       return {};
-    case FaultKind::kControlOutage:
-    case FaultKind::kControlSlowdown: {
+    case FaultKind::kControlOutage: {
       std::string base;
       std::string suffix;
       split_replica_target(event.target, base, suffix);
@@ -236,11 +235,6 @@ void ChaosEngine::apply(const FaultEvent& event) {
         service->set_available(false);
       }
       break;
-    case FaultKind::kControlSlowdown:
-      for (auto* service : services_for(event.target)) {
-        service->set_slowdown(event.magnitude);
-      }
-      break;
     case FaultKind::kRouterCrash: {
       if (auto* router = net_.router(*IsdAs::parse(event.target))) {
         router->crash();
@@ -302,11 +296,6 @@ void ChaosEngine::revert(const FaultEvent& event) {
     case FaultKind::kControlOutage:
       for (auto* service : services_for(event.target)) {
         service->set_available(true);
-      }
-      return;
-    case FaultKind::kControlSlowdown:
-      for (auto* service : services_for(event.target)) {
-        service->set_slowdown(1.0);
       }
       return;
     case FaultKind::kRouterCrash:

@@ -67,7 +67,7 @@ class ChaosEngine {
   // driving this network's simulator.
   Rng rng_ SCIERA_GUARDED_BY(sim_thread_role);
   std::uint64_t injected_ SCIERA_GUARDED_BY(sim_thread_role) = 0;
-  std::array<obs::Counter*, 12> injected_by_kind_{};
+  std::array<obs::Counter*, 11> injected_by_kind_{};
   AttackHooks attack_hooks_{};
   // "chaos", interned for the flight recorder, and the buffer a note's
   // text is composed in before it is interned (reused, so a note

@@ -11,7 +11,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kLinkFlap: return "link_flap";
     case FaultKind::kRegionOutage: return "region_outage";
     case FaultKind::kControlOutage: return "control_outage";
-    case FaultKind::kControlSlowdown: return "control_slowdown";
     case FaultKind::kRouterCrash: return "router_crash";
     case FaultKind::kLossStorm: return "loss_storm";
     case FaultKind::kJitterStorm: return "jitter_storm";
@@ -62,8 +61,6 @@ FaultPlan control_maintenance_plan() {
   FaultPlan plan;
   plan.name = "control-maintenance";
   plan.add({1 * kSecond, FaultKind::kControlOutage, "*", 0.0, 5 * kSecond});
-  // After the outage the services come back degraded (answers 8x slower).
-  plan.add({6 * kSecond, FaultKind::kControlSlowdown, "*", 8.0, 4 * kSecond});
   plan.add({3 * kSecond, FaultKind::kRouterCrash, a::geant().to_string(), 0.0,
             1 * kSecond});
   return plan;
@@ -89,8 +86,6 @@ FaultPlan mixed_mayhem_plan() {
             3 * kSecond});
   plan.add({2 * kSecond, FaultKind::kControlOutage,
             a::kisti_ams().to_string(), 0.0, 4 * kSecond});
-  plan.add({2500 * kMillisecond, FaultKind::kControlSlowdown,
-            a::geant().to_string(), 5.0, 3 * kSecond});
   plan.add({3 * kSecond, FaultKind::kRouterCrash, a::bridges().to_string(),
             0.0, 1500 * kMillisecond});
   plan.add({4 * kSecond, FaultKind::kLossStorm, "geant-kisti-sg", 0.08,

@@ -1,7 +1,7 @@
 // Fault plans: declarative, replayable incident schedules for the SCIERA
 // network. A plan is a list of timestamped fault events (link flaps,
-// correlated regional outages, control-service outages and slowdowns,
-// router crashes, loss/jitter storms) plus an optional randomized flap
+// correlated regional outages, control-service outages, router crashes,
+// loss/jitter storms, attack bursts) plus an optional randomized flap
 // campaign drawn from a seeded Rng. The ChaosEngine turns a plan into
 // simulator events, so two runs with the same plan and seed replay
 // byte-for-byte under simnet::audit_determinism().
@@ -29,8 +29,7 @@ enum class FaultKind : std::uint8_t {
   kRegionOutage,
   // Control-service faults; target is an ISD-AS string or "*" for every
   // instantiated control service.
-  kControlOutage,    // lookups dropped for `hold`
-  kControlSlowdown,  // answer latency x magnitude for `hold`
+  kControlOutage,  // lookups fail fast for `hold`
   // Border-router crash with state loss; restarts after `hold` (a hold of
   // 0 leaves it down for the rest of the run).
   kRouterCrash,
@@ -54,7 +53,7 @@ struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kLinkFlap;
   std::string target;      // link label, ISD-AS string, city, or "*"
-  double magnitude = 0.0;  // loss probability / jitter sigma / slowdown
+  double magnitude = 0.0;  // loss probability / jitter sigma / attack pps
   Duration hold = 0;       // time until the fault auto-reverts (0 = never)
 };
 
@@ -90,7 +89,8 @@ struct FaultPlan {
 [[nodiscard]] FaultPlan kreonet_ring_cut_plan();
 // Repeated flapping of the transatlantic core circuits.
 [[nodiscard]] FaultPlan transatlantic_flap_plan();
-// Global control-service maintenance: every CS down, then slow.
+// Global control-service maintenance: every primary CS down for 5 s,
+// with a border router crashing mid-window.
 [[nodiscard]] FaultPlan control_maintenance_plan();
 // Loss and jitter storms on the Singapore-Amsterdam channel bundle.
 [[nodiscard]] FaultPlan sg_ams_storm_plan();

@@ -228,8 +228,6 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
   for (std::size_t i = 0; i < workload.host_count(); ++i) {
     const endhost::Daemon& daemon = workload.daemon(i);
     report.lookups += daemon.lookups();
-    report.lookup_timeouts += daemon.lookup_timeouts();
-    report.lookup_retries += daemon.lookup_retries();
     report.stale_served += daemon.stale_served();
     report.degraded_empty += daemon.degraded_empty();
     report.breaker_trips += daemon.breaker_trips();
@@ -319,8 +317,6 @@ std::string SurvivabilityReport::to_json() const {
   json += "  },\n";
   json += "  \"lookup_error_budget\": {\n";
   json += "    \"lookups\": " + std::to_string(lookups) + ",\n";
-  json += "    \"timeouts\": " + std::to_string(lookup_timeouts) + ",\n";
-  json += "    \"retries\": " + std::to_string(lookup_retries) + ",\n";
   json += "    \"stale_served\": " + std::to_string(stale_served) + ",\n";
   json += "    \"degraded_empty\": " + std::to_string(degraded_empty) + ",\n";
   json += "    \"breaker_trips\": " + std::to_string(breaker_trips) + ",\n";

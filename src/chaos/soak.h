@@ -63,8 +63,6 @@ struct SurvivabilityReport {  // registry-backed snapshot
   Duration gap_max = 0;
   // Lookup error budget, aggregated over every host daemon.
   std::uint64_t lookups = 0;
-  std::uint64_t lookup_timeouts = 0;
-  std::uint64_t lookup_retries = 0;
   std::uint64_t stale_served = 0;
   std::uint64_t degraded_empty = 0;
   std::uint64_t breaker_trips = 0;

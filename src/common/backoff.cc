@@ -1,19 +1,6 @@
 #include "common/backoff.h"
 
-#include <algorithm>
-
 namespace sciera {
-
-Duration BackoffPolicy::delay(std::size_t attempt, Rng& rng) const {
-  if (attempt == 0) return kNanosecond;
-  double nominal = static_cast<double>(initial);
-  for (std::size_t i = 1; i < attempt; ++i) nominal *= multiplier;
-  nominal = std::min(nominal, static_cast<double>(max_delay));
-  if (jitter_frac > 0.0) {
-    nominal *= rng.uniform(1.0 - jitter_frac, 1.0 + jitter_frac);
-  }
-  return std::max<Duration>(static_cast<Duration>(nominal), kNanosecond);
-}
 
 void CircuitBreaker::record_failure(SimTime now) {
   if (open_) {

@@ -1,39 +1,17 @@
-// Retry/backoff/degradation primitives shared by every RPC-ish client in
-// the stack (daemon path fetches, control-service consumers). Centralized
-// so the policy is uniform and auditable: sciera_analyze bans ad-hoc
-// retry loops outside src/chaos/ and this helper (raw-retry-loop).
+// The circuit breaker behind the daemon's replica failover, the one
+// failure-handling primitive of every RPC-ish client in the stack.
+// Centralized so the policy is uniform and auditable: sciera_analyze bans
+// ad-hoc retry loops outside src/chaos/ and this helper (raw-retry-loop).
 //
-// Everything here is driven by the simulation clock and an explicit Rng:
-// backoff jitter is deterministic per seed, and circuit-breaker windows
-// are sim-time spans, so resilience behaviour replays bit-identically
-// under simnet::audit_determinism().
+// Its windows are sim-time spans, so resilience behaviour replays
+// bit-identically under simnet::audit_determinism().
 #pragma once
 
 #include <cstdint>
 
-#include "common/rng.h"
 #include "common/time.h"
 
 namespace sciera {
-
-// Bounded exponential backoff with deterministic, Rng-driven jitter.
-// Attempt numbering: attempt 1 is the first retry (the initial try has no
-// delay). delay(n) grows geometrically from `initial`, is clamped at
-// `max_delay`, and is then spread by +/- jitter_frac uniformly.
-struct BackoffPolicy {
-  Duration initial = 200 * kMillisecond;
-  double multiplier = 2.0;
-  Duration max_delay = 5 * kSecond;
-  // Total tries including the initial one; retries stop after this many.
-  std::size_t max_attempts = 4;
-  // Fraction of the nominal delay used as a +/- uniform jitter band.
-  double jitter_frac = 0.2;
-
-  // Delay before retry number `attempt` (>= 1), jittered from `rng`.
-  // Always returns at least 1ns so a retry never lands on the same tick
-  // as the failure that triggered it.
-  [[nodiscard]] Duration delay(std::size_t attempt, Rng& rng) const;
-};
 
 // Per-destination circuit breaker: after `failure_threshold` consecutive
 // failures the breaker opens for `open_for` of simulated time and callers

@@ -1,12 +1,18 @@
 #include "controlplane/beacon.h"
 
 #include <charconv>
+#include <string_view>
 
 #include "common/check.h"
 #include "crypto/sha256.h"
 
 namespace sciera::controlplane {
 namespace {
+
+constexpr std::string_view kEntryTag = "sciera-pcb-entry-v1";
+constexpr std::string_view kHeaderTag = "sciera-pcb-v1";
+// What write_hop appends: flags, expiry, both interfaces and the MAC.
+constexpr std::size_t kHopBytes = 1 + 1 + 2 + 2 + sizeof(dataplane::Mac6);
 
 void write_hop(Writer& w, const dataplane::HopField& hop) {
   w.u8(hop.peering ? 1 : 0);
@@ -19,8 +25,14 @@ void write_hop(Writer& w, const dataplane::HopField& hop) {
 }  // namespace
 
 Bytes AsEntry::signing_payload(BytesView chain_hash) const {
-  Writer w;
-  w.str("sciera-pcb-entry-v1");
+  // Sized before it is written, so the payload is one allocation: the
+  // length-prefixed tag, chain hash, IA, hop, beta and peer count, then
+  // each peer's IA, both interfaces and hop.
+  Bytes buf;
+  buf.reserve(4 + kEntryTag.size() + chain_hash.size() + 8 + kHopBytes + 2 +
+              4 + peers.size() * (8 + 2 + 2 + kHopBytes));
+  Writer w{std::move(buf)};
+  w.str(kEntryTag);
   w.raw(chain_hash);
   w.u64(ia.packed());
   write_hop(w, hop);
@@ -52,8 +64,10 @@ bool Pcb::contains(IsdAs ia) const {
 }
 
 Bytes Pcb::header_payload() const {
-  Writer w;
-  w.str("sciera-pcb-v1");
+  Bytes buf;
+  buf.reserve(4 + kHeaderTag.size() + 4 + 2);  // tag, timestamp, beta
+  Writer w{std::move(buf)};
+  w.str(kHeaderTag);
   w.u32(timestamp);
   w.u16(initial_beta);
   return std::move(w).take();

@@ -1,6 +1,6 @@
 // Replicated path service for an AS: N independent ControlService
 // replicas sharing the segment store, each with its own cache,
-// availability/slowdown fault hooks, and metric series. Replica 0 is the
+// availability fault hook, and metric series. Replica 0 is the
 // "primary" and keeps the legacy single-service metric naming; replica k
 // is labelled "<ia>#rk". Clients (endhost::Daemon) fail over across
 // replicas in deterministic index order — the set itself provides a

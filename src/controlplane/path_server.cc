@@ -1,12 +1,6 @@
 #include "controlplane/path_server.h"
 
 namespace sciera::controlplane {
-namespace {
-
-constexpr Duration kIntraAsRtt = 600 * kMicrosecond;  // host <-> service
-constexpr Duration kProcessing = 200 * kMicrosecond;
-
-}  // namespace
 
 ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
                                const topology::Topology& topo,
@@ -15,7 +9,6 @@ ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
                                const std::string& instance_name)
     : sim_(sim),
       ia_(ia),
-      topo_(topo),
       combinator_(topo, store),
       trc_(local_trc),
       trace_subject_(
@@ -50,55 +43,6 @@ void ControlService::set_available(bool available) {
       trace_subject_,
       available ? obs::TraceDetail::kServiceUp
                 : obs::TraceDetail::kServiceOutage);
-}
-
-Duration ControlService::cold_lookup_latency(IsdAs dst) const {
-  // Local path server asks a core path server in its ISD, which may ask a
-  // core path server in the destination ISD. Approximate each round trip
-  // with the fastest core distance from this AS / between the ISDs.
-  Duration budget = kProcessing;
-  // Reaching the local core: one representative intra-ISD round trip.
-  Duration to_core = 20 * kMillisecond;
-  for (topology::LinkId id : topo_.links_of(ia_)) {
-    const auto* link = topo_.find_link(id);
-    to_core = std::min(to_core, 2 * link->delay);
-  }
-  budget += to_core;
-  if (dst.isd() != ia_.isd()) {
-    // Cross-ISD recursion: add a representative inter-core round trip.
-    budget += 2 * 30 * kMillisecond;
-  }
-  return budget;
-}
-
-void ControlService::lookup_paths(
-    IsdAs dst, std::function<void(const PathSet&)> callback) {
-  lookups_total_->inc();
-  if (!available_) {
-    // The request reaches a dead service and is lost; the caller's
-    // timeout (if any) is its only signal.
-    lookups_dropped_->inc();
-    obs::FlightRecorder::global().record(
-        obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-        trace_subject_, obs::TraceDetail::kLookupDropped, dst.packed());
-    return;
-  }
-  const auto it = cache_.find(dst);
-  const bool cached =
-      it != cache_.end() &&
-      sim_.now() - it->second.fetched_at < kCacheTtl;
-  Duration latency = kIntraAsRtt + kProcessing;
-  if (!cached) latency += cold_lookup_latency(dst);
-  latency = static_cast<Duration>(static_cast<double>(latency) * slowdown_);
-  sim_.schedule_after(latency, [this, dst, callback = std::move(callback)] {
-    // The service may have gone down while the answer was in flight; a
-    // dead service answers nothing.
-    if (!available_) {
-      lookups_dropped_->inc();
-      return;
-    }
-    callback(lookup_paths_now(dst));
-  });
 }
 
 PathSet ControlService::lookup_paths_now(IsdAs dst) {

@@ -1,6 +1,5 @@
 #include "endhost/daemon.h"
 
-#include <memory>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -10,7 +9,6 @@ namespace sciera::endhost {
 Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
     : net_(net), ia_(ia), config_(config),
       services_(net.control_service_set(ia)),
-      rng_(net.options().seed, "daemon-" + ia.to_string()),
       subject_(obs::FlightRecorder::global().intern("daemon-" +
                                                      ia.to_string())) {
   auto& registry = obs::MetricsRegistry::global();
@@ -31,21 +29,16 @@ Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
   };
   stale_served_ = degraded("stale");
   degraded_empty_ = degraded("empty");
-  lookup_timeouts_ =
-      &registry.counter("sciera_daemon_lookup_timeouts_total", base);
-  lookup_retries_ =
-      &registry.counter("sciera_daemon_lookup_retries_total", base);
+  // Registered, never counted: every lookup is synchronous, so nothing
+  // times out or retries. BENCHMARK.json still declares
+  // endhost.lookup_timeouts and endhost.lookup_retries, which the
+  // benchmark reads from these two families; they go when a benchmark
+  // change retires those metrics.
+  (void)registry.counter("sciera_daemon_lookup_timeouts_total", base);
+  (void)registry.counter("sciera_daemon_lookup_retries_total", base);
   breaker_trips_ =
       &registry.counter("sciera_daemon_breaker_trips_total", base);
   quarantine_size_ = &registry.gauge("sciera_daemon_quarantined", base);
-}
-
-std::vector<controlplane::Path> Daemon::filter_alive(
-    std::vector<controlplane::Path> paths) const {
-  std::erase_if(paths, [this](const controlplane::Path& path) {
-    return !path_alive(path);
-  });
-  return paths;
 }
 
 void Daemon::prune_quarantine() {
@@ -53,27 +46,6 @@ void Daemon::prune_quarantine() {
   std::erase_if(down_until_,
                 [now](const auto& entry) { return now >= entry.second; });
   quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
-}
-
-const Daemon::CacheEntry* Daemon::begin_lookup(IsdAs dst) {
-  prune_quarantine();
-  lookups_->inc();
-  const auto it = cache_.find(dst);
-  // Fresh iff age < ttl: an entry aged exactly path_cache_ttl is stale.
-  const bool hit =
-      it != cache_.end() &&
-      net_.sim().now() - it->second.fetched_at < config_.path_cache_ttl;
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kPathLookup, net_.sim().now(),
-      net_.sim().executed_events(), subject_,
-      hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
-      dst.packed());
-  if (!hit) {
-    cache_misses_->inc();
-    return nullptr;
-  }
-  cache_hits_->inc();
-  return &it->second;
 }
 
 std::size_t Daemon::replica_count() const {
@@ -84,10 +56,7 @@ CircuitBreaker& Daemon::breaker_for(IsdAs dst, std::size_t replica) {
   auto it = breakers_.find(dst);
   if (it == breakers_.end()) {
     it = breakers_
-             .emplace(dst,
-                      std::vector<CircuitBreaker>(
-                          replica_count(),
-                          CircuitBreaker{config_.resilience.breaker}))
+             .emplace(dst, std::vector<CircuitBreaker>(replica_count()))
              .first;
   }
   return it->second[replica];
@@ -129,30 +98,46 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
   return Answer{controlplane::no_paths(), PathSource::kUnavailable};
 }
 
-PathLookup Daemon::live(const Answer& answer) const {
-  return PathLookup{filter_alive(*answer.paths), answer.source,
-                    answer.source == PathSource::kStaleCache};
-}
-
 std::vector<controlplane::Path> Daemon::paths(IsdAs dst) {
   return paths_detailed(dst).paths;
 }
 
-PathLookup Daemon::paths_detailed(IsdAs dst) { return live(answer(dst)); }
+PathLookup Daemon::paths_detailed(IsdAs dst) {
+  const Answer found = answer(dst);
+  std::vector<controlplane::Path> live = *found.paths;
+  std::erase_if(live, [this](const controlplane::Path& path) {
+    return !path_alive(path);
+  });
+  return PathLookup{std::move(live), found.source,
+                    found.source == PathSource::kStaleCache};
+}
 
 controlplane::PathSet Daemon::path_set(IsdAs dst) {
   return answer(dst).paths;
 }
 
 Daemon::Answer Daemon::answer(IsdAs dst) {
-  if (const CacheEntry* entry = begin_lookup(dst)) {
-    return Answer{entry->paths, PathSource::kFreshCache};
+  prune_quarantine();
+  lookups_->inc();
+  const SimTime now = net_.sim().now();
+  const auto cached = cache_.find(dst);
+  // Fresh iff age < ttl: an entry aged exactly path_cache_ttl is stale.
+  const bool hit = cached != cache_.end() &&
+                   now - cached->second.fetched_at < config_.path_cache_ttl;
+  obs::FlightRecorder::global().record(
+      obs::TraceType::kPathLookup, now, net_.sim().executed_events(),
+      subject_,
+      hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
+      dst.packed());
+  if (hit) {
+    cache_hits_->inc();
+    return Answer{cached->second.paths, PathSource::kFreshCache};
   }
+  cache_misses_->inc();
   // Replica failover in deterministic index order: skip replicas whose
   // breaker is open (fail fast, no failure charged), charge a failure to
   // a dead replica and move on, fetch from the first live one. A failed
   // fetch is never cached and never overwrites a stale entry.
-  const SimTime now = net_.sim().now();
   for (std::size_t r = 0; r < replica_count(); ++r) {
     if (config_.resilience.enabled && !breaker_for(dst, r).allow(now)) {
       continue;
@@ -170,82 +155,6 @@ Daemon::Answer Daemon::answer(IsdAs dst) {
     return Answer{it->second.paths, PathSource::kFetched};
   }
   return degraded(dst);
-}
-
-void Daemon::paths_async_detailed(IsdAs dst,
-                                  std::function<void(PathLookup)> cb) {
-  if (const CacheEntry* entry = begin_lookup(dst)) {
-    // Answer from cache on the next tick so the callback is always
-    // asynchronous (callers cannot observe a reentrant answer).
-    PathLookup result = live(Answer{entry->paths, PathSource::kFreshCache});
-    net_.sim().schedule_after(
-        0, [cb = std::move(cb), result = std::move(result)] { cb(result); });
-    return;
-  }
-  auto lookup = std::make_shared<AsyncLookup>();
-  lookup->dst = dst;
-  lookup->cb = std::move(cb);
-  start_attempt(lookup);
-}
-
-void Daemon::start_attempt(const std::shared_ptr<AsyncLookup>& lookup) {
-  const Resilience& res = config_.resilience;
-  const IsdAs dst = lookup->dst;
-  // Pick the first replica whose breaker admits the request (index order,
-  // so failover is deterministic). With every breaker open there is no
-  // one left to ask: degrade.
-  std::size_t target = 0;
-  if (res.enabled) {
-    bool admitted = false;
-    for (std::size_t r = 0; r < replica_count(); ++r) {
-      if (breaker_for(dst, r).allow(net_.sim().now())) {
-        target = r;
-        admitted = true;
-        break;
-      }
-    }
-    if (!admitted) {
-      lookup->cb(live(degraded(dst)));
-      return;
-    }
-  }
-  ++lookup->attempts;
-  // Settled by exactly one of: the service's answer or the timeout. A
-  // late answer (after the timeout fired) is discarded.
-  auto settled = std::make_shared<bool>(false);
-  services_->replica(target)->lookup_paths(
-      dst, [this, lookup, settled, dst, target](
-               const controlplane::PathSet& paths) {
-        if (*settled) return;
-        *settled = true;
-        if (config_.resilience.enabled) {
-          breaker_for(dst, target).record_success();
-        }
-        CacheEntry entry;
-        entry.paths = paths;
-        entry.fetched_at = net_.sim().now();
-        cache_.insert_or_assign(dst, std::move(entry));
-        lookup->cb(live(Answer{paths, PathSource::kFetched}));
-      });
-  // Legacy mode: no timeout — during an outage the callback simply never
-  // fires (the dropped-RPC behaviour the chaos campaigns surfaced).
-  if (!res.enabled) return;
-  net_.sim().schedule_after(
-      res.lookup_timeout, [this, lookup, settled, dst, target] {
-        if (*settled) return;
-        *settled = true;
-        lookup_timeouts_->inc();
-        record_fetch_failure(dst, target);
-        if (lookup->attempts < config_.resilience.backoff.max_attempts) {
-          lookup_retries_->inc();
-          const Duration delay =
-              config_.resilience.backoff.delay(lookup->attempts, rng_);
-          net_.sim().schedule_after(delay,
-                                    [this, lookup] { start_attempt(lookup); });
-          return;
-        }
-        lookup->cb(live(degraded(dst)));
-      });
 }
 
 const cppki::Trc* Daemon::trc(Isd isd) const {

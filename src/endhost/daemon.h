@@ -3,15 +3,14 @@
 // database, and tracks data-plane path liveness (SCMP feedback) so
 // applications can fail over instantly.
 //
-// Resilience: path fetches against the AS's replicated control service
-// carry a per-request timeout, bounded exponential backoff with
-// deterministic jitter, and a per-(destination, replica) circuit breaker;
-// lookups fail over across replicas in deterministic index order, and
-// when every replica stays unreachable the daemon degrades gracefully by
-// serving stale-but-marked cached paths, capped at max_stale_age (the
-// paper's "apps keep working through control-plane maintenance"). All of it is sim-clock driven and replays from the seed.
-// Scheduled retries capture `this`: the daemon must outlive any simulator
-// events it has in flight (the same contract the async lookup always had).
+// Resilience: every lookup is synchronous and runs one degradation
+// ladder. A fresh cache entry answers first; otherwise the daemon fetches
+// from the AS's replicated control service, failing over across replicas
+// in deterministic index order behind a per-(destination, replica)
+// circuit breaker; when every replica stays unreachable it serves
+// stale-but-marked cached paths, capped at max_stale_age (the paper's
+// "apps keep working through control-plane maintenance"). All of it is
+// sim-clock driven and replays from the seed.
 #pragma once
 
 #include <map>
@@ -44,15 +43,9 @@ class Daemon {
  public:
   struct Resilience {
     // Master switch (the soak harness A/Bs survivability with it off).
-    // Off reproduces the legacy client: no timeout, no retry, no breaker,
-    // and a fetch failure answers empty instead of serving stale.
+    // Off reproduces the legacy client: the primary replica only, no
+    // breaker, and a fetch failure answers empty instead of serving stale.
     bool enabled = true;
-    // Per-request timeout on async control-service lookups. Normal
-    // answers take ~1-80ms depending on core distance; anything slower
-    // counts as a failure and triggers backoff.
-    Duration lookup_timeout = 150 * kMillisecond;
-    BackoffPolicy backoff{};
-    CircuitBreaker::Config breaker{};
     // Ceiling on how old a stale entry may be and still be served: an
     // entry aged >= max_stale_age answers kUnavailable instead of
     // kStaleCache (degraded mode cannot ride arbitrarily old paths
@@ -84,14 +77,6 @@ class Daemon {
   // path_alive(). Bookkeeping is identical to paths(): one lookup.
   [[nodiscard]] controlplane::PathSet path_set(IsdAs dst);
 
-  // Asynchronous lookup sharing the exact same cache boundary, quarantine
-  // pruning, and degradation ladder as paths()/paths_detailed(). With
-  // resilience enabled the request is retried under backoff until the
-  // breaker or attempt budget is exhausted, then degraded; with it
-  // disabled an outage means the callback never fires (the legacy
-  // behaviour the chaos campaigns exposed).
-  void paths_async_detailed(IsdAs dst, std::function<void(PathLookup)> cb);
-
   // The daemon's TRC database (fed from the local control service's ISD
   // plus any TRCs learned during bootstrap).
   [[nodiscard]] const cppki::Trc* trc(Isd isd) const;
@@ -115,12 +100,6 @@ class Daemon {
   }
   [[nodiscard]] std::uint64_t degraded_empty() const {
     return degraded_empty_->value();
-  }
-  [[nodiscard]] std::uint64_t lookup_timeouts() const {
-    return lookup_timeouts_->value();
-  }
-  [[nodiscard]] std::uint64_t lookup_retries() const {
-    return lookup_retries_->value();
   }
   [[nodiscard]] std::uint64_t breaker_trips() const {
     return breaker_trips_->value();
@@ -148,48 +127,32 @@ class Daemon {
     controlplane::PathSet paths;
     PathSource source = PathSource::kUnavailable;
   };
-  // One in-flight async lookup; shared by the answer, timeout, and
-  // backoff closures so exactly one of them settles it.
-  struct AsyncLookup {
-    IsdAs dst;
-    std::size_t attempts = 0;  // requests issued so far
-    std::function<void(PathLookup)> cb;
-  };
 
-  [[nodiscard]] std::vector<controlplane::Path> filter_alive(
-      std::vector<controlplane::Path> paths) const;
   // Erases quarantine entries whose penalty has elapsed.
   void prune_quarantine();
-  // The shared lookup front half: prunes quarantine, counts the lookup,
-  // and returns the cache entry iff it is fresh (age < ttl — stale at
-  // age >= ttl, the boundary both sync and async paths share).
-  [[nodiscard]] const CacheEntry* begin_lookup(IsdAs dst);
-  // The sync ladder behind paths_detailed() and path_set(): fresh cache,
-  // replica failover fetch, then the degradation tail.
+  // The ladder behind every lookup: prunes quarantine and counts the
+  // lookup, then answers from a fresh cache entry (age < ttl: stale at
+  // age >= ttl, the control service's boundary too), a replica failover
+  // fetch, or the degradation tail.
   [[nodiscard]] Answer answer(IsdAs dst);
-  // The shared degradation tail: stale-but-marked cache if allowed,
-  // otherwise an explicit empty answer.
+  // The degradation tail: stale-but-marked cache if allowed, otherwise
+  // an explicit empty answer.
   [[nodiscard]] Answer degraded(IsdAs dst);
-  // An answer as paths_detailed() reports it: live paths copied out.
-  [[nodiscard]] PathLookup live(const Answer& answer) const;
   // Replicas this daemon fails over across. Legacy mode (resilience
   // disabled) pins itself to the primary: the pre-replication client had
   // exactly one service and no failover.
   [[nodiscard]] std::size_t replica_count() const;
-  // Breakers are per (destination, replica): one slow replica must not
+  // Breakers are per (destination, replica): one dead replica must not
   // poison lookups through its healthy peers, and one hard destination
   // must not poison others (the PR 4 isolation, now two-dimensional).
   [[nodiscard]] CircuitBreaker& breaker_for(IsdAs dst, std::size_t replica);
   void record_fetch_failure(IsdAs dst, std::size_t replica);
-  void start_attempt(const std::shared_ptr<AsyncLookup>& lookup);
 
   controlplane::ScionNetwork& net_;
   IsdAs ia_;
   Config config_;
   controlplane::ControlServiceSet* services_;
-  // "daemon-<ia>" names the RNG fork and, interned, every trace event's
-  // subject.
-  Rng rng_;
+  // "daemon-<ia>", interned: every trace event's subject.
   obs::TraceId subject_ = 0;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   std::unordered_map<IsdAs, std::vector<CircuitBreaker>> breakers_;
@@ -201,8 +164,6 @@ class Daemon {
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* stale_served_ = nullptr;
   obs::Counter* degraded_empty_ = nullptr;
-  obs::Counter* lookup_timeouts_ = nullptr;
-  obs::Counter* lookup_retries_ = nullptr;
   obs::Counter* breaker_trips_ = nullptr;
   obs::Gauge* quarantine_size_ = nullptr;
 };

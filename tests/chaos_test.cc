@@ -1,9 +1,9 @@
-// Chaos engine and resilience tests: backoff/circuit-breaker primitives,
+// Chaos engine and resilience tests: the circuit-breaker primitive,
 // fault-plan validation and application (link flaps, regional outages,
-// control-service outages/slowdowns, router crashes), daemon degradation
-// under control-plane loss, bit-identical replay of armed plans, and the
+// control-service outages, router crashes), daemon degradation under
+// control-plane loss, bit-identical replay of armed plans, and the
 // headline A/B: survivability of the KREONET ring cut with the
-// retry/stale-serving machinery on versus off.
+// breaker/failover/stale-serving machinery on versus off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,45 +25,7 @@ namespace {
 namespace a = topology::ases;
 using controlplane::ScionNetwork;
 
-// --- Backoff / circuit breaker ------------------------------------------------
-
-TEST(Backoff, DelayGrowsGeometricallyAndClamps) {
-  BackoffPolicy policy;
-  policy.initial = 100 * kMillisecond;
-  policy.multiplier = 2.0;
-  policy.max_delay = 500 * kMillisecond;
-  policy.jitter_frac = 0.2;
-  Rng rng{7};
-  for (std::size_t attempt = 1; attempt <= 6; ++attempt) {
-    double nominal = static_cast<double>(100 * kMillisecond);
-    for (std::size_t i = 1; i < attempt; ++i) nominal *= 2.0;
-    nominal = std::min(nominal, static_cast<double>(500 * kMillisecond));
-    const auto delay = policy.delay(attempt, rng);
-    EXPECT_GE(delay, static_cast<Duration>(nominal * 0.8)) << attempt;
-    EXPECT_LE(delay, static_cast<Duration>(nominal * 1.2)) << attempt;
-  }
-}
-
-TEST(Backoff, ZeroJitterIsExactAndDeterministic) {
-  BackoffPolicy policy;
-  policy.initial = 10 * kMillisecond;
-  policy.multiplier = 3.0;
-  policy.max_delay = 1 * kSecond;
-  policy.jitter_frac = 0.0;
-  Rng rng{1};
-  EXPECT_EQ(policy.delay(1, rng), 10 * kMillisecond);
-  EXPECT_EQ(policy.delay(2, rng), 30 * kMillisecond);
-  EXPECT_EQ(policy.delay(3, rng), 90 * kMillisecond);
-  EXPECT_EQ(policy.delay(10, rng), 1 * kSecond);  // clamped
-}
-
-TEST(Backoff, JitteredDelaysReplayFromTheSeed) {
-  BackoffPolicy policy;
-  Rng rng1{42}, rng2{42};
-  for (std::size_t attempt = 1; attempt <= 4; ++attempt) {
-    EXPECT_EQ(policy.delay(attempt, rng1), policy.delay(attempt, rng2));
-  }
-}
+// --- Circuit breaker ----------------------------------------------------------
 
 TEST(Backoff, CircuitBreakerLifecycle) {
   CircuitBreaker::Config config;
@@ -148,31 +110,26 @@ TEST(Chaos, RegionOutageCutsEveryIncidentLinkAndReverts) {
   EXPECT_EQ(engine.faults_injected(), 1u);
 }
 
-TEST(Chaos, ControlOutageAndSlowdownApplyAndRevert) {
+TEST(Chaos, ControlOutageAppliesAndReverts) {
   ScionNetwork net{topology::build_sciera()};
   ChaosEngine engine{net, 1};
   FaultPlan plan;
   plan.name = "cs-maintenance";
   plan.add({1 * kSecond, FaultKind::kControlOutage, a::uva().to_string(),
             0.0, 2 * kSecond});
-  plan.add({1 * kSecond, FaultKind::kControlSlowdown, a::geant().to_string(),
-            4.0, 2 * kSecond});
   ASSERT_TRUE(engine.arm(plan).ok());
 
   auto* uva_cs = net.control_service_set(a::uva())->primary();
-  auto* geant_cs = net.control_service_set(a::geant())->primary();
   EXPECT_TRUE(uva_cs->available());
 
   net.sim().run_for(1500 * kMillisecond);
   EXPECT_FALSE(uva_cs->available());
-  EXPECT_DOUBLE_EQ(geant_cs->slowdown(), 4.0);
   // An unavailable service drops sync lookups without caching anything.
   EXPECT_TRUE(uva_cs->lookup_paths_now(a::ovgu())->empty());
   EXPECT_GT(uva_cs->lookups_dropped(), 0u);
 
   net.sim().run_for(2 * kSecond);
   EXPECT_TRUE(uva_cs->available());
-  EXPECT_DOUBLE_EQ(geant_cs->slowdown(), 1.0);
   EXPECT_FALSE(uva_cs->lookup_paths_now(a::ovgu())->empty());
 }
 
@@ -213,48 +170,39 @@ TEST(Chaos, LossStormRevertsToPriorLinkConditions) {
 
 // --- Daemon resilience under control-plane loss ------------------------------
 
-TEST(Daemon, AsyncLookupTimesOutBacksOffAndDegrades) {
+// The sync ladder's per-(destination, replica) breaker: three failed
+// fetches against a dead primary trip it once. While it is open the
+// daemon fails fast without asking the primary, even after the service is
+// back; once open_for elapses the half-open probe fetches again.
+TEST(Daemon, SyncLookupTripsBreakerFailsFastAndRecovers) {
   ScionNetwork net{topology::build_sciera()};
-  endhost::Daemon::Config config;
-  config.resilience.lookup_timeout = 100 * kMillisecond;
-  config.resilience.backoff.initial = 50 * kMillisecond;
-  config.resilience.backoff.max_attempts = 3;
-  endhost::Daemon daemon{net, a::uva(), config};
+  endhost::Daemon daemon{net, a::uva()};
+  auto* primary = net.control_service_set(a::uva())->primary();
 
-  net.control_service_set(a::uva())->primary()->set_available(false);
-  bool answered = false;
-  daemon.paths_async_detailed(a::ovgu(), [&](endhost::PathLookup lookup) {
-    answered = true;
-    // Nothing cached yet, so exhaustion degrades to an explicit empty.
+  primary->set_available(false);
+  for (int i = 0; i < 3; ++i) {
+    const auto lookup = daemon.paths_detailed(a::ovgu());
+    // Nothing cached yet, so each failure degrades to an explicit empty.
     EXPECT_EQ(lookup.source, endhost::PathSource::kUnavailable);
     EXPECT_TRUE(lookup.paths.empty());
     EXPECT_FALSE(lookup.stale);
-  });
-  net.sim().run_for(2 * kSecond);
-  EXPECT_TRUE(answered);
-  EXPECT_EQ(daemon.lookup_timeouts(), 3u);  // every attempt timed out
-  EXPECT_EQ(daemon.lookup_retries(), 2u);   // two backoff retries
+  }
   EXPECT_EQ(daemon.breaker_trips(), 1u);
-  EXPECT_GT(daemon.degraded_empty(), 0u);
+  EXPECT_EQ(daemon.degraded_empty(), 3u);
 
-  // With the breaker now open, the next lookup fails fast (no timeout
-  // burn) and the service recovering + window elapsing heals everything.
-  bool fast = false;
-  daemon.paths_async_detailed(a::ovgu(),
-                              [&](endhost::PathLookup) { fast = true; });
-  net.sim().run_for(1 * kMillisecond);
-  EXPECT_TRUE(fast);
+  // The service is back, but the open breaker fails fast: the primary
+  // never sees the request.
+  primary->set_available(true);
+  EXPECT_EQ(daemon.paths_detailed(a::ovgu()).source,
+            endhost::PathSource::kUnavailable);
+  EXPECT_EQ(primary->lookups_total(), 0u);
 
-  net.control_service_set(a::uva())->primary()->set_available(true);
-  net.sim().run_for(config.resilience.breaker.open_for);
-  bool fetched = false;
-  daemon.paths_async_detailed(a::ovgu(), [&](endhost::PathLookup lookup) {
-    fetched = true;
-    EXPECT_EQ(lookup.source, endhost::PathSource::kFetched);
-    EXPECT_FALSE(lookup.paths.empty());
-  });
-  net.sim().run_for(1 * kSecond);
-  EXPECT_TRUE(fetched);
+  // The window elapses and the half-open probe fetches.
+  net.sim().run_for(CircuitBreaker::Config{}.open_for);
+  const auto fetched = daemon.paths_detailed(a::ovgu());
+  EXPECT_EQ(fetched.source, endhost::PathSource::kFetched);
+  EXPECT_FALSE(fetched.paths.empty());
+  EXPECT_EQ(daemon.breaker_trips(), 1u);
 }
 
 TEST(Daemon, SyncLookupServesStaleMarkedPathsDuringOutage) {
@@ -437,7 +385,7 @@ TEST(Chaos, SoakRejectsNegativeDurationButRunsZero) {
 }
 
 // The acceptance regression: under the KREONET ring cut, delivery ratio
-// with backoff + stale-serving enabled must beat the same seed with the
+// with breakers + stale-serving enabled must beat the same seed with the
 // resilience machinery disabled.
 TEST(Chaos, RingCutSurvivabilityBetterWithResilience) {
   SoakOptions with_resilience;
@@ -560,8 +508,8 @@ TEST(Chaos, ReplicaTargetsValidateAndApply) {
                  a::uva().to_string() + "#r5", 0.0, kSecond});
   EXPECT_FALSE(engine.arm(bad_index).ok());
   FaultPlan malformed;
-  malformed.add({0, FaultKind::kControlSlowdown,
-                 a::uva().to_string() + "#rx", 2.0, kSecond});
+  malformed.add({0, FaultKind::kControlOutage,
+                 a::uva().to_string() + "#rx", 0.0, kSecond});
   EXPECT_FALSE(engine.arm(malformed).ok());
 
   FaultPlan plan;
@@ -708,7 +656,7 @@ TEST(Chaos, SelfHealingSoakBeatsResilientBaseline) {
 }
 
 // Batched vs scalar border-router A/B under the full ring-cut soak:
-// fault injection, SCMP error generation, retries, stale serving — the
+// fault injection, SCMP error generation, breakers, stale serving — the
 // batched fast path must be invisible to all of it. Not just the same
 // delivery ratio: the entire survivability report, byte for byte.
 TEST(Chaos, BatchedRouterReportMatchesScalar) {
@@ -1024,11 +972,11 @@ void expect_corpus(const std::vector<CorpusEntry>& corpus) {
 TEST(Chaos, SoakDigestCorpus) {
   expect_corpus({
       {"kreonet-ring-cut", kreonet_ring_cut_plan(), false, true, 16976,
-       0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+       0xe130b49f03bfc359ULL, 0x65089b955f2ab9ebULL},
       {"kreonet-ring-cut --self-healing", kreonet_ring_cut_plan(), true, true,
-       17450, 0xdce6409542b9b17fULL, 0xbe5b963dbe55c5c9ULL},
+       17450, 0xdce6409542b9b17fULL, 0x150c9742247ff26dULL},
       {"forged-flood --self-healing", forged_flood_plan(), true, true, 222583,
-       0x63cb9dd02722247dULL, 0x09c43b6e7e4a1c58ULL},
+       0x63cb9dd02722247dULL, 0xb14f11be89dcf0caULL},
   });
 }
 
@@ -1038,15 +986,15 @@ TEST(Chaos, SoakDigestCorpus) {
 TEST(Chaos, SoakDigestCorpusNamedPlans) {
   expect_corpus({
       {"transatlantic-flap", transatlantic_flap_plan(), false, true, 26400,
-       0x02b80ae88c31a184ULL, 0xf1008165e9fa2e9fULL},
-      {"control-maintenance", control_maintenance_plan(), false, true, 24783,
-       0x293fd2577afe959cULL, 0x3fe3e26f5c6d8657ULL},
+       0x02b80ae88c31a184ULL, 0x892b9aad151b4693ULL},
+      {"control-maintenance", control_maintenance_plan(), false, true, 24781,
+       0xa3555b3b15cc6c0cULL, 0x600d0db1dbfa2319ULL},
       {"sg-ams-storm", sg_ams_storm_plan(), false, true, 26394,
-       0xc426960fb3dbaa6dULL, 0x2c4e1d0a53b31337ULL},
-      {"mixed-mayhem", mixed_mayhem_plan(), false, true, 25106,
-       0x06745dc1ad2203dcULL, 0xcf65474ec6a3c768ULL},
+       0xc426960fb3dbaa6dULL, 0xa7769bec028cd5d3ULL},
+      {"mixed-mayhem", mixed_mayhem_plan(), false, true, 25104,
+       0x5d70f0e8953f84b1ULL, 0x53f62892834bf8b3ULL},
       {"kreonet-ring-cut --scalar-router", kreonet_ring_cut_plan(), false,
-       false, 16976, 0xe130b49f03bfc359ULL, 0xe5ef92845c4a6f99ULL},
+       false, 16976, 0xe130b49f03bfc359ULL, 0x65089b955f2ab9ebULL},
   });
 }
 
@@ -1057,9 +1005,9 @@ TEST(Chaos, SoakDigestCorpusNamedPlans) {
 TEST(Chaos, SoakDigestCorpusAttack) {
   expect_corpus({
       {"forged-flood", forged_flood_plan(), false, true, 222569,
-       0x0ab731c29f3b945cULL, 0x62bec9fdeb17a7baULL},
+       0x0ab731c29f3b945cULL, 0x9a337fc10bbae55eULL},
       {"forged-flood --seed 11 --duration-ms 3000", forged_flood_plan(),
-       false, true, 62430, 0x607393382d49b315ULL, 0x28a59607b68ae148ULL, 11,
+       false, true, 62430, 0x607393382d49b315ULL, 0xca66deee8585b894ULL, 11,
        3 * kSecond},
   });
 }

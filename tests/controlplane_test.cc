@@ -632,24 +632,16 @@ TEST_F(ScieraFixture, ControlServiceCachesLookups) {
   auto& net = ScieraFixture::net();
   auto* cs = net.control_service_set(a::sidn())->primary();
   ASSERT_NE(cs, nullptr);
-  std::vector<SimTime> completions;
-  const SimTime t0 = net.sim().now();
-  cs->lookup_paths(a::ufms(), [&](const PathSet& paths) {
-    EXPECT_FALSE(paths->empty());
-    completions.push_back(net.sim().now());
-  });
-  net.sim().run_for(kSecond);
-  const SimTime t1 = net.sim().now();
-  cs->lookup_paths(a::ufms(), [&](const PathSet& paths) {
-    EXPECT_FALSE(paths->empty());
-    completions.push_back(net.sim().now());
-  });
-  net.sim().run_for(kSecond);
-  ASSERT_EQ(completions.size(), 2u);
-  const Duration cold = completions[0] - t0;
-  const Duration warm = completions[1] - t1;
-  EXPECT_LT(warm, cold);
-  EXPECT_GE(cs->cache_hits(), 1u);
+  const PathSet first = cs->lookup_paths_now(a::ufms());
+  EXPECT_FALSE(first->empty());
+  // The second lookup is a cache hit: the same shared set, not a
+  // recombination.
+  const std::uint64_t hits = cs->cache_hits();
+  const std::uint64_t misses = cs->cache_misses();
+  const PathSet second = cs->lookup_paths_now(a::ufms());
+  EXPECT_EQ(second.get(), first.get());
+  EXPECT_EQ(cs->cache_hits(), hits + 1);
+  EXPECT_EQ(cs->cache_misses(), misses);
 }
 
 // Regression: ControlService treated an entry aged exactly its cache TTL as

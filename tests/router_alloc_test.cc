@@ -5,7 +5,8 @@
 // packet from the router to a host stack and on to a socket allocates
 // nothing. Path selection: a warm send walks a ranking of the daemon's
 // shared set, so its allocations do not grow with the number of paths, and
-// a warm send_to allocates an exact, named count.
+// a warm send_to allocates an exact, named count. Beacon signing: each
+// entry's payload is one allocation.
 //
 // This is its own executable because it replaces global operator new to
 // count allocations. The replacement set must be COMPLETE (throwing,
@@ -24,6 +25,7 @@
 #include <new>
 #include <vector>
 
+#include "controlplane/beacon.h"
 #include "crypto/aes128.h"
 #include "dataplane/frame_pool.h"
 #include "dataplane/router.h"
@@ -180,6 +182,35 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
 
 }  // namespace
 }  // namespace sciera::dataplane
+
+namespace sciera::controlplane {
+namespace {
+
+// Beaconing signs and verifies one payload per entry per sweep. Each is
+// sized before it is written: one allocation, however many peers the
+// entry lists, and not a byte of spare capacity.
+TEST(BeaconPayload, SigningPayloadIsOneAllocation) {
+  AsEntry entry;
+  entry.ia = topology::ases::uva();
+  const Bytes chain(32, 0xab);
+  for (const std::size_t peers : {std::size_t{0}, std::size_t{3}}) {
+    entry.peers.resize(peers);
+    const std::uint64_t before = g_allocs.load();
+    const Bytes payload = entry.signing_payload(chain);
+    EXPECT_EQ(g_allocs.load() - before, 1u) << peers << " peers";
+    EXPECT_EQ(payload.size(), 49 + chain.size() + 24 * peers);
+    EXPECT_EQ(payload.capacity(), payload.size());
+  }
+  const Pcb pcb;
+  const std::uint64_t before = g_allocs.load();
+  const Bytes header = pcb.header_payload();
+  EXPECT_EQ(g_allocs.load() - before, 1u);
+  EXPECT_EQ(header.size(), 23u);
+  EXPECT_EQ(header.capacity(), header.size());
+}
+
+}  // namespace
+}  // namespace sciera::controlplane
 
 namespace sciera::endhost {
 namespace {

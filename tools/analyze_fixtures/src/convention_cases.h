@@ -38,7 +38,7 @@ struct Stats { int sent = 0; };  // NOLINT(adhoc-stats) fixture
 // A snapshot read back from the registry is marked and not flagged.
 struct Stats { int sent = 0; };  // registry-backed snapshot
 
-// raw-retry-loop: retries go through BackoffPolicy + CircuitBreaker.
+// raw-retry-loop: failures go through CircuitBreaker.
 inline void retry_loops(int retries) {
   for (int attempt = 0; attempt < retries; ++attempt) {
   }

@@ -4,11 +4,12 @@
 # sciera_analyze static checks, the chaos soaks and the paper-result
 # gates), then the TSan flavor of the one multi-threaded test, then a
 # plain Release build with warnings as errors, and last the benchmark's
-# smoke run. Every test stage between the static analysis and the
-# benchmark is a ctest selection, so the suite, not this script, holds
-# the commands. This is what CI should run; it is slower than the plain
-# build but catches memory-safety bugs, UB, data races, lint violations,
-# -O3-only warnings and benchmark gate failures in one pass.
+# smoke run and a check of its output contract. Every test stage between
+# the static analysis and the benchmark is a ctest selection, so the
+# suite, not this script, holds the commands. This is what CI should
+# run; it is slower than the plain build but catches memory-safety bugs,
+# UB, data races, lint violations, -O3-only warnings, benchmark gate
+# failures and benchmark output that lacks a declared metric in one pass.
 #
 # Usage: tools/run_checks.sh [build-dir]        (default: build-checks)
 #   SCIERA_SANITIZE=thread tools/run_checks.sh  to run the TSan flavor.
@@ -99,5 +100,13 @@ echo "== benchmark: sciera_perf --smoke =="
 cmake -B "$BENCH_DIR" -S "$ROOT/benchmark" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BENCH_DIR" -j "$JOBS"
 "$BENCH_DIR/sciera_perf" --smoke
+
+# The smoke prints no result JSON and passes with a declared metric
+# missing, so check the output contract itself: one 1 s run per workload
+# and trace level must end in result JSON that is correct and carries
+# every metric BENCHMARK.json declares for that level.
+echo "== benchmark: output contract (BENCHMARK.json) =="
+cmake -DBIN="$BENCH_DIR/sciera_perf" -DSPEC="$ROOT/BENCHMARK.json" \
+  -P "$ROOT/tools/bench_contract_check.cmake"
 
 echo "== run_checks: all clean =="

@@ -82,8 +82,8 @@
 //                         on that line.
 //   raw-retry-loop        a line with `for`/`while` and a retry/attempt
 //                         identifier in src/ outside src/chaos/ and
-//                         src/common/backoff.*: retries go through
-//                         BackoffPolicy + CircuitBreaker.
+//                         src/common/backoff.*: failures go through
+//                         CircuitBreaker.
 //   io                    a file that cannot be read.
 //
 // suppression hygiene
@@ -637,9 +637,9 @@ void rule_line_conventions(const RuleContext& ctx, bool retry_scope,
   for (const auto& [line, seen] : lines) {
     if (retry_scope && (seen & (kLoop | kRetry)) == (kLoop | kRetry)) {
       ctx.add(line, "raw-retry-loop", Severity::kError,
-              "ad-hoc retry loop — use sciera::BackoffPolicy / "
-              "CircuitBreaker (src/common/backoff.h); suppress deliberate "
-              "cases with '// NOLINT(raw-retry-loop)'");
+              "ad-hoc retry loop — use sciera::CircuitBreaker "
+              "(src/common/backoff.h); suppress deliberate cases with "
+              "'// NOLINT(raw-retry-loop)'");
     }
     const auto comment = ctx.lexed.comments.find(line);
     if (stats_scope && (seen & (kStruct | kStats)) == (kStruct | kStats) &&
