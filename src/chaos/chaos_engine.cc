@@ -1,6 +1,5 @@
 #include "chaos/chaos_engine.h"
 
-#include "obs/flight_recorder.h"
 #include "simnet/link.h"
 
 namespace sciera::chaos {
@@ -51,7 +50,7 @@ bool parse_replica_index(const std::string& suffix, std::size_t& index) {
 ChaosEngine::ChaosEngine(controlplane::ScionNetwork& net, std::uint64_t seed)
     : net_(net),
       rng_(seed, "chaos-engine"),
-      trace_subject_(obs::FlightRecorder::global().intern("chaos")) {
+      trace_subject_(net.sim().recorder().intern("chaos")) {
   auto& registry = obs::MetricsRegistry::global();
   for (std::size_t i = 0; i < kAllKinds.size(); ++i) {
     injected_by_kind_[i] = &registry.counter(
@@ -170,7 +169,6 @@ Status ChaosEngine::validate(const FaultEvent& event) {
 }
 
 Status ChaosEngine::arm(const FaultPlan& plan) {
-  sim_thread_role.assert_held();
   for (const FaultEvent& event : plan.events) {
     if (auto status = validate(event); !status.ok()) return status;
   }
@@ -203,14 +201,12 @@ void ChaosEngine::note(const FaultEvent& event, const char* action) {
   note_text_ += fault_kind_name(event.kind);
   note_text_ += ' ';
   note_text_ += event.target;
-  auto& recorder = obs::FlightRecorder::global();
-  recorder.record(obs::TraceType::kChaosInject, net_.sim().now(),
-                  net_.sim().executed_events(), trace_subject_,
-                  obs::TraceDetail::kText, recorder.intern(note_text_));
+  auto& sim = net_.sim();
+  sim.trace(obs::TraceType::kChaosInject, trace_subject_,
+            obs::TraceDetail::kText, sim.recorder().intern(note_text_));
 }
 
 void ChaosEngine::apply(const FaultEvent& event) {
-  sim_thread_role.assert_held();
   ++injected_;
   for (std::size_t i = 0; i < kAllKinds.size(); ++i) {
     if (kAllKinds[i] == event.kind) injected_by_kind_[i]->inc();
@@ -281,7 +277,6 @@ void ChaosEngine::apply(const FaultEvent& event) {
 }
 
 void ChaosEngine::revert(const FaultEvent& event) {
-  sim_thread_role.assert_held();
   note(event, "revert");
   switch (event.kind) {
     case FaultKind::kLinkDown:

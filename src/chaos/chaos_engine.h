@@ -1,18 +1,17 @@
 // ChaosEngine: compiles a FaultPlan into simulator events against a live
 // ScionNetwork. Every fault application and reversion happens at a
 // scheduled simulation time, draws randomness only from the engine's
-// seeded Rng (at arm time), and is recorded as a kChaosInject flight
-// event plus a sciera_chaos_injected_total{kind=...} counter — so an
-// armed scenario replays bit-identically under
-// simnet::audit_determinism() and the injected history is auditable
-// after the fact.
+// seeded Rng (at arm time), and is recorded as a kChaosInject event in the
+// network's flight recorder plus a sciera_chaos_injected_total{kind=...}
+// counter — so an armed scenario replays bit-identically under
+// simnet::audit_determinism() and the injected history is auditable after
+// the fact.
 #pragma once
 
 #include <array>
 #include <functional>
 
 #include "chaos/fault_plan.h"
-#include "common/thread_annotations.h"
 #include "controlplane/control_plane.h"
 
 namespace sciera::chaos {
@@ -40,16 +39,11 @@ class ChaosEngine {
   [[nodiscard]] Status arm(const FaultPlan& plan);
 
   // Fault applications so far (reversions not counted).
-  [[nodiscard]] std::uint64_t faults_injected() const {
-    sim_thread_role.assert_held();
-    return injected_;
-  }
+  [[nodiscard]] std::uint64_t faults_injected() const { return injected_; }
 
  private:
-  void schedule(const FaultEvent& event) SCIERA_REQUIRES(sim_thread_role);
-  // Entry points of scheduled simulator events: they assert the role
-  // themselves (the Simulator::Action capture site cannot carry the
-  // annotation).
+  void schedule(const FaultEvent& event);
+  // Entry points of scheduled simulator events.
   void apply(const FaultEvent& event);
   void revert(const FaultEvent& event);
   // Links incident to an ISD-AS (by string) or to a PoP city.
@@ -63,13 +57,11 @@ class ChaosEngine {
   void note(const FaultEvent& event, const char* action);
 
   controlplane::ScionNetwork& net_;
-  // Campaign randomness and injection bookkeeping belong to the thread
-  // driving this network's simulator.
-  Rng rng_ SCIERA_GUARDED_BY(sim_thread_role);
-  std::uint64_t injected_ SCIERA_GUARDED_BY(sim_thread_role) = 0;
+  Rng rng_;
+  std::uint64_t injected_ = 0;
   std::array<obs::Counter*, 11> injected_by_kind_{};
   AttackHooks attack_hooks_{};
-  // "chaos", interned for the flight recorder, and the buffer a note's
+  // "chaos", interned in the network's recorder, and the buffer a note's
   // text is composed in before it is interned (reused, so a note
   // allocates only the first time a text is seen).
   obs::TraceId trace_subject_ = 0;

@@ -13,20 +13,15 @@
 
 namespace sciera {
 
-// Per-destination circuit breaker: after `failure_threshold` consecutive
-// failures the breaker opens for `open_for` of simulated time and callers
+// Per-destination circuit breaker: after kFailureThreshold consecutive
+// failures the breaker opens for kOpenFor of simulated time and callers
 // should fail fast (degrade) instead of hammering a dead service. Once
 // the window elapses the breaker is half-open: the next request is let
 // through as a probe; success closes the breaker, failure re-opens it.
 class CircuitBreaker {
  public:
-  struct Config {
-    std::uint32_t failure_threshold = 3;
-    Duration open_for = 10 * kSecond;
-  };
-
-  CircuitBreaker() : CircuitBreaker(Config{}) {}
-  explicit CircuitBreaker(Config config) : config_(config) {}
+  static constexpr std::uint32_t kFailureThreshold = 3;
+  static constexpr Duration kOpenFor = 10 * kSecond;
 
   // Whether a request may be issued now (closed, or half-open probe).
   [[nodiscard]] bool allow(SimTime now) const {
@@ -44,7 +39,6 @@ class CircuitBreaker {
   [[nodiscard]] std::uint64_t times_opened() const { return times_opened_; }
 
  private:
-  Config config_;
   std::uint32_t consecutive_failures_ = 0;
   bool open_ = false;
   SimTime open_until_ = 0;

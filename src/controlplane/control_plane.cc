@@ -18,7 +18,7 @@ ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
       rng_(options.seed, "network") {
   auto& registry = obs::MetricsRegistry::global();
   metrics_label_ = registry.instance_label("network", "net");
-  trace_subject_ = obs::FlightRecorder::global().intern(metrics_label_);
+  trace_subject_ = sim_.recorder().intern(metrics_label_);
   sim_.enable_metrics(metrics_label_);
   const obs::Labels base{{"network", metrics_label_}};
   beaconing_runs_ = &registry.counter("sciera_beaconing_runs_total", base);
@@ -114,10 +114,9 @@ void ScionNetwork::run_beaconing() {
   for (auto& [ia, service] : services_) service->flush_caches();
   beaconing_runs_->inc();
   publish_segment_gauges();
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kBeaconOriginated, sim_.now(), sim_.executed_events(),
-      trace_subject_, obs::TraceDetail::kBeaconingSweep, 0, 0,
-      static_cast<std::int64_t>(segments_.size()));
+  sim_.trace(obs::TraceType::kBeaconOriginated, trace_subject_,
+             obs::TraceDetail::kBeaconingSweep, 0,
+             static_cast<std::int64_t>(segments_.size()));
 }
 
 void ScionNetwork::publish_segment_gauges() {
@@ -189,10 +188,9 @@ void ScionNetwork::healing_sweep() {
     if (took > max_reconverge_) max_reconverge_ = took;
     reconverge_ms_->set(took / kMillisecond);
   }
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kBeaconOriginated, now, sim_.executed_events(),
-      trace_subject_, obs::TraceDetail::kHealingSweep, 0, 0,
-      static_cast<std::int64_t>(segments_.size()));
+  sim_.trace(obs::TraceType::kBeaconOriginated, trace_subject_,
+             obs::TraceDetail::kHealingSweep, 0,
+             static_cast<std::int64_t>(segments_.size()));
 }
 
 HealingSnapshot ScionNetwork::healing_snapshot() const {

@@ -11,8 +11,7 @@ ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
       ia_(ia),
       combinator_(topo, store),
       trc_(local_trc),
-      trace_subject_(
-          obs::FlightRecorder::global().intern("cs-" + ia.to_string())) {
+      trace_subject_(sim.recorder().intern("cs-" + ia.to_string())) {
   auto& registry = obs::MetricsRegistry::global();
   const std::string& name =
       instance_name.empty() ? ia.to_string() : instance_name;
@@ -38,20 +37,17 @@ void ControlService::set_available(bool available) {
   if (available == available_) return;
   available_ = available;
   available_gauge_->set(available ? 1 : 0);
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kChaosInject, sim_.now(), sim_.executed_events(),
-      trace_subject_,
-      available ? obs::TraceDetail::kServiceUp
-                : obs::TraceDetail::kServiceOutage);
+  sim_.trace(obs::TraceType::kChaosInject, trace_subject_,
+             available ? obs::TraceDetail::kServiceUp
+                       : obs::TraceDetail::kServiceOutage);
 }
 
 PathSet ControlService::lookup_paths_now(IsdAs dst) {
   lookups_total_->inc();
   if (!available_) {
     lookups_dropped_->inc();
-    obs::FlightRecorder::global().record(
-        obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-        trace_subject_, obs::TraceDetail::kLookupDropped, dst.packed());
+    sim_.trace(obs::TraceType::kPathLookup, trace_subject_,
+               obs::TraceDetail::kLookupDropped, dst.packed());
     return no_paths();
   }
   auto it = cache_.find(dst);
@@ -59,9 +55,8 @@ PathSet ControlService::lookup_paths_now(IsdAs dst) {
   // same boundary convention the daemon uses).
   const bool hit = it != cache_.end() &&
                    sim_.now() - it->second.fetched_at < kCacheTtl;
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kPathLookup, sim_.now(), sim_.executed_events(),
-      trace_subject_,
+  sim_.trace(
+      obs::TraceType::kPathLookup, trace_subject_,
       hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
       dst.packed());
   if (hit) {

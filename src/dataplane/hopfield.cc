@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "common/thread_annotations.h"
 #include "crypto/hmac.h"
 
 namespace sciera::dataplane {
@@ -52,7 +51,6 @@ std::size_t block_slot(const std::array<std::uint8_t, 16>& block,
 // bounded by clear-on-full — cardinality is one key per AS, far below
 // the cap, so the clear is a safety valve, not a steady-state event.
 crypto::AesCmac& context_for(const FwdKey& key) {
-  sim_thread_role.assert_held();
   static std::map<FwdKey, crypto::AesCmac> contexts;
   constexpr std::size_t kMaxContexts = 1024;
   auto it = contexts.find(key);

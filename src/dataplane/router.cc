@@ -42,7 +42,7 @@ BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
       ia_(ia),
       config_(config),
       verifier_(fwd_key, config.mac),
-      trace_subject_(obs::FlightRecorder::global().intern(name())) {
+      trace_subject_(sim.recorder().intern(name())) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"router", registry.instance_label("router", ia.to_string())}};
@@ -88,9 +88,8 @@ void BorderRouter::crash() {
   if (!online_) return;
   online_ = false;
   metrics_.crashes->inc();
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kChaosInject, sim_.now(), sim_.executed_events(),
-      trace_subject_, obs::TraceDetail::kRouterCrash);
+  sim_.trace(obs::TraceType::kChaosInject, trace_subject_,
+             obs::TraceDetail::kRouterCrash);
 }
 
 BorderRouter::Stats BorderRouter::stats() const {
@@ -405,9 +404,8 @@ void BorderRouter::forward(const ScionPacket& packet, IfaceId egress) {
     return;
   }
   metrics_.forwarded->inc();
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kPacketHop, sim_.now(), sim_.executed_events(),
-      trace_subject_, obs::TraceDetail::kEgress, egress);
+  sim_.trace(obs::TraceType::kPacketHop, trace_subject_,
+             obs::TraceDetail::kEgress, egress);
   it->second.link->send(it->second.side, frame);
 }
 
@@ -439,11 +437,9 @@ void BorderRouter::send_scmp_error(const ScionPacket& offending,
     metrics_.scmp_suppressed->inc();
     return;
   }
-  auto& recorder = obs::FlightRecorder::global();
-  recorder.record(obs::TraceType::kScmpEmitted, sim_.now(),
-                  sim_.executed_events(), trace_subject_,
-                  obs::TraceDetail::kText,
-                  recorder.intern(scmp_type_name(error.type)));
+  sim_.trace(obs::TraceType::kScmpEmitted, trace_subject_,
+             obs::TraceDetail::kText,
+             sim_.recorder().intern(scmp_type_name(error.type)));
   ScionPacket reply = reverse_packet(offending);
   // The offending packet's pointer already advanced past this AS's hop;
   // position the reverse pointer on this AS's hop so the reply starts here.

@@ -2,15 +2,12 @@
 
 #include <utility>
 
-#include "obs/flight_recorder.h"
-
 namespace sciera::endhost {
 
 Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
     : net_(net), ia_(ia), config_(config),
       services_(net.control_service_set(ia)),
-      subject_(obs::FlightRecorder::global().intern("daemon-" +
-                                                     ia.to_string())) {
+      subject_(net.sim().recorder().intern("daemon-" + ia.to_string())) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"daemon", registry.instance_label("daemon", ia.to_string())}};
@@ -88,12 +85,10 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
   } else {
     degraded_empty_->inc();
   }
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kLookupDegraded, net_.sim().now(),
-      net_.sim().executed_events(), subject_,
-      serve_stale ? obs::TraceDetail::kLookupStale
-                  : obs::TraceDetail::kLookupEmpty,
-      dst.packed());
+  net_.sim().trace(obs::TraceType::kLookupDegraded, subject_,
+                   serve_stale ? obs::TraceDetail::kLookupStale
+                               : obs::TraceDetail::kLookupEmpty,
+                   dst.packed());
   if (serve_stale) return Answer{it->second.paths, PathSource::kStaleCache};
   return Answer{controlplane::no_paths(), PathSource::kUnavailable};
 }
@@ -124,9 +119,8 @@ Daemon::Answer Daemon::answer(IsdAs dst) {
   // Fresh iff age < ttl: an entry aged exactly path_cache_ttl is stale.
   const bool hit = cached != cache_.end() &&
                    now - cached->second.fetched_at < config_.path_cache_ttl;
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kPathLookup, now, net_.sim().executed_events(),
-      subject_,
+  net_.sim().trace(
+      obs::TraceType::kPathLookup, subject_,
       hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
       dst.packed());
   if (hit) {
@@ -166,10 +160,9 @@ void Daemon::report_path_down(const std::string& fingerprint) {
   prune_quarantine();
   down_until_[fingerprint] = net_.sim().now() + config_.down_path_penalty;
   quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
-  auto& recorder = obs::FlightRecorder::global();
-  recorder.record(obs::TraceType::kPathDown, net_.sim().now(),
-                  net_.sim().executed_events(), subject_,
-                  obs::TraceDetail::kText, recorder.intern(fingerprint));
+  auto& sim = net_.sim();
+  sim.trace(obs::TraceType::kPathDown, subject_, obs::TraceDetail::kText,
+            sim.recorder().intern(fingerprint));
 }
 
 bool Daemon::path_alive(const controlplane::Path& path) const {

@@ -62,7 +62,7 @@ Campaign::Campaign(controlplane::ScionNetwork& net, bgp::BgpNetwork& bgp,
     : net_(net),
       bgp_(bgp),
       options_(options),
-      trace_subject_(obs::FlightRecorder::global().intern("campaign")) {
+      trace_subject_(net.sim().recorder().intern("campaign")) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"campaign", registry.instance_label("campaign", "multiping")}};
@@ -431,7 +431,7 @@ CampaignResult Campaign::run() {
       result.intervals.push_back(record);
     }
 
-    obs::FlightRecorder::global().record(
+    net_.sim().recorder().record(
         obs::TraceType::kProbeBurst, now, static_cast<std::uint64_t>(tick),
         trace_subject_, obs::TraceDetail::kProbeTick,
         static_cast<std::uint64_t>(tick), pairs.size(),

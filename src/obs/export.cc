@@ -200,7 +200,7 @@ std::string export_trace_text(const FlightRecorder& recorder) {
       static_cast<unsigned long long>(recorder.overwritten()),
       recorder.capacity());
   const std::vector<TraceEvent> events = recorder.snapshot();
-  const std::vector<std::string> texts = recorder.texts();
+  const std::vector<std::string>& texts = recorder.texts();
   std::string detail;
   for (const auto& event : events) {
     render_detail(event, texts, detail);
@@ -224,7 +224,7 @@ std::string export_trace_json(const FlightRecorder& recorder) {
       static_cast<unsigned long long>(recorder.recorded()),
       static_cast<unsigned long long>(recorder.overwritten()));
   const std::vector<TraceEvent> events = recorder.snapshot();
-  const std::vector<std::string> texts = recorder.texts();
+  const std::vector<std::string>& texts = recorder.texts();
   std::string detail;
   bool first = true;
   for (const auto& event : events) {

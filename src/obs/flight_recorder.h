@@ -12,9 +12,13 @@
 // fingerprints) is an interned text id, bounded by its distinct values.
 // Text is rendered only by export_trace_text / export_trace_json.
 //
-// The recorder deliberately has no dependency on simnet — callers pass
-// (time, seq) explicitly, which also lets analytic (non-simulated) code
-// like the measurement campaign record its own tick-indexed events.
+// Each simnet::Simulator owns one recorder, so a trace holds exactly one
+// run and only the thread driving that run writes it: there is no lock.
+// Simulator::trace stamps an event with the simulator's now() and
+// executed_events(). The recorder itself has no dependency on simnet —
+// record() takes (time, seq) explicitly, which also lets analytic
+// (non-simulated) code like the measurement campaign stamp its own
+// tick-indexed events.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +29,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/time.h"
 
 namespace sciera::obs {
@@ -92,14 +95,13 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity);
   FlightRecorder() : FlightRecorder(kDefaultCapacity) {}
 
-  // The process-wide recorder the instrumented components feed.
-  static FlightRecorder& global();
-
   // The id of `text`, added to the table on first sight. Ids are stable
-  // for the recorder's lifetime; clear() keeps them.
+  // for the recorder's lifetime.
   [[nodiscard]] TraceId intern(std::string_view text);
   // The interned texts, indexed by TraceId.
-  [[nodiscard]] std::vector<std::string> texts() const;
+  [[nodiscard]] const std::vector<std::string>& texts() const {
+    return texts_;
+  }
 
   void record(TraceType type, SimTime time, std::uint64_t seq,
               TraceId subject, TraceDetail detail = TraceDetail::kNone,
@@ -110,25 +112,24 @@ class FlightRecorder {
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const {
+    return recorded_ < capacity_ ? static_cast<std::size_t>(recorded_)
+                                 : capacity_;
+  }
   // Total events ever recorded / evicted by the ring bound.
-  [[nodiscard]] std::uint64_t recorded() const;
-  [[nodiscard]] std::uint64_t overwritten() const;
-
-  // Empties the ring; interned ids stay valid.
-  void clear();
+  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
+  [[nodiscard]] std::uint64_t overwritten() const {
+    return recorded_ - size();
+  }
 
  private:
-  [[nodiscard]] std::size_t size_locked() const SCIERA_REQUIRES(mutex_);
-
-  const std::size_t capacity_;  // immutable after construction
-  mutable sciera::Mutex mutex_;
-  std::vector<TraceEvent> ring_ SCIERA_GUARDED_BY(mutex_);
+  const std::size_t capacity_;
+  std::vector<TraceEvent> ring_;
   // Ring slot the next event lands in.
-  std::size_t next_ SCIERA_GUARDED_BY(mutex_) = 0;
-  std::uint64_t recorded_ SCIERA_GUARDED_BY(mutex_) = 0;
-  std::vector<std::string> texts_ SCIERA_GUARDED_BY(mutex_);
-  std::map<std::string, TraceId, std::less<>> ids_ SCIERA_GUARDED_BY(mutex_);
+  std::size_t next_ = 0;
+  std::uint64_t recorded_ = 0;
+  std::vector<std::string> texts_;
+  std::map<std::string, TraceId, std::less<>> ids_;
 };
 
 }  // namespace sciera::obs

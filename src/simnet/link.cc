@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/flight_recorder.h"
-
 namespace sciera::simnet {
 
 void Link::attach(int side, Node* node, IfaceId local_iface) {
-  sim_thread_role.assert_held();
   assert(side == 0 || side == 1);
   End& end = ends_[static_cast<std::size_t>(side)];
   end = End{};
@@ -18,7 +15,7 @@ void Link::attach(int side, Node* node, IfaceId local_iface) {
 
 void Link::set_label(std::string label) {
   label_ = std::move(label);
-  trace_subject_ = obs::FlightRecorder::global().intern(display_name());
+  trace_subject_ = sim_.recorder().intern(display_name());
 }
 
 const std::string& Link::display_name() const {
@@ -51,7 +48,6 @@ Link::Stats Link::stats() const {
 }
 
 void Link::set_up(bool up) {
-  sim_thread_role.assert_held();
   if (up == up_) return;
   up_ = up;
   if (!up) {
@@ -67,9 +63,8 @@ void Link::set_up(bool up) {
       for (TimeBatch& batch : end.batches) {
         for (std::size_t i = 0; i < batch.items.size(); ++i) {
           metrics().dropped_down->inc();
-          obs::FlightRecorder::global().record(
-              obs::TraceType::kPacketDrop, sim_.now(), sim_.executed_events(),
-              trace_subject_, obs::TraceDetail::kCutInFlight);
+          sim_.trace(obs::TraceType::kPacketDrop, trace_subject_,
+                     obs::TraceDetail::kCutInFlight);
         }
         recycle_batch(std::move(batch.items));
       }
@@ -77,15 +72,12 @@ void Link::set_up(bool up) {
       end.tx_free_at = 0;
     }
   }
-  obs::FlightRecorder::global().record(
-      obs::TraceType::kLinkTransition, sim_.now(), sim_.executed_events(),
-      trace_subject_,
-      up ? obs::TraceDetail::kLinkUp : obs::TraceDetail::kLinkDown);
+  sim_.trace(obs::TraceType::kLinkTransition, trace_subject_,
+             up ? obs::TraceDetail::kLinkUp : obs::TraceDetail::kLinkDown);
   if (on_state_change_) on_state_change_(up, sim_.now());
 }
 
 void Link::send(int from_side, const MessagePtr& message) {
-  sim_thread_role.assert_held();
   assert(from_side == 0 || from_side == 1);
   End& tx = ends_[static_cast<std::size_t>(from_side)];
   End& rx = ends_[static_cast<std::size_t>(from_side ^ 1)];
@@ -173,9 +165,8 @@ void Link::deliver_batch(int to_side, SimTime deliver_at) {
   for (Pending& item : items) {
     if (!up_ || item.epoch != down_epoch_) {
       metrics().dropped_down->inc();
-      obs::FlightRecorder::global().record(
-          obs::TraceType::kPacketDrop, sim_.now(), sim_.executed_events(),
-          trace_subject_, obs::TraceDetail::kCutInFlight);
+      sim_.trace(obs::TraceType::kPacketDrop, trace_subject_,
+                 obs::TraceDetail::kCutInFlight);
       continue;
     }
     metrics().delivered->inc();

@@ -1,7 +1,8 @@
 // Duplex point-to-point link with propagation delay, serialization at a
 // configured bandwidth, bounded egress queues, optional jitter/loss, and an
 // up/down state driven by failure schedules. Models the L2 circuits
-// (VLANs/MPLS) that carry SCIERA's inter-AS connectivity.
+// (VLANs/MPLS) that carry SCIERA's inter-AS connectivity. A link records
+// its transitions and in-flight drops in its simulator's flight recorder.
 #pragma once
 
 #include <array>
@@ -11,8 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_annotations.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/node.h"
 #include "simnet/simulator.h"
@@ -46,7 +45,7 @@ class Link {
       : sim_(sim),
         config_(config),
         rng_(jitter_rng),
-        trace_subject_(obs::FlightRecorder::global().intern(display_name())) {}
+        trace_subject_(sim.recorder().intern(display_name())) {}
 
   // Attaches endpoint `side` (0 or 1). The owner names its end of the link
   // with its own interface id.
@@ -67,10 +66,7 @@ class Link {
   // empty pipe — cancelled frames must not delay, tail-drop, or be
   // double-counted against traffic sent after the link recovers.
   void set_up(bool up);
-  [[nodiscard]] bool is_up() const {
-    sim_thread_role.assert_held();
-    return up_;
-  }
+  [[nodiscard]] bool is_up() const { return up_; }
 
   // Admin-state observer: invoked synchronously from set_up on every real
   // transition (after the link's own cut bookkeeping), carrying the new
@@ -85,25 +81,14 @@ class Link {
   // sent after the call; frames already on the wire keep the conditions
   // they were sent under.
   void set_loss_probability(double probability) {
-    sim_thread_role.assert_held();
     config_.loss_probability = probability;
   }
-  void set_jitter_sigma(double sigma) {
-    sim_thread_role.assert_held();
-    config_.jitter_sigma = sigma;
-  }
+  void set_jitter_sigma(double sigma) { config_.jitter_sigma = sigma; }
 
-  [[nodiscard]] const LinkConfig& config() const {
-    sim_thread_role.assert_held();
-    return config_;
-  }
+  [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] Node* peer_of(int side) const {
-    sim_thread_role.assert_held();
-    return ends_[side ^ 1].node;
-  }
+  [[nodiscard]] Node* peer_of(int side) const { return ends_[side ^ 1].node; }
   [[nodiscard]] IfaceId iface_of(int side) const {
-    sim_thread_role.assert_held();
     return ends_[static_cast<std::size_t>(side)].iface;
   }
 
@@ -136,13 +121,11 @@ class Link {
   };
 
   // Fires every frame batched for `deliver_at` toward endpoint `to_side`.
-  void deliver_batch(int to_side, SimTime deliver_at)
-      SCIERA_REQUIRES(sim_thread_role);
+  void deliver_batch(int to_side, SimTime deliver_at);
 
   // Returns a retired per-tick item vector to the spare pool (capacity
   // kept) so the next batch reuses it.
-  void recycle_batch(std::vector<Pending> items)
-      SCIERA_REQUIRES(sim_thread_role);
+  void recycle_batch(std::vector<Pending> items);
 
   // Registry cells, registered lazily on first use so test-created links
   // without a topology label still get a unique instance name.
@@ -155,27 +138,25 @@ class Link {
   Metrics& metrics() const;
   [[nodiscard]] const std::string& display_name() const;
 
-  // Per-link mutable state is thread-affine to the driving simulation
-  // thread; label_, metrics_, and on_state_change_ are wiring set before
-  // traffic flows.
+  // label_, metrics_, and on_state_change_ are wiring set before traffic
+  // flows.
   Simulator& sim_;
-  LinkConfig config_ SCIERA_GUARDED_BY(sim_thread_role);
-  Rng rng_ SCIERA_GUARDED_BY(sim_thread_role);
-  std::array<End, 2> ends_ SCIERA_GUARDED_BY(sim_thread_role){};
+  LinkConfig config_;
+  Rng rng_;
+  std::array<End, 2> ends_{};
   std::string label_;
   // display_name(), interned for the flight recorder.
   obs::TraceId trace_subject_ = 0;
   mutable Metrics metrics_;
-  bool up_ SCIERA_GUARDED_BY(sim_thread_role) = true;
+  bool up_ = true;
   // Bumped on every up->down transition; deliveries scheduled before the
   // cut carry the epoch they were sent under and are dropped on mismatch.
-  std::uint64_t down_epoch_ SCIERA_GUARDED_BY(sim_thread_role) = 0;
+  std::uint64_t down_epoch_ = 0;
   // Capacity-recycling pools for the delivery path: retired per-tick item
   // vectors, and the scratch the survivors of a batch are handed to the
   // receiver in. Cleared after every delivery; never shrunk.
-  std::vector<std::vector<Pending>> spare_batches_
-      SCIERA_GUARDED_BY(sim_thread_role);
-  std::vector<MessagePtr> delivery_scratch_ SCIERA_GUARDED_BY(sim_thread_role);
+  std::vector<std::vector<Pending>> spare_batches_;
+  std::vector<MessagePtr> delivery_scratch_;
   StateObserver on_state_change_;
 };
 

@@ -68,7 +68,6 @@ Simulator::Simulator(SchedulerConfig config)
 Simulator::~Simulator() { delete gauges_; }
 
 void Simulator::enable_metrics(const std::string& label) {
-  sim_thread_role.assert_held();
   if (gauges_ != nullptr) return;
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{{"sim", registry.instance_label("sim", label)},
@@ -256,7 +255,6 @@ void Simulator::schedule_after(Duration delay, Action action) {
 }
 
 void Simulator::run_until(SimTime deadline) {
-  sim_thread_role.assert_held();
   while (queue_.prepare_next() && queue_.peek_next_time() <= deadline) {
     Event ev = queue_.take_next();
     ev.action();
@@ -266,7 +264,6 @@ void Simulator::run_until(SimTime deadline) {
 }
 
 void Simulator::run_all() {
-  sim_thread_role.assert_held();
   while (queue_.prepare_next()) {
     Event ev = queue_.take_next();
     ev.action();

@@ -23,6 +23,10 @@
 // §13 records why). The backend equivalence is audited, not assumed: the
 // same seeded scenario must produce an identical ScheduleDigest under
 // both backends (tests/simcore_test.cc).
+//
+// A simulator also owns its run's flight recorder: components reach it
+// through recorder() to intern their names when they are built, and
+// record through trace(), which stamps now() and executed_events().
 #pragma once
 
 #include <cstdint>
@@ -33,8 +37,8 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "common/time.h"
+#include "obs/flight_recorder.h"
 
 namespace sciera::simnet {
 
@@ -143,6 +147,16 @@ class Simulator {
     return schedule_digest().hash;
   }
 
+  // This run's flight recorder.
+  [[nodiscard]] obs::FlightRecorder& recorder() { return recorder_; }
+  // Records an event of this run, stamped with now() and executed_events().
+  void trace(obs::TraceType type, obs::TraceId subject,
+             obs::TraceDetail detail = obs::TraceDetail::kNone,
+             std::uint64_t arg = 0, std::int64_t value = 0) {
+    recorder_.record(type, now(), executed_events(), subject, detail, arg, 0,
+                     value);
+  }
+
   // Publishes pending/executed/overflow depths as obs gauges under the
   // given instance label. Off by default: unit tests create thousands of
   // short-lived simulators and must not flood the registry. ScionNetwork
@@ -218,10 +232,10 @@ class Simulator {
   // Open reservations: one past each reservation's last number -> its
   // next number not yet placed.
   std::map<std::uint64_t, std::uint64_t> reservations_;
+  obs::FlightRecorder recorder_;
 
   // Owned, null when disabled.
-  obs_cells::SimulatorGauges* gauges_ SCIERA_GUARDED_BY(sim_thread_role) =
-      nullptr;
+  obs_cells::SimulatorGauges* gauges_ = nullptr;
 };
 
 }  // namespace sciera::simnet

@@ -28,10 +28,7 @@ using controlplane::ScionNetwork;
 // --- Circuit breaker ----------------------------------------------------------
 
 TEST(Backoff, CircuitBreakerLifecycle) {
-  CircuitBreaker::Config config;
-  config.failure_threshold = 3;
-  config.open_for = 10 * kSecond;
-  CircuitBreaker breaker{config};
+  CircuitBreaker breaker;
 
   EXPECT_TRUE(breaker.allow(0));
   breaker.record_failure(0);
@@ -198,7 +195,7 @@ TEST(Daemon, SyncLookupTripsBreakerFailsFastAndRecovers) {
   EXPECT_EQ(primary->lookups_total(), 0u);
 
   // The window elapses and the half-open probe fetches.
-  net.sim().run_for(CircuitBreaker::Config{}.open_for);
+  net.sim().run_for(CircuitBreaker::kOpenFor);
   const auto fetched = daemon.paths_detailed(a::ovgu());
   EXPECT_EQ(fetched.source, endhost::PathSource::kFetched);
   EXPECT_FALSE(fetched.paths.empty());

@@ -167,22 +167,6 @@ TEST(FlightRecorderTest, RingIsBoundedAndKeepsNewest) {
   EXPECT_EQ(events.back().time, 900);
 }
 
-TEST(FlightRecorderTest, ClearEmptiesTheRing) {
-  FlightRecorder recorder{4};
-  const obs::TraceId link = recorder.intern("link");
-  recorder.record(TraceType::kLinkTransition, 1, 1, link,
-                  obs::TraceDetail::kLinkDown);
-  recorder.clear();
-  EXPECT_EQ(recorder.size(), 0u);
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_TRUE(recorder.snapshot().empty());
-  // A component interns its name once, when it is built; its id must
-  // survive a clear() between runs.
-  EXPECT_EQ(recorder.intern("link"), link);
-  ASSERT_GT(recorder.texts().size(), link);
-  EXPECT_EQ(recorder.texts()[link], "link");
-}
-
 TEST(FlightRecorderTest, InternGivesOneDenseIdPerText) {
   FlightRecorder recorder{4};
   EXPECT_EQ(recorder.intern(""), 0u);  // id 0 is the empty text
@@ -354,40 +338,45 @@ TEST(FlightRecorderTest, GoldenExportCoversEveryTypeAndDetail) {
       R"({"seq":400000004,"time":9000000004,"type":"link_transition","subject":"link","detail":"up","value":1}]})");
 }
 
+// Sends three UDP probes from UVa to OVGU over the first path, running
+// the network for a second after each.
+void send_probes(controlplane::ScionNetwork& network) {
+  endhost::HostStack sender{network, {a::uva(), 0x0A000001}};
+  endhost::HostStack receiver{network, {a::ovgu(), 0x0A000002}};
+  (void)receiver.bind(4242, [](const dataplane::ScionPacket&,
+                               const dataplane::UdpDatagram&, SimTime) {});
+  const auto paths = network.paths(a::uva(), a::ovgu());
+  ASSERT_FALSE(paths.empty());
+  for (int i = 0; i < 3; ++i) {
+    dataplane::ScionPacket packet;
+    packet.dst = {a::ovgu(), 0x0A000002};
+    packet.next_hdr = dataplane::kProtoUdp;
+    packet.path = paths.front().dataplane_path;
+    dataplane::UdpDatagram datagram;
+    datagram.src_port = 9999;
+    datagram.dst_port = 4242;
+    datagram.data = bytes_of("probe");
+    packet.payload = datagram.serialize();
+    (void)sender.send(packet);
+    network.sim().run_for(kSecond);
+  }
+}
+
 // The tentpole contract: a seeded scenario exports a byte-identical
 // metrics + trace snapshot on replay, and the schedule digest agrees.
-// Uses the global registry/recorder the instrumented components feed, so
-// each run resets them — safe here because the scenario constructs (and
+// The trace is the network's own; the metrics registry is global, so each
+// run resets it — safe here because the scenario constructs (and
 // destroys) every registered component within the callback.
 TEST(ObsDeterminismTest, SameSeedExportsIdenticalSnapshot) {
   std::vector<std::string> exports;
   const auto scenario = [&]() -> simnet::ScheduleDigest {
     MetricsRegistry::global().reset();
-    FlightRecorder::global().clear();
     controlplane::ScionNetwork network{topology::build_sciera()};
-    endhost::HostStack sender{network, {a::uva(), 0x0A000001}};
-    endhost::HostStack receiver{network, {a::ovgu(), 0x0A000002}};
-    (void)receiver.bind(4242, [](const dataplane::ScionPacket&,
-                                 const dataplane::UdpDatagram&, SimTime) {});
-    const auto paths = network.paths(a::uva(), a::ovgu());
-    EXPECT_FALSE(paths.empty());
-    for (int i = 0; i < 3; ++i) {
-      dataplane::ScionPacket packet;
-      packet.dst = {a::ovgu(), 0x0A000002};
-      packet.next_hdr = dataplane::kProtoUdp;
-      packet.path = paths.front().dataplane_path;
-      dataplane::UdpDatagram datagram;
-      datagram.src_port = 9999;
-      datagram.dst_port = 4242;
-      datagram.data = bytes_of("probe");
-      packet.payload = datagram.serialize();
-      (void)sender.send(packet);
-      network.sim().run_for(kSecond);
-    }
+    send_probes(network);
     network.set_link_up(network.topology().links().front().label, false);
     network.sim().run_for(kSecond);
     exports.push_back(obs::export_text(MetricsRegistry::global()) +
-                      obs::export_trace_text(FlightRecorder::global()));
+                      obs::export_trace_text(network.sim().recorder()));
     return network.sim().schedule_digest();
   };
   const auto report = simnet::audit_determinism(scenario);
@@ -396,6 +385,26 @@ TEST(ObsDeterminismTest, SameSeedExportsIdenticalSnapshot) {
   EXPECT_EQ(exports[0], exports[1]);
   EXPECT_NE(exports[0].find("sciera_link_delivered_total"), std::string::npos);
   EXPECT_NE(exports[0].find("link_transition"), std::string::npos);
+}
+
+// Each network's simulator owns its trace: building and running a second
+// network in the same process, with a link cut, leaves the first
+// network's export byte-identical.
+TEST(ObsDeterminismTest, EachNetworkTracesOnlyItsOwnRun) {
+  controlplane::ScionNetwork first{topology::build_sciera()};
+  send_probes(first);
+  const std::string before = obs::export_trace_text(first.sim().recorder());
+  EXPECT_NE(before.find("packet_hop"), std::string::npos);
+
+  controlplane::ScionNetwork second{topology::build_sciera()};
+  const std::string cut = second.topology().links().front().label;
+  second.set_link_up(cut, false);
+  second.sim().run_for(kSecond);
+
+  EXPECT_EQ(obs::export_trace_text(first.sim().recorder()), before);
+  EXPECT_NE(obs::export_trace_text(second.sim().recorder())
+                .find("link_transition " + cut + " down"),
+            std::string::npos);
 }
 
 }  // namespace

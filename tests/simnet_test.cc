@@ -71,6 +71,35 @@ TEST(Simulator, NestedSchedulingWorks) {
   EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
 }
 
+// trace() records into the simulator's own recorder, stamped with the
+// now() and executed_events() the calling event reads.
+TEST(Simulator, TraceStampsNowAndExecutedEvents) {
+  Simulator sim;
+  const obs::TraceId subject = sim.recorder().intern("probe");
+  SimTime seen_time = -1;
+  std::uint64_t seen_seq = 0;
+  sim.schedule(10, [] {});
+  sim.schedule(25, [&] {
+    seen_time = sim.now();
+    seen_seq = sim.executed_events();
+    sim.trace(obs::TraceType::kLinkTransition, subject,
+              obs::TraceDetail::kLinkDown, 7, -3);
+  });
+  sim.run_all();
+  const auto events = sim.recorder().snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].time, 25);
+  EXPECT_EQ(events[0].time, seen_time);
+  EXPECT_EQ(events[0].seq, 2u);
+  EXPECT_EQ(events[0].seq, seen_seq);
+  EXPECT_EQ(events[0].type, obs::TraceType::kLinkTransition);
+  EXPECT_EQ(events[0].subject, subject);
+  EXPECT_EQ(events[0].detail, obs::TraceDetail::kLinkDown);
+  EXPECT_EQ(events[0].arg, 7u);
+  EXPECT_EQ(events[0].arg2, 0u);
+  EXPECT_EQ(events[0].value, -3);
+}
+
 TEST(Link, DeliversAfterPropagationAndSerialization) {
   Simulator sim;
   Sink a{"a"}, b{"b"};

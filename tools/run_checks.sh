@@ -62,13 +62,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # TSan flavor of the concurrency surface. The simulation core is serial,
 # so the only test that starts a thread is chaos.thread_smoke, which
-# drives the mutex-guarded metrics registry and flight recorder from four
-# threads; it alone carries the `threads` label. When this script is
-# already running the thread flavor (SCIERA_SANITIZE=thread), the full
-# suite above covered it; otherwise build just the chaos CLI in a
-# separate TSan tree and run that label, so the sciera::Mutex discipline
-# the thread-safety annotations promise is checked dynamically on every
-# run.
+# drives the mutex-guarded metrics registry from four threads; it alone
+# carries the `threads` label. When this script is already running the
+# thread flavor (SCIERA_SANITIZE=thread), the full suite above covered it;
+# otherwise build just the chaos CLI in a separate TSan tree and run that
+# label, so the registry's sciera::Mutex discipline is checked dynamically
+# on every run.
 if [[ "$SANITIZE" != *thread* ]]; then
   TSAN_DIR="$BUILD_DIR-tsan"
   echo "== TSan flavor: ctest -L threads =="

@@ -25,7 +25,6 @@
 
 #include "chaos/soak.h"
 #include "cli.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -44,41 +43,33 @@ int list_plans() {
   return 0;
 }
 
-// Hammers the genuinely thread-safe observability surfaces from
-// concurrent threads: MetricsRegistry series registration /
-// instance_label and the FlightRecorder (intern, record, snapshot, texts
-// and size are all mutex-protected). Each worker interns its own subjects
-// while the others record and snapshot, so the intern table grows under
-// contention. Counter cells themselves are single-writer by
-// design — each worker increments only its own series, and the verifying
-// registry snapshot happens after the join. Run under
+// Hammers the process-wide metrics registry from concurrent threads:
+// series registration and instance_label, with the series count read
+// while other workers register. Counter cells themselves are single-writer
+// by design — each worker increments only its own series, and the
+// verifying snapshot happens after the join. Run under
 // SCIERA_SANITIZE=thread this checks the sciera::Mutex discipline the
 // thread-safety annotations promise.
 int thread_smoke() {
-  using sciera::obs::FlightRecorder;
   using sciera::obs::Labels;
   using sciera::obs::MetricsRegistry;
-  using sciera::obs::TraceDetail;
-  using sciera::obs::TraceType;
 
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kIterations = 2000;
-  constexpr std::size_t kRecorderCapacity = 512;
   constexpr std::size_t kSlots = 8;
 
   MetricsRegistry registry;
-  FlightRecorder recorder(kRecorderCapacity);
 
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&registry, &recorder, w] {
+    workers.emplace_back([&registry, w] {
       std::string worker = "w";
       worker += std::to_string(w);
       for (std::size_t i = 0; i < kIterations; ++i) {
         // Registration path: same key re-resolved every iteration, plus a
         // rotating slot label so fresh series keep being created while
-        // other threads snapshot the recorder.
+        // other threads read the registry.
         auto& total = registry.counter(
             "sciera_smoke_total", Labels{{"worker", worker}});
         total.inc();
@@ -88,26 +79,14 @@ int thread_smoke() {
                    {"slot", std::to_string(i % kSlots)}});
         slot.inc();
         (void)registry.instance_label("smoke", "smoke-" + worker);
-        // One subject per (worker, slot): new on the first pass over the
-        // slots, looked up after that.
-        const auto subject =
-            recorder.intern(worker + "-" + std::to_string(i % kSlots));
-        recorder.record(TraceType::kProbeBurst, static_cast<sciera::SimTime>(i),
-                        i, subject, TraceDetail::kText,
-                        recorder.intern("thread-smoke"));
-        if (i % 64 == 0) {
-          (void)recorder.snapshot();
-          (void)recorder.texts();
-          (void)recorder.size();
-          (void)registry.series();
-        }
+        if (i % 64 == 0) (void)registry.series();
       }
     });
   }
   for (auto& t : workers) t.join();
 
-  // Single-threaded verification: every increment and record must have
-  // landed exactly once.
+  // Single-threaded verification: every increment must have landed
+  // exactly once.
   std::uint64_t total = 0;
   std::uint64_t slot_total = 0;
   for (const auto& sample : registry.snapshot()) {
@@ -117,24 +96,10 @@ int thread_smoke() {
     }
   }
   const std::uint64_t expected = kWorkers * kIterations;
-  bool ok = total == expected && slot_total == expected;
-  if (recorder.recorded() != expected) ok = false;
-  if (recorder.size() != kRecorderCapacity) ok = false;
-  if (recorder.overwritten() != expected - kRecorderCapacity) ok = false;
-  // Every subject interned exactly once ("", "thread-smoke" and one per
-  // worker slot), and every retained event names one of them.
-  const std::vector<std::string> texts = recorder.texts();
-  if (texts.size() != 2 + kWorkers * kSlots) ok = false;
-  for (const auto& event : recorder.snapshot()) {
-    if (event.subject == 0 || event.subject >= texts.size()) ok = false;
-  }
-  std::printf(
-      "thread smoke: workers=%zu iterations=%zu counted=%llu/%llu "
-      "recorded=%llu retained=%zu interned=%zu %s\n",
-      kWorkers, kIterations, static_cast<unsigned long long>(total),
-      static_cast<unsigned long long>(expected),
-      static_cast<unsigned long long>(recorder.recorded()), recorder.size(),
-      texts.size(), ok ? "OK" : "FAILED");
+  const bool ok = total == expected && slot_total == expected;
+  std::printf("thread smoke: workers=%zu iterations=%zu counted=%llu/%llu %s\n",
+              kWorkers, kIterations, static_cast<unsigned long long>(total),
+              static_cast<unsigned long long>(expected), ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 

@@ -1,9 +1,9 @@
 // sciera_metrics_dump: runs a named scenario against the full SCIERA
 // topology and emits the observability layer's view of it — the metrics
-// registry (Prometheus exposition text and/or JSON) and the flight
-// recorder's trace ring. Output is fully determined by the scenario seed:
-// two runs of the same scenario produce byte-identical dumps, and ctest
-// enforces that (tools.metrics_dump_deterministic).
+// registry (Prometheus exposition text and/or JSON) and the trace ring of
+// the scenario network's flight recorder. Output is fully determined by the
+// scenario seed: two runs of the same scenario produce byte-identical
+// dumps, and ctest enforces that (tools.metrics_dump_deterministic).
 //
 // Exit codes: 0 success, 1 the dump could not be written, 2 usage error
 // (unknown flag or scenario).
@@ -18,7 +18,6 @@
 #include "endhost/pan.h"
 #include "measure/campaign.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "topology/sciera_net.h"
 
@@ -32,9 +31,7 @@ namespace a = topology::ases;
 // is on the wire (exercising the in-flight cancellation path), the border
 // router answers the next send with SCMP ExternalInterfaceDown, the
 // daemon quarantines the path, and traffic fails over to an alternative.
-void run_failover_scenario() {
-  controlplane::ScionNetwork network{topology::build_sciera()};
-
+void run_failover_scenario(controlplane::ScionNetwork& network) {
   endhost::Daemon src_daemon{network, a::uva()};
   auto src_ctx = endhost::PanContext::Builder{}
                      .net(network)
@@ -105,8 +102,7 @@ void run_failover_scenario() {
 
 // A compressed multiping campaign (Section 5.4): three hours at the
 // paper's ten-minute aggregation granularity, full incident machinery.
-void run_campaign_scenario() {
-  controlplane::ScionNetwork network{topology::build_sciera()};
+void run_campaign_scenario(controlplane::ScionNetwork& network) {
   bgp::BgpNetwork bgp{network.topology()};
   measure::CampaignOptions options;
   options.duration = 3 * kHour;
@@ -134,18 +130,21 @@ int main(int argc, char** argv) {
   if (flags.positionals().size() > 1) return flags.usage();
   if (!flags.positionals().empty()) scenario = flags.positionals().front();
 
+  void (*run)(sciera::controlplane::ScionNetwork&) = nullptr;
   if (scenario == "failover") {
-    sciera::run_failover_scenario();
+    run = sciera::run_failover_scenario;
   } else if (scenario == "campaign") {
-    sciera::run_campaign_scenario();
+    run = sciera::run_campaign_scenario;
   } else {
     std::fprintf(stderr, "sciera_metrics_dump: unknown scenario '%s'\n",
                  scenario.c_str());
     return flags.usage();
   }
+  sciera::controlplane::ScionNetwork network{sciera::topology::build_sciera()};
+  run(network);
 
   const auto& registry = sciera::obs::MetricsRegistry::global();
-  const auto& recorder = sciera::obs::FlightRecorder::global();
+  const auto& recorder = network.sim().recorder();
   std::string out;
   if (text) {
     out += sciera::obs::export_text(registry);
