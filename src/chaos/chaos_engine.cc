@@ -13,38 +13,6 @@ constexpr std::array<FaultKind, 11> kAllKinds = {
     FaultKind::kForgedFlood,   FaultKind::kSpoofedFlood,
     FaultKind::kFlashCrowd,
 };
-
-// Control-fault targets address replicas with an optional '#' suffix:
-// "<as>" / "*"  -> primary replica only (the legacy single-service
-//                  semantics — plans written before replication behave
-//                  identically, and replicas 1..N-1 stay up to absorb
-//                  failover traffic);
-// "<as>#rK"     -> replica K of that AS;
-// "<as>#*"      -> every replica of the set.
-void split_replica_target(const std::string& target, std::string& base,
-                          std::string& suffix) {
-  const auto pos = target.find('#');
-  if (pos == std::string::npos) {
-    base = target;
-    suffix.clear();
-    return;
-  }
-  base = target.substr(0, pos);
-  suffix = target.substr(pos + 1);
-}
-
-// Parses "rK" into K. Returns false on anything else.
-bool parse_replica_index(const std::string& suffix, std::size_t& index) {
-  if (suffix.size() < 2 || suffix[0] != 'r') return false;
-  std::size_t value = 0;
-  for (std::size_t i = 1; i < suffix.size(); ++i) {
-    const char c = suffix[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  index = value;
-  return true;
-}
 }  // namespace
 
 ChaosEngine::ChaosEngine(controlplane::ScionNetwork& net, std::uint64_t seed)
@@ -75,35 +43,14 @@ std::vector<std::string> ChaosEngine::region_link_labels(
 
 std::vector<controlplane::ControlService*> ChaosEngine::services_for(
     const std::string& target) {
-  std::string base;
-  std::string suffix;
-  split_replica_target(target, base, suffix);
-
-  std::vector<controlplane::ControlServiceSet*> sets;
-  if (base == "*") {
-    for (const topology::AsInfo& as : net_.topology().ases()) {
-      sets.push_back(net_.control_service_set(as.ia));
-    }
-  } else {
-    const auto ia = IsdAs::parse(base);
-    if (ia && net_.topology().find_as(*ia) != nullptr) {
-      sets.push_back(net_.control_service_set(*ia));
-    }
-  }
-
   std::vector<controlplane::ControlService*> services;
-  for (auto* set : sets) {
-    if (suffix.empty()) {
-      services.push_back(set->primary());
-    } else if (suffix == "*") {
-      for (std::size_t k = 0; k < set->size(); ++k) {
-        services.push_back(set->replica(k));
-      }
-    } else if (std::size_t k = 0; parse_replica_index(suffix, k)) {
-      // Out-of-range indices were rejected at validate(); a replica that
-      // nevertheless is not there just matches nothing.
-      if (auto* replica = set->replica(k)) services.push_back(replica);
+  if (target == "*") {
+    for (const topology::AsInfo& as : net_.topology().ases()) {
+      services.push_back(net_.control_service_set(as.ia)->primary());
     }
+  } else if (const auto ia = IsdAs::parse(target);
+             ia && net_.topology().find_as(*ia) != nullptr) {
+    services.push_back(net_.control_service_set(*ia)->primary());
   }
   return services;
 }
@@ -128,24 +75,10 @@ Status ChaosEngine::validate(const FaultEvent& event) {
       if (region_link_labels(event.target).empty()) return bad("region");
       return {};
     case FaultKind::kControlOutage: {
-      std::string base;
-      std::string suffix;
-      split_replica_target(event.target, base, suffix);
-      if (base != "*") {
-        const auto ia = IsdAs::parse(base);
-        if (!ia || net_.topology().find_as(*ia) == nullptr) {
-          return bad("control service AS");
-        }
-      }
-      if (!suffix.empty() && suffix != "*") {
-        std::size_t index = 0;
-        const std::size_t replicas =
-            net_.options().control_replicas < 1
-                ? 1
-                : net_.options().control_replicas;
-        if (!parse_replica_index(suffix, index) || index >= replicas) {
-          return bad("control service replica");
-        }
+      if (event.target == "*") return {};
+      const auto ia = IsdAs::parse(event.target);
+      if (!ia || net_.topology().find_as(*ia) == nullptr) {
+        return bad("control service AS");
       }
       return {};
     }

@@ -49,8 +49,9 @@ class ChaosEngine {
   // Links incident to an ISD-AS (by string) or to a PoP city.
   [[nodiscard]] std::vector<std::string> region_link_labels(
       const std::string& target) const;
-  // Control services named by an event target ("*" = every AS, in
-  // topology order). Instantiates lazily, like ScionNetwork does.
+  // The primary control services an event target names: one AS's, or
+  // every AS's in topology order for "*". Secondary replicas stay up to
+  // absorb failover. Instantiates lazily, like ScionNetwork does.
   [[nodiscard]] std::vector<controlplane::ControlService*> services_for(
       const std::string& target);
   [[nodiscard]] Status validate(const FaultEvent& event);

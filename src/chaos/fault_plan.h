@@ -28,7 +28,8 @@ enum class FaultKind : std::uint8_t {
   // string) or PoP city goes down together, re-upping after `hold`.
   kRegionOutage,
   // Control-service faults; target is an ISD-AS string or "*" for every
-  // instantiated control service.
+  // AS. An outage takes out an AS's primary replica only, so secondaries
+  // (ScionNetwork::Options::control_replicas) absorb the failover.
   kControlOutage,  // lookups fail fast for `hold`
   // Border-router crash with state loss; restarts after `hold` (a hold of
   // 0 leaves it down for the rest of the run).

@@ -97,7 +97,18 @@ std::optional<IsdAs> IsdAs::parse(std::string_view text) {
 }
 
 std::string GlobalIfaceId::to_string() const {
-  return ia.to_string() + "#" + std::to_string(iface);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void GlobalIfaceId::append_to(std::string& out) const {
+  ia.append_to(out);
+  out.push_back('#');
+  char buf[5];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, iface);
+  (void)ec;
+  out.append(buf, ptr);
 }
 
 }  // namespace sciera

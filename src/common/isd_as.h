@@ -87,7 +87,10 @@ struct GlobalIfaceId {
 
   friend constexpr auto operator<=>(const GlobalIfaceId&,
                                     const GlobalIfaceId&) = default;
+  // "<ia>#<iface>", e.g. "71-2:0:3b#4".
   [[nodiscard]] std::string to_string() const;
+  // Appends the to_string() text to `out` without a temporary.
+  void append_to(std::string& out) const;
 };
 
 }  // namespace sciera

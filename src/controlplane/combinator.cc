@@ -52,13 +52,12 @@ bool Combinator::append_piece(Path& path, const Piece& piece) const {
     return entries[i].hop;
   };
 
-  // Traversal-ordered construction indices.
-  std::vector<std::size_t> order;
-  if (piece.along) {
-    for (std::size_t i = piece.cut; i <= n; ++i) order.push_back(i);
-  } else {
-    for (std::size_t i = n + 1; i-- > piece.cut;) order.push_back(i);
-  }
+  // Traversal position k visits construction index cut + k along the
+  // construction direction, n - k against it.
+  const std::size_t count = n + 1 - piece.cut;
+  auto index_at = [&](std::size_t k) {
+    return piece.along ? piece.cut + k : n - k;
+  };
 
   // Info field.
   dataplane::InfoField info;
@@ -75,7 +74,7 @@ bool Combinator::append_piece(Path& path, const Piece& piece) const {
 
   // Crossing into this piece over a peering link?
   if (!path.as_sequence.empty() &&
-      path.as_sequence.back() != entries[order.front()].ia) {
+      path.as_sequence.back() != entries[index_at(0)].ia) {
     if (piece.peer_index < 0) return false;
     const auto& peer =
         entries[piece.cut].peers[static_cast<std::size_t>(piece.peer_index)];
@@ -91,8 +90,8 @@ bool Combinator::append_piece(Path& path, const Piece& piece) const {
     path.static_rtt += 2 * link->delay;
   }
 
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const std::size_t i = order[k];
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = index_at(k);
     const dataplane::HopField hop = hop_at(i);
     if (hop.peering) info.peering = true;
     path.dataplane_path.hops.push_back(hop);
@@ -100,8 +99,8 @@ bool Combinator::append_piece(Path& path, const Piece& piece) const {
       path.as_sequence.push_back(entries[i].ia);
     }
     // Intra-piece crossing to the next traversal hop.
-    if (k + 1 < order.size()) {
-      const std::size_t j = order[k + 1];
+    if (k + 1 < count) {
+      const std::size_t j = index_at(k + 1);
       // Construction-order neighbors: the link between min and min+1.
       const std::size_t lower = std::min(i, j);
       const IfaceId egress_lower = entries[lower].hop.cons_egress;
@@ -150,7 +149,7 @@ std::vector<Path> Combinator::assemble(
     // Endpoint intra-AS processing.
     path.static_rtt += 2 * 600 * kMicrosecond;
     for (const auto& gid : path.interfaces) {
-      path.fingerprint_ += gid.to_string();
+      gid.append_to(path.fingerprint_);
       path.fingerprint_ += ' ';
     }
     if (!seen.insert(path.fingerprint_).second) continue;

@@ -25,7 +25,6 @@ struct Path {
   std::vector<topology::LinkId> links;
   Duration static_rtt = 0;  // 2x propagation, no queueing
 
-  [[nodiscard]] std::size_t hop_count() const { return as_sequence.size(); }
   // The path's identity: each interface's GlobalIfaceId::to_string()
   // followed by a space. The combinator computes it once, when it dedups
   // the path; a default-constructed Path has "".

@@ -7,6 +7,10 @@ namespace {
 
 // Multiplicative log-normal jitter applied per link traversal.
 constexpr double kLinkJitterSigma = 0.015;
+// SCION packets cross every circuit in an IP-UDP underlay (Sections 2,
+// 4.3.1): IPv4 (20) + UDP (8) header bytes per frame, on top of the
+// circuit's own encapsulation.
+constexpr std::size_t kIpUdpUnderlayBytes = 28;
 constexpr Duration kTrcValidity = 365 * kDay;
 
 }  // namespace
@@ -84,7 +88,8 @@ void ScionNetwork::build_data_plane() {
     cfg.propagation_delay = link_info.delay;
     cfg.bandwidth_bps = link_info.bandwidth_bps;
     cfg.jitter_sigma = kLinkJitterSigma;
-    cfg.encap_overhead_bytes = topology::encap_overhead(link_info.encap);
+    cfg.encap_overhead_bytes =
+        topology::encap_overhead(link_info.encap) + kIpUdpUnderlayBytes;
     auto link = std::make_unique<simnet::Link>(
         sim_, cfg, rng_.fork("link-" + link_info.label));
     link->set_label(link_info.label);

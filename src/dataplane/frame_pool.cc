@@ -16,8 +16,8 @@ FramePool::~FramePool() {
   for (void* ptr : ctrl_free_) ::operator delete(ptr);
 }
 
-std::shared_ptr<UnderlayFrame> FramePool::acquire() {
-  UnderlayFrame* frame = nullptr;
+std::shared_ptr<simnet::Frame> FramePool::acquire() {
+  simnet::Frame* frame = nullptr;
   {
     sciera::MutexLock lock(mutex_);
     ++stats_.acquired;
@@ -33,14 +33,14 @@ std::shared_ptr<UnderlayFrame> FramePool::acquire() {
   }
   // Allocate outside the lock: the allocator only runs on cold starts and
   // bursts, and there is no reason to serialize it.
-  if (frame == nullptr) frame = new UnderlayFrame;
+  if (frame == nullptr) frame = new simnet::Frame;
   // The deleter routes the frame back here instead of freeing it, and the
   // allocator recycles the shared_ptr control block through the pool. The
   // pool is a process-lifetime singleton (or outlives every frame in
   // tests), so capturing `this` is safe.
-  return std::shared_ptr<UnderlayFrame>(
-      frame, [this](UnderlayFrame* released) { release(released); },
-      CtrlAlloc<UnderlayFrame>{this});
+  return std::shared_ptr<simnet::Frame>(
+      frame, [this](simnet::Frame* released) { release(released); },
+      CtrlAlloc<simnet::Frame>{this});
 }
 
 void* FramePool::alloc_ctrl(std::size_t size) {
@@ -69,18 +69,14 @@ void FramePool::free_ctrl(void* ptr, std::size_t size) {
   ::operator delete(ptr);
 }
 
-void FramePool::release(UnderlayFrame* frame) {
+void FramePool::release(simnet::Frame* frame) {
   {
     sciera::MutexLock lock(mutex_);
     --stats_.outstanding;
     if (free_list_.size() < config_.max_pooled) {
-      // Scrub the frame for its next life, keeping the buffer's
+      // Empty the frame for its next life, keeping the buffer's
       // allocation.
-      frame->scion_bytes.clear();
-      frame->src_ip = 0;
-      frame->dst_ip = 0;
-      frame->src_port = kDispatcherPort;
-      frame->dst_port = kDispatcherPort;
+      frame->bytes.clear();
       free_list_.emplace_back(frame);
       ++stats_.pooled;
       return;

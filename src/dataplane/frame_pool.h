@@ -1,11 +1,13 @@
-// Recycling arena for underlay frames. Every hop of every packet used to
-// heap-allocate a fresh UnderlayFrame plus its serialized-bytes vector and
-// free both when the last receiver dropped the message; at campaign scale
-// that is the dominant allocation source of the whole simulator. The pool
-// keeps released frames (with their byte buffers' capacity intact) on a
-// free list, so steady-state forwarding runs allocation-free: acquire()
-// pops a warm frame, ScionPacket::serialize_into() reuses its buffer, and
-// the shared_ptr deleter returns it when the delivery completes.
+// Recycling arena for the frames links carry (simnet::Frame). Every hop
+// of every packet used to heap-allocate a fresh frame plus its
+// serialized-bytes vector and free both when the last receiver dropped
+// it; at campaign scale that is the dominant allocation source of the
+// whole simulator. The pool keeps released frames (with their byte
+// buffers' capacity intact) on a free list, so steady-state forwarding
+// runs allocation-free: acquire() pops a warm frame,
+// ScionPacket::serialize_into() reuses its buffer, and the shared_ptr
+// deleter returns it when the delivery completes. simnet never names the
+// pool: the deleter travels inside the simnet::FramePtr.
 //
 // The pool is process-wide and mutex-guarded, like the other process-wide
 // singletons: the shared_ptr deleter returns a frame wherever its last
@@ -21,7 +23,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "dataplane/underlay.h"
+#include "simnet/node.h"
 
 namespace sciera::dataplane {
 
@@ -52,10 +54,10 @@ class FramePool {
   // The process-wide pool the forwarding plane draws from.
   static FramePool& global();
 
-  // Returns a zeroed frame whose scion_bytes keeps the capacity of its
+  // Returns an empty frame whose bytes keep the capacity of their
   // previous life. Released back to the pool automatically when the last
   // shared_ptr owner drops.
-  [[nodiscard]] std::shared_ptr<UnderlayFrame> acquire();
+  [[nodiscard]] std::shared_ptr<simnet::Frame> acquire();
 
   [[nodiscard]] Stats stats() const {
     sciera::MutexLock lock(mutex_);
@@ -73,7 +75,7 @@ class FramePool {
  private:
   // Runs in shared_ptr deleters, so it takes the lock itself rather than
   // requiring it (the capture site cannot carry the annotation).
-  void release(UnderlayFrame* frame);
+  void release(simnet::Frame* frame);
 
   // Allocator handed to the frame shared_ptr so the control block itself
   // recycles through the pool: without it every acquire() heap-allocates
@@ -101,7 +103,7 @@ class FramePool {
 
   Config config_;
   mutable sciera::Mutex mutex_;
-  std::vector<std::unique_ptr<UnderlayFrame>> free_list_
+  std::vector<std::unique_ptr<simnet::Frame>> free_list_
       SCIERA_GUARDED_BY(mutex_);
   // Recycled shared_ptr control-block nodes. Single fixed size (the one
   // node type acquire() mints); ctrl_size_ latches it on first use.

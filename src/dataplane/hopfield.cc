@@ -77,8 +77,9 @@ FwdKey derive_fwd_key(BytesView as_master_secret) {
   return key;
 }
 
-HopVerifier::HopVerifier(const FwdKey& key, Config config)
-    : key_(key), config_(config), cmac_(key) {
+HopVerifier::HopVerifier(const FwdKey& key, Config config,
+                         obs::Counter& hits, obs::Counter& misses)
+    : key_(key), config_(config), cmac_(key), hits_(hits), misses_(misses) {
   if (config_.cache_entries > 0) {
     SCIERA_CHECK((config_.cache_entries & (config_.cache_entries - 1)) == 0,
                  "dataplane.mac_cache_pow2");
@@ -98,12 +99,10 @@ Mac6 HopVerifier::compute(std::uint16_t beta, std::uint32_t timestamp,
   if (cache_.empty()) return truncate_mac(cmac_.compute(block));
   CacheEntry& entry = cache_[block_slot(block, cache_.size() - 1)];
   if (entry.valid && entry.block == block) {
-    ++counters_.hits;
-    if (hit_counter_ != nullptr) hit_counter_->inc();
+    hits_.inc();
     return entry.mac;
   }
-  ++counters_.misses;
-  if (miss_counter_ != nullptr) miss_counter_->inc();
+  misses_.inc();
   entry.block = block;
   entry.mac = truncate_mac(cmac_.compute(block));
   entry.valid = true;

@@ -36,7 +36,9 @@ using FwdKey = crypto::Aes128::Key;
 // Cached hop-MAC context for one forwarding key. The AES key schedule
 // and CMAC subkeys are derived once at construction (or rekey()) and
 // reused for every packet; on top sits an optional direct-mapped cache
-// of finished MACs keyed by the 16-byte MAC input block.
+// of finished MACs keyed by the 16-byte MAC input block. Each lookup
+// counts once, into the hit and miss cells its owner hands the
+// constructor (the border router's registry counters).
 //
 // Determinism contract: the cache is pure memoization of a
 // deterministic function — a hit returns the bit-identical MAC a miss
@@ -50,13 +52,10 @@ class HopVerifier {
     std::size_t cache_entries = 1024;
   };
 
-  struct CacheCounters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-
-  HopVerifier(const FwdKey& key, Config config);
-  explicit HopVerifier(const FwdKey& key) : HopVerifier(key, Config{}) {}
+  HopVerifier(const FwdKey& key, Config config, obs::Counter& hits,
+              obs::Counter& misses);
+  HopVerifier(const FwdKey& key, obs::Counter& hits, obs::Counter& misses)
+      : HopVerifier(key, Config{}, hits, misses) {}
 
   // Key rollover: one fresh schedule, and every cached MAC is dropped —
   // entries minted under the old key must not survive the new one.
@@ -73,17 +72,6 @@ class HopVerifier {
   [[nodiscard]] bool verify(std::uint16_t beta, std::uint32_t timestamp,
                             const HopField& hop);
 
-  [[nodiscard]] const CacheCounters& cache_counters() const {
-    return counters_;
-  }
-
-  // Wires registry cells (the border router's per-instance counters)
-  // bumped alongside the internal hit/miss counts.
-  void set_cache_counters(obs::Counter* hits, obs::Counter* misses) {
-    hit_counter_ = hits;
-    miss_counter_ = misses;
-  }
-
  private:
   struct CacheEntry {
     std::array<std::uint8_t, 16> block{};
@@ -95,9 +83,8 @@ class HopVerifier {
   Config config_;
   crypto::AesCmac cmac_;
   std::vector<CacheEntry> cache_;
-  CacheCounters counters_;
-  obs::Counter* hit_counter_ = nullptr;
-  obs::Counter* miss_counter_ = nullptr;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
 };
 
 // MAC over (beta, timestamp, exp_time, cons_ingress, cons_egress).

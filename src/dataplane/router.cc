@@ -35,14 +35,7 @@ const char* scmp_type_name(ScmpType type) {
 
 }  // namespace
 
-BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
-                           Config config)
-    : Node("br-" + ia.to_string()),
-      sim_(sim),
-      ia_(ia),
-      config_(config),
-      verifier_(fwd_key, config.mac),
-      trace_subject_(sim.recorder().intern(name())) {
+BorderRouter::Metrics BorderRouter::register_metrics(IsdAs ia) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"router", registry.instance_label("router", ia.to_string())}};
@@ -54,35 +47,45 @@ BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
     labels.emplace_back("reason", reason);
     return &registry.counter("sciera_router_dropped_total", labels);
   };
-  metrics_.forwarded = counter("sciera_router_forwarded_total");
-  metrics_.delivered = counter("sciera_router_delivered_total");
-  metrics_.injected = counter("sciera_router_injected_total");
-  metrics_.echo_replies = counter("sciera_router_echo_replies_total");
-  metrics_.scmp_errors_sent = counter("sciera_router_scmp_errors_total");
-  metrics_.drop_mac = dropped("mac");
-  metrics_.drop_expired = dropped("expired");
-  metrics_.drop_bad_ingress = dropped("bad_ingress");
-  metrics_.drop_no_route = dropped("no_route");
-  metrics_.drop_malformed = dropped("malformed");
-  metrics_.drop_offline = dropped("offline");
-  metrics_.crashes = counter("sciera_router_crashes_total");
-  metrics_.batches = counter("sciera_router_batches_total");
-  metrics_.batch_packets = counter("sciera_router_batch_packets_total");
-  metrics_.mac_cache_hits = counter("sciera_router_mac_cache_hits_total");
-  metrics_.mac_cache_misses = counter("sciera_router_mac_cache_misses_total");
+  Metrics metrics;
+  metrics.forwarded = counter("sciera_router_forwarded_total");
+  metrics.delivered = counter("sciera_router_delivered_total");
+  metrics.injected = counter("sciera_router_injected_total");
+  metrics.echo_replies = counter("sciera_router_echo_replies_total");
+  metrics.scmp_errors_sent = counter("sciera_router_scmp_errors_total");
+  metrics.drop_mac = dropped("mac");
+  metrics.drop_expired = dropped("expired");
+  metrics.drop_bad_ingress = dropped("bad_ingress");
+  metrics.drop_no_route = dropped("no_route");
+  metrics.drop_malformed = dropped("malformed");
+  metrics.drop_offline = dropped("offline");
+  metrics.crashes = counter("sciera_router_crashes_total");
+  metrics.batches = counter("sciera_router_batches_total");
+  metrics.batch_packets = counter("sciera_router_batch_packets_total");
+  metrics.mac_cache_hits = counter("sciera_router_mac_cache_hits_total");
+  metrics.mac_cache_misses = counter("sciera_router_mac_cache_misses_total");
   const auto admission_dropped = [&](const char* klass) {
     obs::Labels labels = base;
     labels.emplace_back("class", klass);
     return &registry.counter("sciera_router_admission_dropped_total", labels);
   };
-  metrics_.admission_dropped_data = admission_dropped("data");
-  metrics_.admission_dropped_control = admission_dropped("control");
-  metrics_.scmp_suppressed = &registry.counter(
+  metrics.admission_dropped_data = admission_dropped("data");
+  metrics.admission_dropped_control = admission_dropped("control");
+  metrics.scmp_suppressed = &registry.counter(
       "sciera_scmp_suppressed_total", base);
-  verifier_.set_cache_counters(metrics_.mac_cache_hits,
-                               metrics_.mac_cache_misses);
-  data_bucket_ = TokenBucket{config_.admission.data_burst, 0};
+  return metrics;
 }
+
+BorderRouter::BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
+                           Config config)
+    : Node("br-" + ia.to_string()),
+      sim_(sim),
+      ia_(ia),
+      config_(config),
+      metrics_(register_metrics(ia)),
+      verifier_(fwd_key, *metrics_.mac_cache_hits, *metrics_.mac_cache_misses),
+      trace_subject_(sim.recorder().intern(name())),
+      data_bucket_{config_.admission.data_burst, 0} {}
 
 void BorderRouter::crash() {
   if (!online_) return;
@@ -185,7 +188,7 @@ Status BorderRouter::inject(const ScionPacket& packet) {
   return {};
 }
 
-void BorderRouter::receive(const simnet::MessagePtr& message,
+void BorderRouter::receive(const simnet::Frame& frame,
                            const simnet::Arrival& arrival) {
   if (!online_) {
     // A crashed router is a silent blackhole: no SCMP, no forwarding —
@@ -193,12 +196,7 @@ void BorderRouter::receive(const simnet::MessagePtr& message,
     metrics_.drop_offline->inc();
     return;
   }
-  const auto* frame = dynamic_cast<const UnderlayFrame*>(message.get());
-  if (frame == nullptr) {
-    metrics_.drop_malformed->inc();
-    return;
-  }
-  auto packet = ScionPacket::parse(frame->scion_bytes);
+  auto packet = ScionPacket::parse(frame.bytes);
   if (!packet) {
     metrics_.drop_malformed->inc();
     return;
@@ -207,12 +205,12 @@ void BorderRouter::receive(const simnet::MessagePtr& message,
   process(packet.value(), arrival.local_iface, /*from_local=*/false);
 }
 
-void BorderRouter::receive_batch(std::span<const simnet::MessagePtr> batch,
+void BorderRouter::receive_batch(std::span<const simnet::FramePtr> batch,
                                  const simnet::Arrival& arrival) {
   if (!config_.batched) {
     // Scalar referee mode: one receive() per frame, in order — exactly
     // the pre-batching behavior the equivalence suite compares against.
-    Node::receive_batch(batch, arrival);
+    for (const simnet::FramePtr& frame : batch) receive(*frame, arrival);
     return;
   }
   if (!online_) {
@@ -230,13 +228,7 @@ void BorderRouter::receive_batch(std::span<const simnet::MessagePtr> batch,
   }
   batch_ok_.assign(batch.size(), 0);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto* frame = dynamic_cast<const UnderlayFrame*>(batch[i].get());
-    if (frame == nullptr) {
-      metrics_.drop_malformed->inc();
-      continue;
-    }
-    auto status = ScionPacket::parse_into(frame->scion_bytes, batch_scratch_[i]);
-    if (!status.ok()) {
+    if (!ScionPacket::parse_into(batch[i]->bytes, batch_scratch_[i]).ok()) {
       metrics_.drop_malformed->inc();
       continue;
     }
@@ -399,14 +391,14 @@ void BorderRouter::forward(const ScionPacket& packet, IfaceId egress) {
     return;
   }
   auto frame = FramePool::global().acquire();
-  if (auto status = packet.serialize_into(frame->scion_bytes); !status.ok()) {
+  if (auto status = packet.serialize_into(frame->bytes); !status.ok()) {
     metrics_.drop_malformed->inc();
     return;
   }
   metrics_.forwarded->inc();
   sim_.trace(obs::TraceType::kPacketHop, trace_subject_,
              obs::TraceDetail::kEgress, egress);
-  it->second.link->send(it->second.side, frame);
+  it->second.link->send(it->second.side, std::move(frame));
 }
 
 void BorderRouter::answer_echo(const ScionPacket& request) {

@@ -1,7 +1,13 @@
-// SCION border router: parses arriving underlay frames, verifies the
-// current hop field (MAC, expiry, ingress interface), advances the path
-// pointers, and forwards out the egress interface — or delivers locally
-// over the intra-AS IP underlay (Section 2, "data plane").
+// SCION border router: parses arriving frames (simnet::Frame, one
+// serialized packet each), verifies the current hop field (MAC, expiry,
+// ingress interface), advances the path pointers, and forwards out the
+// egress interface — or delivers locally over the intra-AS IP underlay
+// (Section 2, "data plane").
+//
+// Links deliver through receive_batch, the one entry point: it parses a
+// tick's frames into reused scratch, then verifies and forwards them in
+// arrival order. With Config::batched off it loops over receive(), the
+// scalar referee the equivalence suite compares digests against.
 //
 // One router instance models an AS's border (all interfaces); SCMP errors
 // (e.g. external interface down) travel back to the source along the
@@ -18,7 +24,6 @@
 #include "dataplane/local_delivery.h"
 #include "dataplane/packet.h"
 #include "dataplane/scmp.h"
-#include "dataplane/underlay.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "simnet/link.h"
@@ -36,8 +41,6 @@ class BorderRouter final : public simnet::Node {
     // equivalence suite compares digests against. Both orders schedule
     // identical events: parsing schedules nothing.
     bool batched = true;
-    // MAC verification context knobs (cache size, bench baseline mode).
-    HopVerifier::Config mac{};
     // Overload control (off by default — 0 disables the bucket): bounded
     // ingress admission for data frames arriving from the wire. SCMP is
     // never admission-limited, so a data flood cannot starve the SCMP
@@ -116,10 +119,12 @@ class BorderRouter final : public simnet::Node {
   // processes the first hop (which names this AS) and forwards.
   Status inject(const ScionPacket& packet);
 
+  // The scalar referee: parses one frame into a fresh packet and
+  // processes it.
+  void receive(const simnet::Frame& frame, const simnet::Arrival& arrival);
+
   // simnet::Node
-  void receive(const simnet::MessagePtr& message,
-               const simnet::Arrival& arrival) override;
-  void receive_batch(std::span<const simnet::MessagePtr> batch,
+  void receive_batch(std::span<const simnet::FramePtr> batch,
                      const simnet::Arrival& arrival) override;
 
  private:
@@ -155,8 +160,9 @@ class BorderRouter final : public simnet::Node {
   // Per-offender SCMP error budget; false = this error must be suppressed.
   [[nodiscard]] bool scmp_budget_ok(IsdAs offender);
 
-  // Registry cells, registered eagerly at construction under a per-router
-  // instance label derived from the ISD-AS.
+  // Registry cells, registered at construction (before the verifier,
+  // which counts into two of them) under a per-router instance label
+  // derived from the ISD-AS.
   struct Metrics {
     obs::Counter* forwarded = nullptr;
     obs::Counter* delivered = nullptr;
@@ -178,14 +184,15 @@ class BorderRouter final : public simnet::Node {
     obs::Counter* admission_dropped_control = nullptr;
     obs::Counter* scmp_suppressed = nullptr;
   };
+  [[nodiscard]] static Metrics register_metrics(IsdAs ia);
 
   simnet::Simulator& sim_;
   IsdAs ia_;
   Config config_;
+  Metrics metrics_;
   HopVerifier verifier_;
   std::unordered_map<IfaceId, IfaceBinding> ifaces_;
   LocalDelivery local_delivery_;
-  Metrics metrics_;
   // name(), interned for the flight recorder.
   obs::TraceId trace_subject_ = 0;
   bool online_ = true;

@@ -175,8 +175,6 @@ class PanSocket {
   PanSocket(const PanSocket&) = delete;
   PanSocket& operator=(const PanSocket&) = delete;
 
-  [[nodiscard]] std::uint16_t local_port() const { return port_; }
-
   // Replaces the policy; every destination is ranked again on its next
   // send.
   void set_policy(PathPolicy policy) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/check.h"
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
 #include "topology/sciera_net.h"
@@ -162,11 +163,27 @@ std::vector<Incident> Campaign::paper_incidents() {
   return incidents;
 }
 
+void Campaign::drop_unknown_inputs() {
+  const topology::Topology& topo = net_.topology();
+  for (Incident& incident : incidents_) {
+    std::erase_if(incident.links, [&](const std::string& label) {
+      const bool known = topo.find_link_by_label(label) != nullptr;
+      SCIERA_CHECK(known, "measure.campaign_unknown_link");
+      return !known;
+    });
+  }
+  const auto unknown_as = [&](IsdAs ia) {
+    const bool known = topo.find_as(ia) != nullptr;
+    SCIERA_CHECK(known, "measure.campaign_unknown_as");
+    return !known;
+  };
+  std::erase_if(sources_, unknown_as);
+  std::erase_if(targets_, unknown_as);
+}
+
 void Campaign::apply_link_event(const std::string& label, int scion_delta,
                                 int ip_delta) {
-  const auto* info = net_.topology().find_link_by_label(label);
-  if (info == nullptr) return;
-  const topology::LinkId id = info->id;
+  const topology::LinkId id = net_.topology().find_link_by_label(label)->id;
   const bool scion_was_up = scion_outages_[id] == 0;
   scion_outages_[id] += scion_delta;
   const bool scion_up = scion_outages_[id] == 0;
@@ -234,6 +251,7 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
 }
 
 CampaignResult Campaign::run() {
+  drop_unknown_inputs();
   Rng rng{options_.seed, "campaign"};
 
   const std::size_t link_count = net_.topology().links().size();

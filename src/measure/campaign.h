@@ -73,6 +73,9 @@ class Campaign {
   void set_sources(std::vector<IsdAs> sources) { sources_ = std::move(sources); }
   void set_targets(std::vector<IsdAs> targets) { targets_ = std::move(targets); }
 
+  // Every incident link, source and target must be in the topology: each
+  // that is not fails a check (measure.campaign_unknown_link or
+  // measure.campaign_unknown_as) and, in kCount mode, is left out.
   [[nodiscard]] CampaignResult run();
 
  private:
@@ -94,6 +97,10 @@ class Campaign {
     bool selection_valid = false;
   };
 
+  // run()'s input check: an unknown link would never fail, and an
+  // unknown AS has no location to price its commercial route from.
+  void drop_unknown_inputs();
+  // `label` names a topology link (drop_unknown_inputs() ran).
   void apply_link_event(const std::string& label, int scion_delta,
                         int ip_delta);
   void refresh_usable(Pair& pair);

@@ -217,10 +217,6 @@ StatusDashboard Orchestrator::dashboard() {
   return dash;
 }
 
-Monitor::Monitor(controlplane::ScionNetwork& net, IsdAs vantage,
-                 Config config)
-    : net_(net), vantage_(vantage), config_(config) {}
-
 std::vector<Monitor::Alert> Monitor::probe_all() {
   std::vector<Alert> raised;
   for (const auto& as_info : net_.topology().ases()) {
@@ -244,7 +240,7 @@ std::vector<Monitor::Alert> Monitor::probe_all() {
       continue;
     }
     const int failures = ++consecutive_failures_[target];
-    if (failures == config_.failure_threshold &&
+    if (failures == kFailureThreshold &&
         !open_alert_index_.contains(target)) {
       Alert alert;
       alert.raised_at = net_.sim().now();

@@ -4,7 +4,9 @@
 //   * guided AS onboarding (keys, enrollment, links, bootstrap server),
 //   * core management tasks (add certificate, add link),
 //   * an aggregated service-status dashboard with per-service health,
-//   * the automated certificate-renewal job (with §4.5's open-source CA).
+//   * the automated certificate-renewal job (with §4.5's open-source CA),
+//   * continuous connectivity monitoring that alerts after a fixed
+//     number of consecutive failed probes (Monitor).
 #pragma once
 
 #include <string>
@@ -84,6 +86,8 @@ class Orchestrator {
 // Continuous connectivity monitoring (§4.4): "we implemented continuous
 // connectivity monitoring from our infrastructure to all connected ASes...
 // when an issue arises, our system alerts the affected parties via email."
+// An AS is alerted on after kFailureThreshold consecutive failed probes
+// and cleared on the first probe that reaches it again.
 class Monitor {
  public:
   struct Alert {
@@ -94,14 +98,11 @@ class Monitor {
     SimTime cleared_at = 0;
   };
 
-  struct Config {
-    // Consecutive failed probes before alerting (avoids flapping mail).
-    int failure_threshold = 3;
-  };
+  // Consecutive failed probes before alerting (avoids flapping mail).
+  static constexpr int kFailureThreshold = 3;
 
-  Monitor(controlplane::ScionNetwork& net, IsdAs vantage, Config config);
   Monitor(controlplane::ScionNetwork& net, IsdAs vantage)
-      : Monitor(net, vantage, Config{}) {}
+      : net_(net), vantage_(vantage) {}
 
   // Probes reachability of every AS once (control-plane path existence +
   // data-plane usability) and updates alert state. Returns newly raised
@@ -114,7 +115,6 @@ class Monitor {
  private:
   controlplane::ScionNetwork& net_;
   IsdAs vantage_;
-  Config config_;
   std::map<IsdAs, int> consecutive_failures_;
   std::map<IsdAs, std::size_t> open_alert_index_;
   std::vector<Alert> log_;

@@ -77,7 +77,7 @@ void Link::set_up(bool up) {
   if (on_state_change_) on_state_change_(up, sim_.now());
 }
 
-void Link::send(int from_side, const MessagePtr& message) {
+void Link::send(int from_side, FramePtr frame) {
   assert(from_side == 0 || from_side == 1);
   End& tx = ends_[static_cast<std::size_t>(from_side)];
   End& rx = ends_[static_cast<std::size_t>(from_side ^ 1)];
@@ -93,7 +93,7 @@ void Link::send(int from_side, const MessagePtr& message) {
   }
 
   const auto serialization = static_cast<Duration>(
-      static_cast<double>(message->wire_size() + config_.encap_overhead_bytes) * 8.0 /
+      static_cast<double>(frame->bytes.size() + config_.encap_overhead_bytes) * 8.0 /
       config_.bandwidth_bps * static_cast<double>(kSecond));
 
   // Tail-drop if the egress queue for this direction is over capacity.
@@ -141,7 +141,7 @@ void Link::send(int from_side, const MessagePtr& message) {
     sim_.schedule(deliver_at,
                   [this, to_side] { deliver_batch(to_side, sim_.now()); });
   }
-  batch->items.push_back(Pending{message, down_epoch_});
+  batch->items.push_back(Pending{std::move(frame), down_epoch_});
 }
 
 void Link::deliver_batch(int to_side, SimTime deliver_at) {
@@ -170,13 +170,12 @@ void Link::deliver_batch(int to_side, SimTime deliver_at) {
       continue;
     }
     metrics().delivered->inc();
-    delivery_scratch_.push_back(std::move(item.message));
+    delivery_scratch_.push_back(std::move(item.frame));
   }
   items.clear();
   recycle_batch(std::move(items));
   if (!delivery_scratch_.empty()) {
-    rx.node->receive_batch(delivery_scratch_,
-                           Arrival{this, rx.iface, deliver_at});
+    rx.node->receive_batch(delivery_scratch_, Arrival{rx.iface, deliver_at});
   }
   // Drop the frame references promptly so pooled frames recycle at the
   // end of the tick, not at the next delivery on this link.

@@ -1,8 +1,10 @@
 // Duplex point-to-point link with propagation delay, serialization at a
 // configured bandwidth, bounded egress queues, optional jitter/loss, and an
 // up/down state driven by failure schedules. Models the L2 circuits
-// (VLANs/MPLS) that carry SCIERA's inter-AS connectivity. A link records
-// its transitions and in-flight drops in its simulator's flight recorder.
+// (VLANs/MPLS) that carry SCIERA's inter-AS connectivity. A link carries
+// frames (node.h): it takes each by move, and hands every frame due at one
+// instant to the receiver in one receive_batch call. A link records its
+// transitions and in-flight drops in its simulator's flight recorder.
 #pragma once
 
 #include <array>
@@ -28,7 +30,9 @@ struct LinkConfig {
   // Egress queue bound per direction, in packets, on top of the one being
   // serialized. Exceeding it drops the packet (tail drop).
   std::size_t queue_capacity = 256;
-  // Extra bytes the circuit's local encapsulation adds per frame.
+  // Bytes each frame carries on the wire beyond its packet: the circuit's
+  // encapsulation, plus the 28-byte IP-UDP underlay that ScionNetwork
+  // adds for every link it builds.
   std::size_t encap_overhead_bytes = 4;
 };
 
@@ -57,7 +61,7 @@ class Link {
   void set_label(std::string label);
 
   // Sends from endpoint `from_side` to the opposite endpoint.
-  void send(int from_side, const MessagePtr& message);
+  void send(int from_side, FramePtr frame);
 
   // Admin state. Taking the link down cancels every frame currently
   // serialized or propagating on the circuit at the moment of the cut
@@ -96,7 +100,7 @@ class Link {
   // One frame waiting for its delivery tick, with the down-epoch it was
   // sent under (dropped on mismatch when the tick fires).
   struct Pending {
-    MessagePtr message;
+    FramePtr frame;
     std::uint64_t epoch = 0;
   };
 
@@ -156,7 +160,7 @@ class Link {
   // vectors, and the scratch the survivors of a batch are handed to the
   // receiver in. Cleared after every delivery; never shrunk.
   std::vector<std::vector<Pending>> spare_batches_;
-  std::vector<MessagePtr> delivery_scratch_;
+  std::vector<FramePtr> delivery_scratch_;
   StateObserver on_state_change_;
 };
 

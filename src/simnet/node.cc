@@ -1,3 +1,3 @@
 #include "simnet/node.h"
 
-// Node is an interface; the translation unit anchors its vtable.
+// node.h is header-only; this translation unit proves it self-contained.

@@ -1,41 +1,40 @@
-// Simulated network elements: messages, ports, and nodes.
+// Simulated network elements: the frame a link carries and the node that
+// receives it.
 //
-// A Message is any payload carried across a Link. SCION data-plane packets
-// are real serialized bytes (see dataplane/packet.h); control-plane
-// exchanges are structured messages — signatures still cover canonical
-// byte encodings, so authenticity is enforced end to end.
+// A Frame is one serialized SCION packet (see dataplane/packet.h), the
+// only thing that crosses a link: routers forward using the state each
+// packet carries, so nothing else needs to travel. The IP-UDP underlay's
+// and the circuit's own header bytes are not in the frame; the link
+// counts them (LinkConfig::encap_overhead_bytes).
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
 
+#include "common/buffer.h"
 #include "common/isd_as.h"
 #include "common/time.h"
 
 namespace sciera::simnet {
 
-struct Message {
-  virtual ~Message() = default;
-  // Size on the wire, used for serialization/bandwidth modelling.
-  [[nodiscard]] virtual std::size_t wire_size() const = 0;
-  // Human-readable tag for logs.
-  [[nodiscard]] virtual std::string tag() const = 0;
+struct Frame {
+  Bytes bytes;  // the serialized packet
 };
 
-using MessagePtr = std::shared_ptr<const Message>;
+// Immutable once sent. The shared_ptr's type-erased deleter lets a sender
+// recycle its frames (dataplane::FramePool) without simnet knowing how.
+using FramePtr = std::shared_ptr<const Frame>;
 
-class Link;
-
-// Where a message arrived: the link it came over and the local interface id
-// the owner assigned to its end of that link.
+// Where a frame arrived: the local interface id the owner assigned to its
+// end of the link, and the arrival time.
 struct Arrival {
-  Link* link = nullptr;
   IfaceId local_iface = 0;
   SimTime time = 0;
 };
 
-// A receiver endpoint. Nodes (routers, servers, hosts) implement this.
+// A receiver endpoint. Border routers implement it; tests substitute
+// sinks.
 class Node {
  public:
   explicit Node(std::string name) : name_(std::move(name)) {}
@@ -45,17 +44,10 @@ class Node {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  virtual void receive(const MessagePtr& message, const Arrival& arrival) = 0;
-
-  // Batched delivery: every surviving message of one link's same-tick
-  // batch in a single call (shared Arrival — same link, iface, time).
-  // The default unrolls to receive() per message in order, so the two
-  // entry points are behaviorally identical by construction; fast-path
-  // nodes (the border router) override this to amortize per-batch work.
-  virtual void receive_batch(std::span<const MessagePtr> batch,
-                             const Arrival& arrival) {
-    for (const MessagePtr& message : batch) receive(message, arrival);
-  }
+  // Every surviving frame of one link's same-tick batch, in send order,
+  // in a single call (shared Arrival: same interface, same time).
+  virtual void receive_batch(std::span<const FramePtr> batch,
+                             const Arrival& arrival) = 0;
 
  private:
   std::string name_;

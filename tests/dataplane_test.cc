@@ -4,6 +4,7 @@
 #include "dataplane/hopfield.h"
 #include "dataplane/packet.h"
 #include "dataplane/scmp.h"
+#include "obs/metrics.h"
 
 namespace sciera::dataplane {
 namespace {
@@ -229,13 +230,21 @@ HopField verifier_hop(IfaceId in, IfaceId out) {
   return hop;
 }
 
+// A verifier's hit and miss cells, from a registry of the test's own.
+struct CacheCells {
+  obs::MetricsRegistry registry;
+  obs::Counter& hits = registry.counter("hits");
+  obs::Counter& misses = registry.counter("misses");
+};
+
 TEST(HopVerifier, MatchesFreeFunctionsAndPerPacketMode) {
   // Three paths to the same function — the MAC-cached verifier, the
   // uncached one that runs the CMAC on every packet, and the free
   // functions' context cache — must agree bit for bit on every MAC.
   const FwdKey key = derive_fwd_key(bytes_of("verifier-equivalence"));
-  HopVerifier cached{key};
-  HopVerifier uncached{key, {.cache_entries = 0}};
+  CacheCells cells;
+  HopVerifier cached{key, cells.hits, cells.misses};
+  HopVerifier uncached{key, {.cache_entries = 0}, cells.hits, cells.misses};
   Rng rng{0x600D, "verifier"};
   for (int i = 0; i < 64; ++i) {
     const auto beta = static_cast<std::uint16_t>(rng.next_u64());
@@ -255,8 +264,9 @@ TEST(HopVerifier, OneKeySchedulePerKeyNotPerPacket) {
   // key schedules. A verifier runs exactly one (at construction) no
   // matter how many packets it processes.
   const FwdKey key = derive_fwd_key(bytes_of("one-schedule-per-key"));
+  CacheCells cells;
   const auto before = crypto::Aes128::key_schedules_run();
-  HopVerifier verifier{key};
+  HopVerifier verifier{key, cells.hits, cells.misses};
   const auto constructed = crypto::Aes128::key_schedules_run();
   EXPECT_EQ(constructed - before, 1u);
   for (int i = 0; i < 128; ++i) {
@@ -268,26 +278,28 @@ TEST(HopVerifier, OneKeySchedulePerKeyNotPerPacket) {
 
 TEST(HopVerifier, MacCacheHitsRepeatedBlocks) {
   const FwdKey key = derive_fwd_key(bytes_of("cache-hit-counting"));
-  HopVerifier verifier{key, {.cache_entries = 16}};
+  CacheCells cells;
+  HopVerifier verifier{key, {.cache_entries = 16}, cells.hits, cells.misses};
   const auto hop = verifier_hop(IfaceId{3}, IfaceId{9});
   const Mac6 cold = verifier.compute(0xBEEF, 1700000000, hop);
-  EXPECT_EQ(verifier.cache_counters().hits, 0u);
-  EXPECT_EQ(verifier.cache_counters().misses, 1u);
+  EXPECT_EQ(cells.hits.value(), 0u);
+  EXPECT_EQ(cells.misses.value(), 1u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(verifier.compute(0xBEEF, 1700000000, hop), cold);
   }
-  EXPECT_EQ(verifier.cache_counters().hits, 5u);
-  EXPECT_EQ(verifier.cache_counters().misses, 1u);
+  EXPECT_EQ(cells.hits.value(), 5u);
+  EXPECT_EQ(cells.misses.value(), 1u);
 }
 
 TEST(HopVerifier, RekeyInvalidatesCacheAndChangesMacs) {
   const FwdKey k1 = derive_fwd_key(bytes_of("rollover-epoch-1"));
   const FwdKey k2 = derive_fwd_key(bytes_of("rollover-epoch-2"));
-  HopVerifier verifier{k1};
+  CacheCells cells;
+  HopVerifier verifier{k1, cells.hits, cells.misses};
   const auto hop = verifier_hop(IfaceId{1}, IfaceId{2});
   const Mac6 old_mac = verifier.compute(0x1234, 1700000000, hop);
   (void)verifier.compute(0x1234, 1700000000, hop);  // now cached
-  EXPECT_EQ(verifier.cache_counters().hits, 1u);
+  EXPECT_EQ(cells.hits.value(), 1u);
 
   verifier.rekey(k2);
   EXPECT_EQ(verifier.key(), k2);
@@ -296,7 +308,7 @@ TEST(HopVerifier, RekeyInvalidatesCacheAndChangesMacs) {
   EXPECT_NE(new_mac, old_mac);
   EXPECT_EQ(new_mac, compute_hop_mac(k2, 0x1234, 1700000000, hop));
   // The lookup after rekey() must have been a miss, not a poisoned hit.
-  EXPECT_EQ(verifier.cache_counters().hits, 1u);
+  EXPECT_EQ(cells.hits.value(), 1u);
   auto stamped = hop;
   stamped.mac = old_mac;
   EXPECT_FALSE(verifier.verify(0x1234, 1700000000, stamped));
@@ -308,7 +320,8 @@ TEST(HopVerifier, SingleSlotCacheEvictsDeterministically) {
   // repeated block stays resident (all hits). Eviction is pure
   // overwrite — bounded, clock-free, identical across runs.
   const FwdKey key = derive_fwd_key(bytes_of("single-slot-eviction"));
-  HopVerifier verifier{key, {.cache_entries = 1}};
+  CacheCells cells;
+  HopVerifier verifier{key, {.cache_entries = 1}, cells.hits, cells.misses};
   const auto hop_a = verifier_hop(IfaceId{1}, IfaceId{2});
   const auto hop_b = verifier_hop(IfaceId{7}, IfaceId{8});
   const Mac6 mac_a = verifier.compute(1, 1700000000, hop_a);
@@ -317,27 +330,30 @@ TEST(HopVerifier, SingleSlotCacheEvictsDeterministically) {
     EXPECT_EQ(verifier.compute(1, 1700000000, hop_a), mac_a);
     EXPECT_EQ(verifier.compute(1, 1700000000, hop_b), mac_b);
   }
-  EXPECT_EQ(verifier.cache_counters().hits, 0u);
-  EXPECT_EQ(verifier.cache_counters().misses, 10u);
+  EXPECT_EQ(cells.hits.value(), 0u);
+  EXPECT_EQ(cells.misses.value(), 10u);
 
-  HopVerifier resident{key, {.cache_entries = 1}};
+  CacheCells resident_cells;
+  HopVerifier resident{key, {.cache_entries = 1}, resident_cells.hits,
+                       resident_cells.misses};
   (void)resident.compute(1, 1700000000, hop_a);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(resident.compute(1, 1700000000, hop_a), mac_a);
   }
-  EXPECT_EQ(resident.cache_counters().hits, 4u);
-  EXPECT_EQ(resident.cache_counters().misses, 1u);
+  EXPECT_EQ(resident_cells.hits.value(), 4u);
+  EXPECT_EQ(resident_cells.misses.value(), 1u);
 }
 
 TEST(HopVerifier, DisabledCacheStillComputesCorrectly) {
   const FwdKey key = derive_fwd_key(bytes_of("cache-disabled"));
-  HopVerifier verifier{key, {.cache_entries = 0}};
+  CacheCells cells;
+  HopVerifier verifier{key, {.cache_entries = 0}, cells.hits, cells.misses};
   const auto hop = verifier_hop(IfaceId{4}, IfaceId{5});
   const Mac6 mac = verifier.compute(7, 1700000000, hop);
   EXPECT_EQ(mac, compute_hop_mac(key, 7, 1700000000, hop));
   EXPECT_EQ(verifier.compute(7, 1700000000, hop), mac);
-  EXPECT_EQ(verifier.cache_counters().hits, 0u);
-  EXPECT_EQ(verifier.cache_counters().misses, 0u);
+  EXPECT_EQ(cells.hits.value(), 0u);
+  EXPECT_EQ(cells.misses.value(), 0u);
 }
 
 TEST(HopMac, FreeFunctionsReuseCachedContexts) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/stats.h"
+#include "common/check.h"
 #include "measure/campaign.h"
 #include "topology/sciera_net.h"
 
@@ -289,6 +290,68 @@ TEST(CampaignIncidents, ScionOnlyOutageInsidePhysicalOutageChangesNothing) {
                       Scope::kScionOnly};
   EXPECT_EQ(run({cut, vlan}), run({cut}));
   EXPECT_EQ(run({vlan, cut}), run({cut}));
+}
+
+// Restores the process-default abort mode even when a test fails early.
+class CountModeGuard {
+ public:
+  CountModeGuard() {
+    CheckRegistry::instance().set_fail_mode(CheckFailMode::kCount);
+  }
+  ~CountModeGuard() {
+    CheckRegistry::instance().set_fail_mode(CheckFailMode::kAbort);
+  }
+};
+
+// An incident link the topology does not know used to be skipped without
+// a word, so that incident never happened. It fails a check now; in count
+// mode the label is left out and the incident's other link still fails.
+TEST(CampaignValidation, UnknownIncidentLinkFailsCheck) {
+  using Scope = Incident::Scope;
+  const CountModeGuard guard;
+  auto& checks = CheckRegistry::instance();
+  const auto before = checks.count("measure.campaign_unknown_link");
+  auto& s = nets();
+  CampaignOptions options;
+  options.duration = 4 * kHour;
+  options.interval = kHour;
+  Campaign campaign{s.net, s.bgp, options};
+  campaign.set_sources({a::kisti_dj()});
+  campaign.set_targets({a::kisti_sg()});
+  campaign.set_incidents({{"typo", {"kreonet-dj-hkk", "kreonet-dj-hk"}, kHour,
+                           3 * kHour, Scope::kScionOnly}});
+  const auto result = campaign.run();
+  EXPECT_EQ(checks.count("measure.campaign_unknown_link"), before + 1);
+  ASSERT_EQ(result.intervals.size(), 4u);
+  for (const auto& record : result.intervals) {
+    const bool down = record.start >= kHour && record.start < 3 * kHour;
+    EXPECT_EQ(record.active_paths, down ? 22u : 23u)
+        << "hour " << record.start / kHour;
+  }
+}
+
+// A source or target outside the topology used to reach a null AsInfo.
+// It fails a check now; in count mode it is left out, and the known pair
+// runs alone.
+TEST(CampaignValidation, UnknownSourceOrTargetFailsCheck) {
+  const CountModeGuard guard;
+  auto& checks = CheckRegistry::instance();
+  const auto before = checks.count("measure.campaign_unknown_as");
+  const IsdAs ghost = IsdAs::parse("99-999").value();
+  auto& s = nets();
+  CampaignOptions options;
+  options.duration = 2 * kHour;
+  options.interval = kHour;
+  Campaign campaign{s.net, s.bgp, options};
+  campaign.set_incidents({});
+  campaign.set_sources({a::kisti_dj(), ghost});
+  campaign.set_targets({ghost, a::kisti_sg()});
+  const auto result = campaign.run();
+  EXPECT_EQ(checks.count("measure.campaign_unknown_as"), before + 2);
+  ASSERT_EQ(result.pair_paths.size(), 1u);
+  EXPECT_EQ(result.pair_paths[0].src, a::kisti_dj());
+  EXPECT_EQ(result.pair_paths[0].dst, a::kisti_sg());
+  EXPECT_EQ(result.intervals.size(), 2u);
 }
 
 TEST(CampaignDeterminism, SameSeedSameResult) {

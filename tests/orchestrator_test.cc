@@ -78,8 +78,7 @@ TEST(Monitor, NoAlertsOnHealthyNetwork) {
 }
 
 TEST(Monitor, AlertsAfterThresholdAndClears) {
-  Monitor::Config config;
-  config.failure_threshold = 3;
+  static_assert(Monitor::kFailureThreshold == 3);
   Monitor monitor{net(), a::geant()};
   // Isolate UFMS by cutting both of its uplinks.
   net().set_link_up("rnp-ufms", false);

@@ -76,8 +76,9 @@ namespace {
 class Sink final : public simnet::Node {
  public:
   Sink() : simnet::Node("router-alloc-sink") {}
-  void receive(const simnet::MessagePtr&, const simnet::Arrival&) override {
-    ++received_;
+  void receive_batch(std::span<const simnet::FramePtr> batch,
+                     const simnet::Arrival&) override {
+    received_ += batch.size();
   }
   [[nodiscard]] std::uint64_t received() const { return received_; }
 
@@ -145,18 +146,17 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
   router.attach_iface(2, &egress, 0);
   const std::vector<Bytes> wire = flow_packets(key, ia, dst_ia, kFlows);
 
-  std::vector<simnet::MessagePtr> batch;
+  std::vector<simnet::FramePtr> batch;
   batch.reserve(kBatch);
   std::size_t next_flow = 0;
   const auto fire_batch = [&] {
     for (std::size_t i = 0; i < kBatch; ++i) {
       auto frame = FramePool::global().acquire();
-      frame->scion_bytes.assign(wire[next_flow].begin(),
-                                wire[next_flow].end());
+      frame->bytes.assign(wire[next_flow].begin(), wire[next_flow].end());
       next_flow = (next_flow + 1) % kFlows;
       batch.push_back(std::move(frame));
     }
-    router.receive_batch(batch, simnet::Arrival{nullptr, 1, sim.now()});
+    router.receive_batch(batch, simnet::Arrival{1, sim.now()});
     batch.clear();  // drop our frame refs before draining deliveries
     sim.run_all();
   };
@@ -393,7 +393,7 @@ TEST(LocalDelivery, WarmWindowAllocatesNothing) {
     pkt.path.hops = {hop};
     wire.push_back(pkt.serialize().value());
   }
-  std::vector<simnet::MessagePtr> batch;
+  std::vector<simnet::FramePtr> batch;
   batch.reserve(wire.size());
   const auto fire_batch = [&] {
     for (const dataplane::ScionPacket& pkt : injected) {
@@ -401,10 +401,10 @@ TEST(LocalDelivery, WarmWindowAllocatesNothing) {
     }
     for (const Bytes& bytes : wire) {
       auto frame = dataplane::FramePool::global().acquire();
-      frame->scion_bytes.assign(bytes.begin(), bytes.end());
+      frame->bytes.assign(bytes.begin(), bytes.end());
       batch.push_back(std::move(frame));
     }
-    router.receive_batch(batch, simnet::Arrival{nullptr, 1, net.sim().now()});
+    router.receive_batch(batch, simnet::Arrival{1, net.sim().now()});
     batch.clear();
     net.sim().run_all();
   };

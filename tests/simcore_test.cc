@@ -569,21 +569,19 @@ TEST(FramePoolTest, ForwardingReusesFramesAndLeaksNothing) {
 
 TEST(FramePoolTest, DedicatedPoolRecyclesBufferCapacity) {
   dataplane::FramePool pool{{.max_pooled = 2}};
-  const dataplane::UnderlayFrame* first_frame = nullptr;
+  const simnet::Frame* first_frame = nullptr;
   {
     auto frame = pool.acquire();
     first_frame = frame.get();
-    frame->scion_bytes.resize(1200);  // grow the payload buffer
-    frame->src_ip = 0x0A000001;
+    frame->bytes.resize(1200);  // grow the payload buffer
   }
   EXPECT_EQ(pool.stats().pooled, 1);
   {
     auto frame = pool.acquire();
     // Same arena slot back, scrubbed, with its capacity intact.
     EXPECT_EQ(frame.get(), first_frame);
-    EXPECT_EQ(frame->scion_bytes.size(), 0u);
-    EXPECT_GE(frame->scion_bytes.capacity(), 1200u);
-    EXPECT_EQ(frame->src_ip, 0u);
+    EXPECT_EQ(frame->bytes.size(), 0u);
+    EXPECT_GE(frame->bytes.capacity(), 1200u);
   }
   EXPECT_EQ(pool.stats().reused, 1u);
   EXPECT_EQ(pool.stats().outstanding, 0);
@@ -601,7 +599,7 @@ TEST(FramePoolTest, ControlBlocksRecycleWithTheFrames) {
   EXPECT_EQ(cold.ctrl_reused, 0u);
   for (int cycle = 0; cycle < 8; ++cycle) {
     auto frame = pool.acquire();
-    frame->scion_bytes.assign(64, std::uint8_t{0xAB});
+    frame->bytes.assign(64, std::uint8_t{0xAB});
   }
   const auto warm = pool.stats();
   EXPECT_EQ(warm.ctrl_allocated, 1u);  // no new allocator hits

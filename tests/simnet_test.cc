@@ -7,23 +7,19 @@
 namespace sciera::simnet {
 namespace {
 
-struct TestMessage : Message {
-  explicit TestMessage(std::size_t size, int id = 0) : size(size), id(id) {}
-  std::size_t size;
-  int id;
-  [[nodiscard]] std::size_t wire_size() const override { return size; }
-  [[nodiscard]] std::string tag() const override { return "test"; }
-};
+// A frame of `size` packet bytes.
+FramePtr frame_of(std::size_t size) {
+  return std::make_shared<const Frame>(Frame{Bytes(size)});
+}
 
 class Sink : public Node {
  public:
   explicit Sink(std::string name) : Node(std::move(name)) {}
-  void receive(const MessagePtr& message, const Arrival& arrival) override {
-    arrivals.push_back(arrival);
-    messages.push_back(message);
+  void receive_batch(std::span<const FramePtr> batch,
+                     const Arrival& arrival) override {
+    arrivals.insert(arrivals.end(), batch.size(), arrival);
   }
   std::vector<Arrival> arrivals;
-  std::vector<MessagePtr> messages;
 };
 
 TEST(Simulator, ExecutesInTimeOrder) {
@@ -111,7 +107,7 @@ TEST(Link, DeliversAfterPropagationAndSerialization) {
   link.attach(0, &a, 1);
   link.attach(1, &b, 7);
 
-  link.send(0, std::make_shared<TestMessage>(1000));
+  link.send(0, frame_of(1000));
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 1u);
   // 1000 bytes at 1 B/us = 1ms serialization + 10ms propagation.
@@ -131,8 +127,8 @@ TEST(Link, SerializationQueuesBackToBack) {
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
   // Two 1000-byte packets sent at t=0 serialize sequentially.
-  link.send(0, std::make_shared<TestMessage>(1000, 1));
-  link.send(0, std::make_shared<TestMessage>(1000, 2));
+  link.send(0, frame_of(1000));
+  link.send(0, frame_of(1000));
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 2u);
   EXPECT_EQ(b.arrivals[0].time, 1 * kMillisecond);
@@ -146,12 +142,12 @@ TEST(Link, DownLinkDropsTraffic) {
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
   link.set_up(false);
-  link.send(0, std::make_shared<TestMessage>(100));
+  link.send(0, frame_of(100));
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
   EXPECT_EQ(link.stats().dropped_down, 1u);
   link.set_up(true);
-  link.send(0, std::make_shared<TestMessage>(100));
+  link.send(0, frame_of(100));
   sim.run_all();
   EXPECT_EQ(b.arrivals.size(), 1u);
 }
@@ -168,7 +164,7 @@ TEST(Link, DownTransitionCancelsInFlightDeliveries) {
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
 
-  link.send(0, std::make_shared<TestMessage>(100));
+  link.send(0, frame_of(100));
   // The failure hits mid-flight: after the send, before the delivery.
   sim.schedule_after(5 * kMillisecond, [&] { link.set_up(false); });
   sim.run_all();
@@ -188,16 +184,16 @@ TEST(Link, FlapDuringFlightStillDropsTheFrame) {
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
 
-  link.send(0, std::make_shared<TestMessage>(100));
+  link.send(0, frame_of(100));
   sim.schedule_after(2 * kMillisecond, [&] { link.set_up(false); });
   sim.schedule_after(4 * kMillisecond, [&] { link.set_up(true); });
-  link.send(0, std::make_shared<TestMessage>(100));  // also pre-flap
+  link.send(0, frame_of(100));  // also pre-flap
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
   EXPECT_EQ(link.stats().dropped_down, 2u);
 
   // Traffic sent after the link recovered flows normally.
-  link.send(0, std::make_shared<TestMessage>(100));
+  link.send(0, frame_of(100));
   sim.run_all();
   EXPECT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(link.stats().delivered, 1u);
@@ -223,15 +219,13 @@ TEST(Link, ReUpAfterCutStartsFromEmptyPipe) {
 
   // Five 1000-byte frames at t=0: 5ms of serializer backlog, and the
   // first several are already propagating when the cut lands.
-  for (int i = 0; i < 5; ++i) {
-    link.send(0, std::make_shared<TestMessage>(1000, i));
-  }
+  for (int i = 0; i < 5; ++i) link.send(0, frame_of(1000));
   sim.schedule(5500 * kMicrosecond, [&] {
     link.set_up(false);
     // Every queued/in-flight frame is cancelled and counted at cut time.
     EXPECT_EQ(link.stats().dropped_down, 5u);
     link.set_up(true);  // same-tick recovery
-    link.send(0, std::make_shared<TestMessage>(1000, 99));
+    link.send(0, frame_of(1000));
   });
   sim.run_all();
 
@@ -260,15 +254,15 @@ TEST(Link, CutCancelsSameTickBatchDespiteReUp) {
 
   // Two zero-size frames serialize instantly, so both land in the same
   // delivery batch at t=10ms.
-  link.send(0, std::make_shared<TestMessage>(0, 1));
-  link.send(0, std::make_shared<TestMessage>(0, 2));
+  link.send(0, frame_of(0));
+  link.send(0, frame_of(0));
   sim.schedule_after(2 * kMillisecond, [&] {
     link.set_up(false);
     link.set_up(true);
   });
   // A post-flap frame from the same sender still flows.
   sim.schedule_after(3 * kMillisecond, [&] {
-    link.send(0, std::make_shared<TestMessage>(0, 3));
+    link.send(0, frame_of(0));
   });
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 1u);
@@ -289,9 +283,7 @@ TEST(Link, MidFlightFailureScheduleIsDeterministic) {
     link.attach(0, &a, 1);
     link.attach(1, &b, 1);
     for (int i = 0; i < 5; ++i) {
-      sim.schedule(i * kMillisecond, [&link, i] {
-        link.send(0, std::make_shared<TestMessage>(200, i));
-      });
+      sim.schedule(i * kMillisecond, [&link] { link.send(0, frame_of(200)); });
     }
     sim.schedule(7 * kMillisecond, [&] { link.set_up(false); });
     sim.run_all();
@@ -312,7 +304,7 @@ TEST(Link, LossProbabilityDropsStatistically) {
   Link link{sim, cfg, Rng{42}};
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
-  for (int i = 0; i < 1000; ++i) link.send(0, std::make_shared<TestMessage>(10));
+  for (int i = 0; i < 1000; ++i) link.send(0, frame_of(10));
   sim.run_all();
   EXPECT_GT(b.arrivals.size(), 400u);
   EXPECT_LT(b.arrivals.size(), 600u);
@@ -329,7 +321,7 @@ TEST(Link, QueueOverflowTailDrops) {
   Link link{sim, cfg, Rng{1}};
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
-  for (int i = 0; i < 100; ++i) link.send(0, std::make_shared<TestMessage>(1000));
+  for (int i = 0; i < 100; ++i) link.send(0, frame_of(1000));
   sim.run_all();
   EXPECT_GT(link.stats().dropped_queue, 0u);
   EXPECT_LT(b.arrivals.size(), 100u);
@@ -341,8 +333,8 @@ TEST(Link, IsBidirectional) {
   Link link{sim, LinkConfig{}, Rng{1}};
   link.attach(0, &a, 3);
   link.attach(1, &b, 4);
-  link.send(0, std::make_shared<TestMessage>(10));
-  link.send(1, std::make_shared<TestMessage>(10));
+  link.send(0, frame_of(10));
+  link.send(1, frame_of(10));
   sim.run_all();
   EXPECT_EQ(a.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals.size(), 1u);
@@ -360,7 +352,7 @@ TEST(Link, JitterSpreadsDeliveryTimes) {
   Link link{sim, cfg, Rng{7}};
   link.attach(0, &a, 1);
   link.attach(1, &b, 1);
-  for (int i = 0; i < 50; ++i) link.send(0, std::make_shared<TestMessage>(10));
+  for (int i = 0; i < 50; ++i) link.send(0, frame_of(10));
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 50u);
   SimTime min_t = b.arrivals[0].time, max_t = b.arrivals[0].time;
@@ -390,8 +382,8 @@ TEST(Link, EncapOverheadSlowsSerialization) {
   Sink c{"c"}, d{"d"};
   vxlan_link.attach(0, &c, 1);
   vxlan_link.attach(1, &d, 1);
-  vlan_link.send(0, std::make_shared<TestMessage>(1000));
-  vxlan_link.send(0, std::make_shared<TestMessage>(1000));
+  vlan_link.send(0, frame_of(1000));
+  vxlan_link.send(0, frame_of(1000));
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 1u);
   ASSERT_EQ(d.arrivals.size(), 1u);
