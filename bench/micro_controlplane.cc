@@ -21,10 +21,14 @@ ScionNetwork& net() {
 
 void BM_BeaconingSweep(benchmark::State& state) {
   auto& network = net();
+  std::uint64_t signatures = 0;
   for (auto _ : state) {
+    const std::uint64_t before = crypto::Ed25519::signatures_made();
     network.run_beaconing();
+    signatures = crypto::Ed25519::signatures_made() - before;
   }
   state.counters["segments"] = static_cast<double>(network.segments().size());
+  state.counters["signatures"] = static_cast<double>(signatures);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(network.segments().size()));
 }

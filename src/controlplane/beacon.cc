@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/check.h"
-#include "crypto/sha256.h"
 
 namespace sciera::controlplane {
 namespace {
@@ -47,13 +46,12 @@ Bytes AsEntry::signing_payload(BytesView chain_hash) const {
   return std::move(w).take();
 }
 
-Bytes chain_link(BytesView signing_payload,
-                 const crypto::Ed25519::Signature& signature) {
+crypto::Sha256::Digest chain_link(
+    BytesView signing_payload, const crypto::Ed25519::Signature& signature) {
   crypto::Sha256 h;
   h.update(signing_payload)
       .update(BytesView{signature.data(), signature.size()});
-  const auto digest = h.finish();
-  return Bytes{digest.begin(), digest.end()};
+  return h.finish();
 }
 
 bool Pcb::contains(IsdAs ia) const {
@@ -102,7 +100,9 @@ Status verify_pcb(const Pcb& pcb, const KeyLookup& keys) {
   if (pcb.entries.empty()) {
     return Error{Errc::kVerificationFailed, "PCB has no entries"};
   }
-  Bytes chain = pcb.header_payload();
+  const Bytes header = pcb.header_payload();
+  crypto::Sha256::Digest link{};
+  BytesView chain = header;
   for (std::size_t i = 0; i < pcb.entries.size(); ++i) {
     const AsEntry& entry = pcb.entries[i];
     const auto* key = keys(entry.ia);
@@ -118,7 +118,8 @@ Status verify_pcb(const Pcb& pcb, const KeyLookup& keys) {
       return Error{Errc::kVerificationFailed,
                    "bad PCB entry signature from " + entry.ia.to_string()};
     }
-    chain = chain_link(payload, entry.signature);
+    link = chain_link(payload, entry.signature);
+    chain = link;
   }
   return {};
 }

@@ -13,6 +13,7 @@
 #include "common/isd_as.h"
 #include "common/result.h"
 #include "crypto/ed25519.h"
+#include "crypto/sha256.h"
 #include "dataplane/hopfield.h"
 
 namespace sciera::controlplane {
@@ -42,8 +43,8 @@ struct AsEntry {
 
 // Hash of a signed entry, input to the next link of the chain: SHA-256
 // over the entry's signing payload followed by its signature.
-[[nodiscard]] Bytes chain_link(BytesView signing_payload,
-                               const crypto::Ed25519::Signature& signature);
+[[nodiscard]] crypto::Sha256::Digest chain_link(
+    BytesView signing_payload, const crypto::Ed25519::Signature& signature);
 
 struct Pcb {
   std::uint32_t timestamp = 0;     // origination time (unix seconds)

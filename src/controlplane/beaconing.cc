@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "crypto/sha256.h"
 
 namespace sciera::controlplane {
@@ -26,6 +27,16 @@ std::uint16_t initial_beta(IsdAs origin, std::uint32_t timestamp,
   w.u64(salt);
   const auto digest = crypto::Sha256::hash(w.bytes());
   return static_cast<std::uint16_t>((digest[0] << 8) | digest[1]);
+}
+
+// The control-plane signing key of `ia`; null when its ISD has no PKI (an
+// ISD without a core AS gets none) or the PKI has not enrolled it.
+const crypto::KeyPair* signing_key(const std::map<Isd, cppki::IsdPki*>& pkis,
+                                   IsdAs ia) {
+  const auto it = pkis.find(ia.isd());
+  if (it == pkis.end()) return nullptr;
+  const auto* creds = it->second->credentials(ia);
+  return creds == nullptr ? nullptr : &creds->signing_key;
 }
 
 }  // namespace
@@ -53,7 +64,8 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
   }
 
   std::uint16_t beta = pcb.initial_beta;
-  Bytes chain = pcb.header_payload();
+  const Bytes header = pcb.header_payload();
+  BytesView chain = header;
   for (std::size_t i = 0; i < ases.size(); ++i) {
     AsEntry entry;
     entry.ia = ases[i];
@@ -91,15 +103,21 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
     }
 
     const Bytes payload = entry.signing_payload(chain);
-    auto [signed_entry, unsigned_yet] = signed_entries.try_emplace(
+    auto [memo, unsigned_yet] = signed_entries.try_emplace(
         std::string(payload.begin(), payload.end()));
+    SignedEntry& signed_entry = memo->second;
     if (unsigned_yet) {
-      const auto pki_it = pkis_.find(entry.ia.isd());
-      const auto* creds = pki_it->second->credentials(entry.ia);
-      signed_entry->second = crypto::Ed25519::sign(creds->signing_key, payload);
+      // Without a key the signature stays zero and verify_pcb rejects it.
+      const crypto::KeyPair* key = signing_key(pkis_, entry.ia);
+      SCIERA_CHECK(key != nullptr, "controlplane.beacon_signer_unknown");
+      if (key != nullptr) {
+        signed_entry.signature = crypto::Ed25519::sign(*key, payload);
+      }
+      signed_entry.link = chain_link(payload, signed_entry.signature);
     }
-    entry.signature = signed_entry->second;
-    chain = chain_link(payload, entry.signature);
+    entry.signature = signed_entry.signature;
+    // Map nodes never move, so the link outlives every later insertion.
+    chain = signed_entry.link;
     pcb.entries.push_back(std::move(entry));
 
     beta = beta_after;

@@ -18,6 +18,7 @@
 
 #include "controlplane/segment.h"
 #include "cppki/ca.h"
+#include "crypto/sha256.h"
 #include "topology/topology.h"
 
 namespace sciera::controlplane {
@@ -49,12 +50,19 @@ class Beaconing {
     IsdAs next;
   };
 
-  // Signatures made so far for one origin's beacons in this sweep, keyed
-  // by the exact signed payload. Walks from one origin that share a prefix
-  // carry byte-identical entries for it (the payload commits to the signer
-  // and, through the chain hash, to the header and every upstream entry),
-  // and Ed25519 is deterministic, so an entry is signed once per sweep.
-  using SignatureMemo = std::map<std::string, crypto::Ed25519::Signature>;
+  // One distinct entry's signature and the chain link it yields (SHA-256
+  // over payload and signature, the next entry's chain hash).
+  struct SignedEntry {
+    crypto::Ed25519::Signature signature{};
+    crypto::Sha256::Digest link{};
+  };
+  // The entries signed so far for one origin's beacons in this sweep,
+  // keyed by the exact signed payload. Walks from one origin that share a
+  // prefix carry byte-identical entries for it (the payload commits to the
+  // signer and, through the chain hash, to the header and every upstream
+  // entry), and Ed25519 is deterministic, so an entry is signed and its
+  // chain link hashed once per sweep.
+  using SignatureMemo = std::map<std::string, SignedEntry>;
 
   [[nodiscard]] Pcb build_pcb(const std::vector<topology::LinkId>& links,
                               IsdAs origin, const BeaconingOptions& options,

@@ -6,6 +6,18 @@
 #include "common/strings.h"
 
 namespace sciera::controlplane {
+namespace {
+
+// Whether an AS appears twice. A path lists a dozen or so ASes, so a
+// quadratic scan beats building a set.
+bool has_repeated_as(const std::vector<IsdAs>& ases) {
+  for (auto it = ases.begin(); it != ases.end(); ++it) {
+    if (std::find(ases.begin(), it, *it) != it) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 const PathSet& no_paths() {
   static const PathSet kEmpty = std::make_shared<const std::vector<Path>>();
@@ -129,9 +141,23 @@ std::vector<Path> Combinator::assemble(
     const CombinatorOptions& options) const {
   std::vector<Path> paths;
   std::set<std::string> seen;
+  // Reused across combinations: only a new path's copy allocates.
+  std::string fingerprint;
   for (const auto& combo : combos) {
+    if (combo.empty()) continue;
     Path path;
-    bool ok = !combo.empty();
+    // Sized once from the pieces: a piece of k hops crosses k - 1 links
+    // inside itself, and at most one more joins it to the piece before.
+    std::size_t hops = 0;
+    for (const auto& piece : combo) {
+      hops += piece.seg->pcb.entries.size() - piece.cut;
+    }
+    path.dataplane_path.info.reserve(combo.size());
+    path.dataplane_path.hops.reserve(hops);
+    path.as_sequence.reserve(hops);
+    path.interfaces.reserve(2 * (hops - 1));
+    path.links.reserve(hops - 1);
+    bool ok = true;
     for (const auto& piece : combo) {
       if (!append_piece(path, piece)) {
         ok = false;
@@ -142,17 +168,17 @@ std::vector<Path> Combinator::assemble(
     if (path.as_sequence.front() != src || path.as_sequence.back() != dst) {
       continue;
     }
-    // Loop-free check.
-    std::set<IsdAs> unique(path.as_sequence.begin(), path.as_sequence.end());
-    if (unique.size() != path.as_sequence.size()) continue;
+    if (has_repeated_as(path.as_sequence)) continue;  // loop-free check
     if (!path.dataplane_path.validate().ok()) continue;
     // Endpoint intra-AS processing.
     path.static_rtt += 2 * 600 * kMicrosecond;
+    fingerprint.clear();
     for (const auto& gid : path.interfaces) {
-      gid.append_to(path.fingerprint_);
-      path.fingerprint_ += ' ';
+      gid.append_to(fingerprint);
+      fingerprint += ' ';
     }
-    if (!seen.insert(path.fingerprint_).second) continue;
+    if (!seen.insert(fingerprint).second) continue;
+    path.fingerprint_ = fingerprint;
     paths.push_back(std::move(path));
   }
   std::sort(paths.begin(), paths.end(), [](const Path& x, const Path& y) {

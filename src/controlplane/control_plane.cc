@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/check.h"
+
 namespace sciera::controlplane {
 namespace {
 
@@ -48,15 +50,22 @@ ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
     reconverge_ms_->set(-1);
   }
 
-  // --- PKI: one IsdPki per ISD, enrolling every member AS.
+  // --- PKI: one IsdPki per ISD, enrolling every member AS. An ISD needs
+  // a core AS to vote its TRC and host its CA; a parsed topology may lack
+  // one (a bootstrapper's local view often does), and then that ISD gets
+  // no PKI and its ASes sign nothing.
   for (Isd isd : topo_.isds()) {
     auto cores = topo_.core_ases(isd);
+    SCIERA_CHECK(!cores.empty(), "controlplane.isd_without_core");
+    if (cores.empty()) continue;
     pkis_.emplace(isd, std::make_unique<cppki::IsdPki>(
                            isd, cores, sim_.now(), kTrcValidity,
                            options_.seed ^ isd));
   }
   for (const auto& as_info : topo_.ases()) {
-    const auto status = pkis_.at(as_info.ia.isd())->enroll(as_info.ia, 0);
+    auto* isd_pki = pki(as_info.ia.isd());
+    if (isd_pki == nullptr) continue;
+    const auto status = isd_pki->enroll(as_info.ia, 0);
     if (!status.ok()) {
       std::fprintf(stderr, "[ERR] scion-net: enroll failed: %s\n",
                    status.error().to_string().c_str());
@@ -231,8 +240,9 @@ std::vector<Path> ScionNetwork::paths(IsdAs src, IsdAs dst,
 ControlServiceSet* ScionNetwork::control_service_set(IsdAs ia) {
   auto it = services_.find(ia);
   if (it == services_.end()) {
-    if (topo_.find_as(ia) == nullptr) return nullptr;
-    const auto* trc = &pkis_.at(ia.isd())->trc();
+    const auto* isd_pki = pki(ia.isd());
+    if (topo_.find_as(ia) == nullptr || isd_pki == nullptr) return nullptr;
+    const auto* trc = &isd_pki->trc();
     const std::size_t replicas =
         options_.control_replicas < 1 ? 1 : options_.control_replicas;
     auto set = std::make_unique<ControlServiceSet>(sim_, ia, topo_, segments_,

@@ -1,6 +1,7 @@
 #include "crypto/ed25519.h"
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 
 #include "crypto/sha512.h"
@@ -244,12 +245,11 @@ Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
 
 bool fe_equal(const Fe& a, const Fe& b) { return fe_is_zero(fe_sub(a, b)); }
 
-// z^(2^250 - 1), the shared prefix of the two exponent addition chains
-// below; also returns z^11, which the inversion chain needs again.
-Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
+// z^(2^250 - 1), the prefix of the square-root exponent's addition chain.
+Fe fe_pow_2_250_1(const Fe& z) {
   const Fe z2 = fe_sq(z);
   const Fe z9 = fe_mul(fe_sq_times(z2, 2), z);
-  z11 = fe_mul(z9, z2);
+  const Fe z11 = fe_mul(z9, z2);
   const Fe z_5_0 = fe_mul(fe_sq(z11), z9);                     // 2^5 - 1
   const Fe z_10_0 = fe_mul(fe_sq_times(z_5_0, 5), z_5_0);      // 2^10 - 1
   const Fe z_20_0 = fe_mul(fe_sq_times(z_10_0, 10), z_10_0);   // 2^20 - 1
@@ -260,18 +260,242 @@ Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
   return fe_mul(fe_sq_times(z_200_0, 50), z_50_0);  // 2^250 - 1
 }
 
-// z^(p-2) = z^(2^255 - 21): 254 squarings and 11 multiplications.
-Fe fe_invert(const Fe& z) {
-  Fe z11;
-  const Fe z_250_0 = fe_pow_2_250_1(z, z11);
-  return fe_mul(fe_sq_times(z_250_0, 5), z11);  // 2^255 - 32 + 11
-}
-
 // z^((p-5)/8) = z^(2^252 - 3), the exponent of the square-root candidate.
 Fe fe_pow_p58(const Fe& z) {
-  Fe z11;
-  const Fe z_250_0 = fe_pow_2_250_1(z, z11);
-  return fe_mul(fe_sq_times(z_250_0, 2), z);  // 2^252 - 4 + 1
+  return fe_mul(fe_sq_times(fe_pow_2_250_1(z), 2), z);  // 2^252 - 4 + 1
+}
+
+// ---------------------------------------------------------------------------
+// Inversion: variable-time safegcd (Bernstein-Yang divsteps), as in
+// libsecp256k1's secp256k1_modinv64_var. Integers are signed-62 limbs,
+// x = sum v[i] * 2^(62 i): limbs below the top one lie in [0, 2^62), the
+// top one carries the sign. Each batch of 62 divsteps runs on the low 64
+// bits of f and g alone and yields a 2x2 matrix t with |u| + |v| <= 2^62
+// and |q| + |r| <= 2^62, which is then applied to the full f, g (divided
+// by 2^62 exactly) and to d, e (made divisible with a multiple of p).
+// DESIGN.md §15 gives the invariants.
+// ---------------------------------------------------------------------------
+
+using i128 = __int128;
+
+struct Signed62 {
+  std::int64_t v[5] = {0, 0, 0, 0, 0};
+};
+
+constexpr std::uint64_t kMask62 = ~std::uint64_t{0} >> 2;
+// p = 2^255 - 19 = -19 + 128 * 2^(62 * 4).
+constexpr Signed62 kP62{{-19, 0, 0, 0, 128}};
+
+// a^-1 mod 2^64 for odd a, by Newton's iteration x <- x (2 - a x): x = a
+// is right mod 2^3 (an odd square is 1 mod 8), and each step doubles the
+// correct low bits, 3 -> 6 -> 12 -> 24 -> 48 -> 96.
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+// p^-1 mod 2^62; p is -19 mod 2^62.
+constexpr std::uint64_t kPInv62 =
+    inverse_mod_2_64(std::uint64_t{0} - 19) & kMask62;
+static_assert(((std::uint64_t{0} - 19) * kPInv62 & kMask62) == 1);
+
+// The transition matrix of 62 divsteps: 2^62 (f', g') = (u f + v g,
+// q f + r g).
+struct Trans2x2 {
+  std::int64_t u, v, q, r;
+};
+
+// 62 divsteps on the low 64 bits of f (odd) and g, with eta = -delta:
+// returns their matrix and advances eta.
+Trans2x2 divsteps_62_var(std::int64_t& eta, std::uint64_t f,
+                         std::uint64_t g) {
+  std::uint64_t u = 1, v = 0, q = 0, r = 1;
+  int i = 62;  // divsteps left
+  for (;;) {
+    // A run of zeros in g is that many halvings; a sentinel bit stops the
+    // count at the divsteps left.
+    const int zeros = std::countr_zero(g | (~std::uint64_t{0} << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    if (i == 0) break;
+    const bool swap = eta < 0;
+    if (swap) {
+      // (eta, f, g) -> (-eta, g, -f), and the matrix's rows with them.
+      eta = -eta;
+      const std::uint64_t f_old = f, u_old = u, v_old = v;
+      f = g;
+      g = 0 - f_old;
+      u = q;
+      q = 0 - u_old;
+      v = r;
+      r = 0 - v_old;
+    }
+    // g is odd now. Add the multiple w = -g/f of f that clears g's low
+    // bits: up to 6 of them right after a swap, where eta tends to be
+    // larger, up to 4 otherwise. f (f^2 - 2) is -1/f mod 2^6, and
+    // f + (((f + 1) & 4) << 1) is 1/f mod 2^4.
+    std::uint64_t w = swap ? f * g * (f * f - 2)
+                           : (0 - (f + (((f + 1) & 4) << 1))) * g;
+    // Never more bits than eta + 1 (where eta would turn negative again)
+    // or the divsteps left.
+    const int limit = eta + 1 < i ? static_cast<int>(eta + 1) : i;
+    w &= (~std::uint64_t{0} >> (64 - limit)) & (swap ? 63 : 15);
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  return Trans2x2{static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
+                  static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
+}
+
+// The low 62 bits of x, as a limb.
+std::int64_t low62(std::uint64_t x) {
+  return static_cast<std::int64_t>(x & kMask62);
+}
+
+// (d, e) <- (t (d, e) + p (md, me)) / 2^62, with md and me chosen so the
+// division is exact. From d, e in (-2p, p) the results stay in (-2p, p).
+void update_de_62(Signed62& d, Signed62& e, const Trans2x2& t) {
+  const std::int64_t u = t.u, v = t.v, q = t.q, r = t.r;
+  // Start md, me at (u, q) if d < 0, plus (v, r) if e < 0, which keeps
+  // the results above -2p.
+  const std::int64_t sd = d.v[4] >> 63, se = e.v[4] >> 63;
+  std::int64_t md = (u & sd) + (v & se);
+  std::int64_t me = (q & sd) + (r & se);
+  i128 cd = i128{u} * d.v[0] + i128{v} * e.v[0];
+  i128 ce = i128{q} * d.v[0] + i128{r} * e.v[0];
+  // Lower md, me by less than 2^62 so that the low 62 bits cancel.
+  md -= low62(kPInv62 * static_cast<std::uint64_t>(cd) +
+              static_cast<std::uint64_t>(md));
+  me -= low62(kPInv62 * static_cast<std::uint64_t>(ce) +
+              static_cast<std::uint64_t>(me));
+  cd += i128{kP62.v[0]} * md;
+  ce += i128{kP62.v[0]} * me;
+  cd >>= 62;
+  ce >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += i128{u} * d.v[i] + i128{v} * e.v[i];
+    ce += i128{q} * d.v[i] + i128{r} * e.v[i];
+    if (i == 4) {  // p's limbs 1..3 are zero
+      cd += i128{kP62.v[4]} * md;
+      ce += i128{kP62.v[4]} * me;
+    }
+    d.v[i - 1] = low62(static_cast<std::uint64_t>(cd));
+    e.v[i - 1] = low62(static_cast<std::uint64_t>(ce));
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d.v[4] = static_cast<std::int64_t>(cd);
+  e.v[4] = static_cast<std::int64_t>(ce);
+}
+
+// (f, g) <- t (f, g) / 2^62 over their low `len` limbs; the division is
+// exact by construction of t.
+void update_fg_62_var(int len, Signed62& f, Signed62& g, const Trans2x2& t) {
+  const std::int64_t u = t.u, v = t.v, q = t.q, r = t.r;
+  i128 cf = i128{u} * f.v[0] + i128{v} * g.v[0];
+  i128 cg = i128{q} * f.v[0] + i128{r} * g.v[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += i128{u} * f.v[i] + i128{v} * g.v[i];
+    cg += i128{q} * f.v[i] + i128{r} * g.v[i];
+    f.v[i - 1] = low62(static_cast<std::uint64_t>(cf));
+    g.v[i - 1] = low62(static_cast<std::uint64_t>(cg));
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[len - 1] = static_cast<std::int64_t>(cf);
+  g.v[len - 1] = static_cast<std::int64_t>(cg);
+}
+
+// Ripples each limb's bits above 62 into the next one.
+void carry_62(Signed62& x) {
+  for (int i = 0; i < 4; ++i) {
+    x.v[i + 1] += x.v[i] >> 62;
+    x.v[i] = low62(static_cast<std::uint64_t>(x.v[i]));
+  }
+}
+
+void add_p_if_negative(Signed62& x) {
+  if (x.v[4] >= 0) return;
+  x.v[0] += kP62.v[0];
+  x.v[4] += kP62.v[4];
+  carry_62(x);
+}
+
+// The value of a canonical 32-byte encoding in signed-62 limbs.
+Signed62 signed62_from_bytes(const std::uint8_t in[32]) {
+  std::uint64_t w[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 32; ++i) {
+    w[i / 8] |= std::uint64_t{in[i]} << (8 * (i % 8));
+  }
+  Signed62 x;
+  x.v[0] = low62(w[0]);
+  x.v[1] = low62((w[0] >> 62) | (w[1] << 2));
+  x.v[2] = low62((w[1] >> 60) | (w[2] << 4));
+  x.v[3] = low62((w[2] >> 58) | (w[3] << 6));
+  x.v[4] = static_cast<std::int64_t>(w[3] >> 56);
+  return x;
+}
+
+// The encoding of x in [0, p): limbs 0..3 in [0, 2^62), limb 4 below 2^7.
+void signed62_to_bytes(std::uint8_t out[32], const Signed62& x) {
+  std::uint64_t l[5];
+  for (int i = 0; i < 5; ++i) l[i] = static_cast<std::uint64_t>(x.v[i]);
+  const std::uint64_t w[4] = {l[0] | (l[1] << 62), (l[1] >> 2) | (l[2] << 60),
+                              (l[2] >> 4) | (l[3] << 58),
+                              (l[3] >> 6) | (l[4] << 56)};
+  for (int i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(w[i / 8] >> (8 * (i % 8)));
+  }
+}
+
+// 1/z mod p, and 0 for z = 0 (as z^(p-2) gives). Input: limbs below 2^54.
+// Returns a value in [0, p).
+Fe fe_invert(const Fe& z) {
+  std::uint8_t bytes[32];
+  fe_tobytes(bytes, z);
+  // Start from d = 0, e = 1, f = p, g = z and eta = -1 (delta = 1).
+  Signed62 d;
+  Signed62 e{{1, 0, 0, 0, 0}};
+  Signed62 f = kP62;
+  Signed62 g = signed62_from_bytes(bytes);
+  std::int64_t eta = -1;
+  int len = 5;  // limbs of f and g still in use
+  for (;;) {
+    const Trans2x2 t = divsteps_62_var(
+        eta, static_cast<std::uint64_t>(f.v[0]),
+        static_cast<std::uint64_t>(g.v[0]));
+    update_de_62(d, e, t);
+    update_fg_62_var(len, f, g, t);
+    if (g.v[0] == 0) {
+      std::int64_t rest = 0;
+      for (int j = 1; j < len; ++j) rest |= g.v[j];
+      if (rest == 0) break;
+    }
+    // Drop the top limb once it is 0 or -1 in both f and g, folding its
+    // sign into the limb below.
+    const std::int64_t fn = f.v[len - 1], gn = g.v[len - 1];
+    if (len > 1 && (fn == 0 || fn == -1) && (gn == 0 || gn == -1)) {
+      f.v[len - 2] += fn * (std::int64_t{1} << 62);
+      g.v[len - 2] += gn * (std::int64_t{1} << 62);
+      --len;
+    }
+  }
+  // Now g = 0 and f = +-1, their gcd, so d = +-1/z. Bring d from (-2p, p)
+  // into (-p, p), negate it if f is -1, then into [0, p).
+  add_p_if_negative(d);
+  if (f.v[len - 1] < 0) {
+    for (auto& limb : d.v) limb = -limb;
+    carry_62(d);
+  }
+  add_p_if_negative(d);
+  signed62_to_bytes(bytes, d);
+  return fe_frombytes(bytes);
 }
 
 struct FieldConstants {
@@ -401,8 +625,10 @@ GePoint ge_dbl(const GePoint& p) {
 // Recodes a scalar below 2^255 into N signed digits of W bits, e_i in
 // [-2^(W-1), 2^(W-1)] with scalar = sum e_i * 2^(W i). Every digit but the
 // top one lies in [-2^(W-1), 2^(W-1)); the top one absorbs the last carry.
+// The digits are 16 bits wide: before the carry pass a radix-256 digit is
+// a raw byte, up to 255.
 template <int W, int N>
-void recode_signed(std::int8_t (&e)[N], const std::uint8_t scalar[32]) {
+void recode_signed(std::int16_t (&e)[N], const std::uint8_t scalar[32]) {
   static_assert(W * N >= 255 && W * (N - 1) < 255);
   for (int i = 0; i < N; ++i) {
     const int bit = W * i;
@@ -410,15 +636,15 @@ void recode_signed(std::int8_t (&e)[N], const std::uint8_t scalar[32]) {
     if (bit % 8 + W > 8 && bit / 8 + 1 < 32) {
       window |= unsigned{scalar[bit / 8 + 1]} << (8 - bit % 8);
     }
-    e[i] = static_cast<std::int8_t>(window & ((1u << W) - 1));
+    e[i] = static_cast<std::int16_t>(window & ((1u << W) - 1));
   }
   int carry = 0;
   for (int i = 0; i < N - 1; ++i) {
     const int digit = e[i] + carry;
     carry = (digit + (1 << (W - 1))) >> W;
-    e[i] = static_cast<std::int8_t>(digit - (carry << W));
+    e[i] = static_cast<std::int16_t>(digit - (carry << W));
   }
-  e[N - 1] = static_cast<std::int8_t>(e[N - 1] + carry);
+  e[N - 1] = static_cast<std::int16_t>(e[N - 1] + carry);
 }
 
 // Variable-time scalar * p for a scalar below 2^255 (verify's k is reduced
@@ -433,7 +659,7 @@ GePoint ge_scalar_mult(const GePoint& p, const std::uint8_t scalar[32]) {
     multiples[j] = ge_cached(multiple);
   }
 
-  std::int8_t e[64]{};
+  std::int16_t e[64]{};
   recode_signed<4>(e, scalar);
   GePoint acc = ge_identity();
   for (int i = 63; i >= 0; --i) {
@@ -510,29 +736,32 @@ const GePoint& ge_base() {
   return base;
 }
 
-// Multiples of the base point for signed radix-64 scalar multiplication:
-// at[i][j] = (j + 1) * 64^i * B for i < 43, j < 32. 1,376 affine points
-// (≈161 KiB), computed once from ge_base() at first use. Each row is built
-// as 32 projective multiples whose Z's share one inversion (Montgomery's
-// trick), so the table costs 43 inversions, not 1,376; the working space
-// is one row's worth, on the stack.
+// Multiples of the base point for signed radix-256 scalar multiplication:
+// at[i][j] = (j + 1) * 256^i * B for i < 32, j < 128. 4,096 affine points
+// (480 KiB), computed once from ge_base() at first use. Each row is built
+// as 128 projective multiples whose Z's share one inversion (Montgomery's
+// trick), so the table costs 32 inversions, not 4,096; the working space
+// is one row's worth (≈25 KiB), on the stack.
 struct BaseTable {
-  GePrecomp at[43][32];
+  static constexpr int kRows = 32;
+  static constexpr int kColumns = 128;
+  GePrecomp at[kRows][kColumns];
 
   BaseTable() {
-    GePoint power = ge_base();  // 64^i * B
+    GePoint power = ge_base();  // 256^i * B
     for (auto& row : at) {
-      GePoint multiple[32];  // (j + 1) * power
-      Fe prefix[32];         // z_0 * z_1 * ... * z_j
+      GePoint multiple[kColumns];  // (j + 1) * power
+      Fe prefix[kColumns];         // z_0 * z_1 * ... * z_j
       const GeCached step = ge_cached(power);
       multiple[0] = power;
       prefix[0] = power.z;
-      for (int j = 1; j < 32; ++j) {
+      for (int j = 1; j < kColumns; ++j) {
         multiple[j] = ge_add(multiple[j - 1], step, false);
         prefix[j] = fe_mul(prefix[j - 1], multiple[j].z);
       }
-      Fe inv = fe_invert(prefix[31]);  // 1 / (z_0 ... z_j), j from 31 down
-      for (int j = 31; j >= 0; --j) {
+      // 1 / (z_0 ... z_j), j from the last column down.
+      Fe inv = fe_invert(prefix[kColumns - 1]);
+      for (int j = kColumns - 1; j >= 0; --j) {
         Fe zinv = inv;
         if (j > 0) {
           zinv = fe_mul(inv, prefix[j - 1]);
@@ -544,7 +773,7 @@ struct BaseTable {
         row[j].ymx = fe_sub(y, x);
         row[j].xy2d = fe_mul(fe_mul(x, y), fc().d2);
       }
-      power = ge_dbl(multiple[31]);  // 2 * 32 * power
+      power = ge_dbl(multiple[kColumns - 1]);  // 2 * 128 * power
     }
   }
 };
@@ -556,16 +785,17 @@ const BaseTable& base_table() {
 
 // scalar * B for a scalar below 2^255 (every caller's is: clamped secret
 // scalars clear bit 255, and the others are reduced mod L). The scalar is
-// recoded into 43 signed digits e_i in [-32, 32] with sum e_i * 64^i, so
-// the product is at most 43 table additions and no doublings. The top
-// digit covers bits 252..254 plus the last carry, so it is at most 8.
+// recoded into 32 signed digits e_i in [-128, 128] with sum e_i * 256^i,
+// so the product is at most 32 table additions and no doublings. The top
+// digit covers bits 248..254 plus the last carry, so it is at most 128,
+// the last column.
 GePoint ge_scalar_mult_base(const std::uint8_t scalar[32]) {
-  std::int8_t e[43]{};
-  recode_signed<6>(e, scalar);
+  std::int16_t e[BaseTable::kRows]{};
+  recode_signed<8>(e, scalar);
 
   const BaseTable& table = base_table();
   GePoint acc = ge_identity();
-  for (int i = 0; i < 43; ++i) {
+  for (int i = 0; i < BaseTable::kRows; ++i) {
     if (e[i] == 0) continue;
     const bool negate = e[i] < 0;
     const int magnitude = negate ? -e[i] : e[i];

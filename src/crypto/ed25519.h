@@ -5,12 +5,12 @@
 // acceptable here: keys live inside a simulated control plane, not on an
 // exposed host. Curve constants (d, 2d, sqrt(-1)) are computed from first
 // principles at startup, not transcribed, and so is the fixed-base table:
-// 43 x 32 affine multiples (j+1) * 64^i * B of the base point, which turns
-// every r*B (signing, key derivation) and the s*B half of verification into
-// at most 43 mixed additions over signed radix-64 digits, with no
-// doublings. Verification's k*A is a signed radix-16 window over 8
-// multiples of A. Field inversion is the 254-squaring addition chain for
-// p-2.
+// 32 x 128 affine multiples (j+1) * 256^i * B of the base point, which
+// turns every r*B (signing, key derivation) and the s*B half of
+// verification into at most 32 mixed additions over signed radix-256
+// digits, with no doublings. Verification's k*A is a signed radix-16
+// window over 8 multiples of A. Field inversion is a variable-time
+// safegcd (Bernstein-Yang divsteps over signed 62-bit limbs).
 //
 // Signing takes the signer's KeyPair: the public key is hashed into every
 // signature, and deriving it again per call would cost a second scalar

@@ -61,6 +61,7 @@ Bytes LightningFilter::make_authenticator(IsdAs src, BytesView payload) const {
 }
 
 bool LightningFilter::reclaim(SimTime now) {
+  if (now < earliest_idle_) return false;  // nothing can be idle yet
   // Two ordered passes: first the sources that never authenticated (a
   // spoofed flood's residue), then any idle source. Ordered iteration so
   // which entry goes first is a pure function of the table's contents.
@@ -77,7 +78,20 @@ bool LightningFilter::reclaim(SimTime now) {
     }
     if (freed) return true;
   }
+  // Nothing was idle: every entry turns idle later, the first of them at
+  // the least last_seen + idle_timeout.
+  earliest_idle_ = std::numeric_limits<SimTime>::max();
+  for (const auto& [key, state] : sources_) {
+    earliest_idle_ =
+        std::min(earliest_idle_, state.last_seen + config_.idle_timeout);
+  }
   return false;
+}
+
+void LightningFilter::touch(SourceState& state, SimTime now) {
+  state.last_seen = now;
+  // A clock that steps backwards can make this entry the earliest.
+  earliest_idle_ = std::min(earliest_idle_, now + config_.idle_timeout);
 }
 
 LightningFilter::SourceState* LightningFilter::source_state(IsdAs src,
@@ -85,7 +99,7 @@ LightningFilter::SourceState* LightningFilter::source_state(IsdAs src,
   const std::uint64_t key = src.packed();
   const auto it = sources_.find(key);
   if (it != sources_.end()) {
-    it->second.last_seen = now;
+    touch(it->second, now);
     return &it->second;
   }
   if (config_.max_sources > 0 && sources_.size() >= config_.max_sources &&
@@ -98,7 +112,9 @@ LightningFilter::SourceState* LightningFilter::source_state(IsdAs src,
       key,
       // NOLINTNEXTLINE(percall-keyschedule) once per admitted source AS
       SourceState{crypto::AesCmac{key_for(src)}, Bucket{}, now, false});
-  return &inserted.first->second;
+  SourceState& state = inserted.first->second;
+  touch(state, now);
+  return &state;
 }
 
 LightningFilter::Verdict LightningFilter::check(

@@ -16,6 +16,7 @@
 // crypto runs.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -127,6 +128,8 @@ class LightningFilter {
   // Erases idle entries (never-authenticated first); returns true if at
   // least one slot was freed.
   bool reclaim(SimTime now);
+  // Records that a source was seen at `now`.
+  void touch(SourceState& state, SimTime now);
 
   Bytes secret_;
   Config config_;
@@ -138,6 +141,11 @@ class LightningFilter {
   // Ordered by packed ISD-AS: reclamation sweeps iterate, and hash order
   // must not leak into which source is reclaimed first.
   std::map<std::uint64_t, SourceState> sources_;
+  // A lower bound on the earliest time any entry turns idle (the least
+  // last_seen + idle_timeout), so a full table under a flood of unseen
+  // sources is not walked before anything can be reclaimed. Every touch
+  // lowers it when needed, and a walk that frees nothing makes it exact.
+  SimTime earliest_idle_ = std::numeric_limits<SimTime>::max();
 };
 
 }  // namespace sciera::endhost

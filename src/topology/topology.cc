@@ -51,6 +51,7 @@ Status Topology::add_as(AsInfo info) {
   as_index_.emplace(info.ia, ases_.size());
   next_iface_.emplace(info.ia, 1);
   ases_.push_back(std::move(info));
+  adjacency_.emplace_back();
   return {};
 }
 
@@ -78,6 +79,8 @@ Result<LinkId> Topology::add_link(std::string label, IsdAs a, IsdAs b,
   link.delay = delay;
   link.bandwidth_bps = bandwidth_bps;
   label_index_.emplace(std::move(label), link.id);
+  adjacency_[as_index_.at(a)].push_back(link.id);
+  adjacency_[as_index_.at(b)].push_back(link.id);
   links_.push_back(link);
   return link.id;
 }
@@ -105,12 +108,10 @@ const LinkInfo* Topology::find_link_by_label(std::string_view label) const {
   return it == label_index_.end() ? nullptr : &links_[it->second];
 }
 
-std::vector<LinkId> Topology::links_of(IsdAs ia) const {
-  std::vector<LinkId> out;
-  for (const auto& link : links_) {
-    if (link.a == ia || link.b == ia) out.push_back(link.id);
-  }
-  return out;
+std::span<const LinkId> Topology::links_of(IsdAs ia) const {
+  const auto it = as_index_.find(ia);
+  if (it == as_index_.end()) return {};
+  return adjacency_[it->second];
 }
 
 std::vector<IsdAs> Topology::core_ases(Isd isd) const {

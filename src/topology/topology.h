@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,8 +99,9 @@ class Topology {
   [[nodiscard]] const std::vector<AsInfo>& ases() const { return ases_; }
   [[nodiscard]] const std::vector<LinkInfo>& links() const { return links_; }
 
-  // Links incident to an AS (indices into links()).
-  [[nodiscard]] std::vector<LinkId> links_of(IsdAs ia) const;
+  // Links incident to an AS (indices into links()), in link-id order;
+  // empty for an unknown AS. Valid until the next add_link.
+  [[nodiscard]] std::span<const LinkId> links_of(IsdAs ia) const;
   [[nodiscard]] std::vector<IsdAs> core_ases(Isd isd) const;
   [[nodiscard]] std::vector<IsdAs> children_of(IsdAs parent) const;
   [[nodiscard]] std::optional<IsdAs> as_for_iface(IsdAs ia, IfaceId iface) const;
@@ -113,6 +115,8 @@ class Topology {
   std::vector<AsInfo> ases_;
   std::vector<LinkInfo> links_;
   std::unordered_map<IsdAs, std::size_t> as_index_;
+  // Per AS, parallel to ases_: its incident links, appended by add_link.
+  std::vector<std::vector<LinkId>> adjacency_;
   std::unordered_map<IsdAs, IfaceId> next_iface_;
   std::unordered_map<std::string, LinkId> label_index_;
 };

@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/check.h"
 #include "controlplane/control_plane.h"
 #include "crypto/sha256.h"
 #include "simnet/audit.h"
+#include "topology/parser.h"
 #include "topology/sciera_net.h"
 
 namespace sciera::controlplane {
@@ -236,6 +240,78 @@ TEST(Beaconing, SweepSignsEachDistinctEntryOnce) {
     EXPECT_EQ(crypto::Ed25519::signatures_made() - before, 3040u)
         << "sweep " << sweep;
   }
+}
+
+// Restores the process-default abort mode even when a test fails early.
+class CountModeGuard {
+ public:
+  CountModeGuard() {
+    CheckRegistry::instance().set_fail_mode(CheckFailMode::kCount);
+  }
+  ~CountModeGuard() {
+    CheckRegistry::instance().set_fail_mode(CheckFailMode::kAbort);
+  }
+};
+
+// ISD 99 has no core AS. The parser accepts that (a bootstrapper's local
+// view of one AS and its neighbours often has none), but no one can vote
+// the ISD's TRC or host its CA. Building a network on it read the front()
+// of an empty core list. It fails a check now; in count mode the ISD gets
+// no PKI, and its AS no control service.
+constexpr std::string_view kIsdWithoutCore =
+    "as 71-1 core\n"
+    "as 71-2\n"
+    "as 99-1\n"
+    "link l1 71-1 71-2 parent\n";
+
+TEST(IsdWithoutCore, NetworkBuildsAndFailsOneCheck) {
+  const CountModeGuard guard;
+  auto& checks = CheckRegistry::instance();
+  const auto before = checks.count("controlplane.isd_without_core");
+  const auto unsigned_before =
+      checks.count("controlplane.beacon_signer_unknown");
+  auto topo = topology::parse(kIsdWithoutCore);
+  ASSERT_TRUE(topo.ok()) << topo.error().to_string();
+  ScionNetwork network{std::move(topo).value()};
+  EXPECT_EQ(checks.count("controlplane.isd_without_core"), before + 1);
+  EXPECT_EQ(checks.count("controlplane.beacon_signer_unknown"),
+            unsigned_before);
+  EXPECT_EQ(network.pki(99), nullptr);
+  ASSERT_NE(network.pki(71), nullptr);
+  EXPECT_EQ(network.control_service_set(IsdAs::parse("99-1").value()),
+            nullptr);
+  EXPECT_NE(network.control_service_set(IsdAs::parse("71-2").value()),
+            nullptr);
+}
+
+// A core link into ISD 99 carries beacons to an AS with no signing key,
+// whose missing credentials beaconing dereferenced. That entry fails a
+// check now and keeps a zero signature, which verify_pcb rejects.
+TEST(IsdWithoutCore, BeaconToAnAsWithoutKeyFailsCheck) {
+  const CountModeGuard guard;
+  auto& checks = CheckRegistry::instance();
+  const auto before = checks.count("controlplane.isd_without_core");
+  const auto unsigned_before =
+      checks.count("controlplane.beacon_signer_unknown");
+  auto topo = topology::parse(std::string{kIsdWithoutCore} +
+                              "link c1 71-1 99-1 core\n");
+  ASSERT_TRUE(topo.ok()) << topo.error().to_string();
+  ScionNetwork network{std::move(topo).value()};
+  EXPECT_EQ(checks.count("controlplane.isd_without_core"), before + 1);
+  // One sweep, one distinct entry signed by 99-1: the core walk 71-1 ->
+  // 99-1.
+  EXPECT_EQ(checks.count("controlplane.beacon_signer_unknown"),
+            unsigned_before + 1);
+  const IsdAs origin = IsdAs::parse("71-1").value();
+  const auto* key = &network.pki(71)->credentials(origin)->signing_key.pub();
+  const KeyLookup any_key = [key](IsdAs) { return key; };
+  const auto cores = network.segments().cores_of(origin);
+  ASSERT_EQ(cores.size(), 1u);
+  const Pcb& pcb = cores.front()->pcb;
+  ASSERT_EQ(pcb.entries.size(), 2u);
+  EXPECT_EQ(pcb.terminus(), IsdAs::parse("99-1").value());
+  EXPECT_EQ(pcb.entries.back().signature, crypto::Ed25519::Signature{});
+  EXPECT_FALSE(verify_pcb(pcb, any_key).ok());
 }
 
 TEST_F(ScieraFixture, TamperedPcbFailsVerification) {

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
+#include "common/rng.h"
 #include "crypto/aes128.h"
 #include "endhost/bootstrapper.h"
 #include "endhost/hercules.h"
@@ -1177,6 +1179,109 @@ TEST(LightningFilter, ReclaimEvictsNeverAuthenticatedFirst) {
   EXPECT_EQ(filter.check(a::uva(), wire, 2 * kSecond + kMillisecond),
             LightningFilter::Verdict::kAccept);
   EXPECT_EQ(crypto::Aes128::key_schedules_run(), schedules);
+}
+
+// The filter against a model that walks its whole table whenever a new
+// source meets a full one: reclaim's rule without the bound on the
+// earliest idle time. A seeded run: 200 sources (half the checks from a
+// hot dozen), a 16-entry table, the rate limit on, half the authenticators
+// valid, and a clock that mostly rises but sometimes steps back. Verdicts
+// and table sizes must agree after every check.
+TEST(LightningFilter, ReclaimBoundMatchesAFullWalkModel) {
+  using Verdict = LightningFilter::Verdict;
+  LightningFilter::Config cfg;
+  cfg.max_sources = 16;
+  cfg.idle_timeout = 50 * kMillisecond;
+  cfg.rate_pps = 5;
+  cfg.burst = 2;
+  const Bytes secret = bytes_of("model-secret");
+  LightningFilter filter{secret, cfg};
+
+  struct Source {
+    IsdAs ia;
+    Bytes valid;
+    Bytes forged;
+  };
+  std::vector<Source> sources;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const IsdAs ia{static_cast<Isd>(60 + i % 7), As{1000 + i}};
+    const Bytes payload = bytes_of("payload");
+    Bytes valid = payload;
+    const Bytes tag = LightningSealer{secret, ia}.seal(payload);
+    valid.insert(valid.end(), tag.begin(), tag.end());
+    Bytes forged = valid;
+    forged.back() ^= 1;
+    sources.push_back(Source{ia, valid, forged});
+  }
+
+  struct Entry {
+    IsdAs ia;
+    double tokens = 0;
+    SimTime bucket_last = 0;
+    SimTime last_seen = 0;
+    bool authenticated = false;
+  };
+  std::vector<Entry> table;
+  const auto model_reclaim = [&](SimTime now) {
+    for (const bool authenticated_too : {false, true}) {
+      const std::size_t before = table.size();
+      std::erase_if(table, [&](const Entry& e) {
+        return e.last_seen + cfg.idle_timeout <= now &&
+               (authenticated_too || !e.authenticated);
+      });
+      if (table.size() != before) return true;
+    }
+    return false;
+  };
+  const auto model_check = [&](IsdAs ia, bool valid, SimTime now) {
+    auto it = std::find_if(table.begin(), table.end(),
+                           [&](const Entry& e) { return e.ia == ia; });
+    if (it != table.end()) {
+      it->last_seen = now;
+    } else {
+      if (table.size() >= cfg.max_sources && !model_reclaim(now)) {
+        return Verdict::kDropOverflow;
+      }
+      table.push_back(Entry{ia, 0, 0, now, false});
+      it = table.end() - 1;
+    }
+    if (!valid) return Verdict::kDropAuth;
+    it->authenticated = true;
+    const double elapsed = static_cast<double>(now - it->bucket_last) /
+                           static_cast<double>(kSecond);
+    it->tokens = std::min(cfg.burst, it->tokens + elapsed * cfg.rate_pps);
+    it->bucket_last = now;
+    if (it->tokens < 1.0) return Verdict::kDropRate;
+    it->tokens -= 1.0;
+    return Verdict::kAccept;
+  };
+
+  Rng rng{29};
+  SimTime now = 0;
+  std::map<Verdict, int> seen;
+  for (int i = 0; i < 4000; ++i) {
+    if (rng.chance(0.05)) {
+      now = std::max<SimTime>(
+          0, now - static_cast<SimTime>(rng.next_below(40)) * kMillisecond);
+    } else {
+      now += static_cast<SimTime>(rng.next_below(5000)) * kMicrosecond;
+    }
+    const std::size_t pick =
+        rng.chance(0.5) ? rng.next_below(12) : rng.next_below(200);
+    const bool valid = rng.chance(0.5);
+    const Source& src = sources[pick];
+    const Verdict expected = model_check(src.ia, valid, now);
+    ASSERT_EQ(filter.check(src.ia, valid ? src.valid : src.forged, now),
+              expected)
+        << "check " << i;
+    ASSERT_EQ(filter.source_count(), table.size()) << "check " << i;
+    ++seen[expected];
+  }
+  // The run reached every verdict the model has.
+  for (const Verdict v : {Verdict::kAccept, Verdict::kDropAuth,
+                          Verdict::kDropRate, Verdict::kDropOverflow}) {
+    EXPECT_GT(seen[v], 0) << static_cast<int>(v);
+  }
 }
 
 // The sender-side sealer and the filter derive the same per-source key

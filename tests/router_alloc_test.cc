@@ -6,7 +6,8 @@
 // nothing. Path selection: a warm send walks a ranking of the daemon's
 // shared set, so its allocations do not grow with the number of paths, and
 // a warm send_to allocates an exact, named count. Beacon signing: each
-// entry's payload is one allocation.
+// entry's payload is one allocation. Path combination: one combine call
+// makes an exact count, and listing an AS's links makes none.
 //
 // This is its own executable because it replaces global operator new to
 // count allocations. The replacement set must be COMPLETE (throwing,
@@ -26,6 +27,8 @@
 #include <vector>
 
 #include "controlplane/beacon.h"
+#include "controlplane/combinator.h"
+#include "controlplane/control_plane.h"
 #include "crypto/aes128.h"
 #include "dataplane/frame_pool.h"
 #include "dataplane/router.h"
@@ -207,6 +210,33 @@ TEST(BeaconPayload, SigningPayloadIsOneAllocation) {
   EXPECT_EQ(g_allocs.load() - before, 1u);
   EXPECT_EQ(header.size(), 23u);
   EXPECT_EQ(header.capacity(), header.size());
+}
+
+// Combining paths sizes each combination's vectors from its pieces before
+// filling them, checks loop-freedom without a set, and formats fingerprints
+// into one reused string. UVa to Korea University, UVa's destination with
+// the most paths (96), takes an exact count.
+TEST(PathCombination, CombineMakesExactlyTheCountedAllocations) {
+  const ScionNetwork net{topology::build_sciera()};
+  const Combinator combinator{net.topology(), net.segments()};
+  const std::uint64_t before = g_allocs.load();
+  const auto paths =
+      combinator.combine(topology::ases::uva(), topology::ases::korea_univ());
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_EQ(paths.size(), 96u);
+  EXPECT_EQ(allocs, 912u);
+}
+
+// links_of hands out a view of the AS's adjacency list: no scan, no copy.
+TEST(TopologyLinks, LinksOfAllocatesNothing) {
+  const topology::Topology topo = topology::build_sciera();
+  std::size_t total = 0;
+  const std::uint64_t before = g_allocs.load();
+  for (const auto& as_info : topo.ases()) {
+    total += topo.links_of(as_info.ia).size();
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(total, 2 * topo.links().size());
 }
 
 }  // namespace

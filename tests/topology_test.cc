@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "topology/parser.h"
 #include "topology/sciera_net.h"
@@ -165,6 +166,25 @@ TEST(ScieraNet, EveryAsReachableFromGeant) {
     }
   }
   EXPECT_EQ(seen.size(), topo.ases().size());
+}
+
+// links_of reads a per-AS adjacency list that add_link fills: the same
+// ids, in the same order, as a scan of every link, and nothing for an AS
+// the topology does not know.
+TEST(Topology, LinksOfMatchesAScanOfEveryLink) {
+  const Topology topo = build_sciera();
+  for (const auto& as_info : topo.ases()) {
+    std::vector<LinkId> scanned;
+    for (const auto& link : topo.links()) {
+      if (link.a == as_info.ia || link.b == as_info.ia) {
+        scanned.push_back(link.id);
+      }
+    }
+    const auto links = topo.links_of(as_info.ia);
+    EXPECT_EQ(std::vector<LinkId>(links.begin(), links.end()), scanned)
+        << as_info.ia.to_string();
+  }
+  EXPECT_TRUE(topo.links_of(IsdAs{99, As{1}}).empty());
 }
 
 TEST(ScieraNet, TransoceanicDelaysAreRealistic) {
