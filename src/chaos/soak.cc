@@ -102,7 +102,6 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
 
   controlplane::ScionNetwork::Options net_options;
   net_options.seed = options.seed;
-  net_options.scheduler = options.scheduler;
   net_options.router.batched = options.batched_router;
   if (defenses) {
     // Router overload control: a bounded data budget that engages when

@@ -27,8 +27,8 @@ struct SoakOptions {
   // sweeps) and 3 path-service replicas per AS. Off preserves the PR 4
   // stack: one service, stale paths forever, no reconvergence.
   bool self_healing = false;
-  // Scheduler backend for the network simulator (calendar queue by
-  // default; the jump_to_far replay test A/Bs against the binary heap).
+  // Unused: the simulator takes no configuration. Kept only because the
+  // benchmark's traced child copies it into ScionNetwork::Options.
   simnet::SchedulerConfig scheduler{};
   // Border-router fast path A/B: batched (default) vs scalar frame
   // processing. Reports must be byte-identical either way — the chaos

@@ -1,6 +1,7 @@
 #include "controlplane/beaconing.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.h"
 #include "crypto/sha256.h"
@@ -103,18 +104,22 @@ Pcb Beaconing::build_pcb(const std::vector<LinkId>& links, IsdAs origin,
     }
 
     const Bytes payload = entry.signing_payload(chain);
-    auto [memo, unsigned_yet] = signed_entries.try_emplace(
-        std::string(payload.begin(), payload.end()));
-    SignedEntry& signed_entry = memo->second;
-    if (unsigned_yet) {
+    const std::string_view payload_key{
+        reinterpret_cast<const char*>(payload.data()), payload.size()};
+    auto memo = signed_entries.find(payload_key);
+    if (memo == signed_entries.end()) {
+      // Only an entry not signed yet copies its payload into a key.
+      memo = signed_entries.emplace(payload_key, SignedEntry{}).first;
+      SignedEntry& fresh = memo->second;
       // Without a key the signature stays zero and verify_pcb rejects it.
       const crypto::KeyPair* key = signing_key(pkis_, entry.ia);
       SCIERA_CHECK(key != nullptr, "controlplane.beacon_signer_unknown");
       if (key != nullptr) {
-        signed_entry.signature = crypto::Ed25519::sign(*key, payload);
+        fresh.signature = crypto::Ed25519::sign(*key, payload);
       }
-      signed_entry.link = chain_link(payload, signed_entry.signature);
+      fresh.link = chain_link(payload, fresh.signature);
     }
+    const SignedEntry& signed_entry = memo->second;
     entry.signature = signed_entry.signature;
     // Map nodes never move, so the link outlives every later insertion.
     chain = signed_entry.link;

@@ -61,8 +61,9 @@ class Beaconing {
   // prefix carry byte-identical entries for it (the payload commits to the
   // signer and, through the chain hash, to the header and every upstream
   // entry), and Ed25519 is deterministic, so an entry is signed and its
-  // chain link hashed once per sweep.
-  using SignatureMemo = std::map<std::string, SignedEntry>;
+  // chain link hashed once per sweep. Transparent, so a lookup takes a
+  // view of the payload and only a new entry copies it into a key.
+  using SignatureMemo = std::map<std::string, SignedEntry, std::less<>>;
 
   [[nodiscard]] Pcb build_pcb(const std::vector<topology::LinkId>& links,
                               IsdAs origin, const BeaconingOptions& options,

@@ -20,7 +20,6 @@ constexpr Duration kTrcValidity = 365 * kDay;
 ScionNetwork::ScionNetwork(topology::Topology topo, Options options)
     : topo_(std::move(topo)),
       options_(options),
-      sim_(options_.scheduler),
       rng_(options.seed, "network") {
   auto& registry = obs::MetricsRegistry::global();
   metrics_label_ = registry.instance_label("network", "net");

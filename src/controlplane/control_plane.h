@@ -53,9 +53,8 @@ class ScionNetwork {
   struct Options {
     std::uint64_t seed = 0x5C1E2A;
     BeaconingOptions beaconing{};
-    // Event-scheduler backend for the network's simulator. The calendar
-    // queue is the production default; kBinaryHeap exists for equivalence
-    // testing and as the referee for the ordering contract.
+    // Unused: the simulator takes no configuration. Kept only because the
+    // benchmark's traced child copies SoakOptions::scheduler into it.
     simnet::SchedulerConfig scheduler{};
     // Path-service replicas per AS (>= 1). Replica 0 keeps the legacy
     // metric naming, so 1 is byte-identical to the pre-replication stack.

@@ -119,20 +119,6 @@ std::string MetricsRegistry::instance_label(std::string_view kind,
   return std::string{base} + "#" + std::to_string(n);
 }
 
-void MetricsRegistry::zero_all() {
-  const sciera::MutexLock lock(mutex_);
-  for (auto& [key, series] : series_) {
-    if (series.counter) series.counter->value_ = 0;
-    if (series.gauge) series.gauge->value_ = 0;
-    if (series.histogram) {
-      std::fill(series.histogram->buckets_.begin(),
-                series.histogram->buckets_.end(), 0);
-      series.histogram->sum_ = 0;
-      series.histogram->count_ = 0;
-    }
-  }
-}
-
 void MetricsRegistry::reset() {
   const sciera::MutexLock lock(mutex_);
   series_.clear();

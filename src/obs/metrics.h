@@ -36,8 +36,7 @@ enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
 
 [[nodiscard]] const char* metric_type_name(MetricType type);
 
-// Monotonic event count. Never reset on the hot path; zero_all() exists
-// for delta-based tooling.
+// Monotonic event count, never reset; a delta is two reads.
 class Counter {
  public:
   // Relaxed: counts are pure sums, so no ordering is needed. An exact
@@ -51,7 +50,6 @@ class Counter {
   }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -63,7 +61,6 @@ class Gauge {
   [[nodiscard]] std::int64_t value() const { return value_; }
 
  private:
-  friend class MetricsRegistry;
   std::int64_t value_ = 0;
 };
 
@@ -135,8 +132,6 @@ class MetricsRegistry {
   // deterministic across processes as long as construction order is.
   std::string instance_label(std::string_view kind, std::string_view base);
 
-  // Zeroes every cell, keeping series and handles valid (delta tooling).
-  void zero_all();
   // Test-only: drops every series and instance name. Invalidates all
   // outstanding cell pointers — only call when no registered component is
   // alive.

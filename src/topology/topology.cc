@@ -133,21 +133,14 @@ std::vector<IsdAs> Topology::children_of(IsdAs parent) const {
 }
 
 const LinkInfo* Topology::link_at(IsdAs ia, IfaceId iface) const {
-  for (const auto& link : links_) {
+  for (const LinkId id : links_of(ia)) {
+    const LinkInfo& link = links_[id];
     if ((link.a == ia && link.a_iface == iface) ||
         (link.b == ia && link.b_iface == iface)) {
       return &link;
     }
   }
   return nullptr;
-}
-
-std::optional<IsdAs> Topology::as_for_iface(IsdAs ia, IfaceId iface) const {
-  for (const auto& link : links_) {
-    if (link.a == ia && link.a_iface == iface) return link.b;
-    if (link.b == ia && link.b_iface == iface) return link.a;
-  }
-  return std::nullopt;
 }
 
 std::vector<Isd> Topology::isds() const {

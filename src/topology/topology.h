@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -104,7 +103,6 @@ class Topology {
   [[nodiscard]] std::span<const LinkId> links_of(IsdAs ia) const;
   [[nodiscard]] std::vector<IsdAs> core_ases(Isd isd) const;
   [[nodiscard]] std::vector<IsdAs> children_of(IsdAs parent) const;
-  [[nodiscard]] std::optional<IsdAs> as_for_iface(IsdAs ia, IfaceId iface) const;
   // The link attached to an AS's interface, if any.
   [[nodiscard]] const LinkInfo* link_at(IsdAs ia, IfaceId iface) const;
 

@@ -25,6 +25,16 @@ namespace {
 namespace a = topology::ases;
 using controlplane::ScionNetwork;
 
+// FNV-1a over a serialized report: one constant pins every byte of it.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
 // --- Circuit breaker ----------------------------------------------------------
 
 TEST(Backoff, CircuitBreakerLifecycle) {
@@ -664,39 +674,30 @@ TEST(Chaos, BatchedRouterReportMatchesScalar) {
   EXPECT_EQ(on_batched->to_json(), on_scalar->to_json());
 }
 
-// Chaos-plan replay across the calendar queue's jump_to_far teleport:
-// plan events parked seconds in the future live in the overflow heap and
-// are reached by cursor teleports once the wheel drains. The executed
-// schedule and the whole soak report must be byte-identical to the
-// binary-heap referee's.
+// Chaos-plan events parked seconds in the future, reached after the
+// workload has gone quiet and only the healing tick still runs: the
+// executed schedule and the whole soak report are pinned.
 TEST(Chaos, SoakReplaysAcrossSchedulerTeleport) {
   FaultPlan plan = kreonet_ring_cut_plan();
   plan.name = "kreonet-ring-cut-far";
-  // Far-future events: ~10s beyond the wheel's ~1.07s horizon, landing in
-  // a stretch where the workload has gone quiet and the only periodic
-  // traffic is the healing tick.
   plan.add({10 * kSecond, FaultKind::kLinkDown, "geant-bridges", 0.0,
             2 * kSecond});
   plan.add({12 * kSecond, FaultKind::kControlOutage, "*", 0.0, 1 * kSecond});
 
-  SoakOptions calendar;
-  calendar.seed = 13;
-  calendar.duration = 14 * kSecond;
-  calendar.self_healing = true;
-  calendar.workload.hosts = 4;
-  calendar.workload.flows = 8;
-  calendar.workload.packets_per_flow = 20;
-  SoakOptions heap = calendar;
-  heap.scheduler.kind = simnet::SchedulerKind::kBinaryHeap;
+  SoakOptions options;
+  options.seed = 13;
+  options.duration = 14 * kSecond;
+  options.self_healing = true;
+  options.workload.hosts = 4;
+  options.workload.flows = 8;
+  options.workload.packets_per_flow = 20;
 
-  const auto on_calendar = run_soak(plan, calendar);
-  const auto on_heap = run_soak(plan, heap);
-  ASSERT_TRUE(on_calendar.ok());
-  ASSERT_TRUE(on_heap.ok());
-  EXPECT_GT(on_calendar->faults_injected, 2u);  // the far events fired
-  EXPECT_EQ(on_calendar->schedule_hash, on_heap->schedule_hash);
-  EXPECT_EQ(on_calendar->executed_events, on_heap->executed_events);
-  EXPECT_EQ(on_calendar->to_json(), on_heap->to_json());
+  const auto report = run_soak(plan, options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->faults_injected, 2u);  // the far events fired
+  EXPECT_EQ(report->executed_events, 870u);
+  EXPECT_EQ(report->schedule_hash, 0x4ba20b52497f280bULL);
+  EXPECT_EQ(fnv1a(report->to_json()), 0x84960ddd31388726ULL);
 }
 
 // --- Adversarial robustness (ISSUE 10) ---------------------------------------
@@ -911,16 +912,6 @@ TEST(Chaos, AttackSoakReportIsDeterministic) {
   EXPECT_EQ(first->schedule_hash, second->schedule_hash);
   EXPECT_EQ(first->executed_events, second->executed_events);
   EXPECT_EQ(first->to_json(), second->to_json());
-}
-
-// FNV-1a over a serialized report: one constant pins every byte of it.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
 }
 
 // Golden digests of the serial schedule: `sciera_chaos <plan> --seed 7`

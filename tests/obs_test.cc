@@ -89,23 +89,6 @@ TEST(MetricsRegistryTest, InstanceLabelsAreUniquePerKind) {
             "geant-bridges");
 }
 
-TEST(MetricsRegistryTest, ZeroAllKeepsHandlesValid) {
-  MetricsRegistry registry;
-  auto& c = registry.counter("events_total");
-  auto& g = registry.gauge("depth");
-  auto& h = registry.histogram("size", {1, 2});
-  c.inc(7);
-  g.set(3);
-  h.observe(1);
-  registry.zero_all();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0);
-  c.inc();  // handle still live
-  EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(MetricsRegistryTest, SnapshotIsSortedByNameThenLabels) {
   MetricsRegistry registry;
   registry.counter("b_total");

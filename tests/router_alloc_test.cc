@@ -6,8 +6,9 @@
 // nothing. Path selection: a warm send walks a ranking of the daemon's
 // shared set, so its allocations do not grow with the number of paths, and
 // a warm send_to allocates an exact, named count. Beacon signing: each
-// entry's payload is one allocation. Path combination: one combine call
-// makes an exact count, and listing an AS's links makes none.
+// entry's payload is one allocation, and one sweep makes an exact count.
+// Path combination: one combine call makes an exact count, and listing an
+// AS's links makes none.
 //
 // This is its own executable because it replaces global operator new to
 // count allocations. The replacement set must be COMPLETE (throwing,
@@ -22,11 +23,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #include "controlplane/beacon.h"
+#include "controlplane/beaconing.h"
 #include "controlplane/combinator.h"
 #include "controlplane/control_plane.h"
 #include "crypto/aes128.h"
@@ -130,14 +134,7 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
   constexpr std::size_t kWarmupRounds = 4;
   constexpr std::size_t kRounds = 120;
 
-  // Binary-heap scheduler: its event storage is one flat vector whose
-  // capacity survives rounds, so steady-state scheduling is allocation-
-  // free. The calendar wheel would charge first-touch bucket-vector
-  // growth to the router as sim time walks across fresh buckets — a
-  // scheduler cost, not the router's.
-  simnet::SchedulerConfig sched;
-  sched.kind = simnet::SchedulerKind::kBinaryHeap;
-  simnet::Simulator sim{sched};
+  simnet::Simulator sim;
   const IsdAs ia = IsdAs::parse("71-225").value();
   const IsdAs dst_ia = IsdAs::parse("71-2:0:5c").value();
   const FwdKey key = derive_fwd_key(bytes_of("router-bench-master-secret"));
@@ -227,6 +224,26 @@ TEST(PathCombination, CombineMakesExactlyTheCountedAllocations) {
   EXPECT_EQ(allocs, 912u);
 }
 
+// A default SCIERA sweep builds 8,204 entries, 3,040 of them distinct.
+// The signature memo is looked up by a view of each entry's payload, so
+// only a new entry copies its payload into a key; one run of the sweep
+// takes an exact count.
+TEST(Beaconing, SweepMakesExactlyTheCountedAllocations) {
+  ScionNetwork net{topology::build_sciera()};
+  std::map<Isd, cppki::IsdPki*> pkis;
+  for (const Isd isd : net.topology().isds()) pkis.emplace(isd, net.pki(isd));
+  std::unordered_map<IsdAs, dataplane::FwdKey> fwd_keys;
+  for (const auto& as_info : net.topology().ases()) {
+    fwd_keys.emplace(as_info.ia, net.fwd_key(as_info.ia));
+  }
+  const Beaconing beaconing{net.topology(), pkis, fwd_keys};
+  const std::uint64_t before = g_allocs.load();
+  const SegmentStore segments = beaconing.run();
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_EQ(segments.size(), 1546u);
+  EXPECT_EQ(allocs, 45141u);
+}
+
 // links_of hands out a view of the AS's adjacency list: no scan, no copy.
 TEST(TopologyLinks, LinksOfAllocatesNothing) {
   const topology::Topology topo = topology::build_sciera();
@@ -250,10 +267,8 @@ namespace a = topology::ases;
 // A daemon-mode PAN socket at `home` (UVa by default, whose destinations
 // range from 3 combined paths (Princeton) to 96 (Korea University)).
 struct SelectionFixture {
-  explicit SelectionFixture(
-      IsdAs home = a::uva(),
-      simnet::SchedulerKind scheduler = simnet::SchedulerKind::kCalendarQueue)
-      : net(topology::build_sciera(), options(scheduler)),
+  explicit SelectionFixture(IsdAs home = a::uva())
+      : net(topology::build_sciera()),
         daemon(net, home),
         ctx(PanContext::Builder{}
                 .net(net)
@@ -265,13 +280,6 @@ struct SelectionFixture {
                                [](const dataplane::Address&, std::uint16_t,
                                   const Bytes&, SimTime) {})
                    .value()) {}
-
-  static controlplane::ScionNetwork::Options options(
-      simnet::SchedulerKind scheduler) {
-    controlplane::ScionNetwork::Options options;
-    options.scheduler.kind = scheduler;
-    return options;
-  }
 
   controlplane::ScionNetwork net;
   Daemon daemon;
@@ -329,13 +337,11 @@ TEST(PathSelection, BestOverAWarmSetAllocatesNothing) {
 // lookup: its trace event holds the daemon's interned subject id, so the
 // subject's length costs nothing. At KISTI Daejeon the subject,
 // "daemon-71-2:0:3b", is 16 characters, one more than the small-string
-// buffer; when each record copied it, a send from there made 6. The
-// binary-heap scheduler keeps the count exact, as in RouterFastPath: the
-// calendar wheel would add first-touch bucket growth, a scheduler cost.
+// buffer; when each record copied it, a send from there made 6.
 TEST(PathSelection, WarmSendToMakesExactlyTheNamedAllocations) {
   const Bytes payload(64, 0x5A);
   for (const IsdAs home : {a::uva(), a::kisti_dj()}) {
-    SelectionFixture f{home, simnet::SchedulerKind::kBinaryHeap};
+    SelectionFixture f{home};
     for (const IsdAs dst : {a::princeton(), a::korea_univ()}) {
       const dataplane::Address peer{dst, 0x0A000002};
       ASSERT_TRUE(f.socket->send_to(peer, 9000, payload).ok());  // warm-up
@@ -363,11 +369,7 @@ TEST(LocalDelivery, WarmWindowAllocatesNothing) {
   constexpr std::size_t kWarmupRounds = 4;
   constexpr std::size_t kRounds = 120;
 
-  // Binary-heap scheduler, as in RouterFastPath: its event storage keeps
-  // its capacity across rounds.
-  controlplane::ScionNetwork::Options options;
-  options.scheduler.kind = simnet::SchedulerKind::kBinaryHeap;
-  controlplane::ScionNetwork net{topology::build_sciera(), options};
+  controlplane::ScionNetwork net{topology::build_sciera()};
   Daemon daemon{net, a::uva()};
   const dataplane::Address host{a::uva(), 0x0A000001};
   auto ctx = PanContext::Builder{}

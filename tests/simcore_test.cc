@@ -1,18 +1,19 @@
-// Scheduler-equivalence suite: the calendar-queue backend must reproduce
-// the binary heap's exact event schedule — identical ScheduleDigest on the
-// same seeded scenario — on raw timer workloads, a campaign-scale hold
-// model, sparse far-future schedules, full-network failover, and a
-// many-flow traffic matrix. Plus an exact wheel-geometry gate on the
-// overflow heap, the input validation of scheduler configs and of the
-// TrafficMatrix builder, and FramePool reuse/leak assertions (run under
-// ASan in the sanitizer job).
+// Ordering-contract suite: every raw-simulator scenario records each
+// (time, sequence) pair it schedules, numbering them as the simulator
+// must, and its ScheduleDigest must equal the fold of those pairs in
+// sorted order; timer chains, same-tick floods, a campaign-scale hold
+// model, sparse far-future schedules, deadline cuts and reserved series.
+// Full-network scenarios (failover, a many-flow traffic matrix) pin their
+// digests. Plus the input validation of the TrafficMatrix builder and
+// FramePool reuse/leak assertions (run under ASan in the sanitizer job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -20,7 +21,6 @@
 #include "controlplane/control_plane.h"
 #include "dataplane/frame_pool.h"
 #include "dataplane/scmp.h"
-#include "obs/metrics.h"
 #include "simnet/simulator.h"
 #include "topology/sciera_net.h"
 #include "workload/workload.h"
@@ -30,161 +30,168 @@ namespace {
 
 namespace a = topology::ases;
 
-simnet::SchedulerConfig config_for(simnet::SchedulerKind kind) {
-  simnet::SchedulerConfig config;
-  config.kind = kind;
-  return config;
-}
+// Schedules through a simulator and records every (time, sequence) pair
+// it hands out, numbering them as the contract says: each schedule()
+// takes the next number, and a reservation of `count` the next `count`.
+class ContractLog {
+ public:
+  explicit ContractLog(simnet::Simulator& sim) : sim_(sim) {}
 
-// Runs the same seeded scenario under both backends and expects identical
-// digests; returns the (common) digest for further assertions.
-simnet::ScheduleDigest expect_backends_agree(
-    const std::function<simnet::ScheduleDigest(simnet::SchedulerConfig)>&
-        scenario) {
-  const auto heap = scenario(config_for(simnet::SchedulerKind::kBinaryHeap));
-  const auto calendar =
-      scenario(config_for(simnet::SchedulerKind::kCalendarQueue));
-  EXPECT_EQ(heap, calendar)
-      << "heap hash " << heap.hash << " (" << heap.executed
-      << " events) vs calendar hash " << calendar.hash << " ("
-      << calendar.executed << " events)";
-  return heap;
+  void schedule(SimTime when, simnet::Simulator::Action action) {
+    pairs_.emplace_back(when, next_seq_++);
+    sim_.schedule(when, std::move(action));
+  }
+  void schedule_after(Duration delay, simnet::Simulator::Action action) {
+    schedule(sim_.now() + delay, std::move(action));
+  }
+  std::uint64_t reserve_sequence(std::uint64_t count) {
+    const std::uint64_t first = sim_.reserve_sequence(count);
+    EXPECT_EQ(first, next_seq_);
+    next_seq_ += count;
+    return first;
+  }
+  void schedule_reserved(SimTime when, std::uint64_t seq,
+                         simnet::Simulator::Action action) {
+    pairs_.emplace_back(when, seq);
+    sim_.schedule_reserved(when, seq, std::move(action));
+  }
+
+  // The digest the contract predicts once every event due by `deadline`
+  // has run: the recorded pairs up to it, folded in (time, seq) order.
+  [[nodiscard]] simnet::ScheduleDigest expected(
+      SimTime deadline = std::numeric_limits<SimTime>::max()) const {
+    auto sorted = pairs_;
+    std::sort(sorted.begin(), sorted.end());
+    simnet::ScheduleDigest digest;
+    for (const auto& [when, seq] : sorted) {
+      if (when > deadline) break;
+      digest.fold(static_cast<std::uint64_t>(when));
+      digest.fold(seq);
+      ++digest.executed;
+    }
+    return digest;
+  }
+
+ private:
+  simnet::Simulator& sim_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<std::pair<SimTime, std::uint64_t>> pairs_;
+};
+
+// Expects the simulator to have executed exactly the contract's schedule;
+// returns its digest for further pins.
+simnet::ScheduleDigest expect_contract(const simnet::Simulator& sim,
+                                       const ContractLog& log) {
+  const auto digest = sim.schedule_digest();
+  const auto expected = log.expected();
+  EXPECT_EQ(digest, expected)
+      << "hash " << digest.hash << " (" << digest.executed
+      << " events) vs contract hash " << expected.hash << " ("
+      << expected.executed << " events)";
+  return digest;
 }
 
 // --- Raw simulator workloads ---------------------------------------------
 
 TEST(SchedulerEquivalence, SeededTimerChains) {
-  const auto digest =
-      expect_backends_agree([](simnet::SchedulerConfig config) {
-        simnet::Simulator sim{config};
-        Rng rng{0xD16E57, "chains"};
-        std::function<void(int)> tick = [&](int remaining) {
-          if (remaining <= 0) return;
-          sim.schedule_after(
-              static_cast<Duration>(rng.next_below(kMillisecond) + 1),
-              [&tick, remaining] { tick(remaining - 1); });
-        };
-        for (int chain = 0; chain < 16; ++chain) tick(200);
-        sim.run_all();
-        return sim.schedule_digest();
-      });
-  EXPECT_EQ(digest.executed, 16u * 200u);
+  simnet::Simulator sim;
+  ContractLog log{sim};
+  Rng rng{0xD16E57, "chains"};
+  std::function<void(int)> tick = [&](int remaining) {
+    if (remaining <= 0) return;
+    log.schedule_after(
+        static_cast<Duration>(rng.next_below(kMillisecond) + 1),
+        [&tick, remaining] { tick(remaining - 1); });
+  };
+  for (int chain = 0; chain < 16; ++chain) tick(200);
+  sim.run_all();
+  EXPECT_EQ(expect_contract(sim, log).executed, 16u * 200u);
 }
 
 TEST(SchedulerEquivalence, SameTickEventsKeepFifoOrder) {
   // Many events at identical timestamps: ordering must fall back to
-  // insertion sequence in both backends.
-  expect_backends_agree([](simnet::SchedulerConfig config) {
-    simnet::Simulator sim{config};
-    for (int round = 0; round < 50; ++round) {
-      for (int i = 0; i < 20; ++i) {
-        sim.schedule(round * kMillisecond, [] {});
-      }
-    }
-    sim.run_all();
-    return sim.schedule_digest();
-  });
+  // insertion sequence.
+  simnet::Simulator sim;
+  ContractLog log{sim};
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 20; ++i) log.schedule(round * kMillisecond, [] {});
+  }
+  sim.run_all();
+  EXPECT_EQ(expect_contract(sim, log).executed, 50u * 20u);
 }
 
 TEST(SchedulerEquivalence, SparseFarFutureSchedule) {
-  // Probe-campaign shape: events minutes apart, far beyond the wheel
-  // horizon, forcing the overflow heap and cursor teleport paths.
-  expect_backends_agree([](simnet::SchedulerConfig config) {
-    simnet::Simulator sim{config};
-    Rng rng{0xFA5, "sparse"};
-    for (int i = 0; i < 64; ++i) {
-      const auto when = static_cast<SimTime>(rng.next_below(20 * kMinute));
-      sim.schedule(when, [&sim, &rng] {
-        sim.schedule_after(
-            static_cast<Duration>(rng.next_below(kMinute) + 1), [] {});
-      });
-    }
-    sim.run_all();
-    return sim.schedule_digest();
-  });
-}
-
-TEST(SchedulerEquivalence, TinyWheelStressesRotation) {
-  // A deliberately undersized wheel (4 buckets x ~1us) makes every push
-  // wrap the cursor and spill to the overflow heap; ordering must survive.
-  expect_backends_agree([](simnet::SchedulerConfig config) {
-    config.bucket_width = Duration{1} << 10;
-    config.bucket_count = 4;
-    simnet::Simulator sim{config};
-    Rng rng{0x71AF, "tiny"};
-    std::function<void(int)> tick = [&](int remaining) {
-      if (remaining <= 0) return;
-      sim.schedule_after(
-          static_cast<Duration>(rng.next_below(100 * kMicrosecond) + 1),
-          [&tick, remaining] { tick(remaining - 1); });
-    };
-    for (int chain = 0; chain < 8; ++chain) tick(100);
-    sim.run_all();
-    return sim.schedule_digest();
-  });
+  // Probe-campaign shape: events minutes apart, each scheduling one
+  // successor up to a minute later.
+  simnet::Simulator sim;
+  ContractLog log{sim};
+  Rng rng{0xFA5, "sparse"};
+  for (int i = 0; i < 64; ++i) {
+    const auto when = static_cast<SimTime>(rng.next_below(20 * kMinute));
+    log.schedule(when, [&log, &rng] {
+      log.schedule_after(
+          static_cast<Duration>(rng.next_below(kMinute) + 1), [] {});
+    });
+  }
+  sim.run_all();
+  EXPECT_EQ(expect_contract(sim, log).executed, 128u);
 }
 
 TEST(SchedulerEquivalence, RunUntilDeadlineAgrees) {
-  // Partial drains: the deadline cut must land between the same two
-  // events under both backends.
-  expect_backends_agree([](simnet::SchedulerConfig config) {
-    simnet::Simulator sim{config};
-    Rng rng{0xDEAD11, "deadline"};
-    for (int i = 0; i < 500; ++i) {
-      sim.schedule(static_cast<SimTime>(rng.next_below(10 * kMillisecond)),
-                   [] {});
-    }
-    sim.run_until(5 * kMillisecond);
-    sim.run_all();
-    return sim.schedule_digest();
-  });
+  // Partial drains: the deadline cut must land after exactly the events
+  // due by it, then the rest follow.
+  simnet::Simulator sim;
+  ContractLog log{sim};
+  Rng rng{0xDEAD11, "deadline"};
+  for (int i = 0; i < 500; ++i) {
+    log.schedule(static_cast<SimTime>(rng.next_below(10 * kMillisecond)),
+                 [] {});
+  }
+  sim.run_until(5 * kMillisecond);
+  EXPECT_EQ(sim.schedule_digest(), log.expected(5 * kMillisecond));
+  EXPECT_EQ(sim.now(), 5 * kMillisecond);
+  sim.run_all();
+  EXPECT_EQ(expect_contract(sim, log).executed, 500u);
 }
 
 TEST(SchedulerEquivalence, CampaignScaleHoldModel) {
-  // Hold model at a campaign-scale pending population (Section 5.4 runs
-  // hold hundreds of thousands of in-flight probes): 20,000 events stay
-  // pending while 200,000 more execute, each scheduling one successor at
-  // now + U(0, 2^30 ns]. A 2^14 ns x 2^16-bucket wheel spreads that
-  // population to a handful of events per bucket.
-  const auto digest =
-      expect_backends_agree([](simnet::SchedulerConfig config) {
-        config.bucket_width = Duration{1} << 14;
-        config.bucket_count = std::size_t{1} << 16;
-        simnet::Simulator sim{config};
-        Rng rng{0xB31C, "hold"};
-        constexpr auto kHorizonMask = (std::uint64_t{1} << 30) - 1;
-        std::uint64_t remaining = 200'000;
-        std::function<void()> schedule_one = [&] {
-          const auto offset =
-              1 + static_cast<Duration>(rng.next_u64() & kHorizonMask);
-          sim.schedule_after(offset, [&] {
-            if (remaining == 0) return;
-            --remaining;
-            schedule_one();
-          });
-        };
-        for (int i = 0; i < 20'000; ++i) schedule_one();
-        sim.run_all();
-        return sim.schedule_digest();
-      });
+  // Hold model at a large pending population: 20,000 events stay pending
+  // while 200,000 more execute, each scheduling one successor at
+  // now + U(0, 2^30 ns].
+  simnet::Simulator sim;
+  ContractLog log{sim};
+  Rng rng{0xB31C, "hold"};
+  constexpr auto kHorizonMask = (std::uint64_t{1} << 30) - 1;
+  std::uint64_t remaining = 200'000;
+  std::function<void()> schedule_one = [&] {
+    const auto offset =
+        1 + static_cast<Duration>(rng.next_u64() & kHorizonMask);
+    log.schedule_after(offset, [&] {
+      if (remaining == 0) return;
+      --remaining;
+      schedule_one();
+    });
+  };
+  for (int i = 0; i < 20'000; ++i) schedule_one();
+  sim.run_all();
+  const auto digest = expect_contract(sim, log);
   EXPECT_EQ(digest.executed, 220'000u);
   EXPECT_EQ(digest.hash, 0x128ddd7ecd4c2b52ULL);
 }
 
 // A series launched from inside an event, as an attack burst is: 3,000
-// sends with exponential gaps (mean 1 ms, so the series runs past the
-// wheel horizon), each scheduling a tie at the next send's exact time
-// while timer chains keep drawing fresh numbers. Scheduled all at launch,
-// or placed one at a time at numbers reserved at launch, it must run the
-// same schedule.
-simnet::ScheduleDigest run_series(simnet::SchedulerConfig config,
-                                  bool reserved) {
+// sends with exponential gaps (mean 1 ms), each scheduling a tie at the
+// next send's exact time while timer chains keep drawing fresh numbers.
+// Scheduled all at launch, or placed one at a time at numbers reserved at
+// launch, it must run the contract's schedule, and the same one.
+simnet::ScheduleDigest run_series(bool reserved) {
   constexpr std::size_t kSends = 3000;
-  simnet::Simulator sim{config};
+  simnet::Simulator sim;
+  ContractLog log{sim};
   Rng rng{0x5E41E5, "chains"};
   std::function<void(int)> tick = [&](int remaining) {
     if (remaining <= 0) return;
-    sim.schedule_after(
+    log.schedule_after(
         static_cast<Duration>(rng.next_below(5 * kMillisecond) + 1),
         [&tick, remaining] { tick(remaining - 1); });
   };
@@ -195,13 +202,13 @@ simnet::ScheduleDigest run_series(simnet::SchedulerConfig config,
   std::function<void(std::size_t)> send = [&](std::size_t i) {
     if (i + 1 == kSends) return;
     // Same time as the next send, but a later sequence number.
-    sim.schedule(at[i + 1], [] {});
+    log.schedule(at[i + 1], [] {});
     if (reserved) {
-      sim.schedule_reserved(at[i + 1], first + i + 1,
+      log.schedule_reserved(at[i + 1], first + i + 1,
                             [&send, i] { send(i + 1); });
     }
   };
-  sim.schedule(2 * kMillisecond, [&] {
+  log.schedule(2 * kMillisecond, [&] {
     Rng gaps{0x5E41E5, "gaps"};
     SimTime t = sim.now();
     for (std::size_t i = 0; i < kSends; ++i) {
@@ -209,23 +216,21 @@ simnet::ScheduleDigest run_series(simnet::SchedulerConfig config,
       at.push_back(t);
     }
     if (reserved) {
-      first = sim.reserve_sequence(kSends);
-      sim.schedule_reserved(at[0], first, [&send] { send(0); });
+      first = log.reserve_sequence(kSends);
+      log.schedule_reserved(at[0], first, [&send] { send(0); });
     } else {
       for (std::size_t i = 0; i < kSends; ++i) {
-        sim.schedule(at[i], [&send, i] { send(i); });
+        log.schedule(at[i], [&send, i] { send(i); });
       }
     }
   });
   sim.run_all();
-  return sim.schedule_digest();
+  return expect_contract(sim, log);
 }
 
 TEST(SchedulerEquivalence, ReservedSequenceMatchesEagerSchedule) {
-  const auto eager = expect_backends_agree(
-      [](simnet::SchedulerConfig config) { return run_series(config, false); });
-  const auto reserved = expect_backends_agree(
-      [](simnet::SchedulerConfig config) { return run_series(config, true); });
+  const auto eager = run_series(false);
+  const auto reserved = run_series(true);
   EXPECT_EQ(eager, reserved);
   EXPECT_EQ(eager.executed, 8u * 400u + 1u + 3000u + 2999u);
 }
@@ -269,6 +274,8 @@ TEST(ScheduleReserved, PastTimeOrUnreservedSequenceFailsCheck) {
 }
 
 // --- Full-network scenarios ----------------------------------------------
+// The network schedules its own events, which no log sees, so these
+// scenarios pin their digests instead.
 
 simnet::ScheduleDigest run_failover_with(
     controlplane::ScionNetwork::Options options) {
@@ -309,22 +316,21 @@ simnet::ScheduleDigest run_failover_with(
   return net.sim().schedule_digest();
 }
 
-simnet::ScheduleDigest run_failover_scenario(simnet::SchedulerConfig config) {
+simnet::ScheduleDigest run_failover_scenario() {
   controlplane::ScionNetwork::Options options;
   options.seed = 0x5EED;
-  options.scheduler = config;
   return run_failover_with(options);
 }
 
 TEST(SchedulerEquivalence, FailoverScenario) {
-  const auto digest = expect_backends_agree(run_failover_scenario);
-  EXPECT_GT(digest.executed, 0u);
+  const auto digest = run_failover_scenario();
+  EXPECT_EQ(digest.executed, 105u);
+  EXPECT_EQ(digest.hash, 0xd8a78b8f5d9dd5acULL);
 }
 
 simnet::ScheduleDigest run_many_flow_with(
     controlplane::ScionNetwork::Options options) {
-  // Campaign-scale shape: many concurrent flows across every AS, the
-  // population the calendar queue exists for.
+  // Many concurrent flows across every AS.
   controlplane::ScionNetwork net{topology::build_sciera(), options};
   workload::WorkloadConfig wconfig;
   wconfig.hosts = 6;
@@ -339,16 +345,32 @@ simnet::ScheduleDigest run_many_flow_with(
   return net.sim().schedule_digest();
 }
 
-simnet::ScheduleDigest run_many_flow_scenario(simnet::SchedulerConfig config) {
+TEST(SchedulerEquivalence, ManyFlowWorkload) {
   controlplane::ScionNetwork::Options options;
   options.seed = 0xCA4FA16;
-  options.scheduler = config;
-  return run_many_flow_with(options);
+  const auto digest = run_many_flow_with(options);
+  EXPECT_EQ(digest.executed, 792u);
+  EXPECT_EQ(digest.hash, 0x7d1758e3a98d3f51ULL);
 }
 
-TEST(SchedulerEquivalence, ManyFlowWorkload) {
-  const auto digest = expect_backends_agree(run_many_flow_scenario);
-  EXPECT_GT(digest.executed, 0u);
+// The full many-flow workload (16 hosts x 96 flows x 40 packets), run in
+// 10 ms run_until slices: each slice must stop between the same two
+// events the pinned schedule has.
+TEST(SchedulerEquivalence, ManyFlowWorkloadRunInSlices) {
+  controlplane::ScionNetwork net{topology::build_sciera()};
+  workload::WorkloadConfig wconfig;
+  wconfig.hosts = 16;
+  wconfig.flows = 96;
+  wconfig.packets_per_flow = 40;
+  auto matrix =
+      workload::TrafficMatrix::Builder{}.net(net).config(wconfig).build();
+  ASSERT_TRUE(matrix.ok());
+  ASSERT_TRUE((*matrix)->launch().ok());
+  while (net.sim().pending_events() > 0) {
+    net.sim().run_until(net.sim().now() + 10 * kMillisecond);
+  }
+  EXPECT_EQ(net.sim().executed_events(), 21'640u);
+  EXPECT_EQ(net.sim().schedule_hash(), 0x5b58e65f910efb98ULL);
 }
 
 // --- Batched router equivalence -------------------------------------------
@@ -385,100 +407,6 @@ TEST(BatchedRouterEquivalence, ManyFlowWorkloadDigestsMatch) {
       << " events) vs batched hash " << batched.hash << " ("
       << batched.executed << " events)";
   EXPECT_GT(scalar.executed, 0u);
-}
-
-TEST(BatchedRouterEquivalence, BatchedModeAgreesAcrossSchedulers) {
-  // Batching composes with the scheduler-equivalence contract: the
-  // batched fast path under the calendar queue still reproduces the
-  // binary heap's schedule.
-  expect_backends_agree([](simnet::SchedulerConfig config) {
-    auto options = router_mode_options(0x5EED, true);
-    options.scheduler = config;
-    return run_failover_with(options);
-  });
-}
-
-// --- Wheel geometry -------------------------------------------------------
-// The default wheel horizon must cover the workload's own timescale, or
-// every control-plane timer goes through the overflow heap twice (heap
-// insert + wheel migration). Counted exactly: the peak population of
-// the network's overflow heap, sampled after every 10 ms slice.
-
-constexpr std::string_view kOverflowSeries = "sciera_sim_overflow_events";
-
-std::int64_t peak_overflow_events(simnet::SchedulerConfig scheduler) {
-  // The registry is process-wide: read only this network's own series,
-  // the one its construction registers.
-  auto& registry = obs::MetricsRegistry::global();
-  const auto series_labels = [&registry] {
-    std::vector<obs::Labels> labels;
-    for (const auto& sample : registry.snapshot()) {
-      if (sample.name == kOverflowSeries) labels.push_back(sample.labels);
-    }
-    return labels;
-  };
-  const auto before = series_labels();
-  controlplane::ScionNetwork::Options options;
-  options.scheduler = scheduler;
-  controlplane::ScionNetwork net{topology::build_sciera(), options};
-  const obs::Gauge* overflow = nullptr;
-  for (const auto& labels : series_labels()) {
-    if (std::find(before.begin(), before.end(), labels) == before.end()) {
-      overflow = &registry.gauge(kOverflowSeries, labels);
-    }
-  }
-  EXPECT_NE(overflow, nullptr);
-  if (overflow == nullptr) return -1;
-
-  workload::WorkloadConfig wconfig;
-  wconfig.hosts = 16;
-  wconfig.flows = 96;
-  wconfig.packets_per_flow = 40;
-  auto matrix =
-      workload::TrafficMatrix::Builder{}.net(net).config(wconfig).build();
-  EXPECT_TRUE(matrix.ok());
-  if (!matrix.ok()) return -1;
-  EXPECT_TRUE((*matrix)->launch().ok());
-  std::int64_t peak = 0;
-  while (net.sim().pending_events() > 0) {
-    net.sim().run_until(net.sim().now() + 10 * kMillisecond);
-    peak = std::max(peak, overflow->value());
-  }
-  // Geometry never changes the schedule itself.
-  EXPECT_EQ(net.sim().executed_events(), 21'640u);
-  EXPECT_EQ(net.sim().schedule_hash(), 0x5b58e65f910efb98ULL);
-  return peak;
-}
-
-TEST(SchedulerGeometry, DefaultWheelKeepsManyFlowWorkloadOutOfOverflow) {
-  EXPECT_EQ(peak_overflow_events(simnet::SchedulerConfig{}), 0);
-  // The probe is live: the pre-widening ~134 ms wheel (2^16 ns x 2048
-  // buckets) parks a measurable share of the same run in the heap.
-  simnet::SchedulerConfig narrow;
-  narrow.bucket_width = Duration{1} << 16;
-  narrow.bucket_count = 2048;
-  EXPECT_EQ(peak_overflow_events(narrow), 1599);
-}
-
-// --- Scheduler-config validation -------------------------------------------
-
-TEST(SchedulerConfigValidation, RejectsDegenerateGeometry) {
-  simnet::SchedulerConfig config;
-  config.bucket_width = 0;
-  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
-  config = simnet::SchedulerConfig{};
-  config.bucket_width = 3;  // not a power of two
-  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
-  config = simnet::SchedulerConfig{};
-  config.bucket_count = 0;
-  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
-  config = simnet::SchedulerConfig{};
-  config.bucket_count = 48;  // not a power of two
-  EXPECT_FALSE(simnet::validate_scheduler_config(config).ok());
-}
-
-TEST(SchedulerConfigValidation, AcceptsDefaultAndShardedConfigs) {
-  EXPECT_TRUE(simnet::validate_scheduler_config({}).ok());
 }
 
 // --- TrafficMatrix builder validation --------------------------------------
@@ -552,8 +480,7 @@ TEST(FramePoolTest, ForwardingReusesFramesAndLeaksNothing) {
   const auto before = pool.stats();
   // Two identical runs: the second draws from frames the first released.
   for (int run = 0; run < 2; ++run) {
-    (void)run_failover_scenario(
-        config_for(simnet::SchedulerKind::kCalendarQueue));
+    (void)run_failover_scenario();
   }
   const auto after = pool.stats();
   EXPECT_GT(after.acquired, before.acquired);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -245,9 +246,44 @@ TEST(Topology, AsForIfaceResolvesNeighbors) {
   const Topology topo = build_sciera();
   const auto* link = topo.find_link_by_label("geant-bridges");
   ASSERT_NE(link, nullptr);
-  EXPECT_EQ(topo.as_for_iface(a::geant(), link->a_iface), a::bridges());
-  EXPECT_EQ(topo.as_for_iface(a::bridges(), link->b_iface), a::geant());
-  EXPECT_FALSE(topo.as_for_iface(a::geant(), 9999).has_value());
+  EXPECT_EQ(topo.link_at(a::geant(), link->a_iface)->other(a::geant()),
+            a::bridges());
+  EXPECT_EQ(topo.link_at(a::bridges(), link->b_iface)->other(a::bridges()),
+            a::geant());
+  EXPECT_EQ(topo.link_at(a::geant(), 9999), nullptr);
+}
+
+// link_at walks the AS's own adjacency list; it must find what a scan of
+// every link finds first, for every interface of every SCIERA AS, and
+// nothing for an interface the AS does not have.
+TEST(Topology, LinkAtMatchesAFullScan) {
+  const Topology topo = build_sciera();
+  const auto scan = [&topo](IsdAs ia, IfaceId iface) -> const LinkInfo* {
+    for (const auto& link : topo.links()) {
+      if ((link.a == ia && link.a_iface == iface) ||
+          (link.b == ia && link.b_iface == iface)) {
+        return &link;
+      }
+    }
+    return nullptr;
+  };
+  std::size_t found = 0;
+  for (const auto& as_info : topo.ases()) {
+    IfaceId top = 0;
+    for (const auto& link : topo.links()) {
+      if (link.a == as_info.ia) top = std::max(top, link.a_iface);
+      if (link.b == as_info.ia) top = std::max(top, link.b_iface);
+    }
+    for (IfaceId iface = 0; iface <= top; ++iface) {
+      const LinkInfo* link = topo.link_at(as_info.ia, iface);
+      EXPECT_EQ(link, scan(as_info.ia, iface))
+          << as_info.ia.to_string() << " iface " << iface;
+      if (link != nullptr) ++found;
+    }
+    EXPECT_EQ(topo.link_at(as_info.ia, static_cast<IfaceId>(top + 1)),
+              nullptr);
+  }
+  EXPECT_EQ(found, 2 * topo.links().size());
 }
 
 TEST(Topology, ChildrenOfGeant) {

@@ -48,8 +48,8 @@ cmake -B "$BUILD_DIR" -S "$ROOT" \
 echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-# The suite includes the exact core gates: scheduler digest parity
-# (SchedulerEquivalence.*), the pinned soak digests
+# The suite includes the exact core gates: the event queue's ordering
+# contract (SchedulerEquivalence.*), the pinned soak digests
 # (Chaos.SoakDigestCorpus), the router fast-path window
 # (RouterFastPath.*: zero allocations and zero key schedules over the
 # batched parse/verify/forward pipeline, which is exactly where a
