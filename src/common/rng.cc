@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t hash_label(std::string_view label) {
   // FNV-1a 64-bit.
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -29,6 +25,13 @@ std::uint64_t hash_label(std::string_view label) {
 
 }  // namespace
 
+double NormalDraw::value(double radius, double mean, double stddev) const {
+  // The halves associate differently: normal() returns the first as
+  // (stddev * radius) * cos and stores the second as radius * sin.
+  return second ? mean + stddev * (radius * std::sin(2.0 * M_PI * u2))
+                : mean + stddev * radius * std::cos(2.0 * M_PI * u2);
+}
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : state_) s = splitmix64(x);
@@ -36,19 +39,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng::Rng(std::uint64_t seed, std::string_view stream_label)
     : Rng(seed ^ hash_label(stream_label)) {}
-
-std::uint64_t Rng::next_u64() {
-  // xoshiro256**
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   // Rejection sampling to avoid modulo bias.
@@ -59,28 +49,22 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   }
 }
 
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * next_double();
 }
 
 double Rng::normal(double mean, double stddev) {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
+  if (spare_ == Spare::kEvaluated) {
+    spare_ = Spare::kNone;
     return mean + stddev * spare_normal_;
   }
-  double u1 = 0.0;
-  do {
-    u1 = next_double();
-  } while (u1 <= 1e-300);
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_normal_ = mag * std::sin(2.0 * M_PI * u2);
-  have_spare_normal_ = true;
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
+  const NormalDraw draw = draw_normal();
+  if (draw.second) return draw.value(draw.radius(), mean, stddev);
+  // A fresh pair: evaluate both halves together (one sincos).
+  const double mag = draw.radius();
+  spare_normal_ = mag * std::sin(2.0 * M_PI * draw.u2);
+  spare_ = Spare::kEvaluated;
+  return mean + stddev * mag * std::cos(2.0 * M_PI * draw.u2);
 }
 
 double Rng::exponential(double mean) {
@@ -93,10 +77,6 @@ double Rng::exponential(double mean) {
 
 double Rng::lognormal_median(double median, double sigma) {
   return median * std::exp(normal(0.0, sigma));
-}
-
-bool Rng::chance(double probability) {
-  return next_double() < probability;
 }
 
 Rng Rng::fork(std::string_view stream_label) {

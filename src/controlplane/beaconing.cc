@@ -1,6 +1,7 @@
 #include "controlplane/beaconing.h"
 
 #include <algorithm>
+#include <array>
 #include <string_view>
 
 #include "common/check.h"
@@ -22,11 +23,18 @@ constexpr std::uint8_t kHopExpiry = 255;
 // origin core AS picks it; it only needs to be unpredictable per segment).
 std::uint16_t initial_beta(IsdAs origin, std::uint32_t timestamp,
                            std::uint64_t salt) {
-  Writer w;
-  w.u64(origin.packed());
-  w.u32(timestamp);
-  w.u64(salt);
-  const auto digest = crypto::Sha256::hash(w.bytes());
+  // Origin, timestamp and salt, big-endian.
+  std::array<std::uint8_t, 20> input{};
+  const auto put = [&](std::size_t at, std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      input[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(value >> (8 * (bytes - 1 - i)));
+    }
+  };
+  put(0, origin.packed(), 8);
+  put(8, timestamp, 4);
+  put(12, salt, 8);
+  const auto digest = crypto::Sha256::hash(input);
   return static_cast<std::uint16_t>((digest[0] << 8) | digest[1]);
 }
 

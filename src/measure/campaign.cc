@@ -45,6 +45,10 @@ constexpr std::size_t kProbeTopPaths = 40;
 // Reselect the three paths at least this often, in intervals (plus on
 // any failure).
 constexpr int kReselectEvery = 6;
+// Pair::selected's order.
+constexpr PathChoice kChoices[3] = {PathChoice::kShortest,
+                                    PathChoice::kFastest,
+                                    PathChoice::kMostDisjoint};
 
 // Links in both of two equally sized link masks.
 std::size_t shared_links(const std::vector<std::uint64_t>& a,
@@ -181,21 +185,23 @@ void Campaign::drop_unknown_inputs() {
   std::erase_if(targets_, unknown_as);
 }
 
-void Campaign::apply_link_event(const std::string& label, int scion_delta,
+void Campaign::apply_link_event(topology::LinkId id, int scion_delta,
                                 int ip_delta) {
-  const topology::LinkId id = net_.topology().find_link_by_label(label)->id;
   const bool scion_was_up = scion_outages_[id] == 0;
   scion_outages_[id] += scion_delta;
   const bool scion_up = scion_outages_[id] == 0;
   if (scion_up != scion_was_up) {
     down_links_[id / 64] ^= std::uint64_t{1} << (id % 64);
-    net_.set_link_up(label, scion_up);  // data plane follows
+    net_.link(id)->set_up(scion_up);  // data plane follows
     ++link_epoch_;
     metrics_.link_events->inc();
   }
   ip_outages_[id] += ip_delta;
   const bool ip_up = ip_outages_[id] == 0;
-  if (bgp_.link_up(id) != ip_up) bgp_.set_link_up(id, ip_up);
+  if (bgp_.link_up(id) != ip_up) {
+    bgp_.set_link_up(id, ip_up);
+    ++bgp_epoch_;
+  }
 }
 
 void Campaign::refresh_usable(Pair& pair) {
@@ -215,26 +221,21 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
     return;
   }
   // Shortest: fewest hops, lowest fingerprint (paths are pre-sorted by
-  // hops/rtt/fingerprint, so the first usable is the shortest).
-  pair.sel_shortest = pair.usable.front();
+  // hops/rtt/fingerprint, so the first usable, k = 0, is the shortest).
   // Full path probe of the probed set; fastest: lowest probed RTT.
   const std::size_t considered =
       std::min(pair.usable.size(), kProbeTopPaths);
-  Duration fastest_rtt = 0;
+  pings_.clear();
   for (std::size_t k = 0; k < considered; ++k) {
-    const std::size_t i = pair.usable[k];
-    const Duration rtt = sample_rtt(pair.meta[i].static_rtt,
-                                    pair.meta[i].hops, kScionJitterSigma, rng);
-    if (k == 0 || rtt < fastest_rtt) {
-      pair.sel_fastest = i;
-      fastest_rtt = rtt;
-    }
+    const PathMeta& meta = pair.meta[pair.usable[k]];
+    pings_.probe(ping_path(meta.static_rtt, meta.sigma), rng);
   }
+  const std::size_t fastest = pings_.least()->path;
   // Most disjoint from shortest+fastest. A path lists both interfaces of
   // each link it crosses, so shared links rank as shared interfaces do.
-  const auto& ref_a = pair.meta[pair.sel_shortest].link_mask;
-  const auto& ref_b = pair.meta[pair.sel_fastest].link_mask;
-  std::size_t best_disjoint = pair.usable.front();
+  const auto& ref_a = pair.meta[pair.usable[0]].link_mask;
+  const auto& ref_b = pair.meta[pair.usable[fastest]].link_mask;
+  std::size_t disjoint = 0;
   std::size_t best_shared = SIZE_MAX;
   for (std::size_t k = 0; k < considered; ++k) {
     const std::size_t i = pair.usable[k];
@@ -242,15 +243,31 @@ void Campaign::reselect(Pair& pair, Rng& rng) {
                                shared_links(pair.meta[i].link_mask, ref_b);
     if (shared < best_shared) {
       best_shared = shared;
-      best_disjoint = i;
+      disjoint = k;
     }
   }
-  pair.sel_disjoint = best_disjoint;
+  pair.selected = {pings_.path(0), pings_.path(fastest),
+                   pings_.path(disjoint)};
   pair.selection_valid = true;
   metrics_.reselections->inc();
 }
 
+void Campaign::refresh_ip_route(Pair& pair) {
+  const auto bgp_rtt = bgp_.rtt(pair.src, pair.dst);
+  pair.ip_base = pair.commodity_rtt;
+  std::size_t hops = 4;
+  if (bgp_rtt && *bgp_rtt < pair.ip_base) {
+    pair.ip_base = *bgp_rtt;
+    hops = bgp_.route(pair.src, pair.dst)->as_path.size();
+  }
+  pair.ip_sigma = ping_sigma(hops, kIpJitterSigma);
+  pair.ip_epoch = bgp_epoch_;
+}
+
 CampaignResult Campaign::run() {
+  const bool interval_ok = options_.interval > 0;
+  SCIERA_CHECK(interval_ok, "measure.campaign_bad_interval");
+  if (!interval_ok) return {};
   drop_unknown_inputs();
   Rng rng{options_.seed, "campaign"};
 
@@ -260,11 +277,15 @@ CampaignResult Campaign::run() {
   ip_outages_.assign(link_count, 0);
   down_links_.assign(mask_words, 0);
 
+  // drop_unknown_inputs() left only known links.
+  const auto link_id = [&](const std::string& label) {
+    return net_.topology().find_link_by_label(label)->id;
+  };
   // Links that only come up mid-campaign start down.
   for (const auto& incident : incidents_) {
     if (incident.scope == Incident::Scope::kLinkComesUp) {
       for (const auto& label : incident.links) {
-        apply_link_event(label, 1, 1);
+        apply_link_event(link_id(label), 1, 1);
       }
     }
   }
@@ -272,6 +293,8 @@ CampaignResult Campaign::run() {
   // Precompute path sets per ordered pair.
   std::vector<Pair> pairs;
   std::vector<PairPaths> pair_paths;
+  pairs.reserve(sources_.size() * targets_.size());
+  pair_paths.reserve(sources_.size() * targets_.size());
   for (IsdAs src : sources_) {
     for (IsdAs dst : targets_) {
       if (src == dst) continue;
@@ -310,7 +333,7 @@ CampaignResult Campaign::run() {
       for (const auto& path : pp.paths) {
         PathMeta meta;
         meta.static_rtt = path.static_rtt;
-        meta.hops = path.as_sequence.size();
+        meta.sigma = ping_sigma(path.as_sequence.size(), kScionJitterSigma);
         meta.link_mask.assign(mask_words, 0);
         for (const topology::LinkId id : path.links) {
           meta.link_mask[id / 64] |= std::uint64_t{1} << (id % 64);
@@ -326,23 +349,24 @@ CampaignResult Campaign::run() {
   // so a link is down until its last overlapping incident ends.
   struct Event {
     SimTime at;
-    std::string label;
+    topology::LinkId link;
     int scion_delta, ip_delta;
   };
   std::vector<Event> events;
   for (const auto& incident : incidents_) {
     for (const auto& label : incident.links) {
+      const topology::LinkId link = link_id(label);
       switch (incident.scope) {
         case Incident::Scope::kBoth:
-          events.push_back({incident.from, label, 1, 1});
-          events.push_back({incident.to, label, -1, -1});
+          events.push_back({incident.from, link, 1, 1});
+          events.push_back({incident.to, link, -1, -1});
           break;
         case Incident::Scope::kScionOnly:
-          events.push_back({incident.from, label, 1, 0});
-          events.push_back({incident.to, label, -1, 0});
+          events.push_back({incident.from, link, 1, 0});
+          events.push_back({incident.to, link, -1, 0});
           break;
         case Incident::Scope::kLinkComesUp:
-          events.push_back({incident.from, label, -1, -1});
+          events.push_back({incident.from, link, -1, -1});
           break;
       }
     }
@@ -353,25 +377,28 @@ CampaignResult Campaign::run() {
   CampaignResult result;
   result.duration = options_.duration;
   result.interval = options_.interval;
-  std::size_t ticks = 0;
-  for (SimTime t = 0; t < options_.duration; t += options_.interval) ++ticks;
-  result.intervals.reserve(ticks * pairs.size());
+  // Ticks at 0, interval, 2·interval, ... before the duration, counted
+  // without stepping past it, so no SimTime overflows.
+  const std::int64_t ticks =
+      options_.duration > 0 ? (options_.duration - 1) / options_.interval + 1
+                            : 0;
+  result.intervals.reserve(static_cast<std::size_t>(ticks) * pairs.size());
 
   std::size_t next_event = 0;
-  int tick = 0;
-  for (SimTime now = 0; now < options_.duration;
-       now += options_.interval, ++tick) {
+  for (std::int64_t tick = 0; tick < ticks; ++tick) {
+    const SimTime now = tick * options_.interval;
     while (next_event < events.size() && events[next_event].at <= now) {
-      apply_link_event(events[next_event].label,
+      apply_link_event(events[next_event].link,
                        events[next_event].scion_delta,
                        events[next_event].ip_delta);
       ++next_event;
     }
 
-    // Registry snapshot before the burst: the per-burst trace event carries
-    // the delta in probes sent across all pairs this tick.
-    const std::uint64_t burst_base =
-        metrics_.scion_probes->value() + metrics_.ip_probes->value();
+    // Every pair sends kPingsPerInterval pings each way this tick.
+    const std::uint64_t probes = kPingsPerInterval * pairs.size();
+    metrics_.intervals->inc(pairs.size());
+    metrics_.scion_probes->inc(probes);
+    metrics_.ip_probes->inc(probes);
 
     for (auto& pair : pairs) {
       if (pair.usable_epoch != link_epoch_) refresh_usable(pair);
@@ -386,64 +413,42 @@ CampaignResult Campaign::run() {
       record.scion_sent = kPingsPerInterval;
       record.ip_sent = kPingsPerInterval;
       record.active_paths = static_cast<std::uint32_t>(pair.usable.size());
-      metrics_.intervals->inc();
-      metrics_.scion_probes->inc(
-          static_cast<std::uint64_t>(record.scion_sent));
-      metrics_.ip_probes->inc(static_cast<std::uint64_t>(record.ip_sent));
 
       if (pair.selection_valid) {
-        const std::size_t chosen[3] = {pair.sel_shortest, pair.sel_fastest,
-                                       pair.sel_disjoint};
-        const PathChoice names[3] = {PathChoice::kShortest,
-                                     PathChoice::kFastest,
-                                     PathChoice::kMostDisjoint};
-        Duration best = INT64_MAX;
-        for (int c = 0; c < 3; ++c) {
-          const auto& meta = pair.meta[chosen[c]];
-          const auto sample =
-              sample_min_rtt(meta.static_rtt, meta.hops, kScionJitterSigma,
-                             options_.samples_per_path, kPingLoss, rng);
-          if (sample && *sample < best) {
-            best = *sample;
-            record.scion_best = names[c];
-          }
+        // All three paths' pings at once: the first path with the least
+        // RTT is the one a path-by-path strict < keeps.
+        pings_.clear();
+        for (const PingPath& path : pair.selected) {
+          pings_.ping(path, options_.samples_per_path, kPingLoss, rng);
         }
-        if (best != INT64_MAX) {
-          record.scion_min_rtt = best;
+        if (const auto least = pings_.least()) {
+          record.scion_min_rtt = least->rtt;
+          record.scion_best = kChoices[least->path];
           record.scion_ok = record.scion_sent;  // losses are per-sample
           metrics_.scion_rtt_ms->observe(
-              static_cast<std::int64_t>(to_ms(best)));
+              static_cast<std::int64_t>(to_ms(least->rtt)));
         }
       } else {
         record.scion_ok = 0;
       }
 
-      {
-        // The ICMP path: the better of BGP-over-SCIERA-links and the direct
-        // commercial-Internet route (which SCIERA incidents cannot touch).
-        const auto bgp_rtt = bgp_.rtt(pair.src, pair.dst);
-        Duration ip_base = pair.commodity_rtt;
-        std::size_t ip_hops = 4;
-        if (bgp_rtt && *bgp_rtt < ip_base) {
-          ip_base = *bgp_rtt;
-          ip_hops = bgp_.route(pair.src, pair.dst)->as_path.size();
-        }
-        // Congestion on the shared IP path persists across an interval, so
-        // it lifts even the interval's minimum RTT.
-        double congestion = 1.0 + rng.exponential(pair.ip_congestion_mean);
-        if (rng.chance(pair.ip_spike_probability)) {
-          congestion += rng.uniform(0.3, 1.2);
-        }
-        const auto congested_base =
-            static_cast<Duration>(static_cast<double>(ip_base) * congestion);
-        record.ip_min_rtt =
-            sample_min_rtt(congested_base, ip_hops, kIpJitterSigma,
-                           options_.samples_per_path, kPingLoss, rng);
-        if (record.ip_min_rtt) {
-          record.ip_ok = record.ip_sent;
-          metrics_.ip_rtt_ms->observe(
-              static_cast<std::int64_t>(to_ms(*record.ip_min_rtt)));
-        }
+      // The ICMP path. Congestion on the shared IP path persists across an
+      // interval, so it lifts even the interval's minimum RTT.
+      if (pair.ip_epoch != bgp_epoch_) refresh_ip_route(pair);
+      double congestion = 1.0 + rng.exponential(pair.ip_congestion_mean);
+      if (rng.chance(pair.ip_spike_probability)) {
+        congestion += rng.uniform(0.3, 1.2);
+      }
+      const auto congested_base = static_cast<Duration>(
+          static_cast<double>(pair.ip_base) * congestion);
+      pings_.clear();
+      pings_.ping(ping_path(congested_base, pair.ip_sigma),
+                  options_.samples_per_path, kPingLoss, rng);
+      if (const auto least = pings_.least()) {
+        record.ip_min_rtt = least->rtt;
+        record.ip_ok = record.ip_sent;
+        metrics_.ip_rtt_ms->observe(
+            static_cast<std::int64_t>(to_ms(least->rtt)));
       }
 
       result.intervals.push_back(record);
@@ -453,8 +458,7 @@ CampaignResult Campaign::run() {
         obs::TraceType::kProbeBurst, now, static_cast<std::uint64_t>(tick),
         trace_subject_, obs::TraceDetail::kProbeTick,
         static_cast<std::uint64_t>(tick), pairs.size(),
-        static_cast<std::int64_t>(metrics_.scion_probes->value() +
-                                  metrics_.ip_probes->value() - burst_base));
+        static_cast<std::int64_t>(2 * probes));
   }
   result.pair_paths = std::move(pair_paths);
 

@@ -10,6 +10,8 @@
 // more queueing variance than SCMP-over-SCION samples.
 #pragma once
 
+#include <array>
+
 #include "measure/multiping.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -75,13 +77,15 @@ class Campaign {
 
   // Every incident link, source and target must be in the topology: each
   // that is not fails a check (measure.campaign_unknown_link or
-  // measure.campaign_unknown_as) and, in kCount mode, is left out.
+  // measure.campaign_unknown_as) and, in kCount mode, is left out. A
+  // non-positive interval fails measure.campaign_bad_interval and, in
+  // kCount mode, yields an empty result.
   [[nodiscard]] CampaignResult run();
 
  private:
   struct PathMeta {
     Duration static_rtt = 0;
-    std::size_t hops = 0;
+    double sigma = 0.0;  // ping jitter, from its AS hop count
     std::vector<std::uint64_t> link_mask;  // one bit per LinkId crossed
   };
   struct Pair {
@@ -93,18 +97,24 @@ class Campaign {
     std::vector<PathMeta> meta;          // aligned with paths
     std::vector<std::size_t> usable;     // indices, refreshed per epoch
     std::uint64_t usable_epoch = ~0ull;
-    std::size_t sel_shortest = 0, sel_fastest = 0, sel_disjoint = 0;
+    // The shortest, fastest and most disjoint path (PathChoice order).
+    std::array<PingPath, 3> selected{};
     bool selection_valid = false;
+    // The ICMP route's base RTT and jitter sigma, as of BGP epoch ip_epoch.
+    Duration ip_base = 0;
+    double ip_sigma = 0.0;
+    std::uint64_t ip_epoch = ~0ull;
   };
 
   // run()'s input check: an unknown link would never fail, and an
   // unknown AS has no location to price its commercial route from.
   void drop_unknown_inputs();
-  // `label` names a topology link (drop_unknown_inputs() ran).
-  void apply_link_event(const std::string& label, int scion_delta,
-                        int ip_delta);
+  void apply_link_event(topology::LinkId id, int scion_delta, int ip_delta);
   void refresh_usable(Pair& pair);
   void reselect(Pair& pair, Rng& rng);
+  // The better of BGP-over-SCIERA-links and the direct commercial route
+  // (which SCIERA incidents cannot touch), kept until bgp_epoch_ moves.
+  void refresh_ip_route(Pair& pair);
 
   struct Metrics {
     obs::Counter* intervals = nullptr;
@@ -127,6 +137,8 @@ class Campaign {
   std::vector<int> ip_outages_;
   std::vector<std::uint64_t> down_links_;  // SCION-down, one bit per LinkId
   std::uint64_t link_epoch_ = 0;
+  std::uint64_t bgp_epoch_ = 0;  // bumped when an IP link changes state
+  MinRtt pings_;                 // scratch for every minimum RTT
   Metrics metrics_;
   // "campaign", interned for the flight recorder.
   obs::TraceId trace_subject_ = 0;

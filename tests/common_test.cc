@@ -184,6 +184,48 @@ TEST(Rng, NormalHasRoughlyCorrectMoments) {
   EXPECT_NEAR(var, 4.0, 0.2);
 }
 
+// draw_normal() takes the draw normal() would: evaluated, it is normal()'s
+// value, and the generator ends in the same state, whichever call takes
+// the pair's second half. A copy carries a pending half with it.
+TEST(Rng, DrawNormalMatchesNormal) {
+  Rng stream{41};
+  const auto evaluated = [](const NormalDraw& draw, double mean,
+                            double stddev) {
+    return draw.value(draw.radius(), mean, stddev);
+  };
+  for (int i = 0; i < 3000; ++i) {
+    const double mean = stream.uniform(-5.0, 5.0);
+    const double stddev = stream.uniform(0.0, 3.0);
+    // Start on a fresh pair, on a second half normal() evaluated, or on
+    // one draw_normal() left pending.
+    Rng start{stream.next_u64()};
+    if (i % 3 == 1) start.normal();
+    if (i % 3 == 2) start.draw_normal();
+    Rng both_normal = start;
+    Rng draw_first = start;
+    Rng draw_both = start;
+    const double first = both_normal.normal(mean, stddev);
+    const double second = both_normal.normal(mean, stddev);
+
+    const NormalDraw taken = draw_first.draw_normal();
+    EXPECT_EQ(evaluated(taken, mean, stddev), first);
+    Rng copy = draw_first;  // the second half is pending, not evaluated
+    EXPECT_EQ(draw_first.normal(mean, stddev), second);
+    EXPECT_EQ(copy.normal(mean, stddev), second);
+
+    const NormalDraw one = draw_both.draw_normal();
+    const NormalDraw two = draw_both.draw_normal();
+    EXPECT_EQ(evaluated(one, mean, stddev), first);
+    EXPECT_EQ(evaluated(two, mean, stddev), second);
+
+    for (Rng* rng : {&draw_first, &copy, &draw_both}) {
+      Rng expected = both_normal;
+      EXPECT_EQ(rng->normal(), expected.normal());
+      EXPECT_EQ(rng->next_u64(), expected.next_u64());
+    }
+  }
+}
+
 TEST(Rng, ExponentialMean) {
   Rng rng{5};
   double sum = 0;

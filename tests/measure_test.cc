@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "analysis/stats.h"
 #include "common/check.h"
 #include "measure/campaign.h"
@@ -28,6 +31,17 @@ std::uint64_t fnv1a(const std::string& bytes) {
     hash *= 0x100000001B3ULL;
   }
   return hash;
+}
+
+// One ping RTT from its own normal() draw: static propagation plus
+// multiplicative log-normal jitter that grows with hop count. The
+// per-sample referee the minimum routines are checked against.
+Duration sample_rtt(Duration base, std::size_t hops, double jitter_sigma,
+                    Rng& rng) {
+  const double sigma = jitter_sigma * std::sqrt(static_cast<double>(
+                                          std::max<std::size_t>(hops, 1)));
+  return static_cast<Duration>(static_cast<double>(base) *
+                               rng.lognormal_median(1.0, sigma));
 }
 
 TEST(Sampling, RttJitterIsMultiplicativeAndPositive) {
@@ -94,6 +108,135 @@ TEST(Sampling, MinRttMatchesPerSampleLoop) {
   EXPECT_EQ(calls, 105840u);
   EXPECT_GT(all_lost, 0u);
   EXPECT_LT(all_lost, calls);
+}
+
+// The loop MinRtt replaces: every draw evaluated by normal(), path by
+// path, keeping the first path with the least RTT. No `loss` means
+// probes: one draw per path and no loss draw.
+struct EveryDraw {
+  std::optional<MinRtt::Result> least;
+  bool tied = false;  // a later path drew the least RTT too
+};
+EveryDraw every_draw_min(const std::vector<PingPath>& paths, int samples,
+                         std::optional<double> loss, Rng& rng) {
+  EveryDraw out;
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    for (int s = 0; s < (loss ? samples : 1); ++s) {
+      if (loss && rng.chance(*loss)) continue;
+      const auto rtt = static_cast<Duration>(
+          static_cast<double>(paths[p].base) *
+          rng.lognormal_median(1.0, paths[p].sigma));
+      if (out.least && rtt == out.least->rtt && p != out.least->path) {
+        out.tied = true;
+      }
+      if (!out.least || rtt < out.least->rtt) {
+        out.least = MinRtt::Result{rtt, p};
+        out.tied = false;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Sampling, MinRttMatchesEveryDrawEvaluated) {
+  // Same RTT and path from the same stream, and each stream left in the
+  // same state. Bases: spread over 0.5-600 ms, all equal, 1 ns apart,
+  // and all 1 ns. Equal bases at sigma 1e-9, and 1 ns bases, make draws
+  // tie after truncation, so only the path order decides.
+  Rng inputs{29};
+  Rng fast{31};
+  Rng slow{31};
+  MinRtt pings;
+  std::vector<PingPath> paths;
+  std::size_t calls = 0, all_lost = 0, ties = 0, later_path = 0;
+  const auto check = [&](int samples, std::optional<double> loss) {
+    pings.clear();
+    for (const PingPath& path : paths) {
+      if (loss) {
+        pings.ping(path, samples, *loss, fast);
+      } else {
+        pings.probe(path, fast);
+      }
+    }
+    const auto actual = pings.least();
+    const EveryDraw expected = every_draw_min(paths, samples, loss, slow);
+    ASSERT_EQ(actual.has_value(), expected.least.has_value());
+    if (actual) {
+      ASSERT_EQ(actual->rtt, expected.least->rtt);
+      ASSERT_EQ(actual->path, expected.least->path);
+      later_path += actual->path > 0;
+    }
+    ASSERT_EQ(fast.normal(), slow.normal());
+    ASSERT_EQ(fast.next_u64(), slow.next_u64());
+    all_lost += !actual.has_value();
+    ties += expected.tied;
+    ++calls;
+  };
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (const double sigma : {0.02, 0.5, 1e-9}) {
+      for (int shape = 0; shape < 4; ++shape) {
+        const auto ms = [&] {
+          return static_cast<Duration>(inputs.uniform(0.5, 600.0) *
+                                       static_cast<double>(kMillisecond));
+        };
+        const Duration first = ms();
+        paths.clear();
+        for (std::size_t p = 0; p < n; ++p) {
+          const Duration base = shape == 0   ? ms()
+                                : shape == 1 ? first
+                                : shape == 2 ? first + static_cast<Duration>(p)
+                                             : Duration{1};
+          paths.push_back(ping_path(base, sigma));
+        }
+        for (const int samples : {0, 1, 2, 3, 4, 5, 6, 7, 8, 100}) {
+          for (const double loss : {0.0, 0.002, 0.5, 1.0}) {
+            ASSERT_NO_FATAL_FAILURE(check(samples, loss))
+                << n << " paths, sigma " << sigma << ", bases " << shape
+                << ", samples " << samples << ", loss " << loss;
+          }
+        }
+        ASSERT_NO_FATAL_FAILURE(check(1, std::nullopt))
+            << n << " probes, sigma " << sigma << ", bases " << shape;
+      }
+    }
+  }
+  EXPECT_EQ(calls, 19680u);
+  EXPECT_GT(all_lost, 0u);
+  EXPECT_GT(ties, 1000u);
+  EXPECT_GT(later_path, 1000u);
+}
+
+TEST(Sampling, CosinePolynomialStaysWithinItsBound) {
+  // Against normal()'s own expressions, on a dense grid of u and a few
+  // ulps either side of every quadrant boundary (u = j/4) and every
+  // point where the reduction rounds to the next quadrant (u = j/8).
+  double worst = 0.0;
+  std::size_t over = 0;
+  const auto check = [&](double u) {
+    if (u < 0.0 || u >= 1.0) return;
+    const double cos_err =
+        std::abs(detail::cos_2pi(u, false) - std::cos(2.0 * M_PI * u));
+    const double sin_err =
+        std::abs(detail::cos_2pi(u, true) - std::sin(2.0 * M_PI * u));
+    worst = std::max({worst, cos_err, sin_err});
+    over += cos_err >= detail::kSinCosBound;
+    over += sin_err >= detail::kSinCosBound;
+  };
+  for (int i = 0; i < (1 << 20); ++i) check(i * 0x1p-20);
+  for (int j = 0; j <= 8; ++j) {
+    double below = j / 8.0;
+    double above = j / 8.0;
+    check(below);
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, -1.0);
+      above = std::nextafter(above, 2.0);
+      check(below);
+      check(above);
+    }
+  }
+  EXPECT_EQ(over, 0u) << "worst " << worst;
+  // Tight, not loose: cos's Taylor error reaches 1.15e-10 at pi/4.
+  EXPECT_GT(worst, 1.1e-10);
 }
 
 class CampaignFixture : public ::testing::Test {
@@ -352,6 +495,50 @@ TEST(CampaignValidation, UnknownSourceOrTargetFailsCheck) {
   EXPECT_EQ(result.pair_paths[0].src, a::kisti_dj());
   EXPECT_EQ(result.pair_paths[0].dst, a::kisti_sg());
   EXPECT_EQ(result.intervals.size(), 2u);
+}
+
+// A non-positive interval never advanced the tick loop, so run() never
+// returned. It fails a check now; in count mode the result is empty and
+// the shared networks are left as they were.
+TEST(CampaignValidation, NonPositiveIntervalFailsCheck) {
+  const CountModeGuard guard;
+  auto& checks = CheckRegistry::instance();
+  const auto before = checks.count("measure.campaign_bad_interval");
+  auto& s = nets();
+  for (const Duration interval : {Duration{0}, -kHour}) {
+    CampaignOptions options;
+    options.duration = 4 * kHour;
+    options.interval = interval;
+    Campaign campaign{s.net, s.bgp, options};
+    campaign.set_sources({a::kisti_dj()});
+    campaign.set_targets({a::kisti_sg()});
+    const auto result = campaign.run();
+    EXPECT_TRUE(result.intervals.empty());
+    EXPECT_TRUE(result.pair_paths.empty());
+  }
+  EXPECT_EQ(checks.count("measure.campaign_bad_interval"), before + 2);
+  for (const auto& link : s.net.topology().links()) {
+    EXPECT_TRUE(s.net.link(link.id)->is_up()) << link.label;
+    EXPECT_TRUE(s.bgp.link_up(link.id)) << link.label;
+  }
+}
+
+// An interval within one step of the time limit stepped the tick past it:
+// SimTime overflowed (a signed-overflow report under UBSan) and run()
+// never returned. Ticks are counted by division now.
+TEST(CampaignValidation, IntervalNearTheTimeLimitEndsTheRun) {
+  auto& s = nets();
+  CampaignOptions options;
+  options.duration = INT64_MAX;
+  options.interval = (Duration{1} << 62) + 1;
+  Campaign campaign{s.net, s.bgp, options};
+  campaign.set_sources({a::kisti_dj()});
+  campaign.set_targets({a::kisti_sg()});
+  campaign.set_incidents({});
+  const auto result = campaign.run();
+  ASSERT_EQ(result.intervals.size(), 2u);
+  EXPECT_EQ(result.intervals[0].start, 0);
+  EXPECT_EQ(result.intervals[1].start, options.interval);
 }
 
 TEST(CampaignDeterminism, SameSeedSameResult) {
