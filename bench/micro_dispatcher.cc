@@ -53,8 +53,8 @@ void BM_HostStackBurst(benchmark::State& state) {
     state.ResumeTiming();
     for (int i = 0; i < burst; ++i) (void)net().send_from_host(pkt);
     net().sim().run_for(kSecond);
-    delivered_total += stack.stats().delivered;
-    dropped_total += stack.stats().dropped_overload;
+    delivered_total += stack.metrics().delivered->value();
+    dropped_total += stack.metrics().dropped_overload->value();
   }
   state.counters["delivered/burst"] =
       static_cast<double>(delivered_total) / state.iterations();

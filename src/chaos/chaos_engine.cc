@@ -44,13 +44,15 @@ std::vector<std::string> ChaosEngine::region_link_labels(
 std::vector<controlplane::ControlService*> ChaosEngine::services_for(
     const std::string& target) {
   std::vector<controlplane::ControlService*> services;
-  if (target == "*") {
-    for (const topology::AsInfo& as : net_.topology().ases()) {
-      services.push_back(net_.control_service_set(as.ia)->primary());
+  const auto add = [&](IsdAs ia) {
+    if (auto* set = net_.control_service_set(ia)) {
+      services.push_back(set->primary());
     }
-  } else if (const auto ia = IsdAs::parse(target);
-             ia && net_.topology().find_as(*ia) != nullptr) {
-    services.push_back(net_.control_service_set(*ia)->primary());
+  };
+  if (target == "*") {
+    for (const topology::AsInfo& as : net_.topology().ases()) add(as.ia);
+  } else if (const auto ia = IsdAs::parse(target)) {
+    add(*ia);
   }
   return services;
 }
@@ -74,14 +76,11 @@ Status ChaosEngine::validate(const FaultEvent& event) {
     case FaultKind::kRegionOutage:
       if (region_link_labels(event.target).empty()) return bad("region");
       return {};
-    case FaultKind::kControlOutage: {
-      if (event.target == "*") return {};
-      const auto ia = IsdAs::parse(event.target);
-      if (!ia || net_.topology().find_as(*ia) == nullptr) {
+    case FaultKind::kControlOutage:
+      if (event.target != "*" && services_for(event.target).empty()) {
         return bad("control service AS");
       }
       return {};
-    }
     case FaultKind::kRouterCrash: {
       const auto ia = IsdAs::parse(event.target);
       if (!ia || net_.topology().find_as(*ia) == nullptr) return bad("router");

@@ -50,7 +50,8 @@ class ChaosEngine {
   [[nodiscard]] std::vector<std::string> region_link_labels(
       const std::string& target) const;
   // The primary control services an event target names: one AS's, or
-  // every AS's in topology order for "*". Secondary replicas stay up to
+  // every AS's in topology order for "*". An AS without a service (its
+  // ISD has no PKI) contributes none. Secondary replicas stay up to
   // absorb failover. Instantiates lazily, like ScionNetwork does.
   [[nodiscard]] std::vector<controlplane::ControlService*> services_for(
       const std::string& target);

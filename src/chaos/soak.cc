@@ -225,15 +225,18 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
   report.gap_max = gaps.empty() ? 0 : gaps.back();
 
   for (std::size_t i = 0; i < workload.host_count(); ++i) {
-    const endhost::Daemon& daemon = workload.daemon(i);
-    report.lookups += daemon.lookups();
-    report.stale_served += daemon.stale_served();
-    report.degraded_empty += daemon.degraded_empty();
-    report.breaker_trips += daemon.breaker_trips();
+    const endhost::Daemon::Metrics& daemon = workload.daemon(i).metrics();
+    report.lookups += daemon.lookups->value();
+    report.stale_served += daemon.stale_served->value();
+    report.degraded_empty += daemon.degraded_empty->value();
+    report.breaker_trips += daemon.breaker_trips->value();
   }
   for (const topology::AsInfo& as : net.topology().ases()) {
-    report.control_lookups_dropped +=
-        net.control_service_set(as.ia)->lookups_dropped();
+    controlplane::ControlServiceSet& services = *net.control_service_set(as.ia);
+    for (std::size_t k = 0; k < services.size(); ++k) {
+      report.control_lookups_dropped +=
+          services.replica(k)->metrics().lookups_dropped->value();
+    }
   }
 
   report.self_healing = options.self_healing;
@@ -264,21 +267,26 @@ Result<SurvivabilityReport> run_soak(const FaultPlan& plan,
     report.surge_sent = ar.surge_sent;
     report.surge_delivered = ar.surge_delivered;
     report.attack_send_failures = ar.send_failures;
-    const auto filter_stats = workload.filter_stats();
-    report.filter_accepted = filter_stats.accepted;
-    report.filter_dropped_rule = filter_stats.dropped_rule;
-    report.filter_dropped_auth = filter_stats.dropped_auth;
-    report.filter_dropped_rate = filter_stats.dropped_rate;
-    report.filter_dropped_overflow = filter_stats.dropped_overflow;
-    const auto stack_stats = workload.stack_stats();
-    report.host_dropped_filtered = stack_stats.dropped_filtered;
-    report.host_dropped_overload = stack_stats.dropped_overload;
+    for (std::size_t i = 0; i < workload.host_count(); ++i) {
+      if (const endhost::LightningFilter* filter = workload.filter(i)) {
+        const endhost::LightningFilter::Metrics& verdicts = filter->metrics();
+        report.filter_accepted += verdicts.accepted->value();
+        report.filter_dropped_rule += verdicts.dropped_rule->value();
+        report.filter_dropped_auth += verdicts.dropped_auth->value();
+        report.filter_dropped_rate += verdicts.dropped_rate->value();
+        report.filter_dropped_overflow += verdicts.dropped_overflow->value();
+      }
+      const endhost::HostStack::Metrics& stack = workload.stack(i).metrics();
+      report.host_dropped_filtered += stack.dropped_filtered->value();
+      report.host_dropped_overload += stack.dropped_overload->value();
+    }
     for (const topology::AsInfo& as : net.topology().ases()) {
-      const auto router_stats = net.router(as.ia)->stats();
-      report.admission_dropped_data += router_stats.admission_dropped_data;
+      const dataplane::BorderRouter::Metrics& router =
+          net.router(as.ia)->metrics();
+      report.admission_dropped_data += router.admission_dropped_data->value();
       report.admission_dropped_control +=
-          router_stats.admission_dropped_control;
-      report.scmp_suppressed += router_stats.scmp_suppressed;
+          router.admission_dropped_control->value();
+      report.scmp_suppressed += router.scmp_suppressed->value();
     }
     report.reconverge_under_flood = report.time_to_reconverge;
   }

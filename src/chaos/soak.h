@@ -43,7 +43,7 @@ struct SoakOptions {
   workload::WorkloadConfig workload = soak_default_workload();
 };
 
-struct SurvivabilityReport {  // registry-backed snapshot
+struct SurvivabilityReport {
   std::string plan;
   std::uint64_t seed = 0;
   bool resilience = true;

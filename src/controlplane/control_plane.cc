@@ -304,10 +304,4 @@ void ScionNetwork::dispatch_local(dataplane::ScionPacket& packet,
   it->second(packet, arrival);
 }
 
-std::size_t ScionNetwork::renew_certificates() {
-  std::size_t renewed = 0;
-  for (auto& [isd, pki] : pkis_) renewed += pki->renew_expiring(sim_.now());
-  return renewed;
-}
-
 }  // namespace sciera::controlplane

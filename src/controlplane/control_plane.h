@@ -85,6 +85,8 @@ class ScionNetwork {
   [[nodiscard]] SegmentStore beacon_with(const BeaconingOptions& options) const;
   [[nodiscard]] std::vector<Path> paths(
       IsdAs src, IsdAs dst, const CombinatorOptions& options = {}) const;
+  // The AS's path service, built on first use; nullptr for an AS outside
+  // the topology or in an ISD without a PKI (one with no core AS).
   [[nodiscard]] ControlServiceSet* control_service_set(IsdAs ia);
 
   // --- Self-healing ---------------------------------------------------------
@@ -120,9 +122,6 @@ class ScionNetwork {
   parked_datagrams() {
     return parked_datagrams_;
   }
-
-  // Runs the PKI renewal sweep (the orchestrator cron job).
-  std::size_t renew_certificates();
 
  private:
   void build_data_plane();

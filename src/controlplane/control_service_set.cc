@@ -32,16 +32,4 @@ PathSet ControlServiceSet::lookup_paths_now(IsdAs dst) {
   return primary()->lookup_paths_now(dst);
 }
 
-std::uint64_t ControlServiceSet::lookups_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) total += replica->lookups_dropped();
-  return total;
-}
-
-std::uint64_t ControlServiceSet::lookups_total() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) total += replica->lookups_total();
-  return total;
-}
-
 }  // namespace sciera::controlplane

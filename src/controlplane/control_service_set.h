@@ -38,10 +38,6 @@ class ControlServiceSet {
     for (auto& replica : replicas_) replica->flush_cache();
   }
 
-  // Aggregates across replicas.
-  [[nodiscard]] std::uint64_t lookups_dropped() const;
-  [[nodiscard]] std::uint64_t lookups_total() const;
-
  private:
   IsdAs ia_;
   std::vector<std::unique_ptr<ControlService>> replicas_;

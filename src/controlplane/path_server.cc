@@ -22,30 +22,30 @@ ControlService::ControlService(simnet::Simulator& sim, IsdAs ia,
     labels.emplace_back("result", result);
     return &registry.counter("sciera_control_service_cache_total", labels);
   };
-  cache_hits_ = cache("hit");
-  cache_misses_ = cache("miss");
-  lookups_dropped_ =
+  metrics_.cache_hits = cache("hit");
+  metrics_.cache_misses = cache("miss");
+  metrics_.lookups_dropped =
       &registry.counter("sciera_control_service_lookups_dropped_total", base);
-  lookups_total_ =
+  metrics_.lookups_total =
       &registry.counter("sciera_control_service_lookups_total", base);
-  available_gauge_ =
+  metrics_.available =
       &registry.gauge("sciera_control_service_available", base);
-  available_gauge_->set(1);
+  metrics_.available->set(1);
 }
 
 void ControlService::set_available(bool available) {
   if (available == available_) return;
   available_ = available;
-  available_gauge_->set(available ? 1 : 0);
+  metrics_.available->set(available ? 1 : 0);
   sim_.trace(obs::TraceType::kChaosInject, trace_subject_,
              available ? obs::TraceDetail::kServiceUp
                        : obs::TraceDetail::kServiceOutage);
 }
 
 PathSet ControlService::lookup_paths_now(IsdAs dst) {
-  lookups_total_->inc();
+  metrics_.lookups_total->inc();
   if (!available_) {
-    lookups_dropped_->inc();
+    metrics_.lookups_dropped->inc();
     sim_.trace(obs::TraceType::kPathLookup, trace_subject_,
                obs::TraceDetail::kLookupDropped, dst.packed());
     return no_paths();
@@ -60,10 +60,10 @@ PathSet ControlService::lookup_paths_now(IsdAs dst) {
       hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
       dst.packed());
   if (hit) {
-    cache_hits_->inc();
+    metrics_.cache_hits->inc();
     return it->second.paths;
   }
-  cache_misses_->inc();
+  metrics_.cache_misses->inc();
   CacheEntry entry;
   entry.paths =
       std::make_shared<const std::vector<Path>>(combinator_.combine(ia_, dst));

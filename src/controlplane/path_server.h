@@ -24,6 +24,17 @@ class ControlService {
   // aged exactly kCacheTtl is stale.
   static constexpr Duration kCacheTtl = 10 * kMinute;
 
+  // Registry cells, registered at construction. lookups_total counts
+  // every lookup that reached this replica, lookups_dropped the ones
+  // failed fast because it was unavailable.
+  struct Metrics {
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* cache_misses = nullptr;
+    obs::Counter* lookups_dropped = nullptr;
+    obs::Counter* lookups_total = nullptr;
+    obs::Gauge* available = nullptr;
+  };
+
   // `instance_name` labels this service's metric series; empty uses the
   // AS string (the single-service legacy naming). ControlServiceSet names
   // replica k > 0 as "<ia>#rk" so per-replica counters stay separable.
@@ -46,21 +57,7 @@ class ControlService {
   void set_available(bool available);
   [[nodiscard]] bool available() const { return available_; }
 
-  // Thin reads of the registry-backed cache counters.
-  [[nodiscard]] std::uint64_t cache_hits() const {
-    return cache_hits_->value();
-  }
-  [[nodiscard]] std::uint64_t cache_misses() const {
-    return cache_misses_->value();
-  }
-  // Lookups failed fast because the service was unavailable.
-  [[nodiscard]] std::uint64_t lookups_dropped() const {
-    return lookups_dropped_->value();
-  }
-  // Every lookup that reached this replica (served or failed).
-  [[nodiscard]] std::uint64_t lookups_total() const {
-    return lookups_total_->value();
-  }
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
   void flush_cache() { cache_.clear(); }
 
@@ -78,11 +75,7 @@ class ControlService {
   obs::TraceId trace_subject_ = 0;
   std::unordered_map<IsdAs, CacheEntry> cache_;
   bool available_ = true;
-  obs::Counter* cache_hits_ = nullptr;
-  obs::Counter* cache_misses_ = nullptr;
-  obs::Counter* lookups_dropped_ = nullptr;
-  obs::Counter* lookups_total_ = nullptr;
-  obs::Gauge* available_gauge_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace sciera::controlplane

@@ -10,30 +10,26 @@ CertificateAuthority::CertificateAuthority(IsdAs ca_as, crypto::KeyPair ca_key,
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"ca", registry.instance_label("ca", ca_as_.to_string())}};
-  issued_ = &registry.counter("sciera_ca_issued_total", base);
-  renewed_ = &registry.counter("sciera_ca_renewed_total", base);
-  rejected_ = &registry.counter("sciera_ca_rejected_total", base);
-}
-
-CertificateAuthority::Stats CertificateAuthority::stats() const {
-  return Stats{issued_->value(), renewed_->value(), rejected_->value()};
+  metrics_.issued = &registry.counter("sciera_ca_issued_total", base);
+  metrics_.renewed = &registry.counter("sciera_ca_renewed_total", base);
+  metrics_.rejected = &registry.counter("sciera_ca_rejected_total", base);
 }
 
 Result<Certificate> CertificateAuthority::issue(
     IsdAs subject, const crypto::Ed25519::PublicKey& subject_key, SimTime now,
     Duration validity) {
   if (subject.isd() != ca_as_.isd()) {
-    rejected_->inc();
+    metrics_.rejected->inc();
     return Error{Errc::kInvalidArgument,
                  "CA for ISD " + std::to_string(ca_as_.isd()) +
                      " cannot certify " + subject.to_string()};
   }
   if (validity <= 0) {
-    rejected_->inc();
+    metrics_.rejected->inc();
     return Error{Errc::kInvalidArgument, "non-positive validity"};
   }
   if (!ca_cert_.covers(now)) {
-    rejected_->inc();
+    metrics_.rejected->inc();
     return Error{Errc::kExpired, "CA certificate expired"};
   }
   Certificate cert;
@@ -48,9 +44,9 @@ Result<Certificate> CertificateAuthority::issue(
 
   if (auto [it, inserted] = issued_to_.try_emplace(subject, 1); !inserted) {
     ++it->second;
-    renewed_->inc();
+    metrics_.renewed->inc();
   } else {
-    issued_->inc();
+    metrics_.issued->inc();
   }
   return cert;
 }

@@ -23,10 +23,11 @@ inline constexpr Duration kRenewalMargin = kDefaultAsCertValidity / 3;
 
 class CertificateAuthority {
  public:
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t issued = 0;
-    std::uint64_t renewed = 0;
-    std::uint64_t rejected = 0;
+  // Registry cells, registered at construction.
+  struct Metrics {
+    obs::Counter* issued = nullptr;
+    obs::Counter* renewed = nullptr;
+    obs::Counter* rejected = nullptr;
   };
 
   // A CA is itself a core AS holding a root-signed CA certificate.
@@ -42,7 +43,7 @@ class CertificateAuthority {
 
   [[nodiscard]] const Certificate& ca_certificate() const { return ca_cert_; }
   [[nodiscard]] IsdAs ca_as() const { return ca_as_; }
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
  private:
   IsdAs ca_as_;
@@ -50,9 +51,7 @@ class CertificateAuthority {
   Certificate ca_cert_;
   std::uint64_t next_serial_ = 1;
   std::unordered_map<IsdAs, std::uint64_t> issued_to_;
-  obs::Counter* issued_ = nullptr;
-  obs::Counter* renewed_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
+  Metrics metrics_;
 };
 
 // Verifies the full chain AS cert -> CA cert -> TRC root key.

@@ -35,7 +35,7 @@ class FramePool {
     std::size_t max_pooled = 4096;
   };
 
-  struct Stats {  // registry-backed snapshot (mirrored by publish_metrics)
+  struct Stats {  // NOLINT(adhoc-stats) the pool's storage, not a mirror
     std::uint64_t acquired = 0;   // total acquire() calls
     std::uint64_t allocated = 0;  // acquires that hit the allocator
     std::uint64_t reused = 0;     // acquires served from the free list

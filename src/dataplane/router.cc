@@ -95,28 +95,6 @@ void BorderRouter::crash() {
              obs::TraceDetail::kRouterCrash);
 }
 
-BorderRouter::Stats BorderRouter::stats() const {
-  return Stats{metrics_.forwarded->value(),
-               metrics_.delivered->value(),
-               metrics_.injected->value(),
-               metrics_.echo_replies->value(),
-               metrics_.drop_mac->value(),
-               metrics_.drop_expired->value(),
-               metrics_.drop_bad_ingress->value(),
-               metrics_.drop_no_route->value(),
-               metrics_.drop_malformed->value(),
-               metrics_.drop_offline->value(),
-               metrics_.scmp_errors_sent->value(),
-               metrics_.crashes->value(),
-               metrics_.batches->value(),
-               metrics_.batch_packets->value(),
-               metrics_.mac_cache_hits->value(),
-               metrics_.mac_cache_misses->value(),
-               metrics_.admission_dropped_data->value(),
-               metrics_.admission_dropped_control->value(),
-               metrics_.scmp_suppressed->value()};
-}
-
 bool BorderRouter::take_token(TokenBucket& bucket, double pps, double burst,
                               SimTime now) {
   const double elapsed =
@@ -422,8 +400,8 @@ void BorderRouter::send_scmp_error(const ScionPacket& offending,
     }
   }
   // Per-offender error budget: a flood tripping errors at line rate must
-  // not amplify into an SCMP storm on the reverse path. stats().
-  // scmp_errors_sent counts generation attempts; scmp_suppressed the
+  // not amplify into an SCMP storm on the reverse path. The
+  // scmp_errors_sent cell counts generation attempts; scmp_suppressed the
   // subset this budget dropped.
   if (config_.scmp_rate_pps > 0 && !scmp_budget_ok(offending.src.ia)) {
     metrics_.scmp_suppressed->inc();

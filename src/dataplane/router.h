@@ -60,26 +60,29 @@ class BorderRouter final : public simnet::Node {
     double scmp_burst = 8;
   };
 
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t forwarded = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t injected = 0;
-    std::uint64_t echo_replies = 0;
-    std::uint64_t drop_mac = 0;
-    std::uint64_t drop_expired = 0;
-    std::uint64_t drop_bad_ingress = 0;
-    std::uint64_t drop_no_route = 0;
-    std::uint64_t drop_malformed = 0;
-    std::uint64_t drop_offline = 0;
-    std::uint64_t scmp_errors_sent = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t batches = 0;        // batched receive_batch invocations
-    std::uint64_t batch_packets = 0;  // frames processed via the fast path
-    std::uint64_t mac_cache_hits = 0;
-    std::uint64_t mac_cache_misses = 0;
-    std::uint64_t admission_dropped_data = 0;
-    std::uint64_t admission_dropped_control = 0;
-    std::uint64_t scmp_suppressed = 0;
+  // Registry cells, registered at construction (before the verifier,
+  // which counts into two of them) under a per-router instance label
+  // derived from the ISD-AS.
+  struct Metrics {
+    obs::Counter* forwarded = nullptr;
+    obs::Counter* delivered = nullptr;
+    obs::Counter* injected = nullptr;
+    obs::Counter* echo_replies = nullptr;
+    obs::Counter* drop_mac = nullptr;
+    obs::Counter* drop_expired = nullptr;
+    obs::Counter* drop_bad_ingress = nullptr;
+    obs::Counter* drop_no_route = nullptr;
+    obs::Counter* drop_malformed = nullptr;
+    obs::Counter* drop_offline = nullptr;
+    obs::Counter* scmp_errors_sent = nullptr;
+    obs::Counter* crashes = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Counter* batch_packets = nullptr;
+    obs::Counter* mac_cache_hits = nullptr;
+    obs::Counter* mac_cache_misses = nullptr;
+    obs::Counter* admission_dropped_data = nullptr;
+    obs::Counter* admission_dropped_control = nullptr;
+    obs::Counter* scmp_suppressed = nullptr;
   };
 
   BorderRouter(simnet::Simulator& sim, IsdAs ia, FwdKey fwd_key,
@@ -88,7 +91,7 @@ class BorderRouter final : public simnet::Node {
       : BorderRouter(sim, ia, fwd_key, Config{}) {}
 
   [[nodiscard]] IsdAs isd_as() const { return ia_; }
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] const FwdKey& fwd_key() const { return verifier_.key(); }
   // Forwarding-key rollover: re-derives the cached verification context
   // (one key schedule) and invalidates every cached MAC.
@@ -160,30 +163,6 @@ class BorderRouter final : public simnet::Node {
   // Per-offender SCMP error budget; false = this error must be suppressed.
   [[nodiscard]] bool scmp_budget_ok(IsdAs offender);
 
-  // Registry cells, registered at construction (before the verifier,
-  // which counts into two of them) under a per-router instance label
-  // derived from the ISD-AS.
-  struct Metrics {
-    obs::Counter* forwarded = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* injected = nullptr;
-    obs::Counter* echo_replies = nullptr;
-    obs::Counter* drop_mac = nullptr;
-    obs::Counter* drop_expired = nullptr;
-    obs::Counter* drop_bad_ingress = nullptr;
-    obs::Counter* drop_no_route = nullptr;
-    obs::Counter* drop_malformed = nullptr;
-    obs::Counter* drop_offline = nullptr;
-    obs::Counter* scmp_errors_sent = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* batch_packets = nullptr;
-    obs::Counter* mac_cache_hits = nullptr;
-    obs::Counter* mac_cache_misses = nullptr;
-    obs::Counter* admission_dropped_data = nullptr;
-    obs::Counter* admission_dropped_control = nullptr;
-    obs::Counter* scmp_suppressed = nullptr;
-  };
   [[nodiscard]] static Metrics register_metrics(IsdAs ia);
 
   simnet::Simulator& sim_;

@@ -11,21 +11,21 @@ Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"daemon", registry.instance_label("daemon", ia.to_string())}};
-  lookups_ = &registry.counter("sciera_daemon_lookups_total", base);
+  metrics_.lookups = &registry.counter("sciera_daemon_lookups_total", base);
   const auto cache = [&](const char* result) {
     obs::Labels labels = base;
     labels.emplace_back("result", result);
     return &registry.counter("sciera_daemon_cache_total", labels);
   };
-  cache_hits_ = cache("hit");
-  cache_misses_ = cache("miss");
+  metrics_.cache_hits = cache("hit");
+  metrics_.cache_misses = cache("miss");
   const auto degraded = [&](const char* result) {
     obs::Labels labels = base;
     labels.emplace_back("result", result);
     return &registry.counter("sciera_daemon_degraded_total", labels);
   };
-  stale_served_ = degraded("stale");
-  degraded_empty_ = degraded("empty");
+  metrics_.stale_served = degraded("stale");
+  metrics_.degraded_empty = degraded("empty");
   // Registered, never counted: every lookup is synchronous, so nothing
   // times out or retries. BENCHMARK.json still declares
   // endhost.lookup_timeouts and endhost.lookup_retries, which the
@@ -33,19 +33,20 @@ Daemon::Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config)
   // change retires those metrics.
   (void)registry.counter("sciera_daemon_lookup_timeouts_total", base);
   (void)registry.counter("sciera_daemon_lookup_retries_total", base);
-  breaker_trips_ =
+  metrics_.breaker_trips =
       &registry.counter("sciera_daemon_breaker_trips_total", base);
-  quarantine_size_ = &registry.gauge("sciera_daemon_quarantined", base);
+  metrics_.quarantined = &registry.gauge("sciera_daemon_quarantined", base);
 }
 
 void Daemon::prune_quarantine() {
   const SimTime now = net_.sim().now();
   std::erase_if(down_until_,
                 [now](const auto& entry) { return now >= entry.second; });
-  quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
+  metrics_.quarantined->set(static_cast<std::int64_t>(down_until_.size()));
 }
 
 std::size_t Daemon::replica_count() const {
+  if (services_ == nullptr) return 0;
   return config_.resilience.enabled ? services_->size() : 1;
 }
 
@@ -64,7 +65,7 @@ void Daemon::record_fetch_failure(IsdAs dst, std::size_t replica) {
   CircuitBreaker& breaker = breaker_for(dst, replica);
   const std::uint64_t opened_before = breaker.times_opened();
   breaker.record_failure(net_.sim().now());
-  if (breaker.times_opened() > opened_before) breaker_trips_->inc();
+  if (breaker.times_opened() > opened_before) metrics_.breaker_trips->inc();
 }
 
 Daemon::Answer Daemon::degraded(IsdAs dst) {
@@ -79,11 +80,11 @@ Daemon::Answer Daemon::degraded(IsdAs dst) {
   }
   const bool serve_stale = config_.resilience.enabled && have_stale;
   if (serve_stale) {
-    stale_served_->inc();
+    metrics_.stale_served->inc();
     if (first_stale_at_ < 0) first_stale_at_ = net_.sim().now();
     last_stale_at_ = net_.sim().now();
   } else {
-    degraded_empty_->inc();
+    metrics_.degraded_empty->inc();
   }
   net_.sim().trace(obs::TraceType::kLookupDegraded, subject_,
                    serve_stale ? obs::TraceDetail::kLookupStale
@@ -113,7 +114,7 @@ controlplane::PathSet Daemon::path_set(IsdAs dst) {
 
 Daemon::Answer Daemon::answer(IsdAs dst) {
   prune_quarantine();
-  lookups_->inc();
+  metrics_.lookups->inc();
   const SimTime now = net_.sim().now();
   const auto cached = cache_.find(dst);
   // Fresh iff age < ttl: an entry aged exactly path_cache_ttl is stale.
@@ -124,10 +125,10 @@ Daemon::Answer Daemon::answer(IsdAs dst) {
       hit ? obs::TraceDetail::kLookupHit : obs::TraceDetail::kLookupMiss,
       dst.packed());
   if (hit) {
-    cache_hits_->inc();
+    metrics_.cache_hits->inc();
     return Answer{cached->second.paths, PathSource::kFreshCache};
   }
-  cache_misses_->inc();
+  metrics_.cache_misses->inc();
   // Replica failover in deterministic index order: skip replicas whose
   // breaker is open (fail fast, no failure charged), charge a failure to
   // a dead replica and move on, fetch from the first live one. A failed
@@ -159,7 +160,7 @@ const cppki::Trc* Daemon::trc(Isd isd) const {
 void Daemon::report_path_down(const std::string& fingerprint) {
   prune_quarantine();
   down_until_[fingerprint] = net_.sim().now() + config_.down_path_penalty;
-  quarantine_size_->set(static_cast<std::int64_t>(down_until_.size()));
+  metrics_.quarantined->set(static_cast<std::int64_t>(down_until_.size()));
   auto& sim = net_.sim();
   sim.trace(obs::TraceType::kPathDown, subject_, obs::TraceDetail::kText,
             sim.recorder().intern(fingerprint));

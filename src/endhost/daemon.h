@@ -61,6 +61,17 @@ class Daemon {
     Resilience resilience{};
   };
 
+  // Registry cells, registered at construction.
+  struct Metrics {
+    obs::Counter* lookups = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* cache_misses = nullptr;
+    obs::Counter* stale_served = nullptr;
+    obs::Counter* degraded_empty = nullptr;
+    obs::Counter* breaker_trips = nullptr;
+    obs::Gauge* quarantined = nullptr;
+  };
+
   Daemon(controlplane::ScionNetwork& net, IsdAs ia, Config config);
   Daemon(controlplane::ScionNetwork& net, IsdAs ia)
       : Daemon(net, ia, Config{}) {}
@@ -86,24 +97,7 @@ class Daemon {
   void report_path_down(const std::string& fingerprint);
   [[nodiscard]] bool path_alive(const controlplane::Path& path) const;
 
-  // Thin reads of the registry-backed counters.
-  [[nodiscard]] std::uint64_t lookups() const { return lookups_->value(); }
-  [[nodiscard]] std::uint64_t cache_hits() const {
-    return cache_hits_->value();
-  }
-  [[nodiscard]] std::uint64_t cache_misses() const {
-    return cache_misses_->value();
-  }
-  // Degradation / error-budget reads.
-  [[nodiscard]] std::uint64_t stale_served() const {
-    return stale_served_->value();
-  }
-  [[nodiscard]] std::uint64_t degraded_empty() const {
-    return degraded_empty_->value();
-  }
-  [[nodiscard]] std::uint64_t breaker_trips() const {
-    return breaker_trips_->value();
-  }
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   // Currently quarantined fingerprints (expired entries are pruned on
   // every lookup and report, so this cannot grow without bound).
   [[nodiscard]] std::size_t quarantined() const { return down_until_.size(); }
@@ -140,7 +134,9 @@ class Daemon {
   [[nodiscard]] Answer degraded(IsdAs dst);
   // Replicas this daemon fails over across. Legacy mode (resilience
   // disabled) pins itself to the primary: the pre-replication client had
-  // exactly one service and no failover.
+  // exactly one service and no failover. An AS without a control service
+  // (its ISD has no PKI) has none, so every miss answers from the
+  // degradation tail.
   [[nodiscard]] std::size_t replica_count() const;
   // Breakers are per (destination, replica): one dead replica must not
   // poison lookups through its healthy peers, and one hard destination
@@ -151,7 +147,7 @@ class Daemon {
   controlplane::ScionNetwork& net_;
   IsdAs ia_;
   Config config_;
-  controlplane::ControlServiceSet* services_;
+  controlplane::ControlServiceSet* services_;  // nullptr: no service
   // "daemon-<ia>", interned: every trace event's subject.
   obs::TraceId subject_ = 0;
   std::unordered_map<IsdAs, CacheEntry> cache_;
@@ -159,13 +155,7 @@ class Daemon {
   std::map<std::string, SimTime> down_until_;
   SimTime first_stale_at_ = -1;
   SimTime last_stale_at_ = -1;
-  obs::Counter* lookups_ = nullptr;
-  obs::Counter* cache_hits_ = nullptr;
-  obs::Counter* cache_misses_ = nullptr;
-  obs::Counter* stale_served_ = nullptr;
-  obs::Counter* degraded_empty_ = nullptr;
-  obs::Counter* breaker_trips_ = nullptr;
-  obs::Gauge* quarantine_size_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace sciera::endhost

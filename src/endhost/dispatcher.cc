@@ -21,25 +21,20 @@ HostStack::HostStack(controlplane::ScionNetwork& net, dataplane::Address addr,
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"host", registry.instance_label("host", addr.to_string())}};
-  delivered_ = &registry.counter("sciera_host_delivered_total", base);
+  metrics_.delivered = &registry.counter("sciera_host_delivered_total", base);
   const auto dropped = [&](const char* reason) {
     obs::Labels labels = base;
     labels.emplace_back("reason", reason);
     return &registry.counter("sciera_host_dropped_total", labels);
   };
-  dropped_no_port_ = dropped("no_port");
-  dropped_overload_ = dropped("overload");
-  dropped_filtered_ = dropped("filtered");
+  metrics_.dropped_no_port = dropped("no_port");
+  metrics_.dropped_overload = dropped("overload");
+  metrics_.dropped_filtered = dropped("filtered");
   const auto status = net_.register_host(
       addr_, [this](dataplane::ScionPacket& packet, SimTime arrival) {
         on_local_delivery(packet, arrival);
       });
   (void)status;
-}
-
-HostStack::Stats HostStack::stats() const {
-  return Stats{delivered_->value(), dropped_no_port_->value(),
-               dropped_overload_->value(), dropped_filtered_->value()};
 }
 
 HostStack::~HostStack() { net_.unregister_host(addr_); }
@@ -102,7 +97,7 @@ void HostStack::on_local_delivery(dataplane::ScionPacket& packet,
   if (packet.next_hdr != dataplane::kProtoUdp) return;
   const auto datagram = dataplane::UdpDatagramView::parse(packet.payload);
   if (!datagram) {
-    dropped_no_port_->inc();
+    metrics_.dropped_no_port->inc();
     return;
   }
   // In-path LightningFilter: unauthenticated traffic is shed here, before
@@ -110,12 +105,12 @@ void HostStack::on_local_delivery(dataplane::ScionPacket& packet,
   if (filter_ != nullptr &&
       filter_->check(packet.src.ia, datagram->data, arrival) !=
           LightningFilter::Verdict::kAccept) {
-    dropped_filtered_->inc();
+    metrics_.dropped_filtered->inc();
     return;
   }
   const auto it = ports_.find(datagram->dst_port);
   if (it == ports_.end()) {
-    dropped_no_port_->inc();
+    metrics_.dropped_no_port->inc();
     return;
   }
 
@@ -123,7 +118,7 @@ void HostStack::on_local_delivery(dataplane::ScionPacket& packet,
   if (config_.mode == HostMode::kDispatcher) {
     const auto queued = dispatcher_delay(arrival);
     if (!queued) {
-      dropped_overload_->inc();
+      metrics_.dropped_overload->inc();
       return;
     }
     extra += *queued;
@@ -132,7 +127,7 @@ void HostStack::on_local_delivery(dataplane::ScionPacket& packet,
                                    kDispatcherlessPps);
   }
 
-  delivered_->inc();
+  metrics_.delivered->inc();
   // Parked in the network's pool, not in this stack: the event captures
   // no `this`, so a stack destroyed or a port unbound with deliveries
   // pending leaves them valid, each holding its receiver.

@@ -37,11 +37,12 @@ class HostStack {
     std::size_t dispatcher_queue = 512;
   };
 
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped_no_port = 0;
-    std::uint64_t dropped_overload = 0;
-    std::uint64_t dropped_filtered = 0;
+  // Registry cells, registered at construction.
+  struct Metrics {
+    obs::Counter* delivered = nullptr;
+    obs::Counter* dropped_no_port = nullptr;
+    obs::Counter* dropped_overload = nullptr;
+    obs::Counter* dropped_filtered = nullptr;
   };
 
   using Receiver = dataplane::UdpReceiver;
@@ -56,7 +57,7 @@ class HostStack {
 
   [[nodiscard]] const dataplane::Address& address() const { return addr_; }
   [[nodiscard]] HostMode mode() const { return config_.mode; }
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] controlplane::ScionNetwork& network() { return net_; }
 
   // Binds a UDP port; fails if taken. Port 0 picks a free ephemeral port
@@ -100,10 +101,7 @@ class HostStack {
   LightningFilter* filter_ = nullptr;
   std::uint16_t next_ephemeral_ = 32768;
   SimTime dispatcher_free_at_ = 0;
-  obs::Counter* delivered_ = nullptr;
-  obs::Counter* dropped_no_port_ = nullptr;
-  obs::Counter* dropped_overload_ = nullptr;
-  obs::Counter* dropped_filtered_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace sciera::endhost

@@ -34,22 +34,16 @@ LightningFilter::LightningFilter(BytesView filter_secret, Config config)
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"filter", registry.instance_label("lightning_filter", "lf")}};
-  accepted_ = &registry.counter("sciera_filter_accepted_total", base);
+  metrics_.accepted = &registry.counter("sciera_filter_accepted_total", base);
   const auto dropped = [&](const char* reason) {
     obs::Labels labels = base;
     labels.emplace_back("reason", reason);
     return &registry.counter("sciera_filter_dropped_total", labels);
   };
-  dropped_rule_ = dropped("rule");
-  dropped_auth_ = dropped("auth");
-  dropped_rate_ = dropped("rate");
-  dropped_overflow_ = dropped("overflow");
-}
-
-LightningFilter::Stats LightningFilter::stats() const {
-  return Stats{accepted_->value(), dropped_rule_->value(),
-               dropped_auth_->value(), dropped_rate_->value(),
-               dropped_overflow_->value()};
+  metrics_.dropped_rule = dropped("rule");
+  metrics_.dropped_auth = dropped("auth");
+  metrics_.dropped_rate = dropped("rate");
+  metrics_.dropped_overflow = dropped("overflow");
 }
 
 crypto::Aes128::Key LightningFilter::key_for(IsdAs src) const {
@@ -129,25 +123,25 @@ LightningFilter::Verdict LightningFilter::check(IsdAs src, BytesView payload,
       std::find(config_.allowed_sources.begin(),
                 config_.allowed_sources.end(),
                 src) == config_.allowed_sources.end()) {
-    dropped_rule_->inc();
+    metrics_.dropped_rule->inc();
     return Verdict::kDropRule;
   }
   SourceState* state = source_state(src, now);
   if (state == nullptr) {
-    dropped_overflow_->inc();
+    metrics_.dropped_overflow->inc();
     return Verdict::kDropOverflow;
   }
   // Authentication: payload must end with a valid 16-byte CMAC, verified
   // against the cached per-source context.
   if (config_.require_auth) {
     if (payload.size() < 16) {
-      dropped_auth_->inc();
+      metrics_.dropped_auth->inc();
       return Verdict::kDropAuth;
     }
     const BytesView body{payload.data(), payload.size() - 16};
     const BytesView tag{payload.data() + payload.size() - 16, 16};
     if (!state->cmac.verify(body, tag)) {
-      dropped_auth_->inc();
+      metrics_.dropped_auth->inc();
       return Verdict::kDropAuth;
     }
     state->authenticated = true;
@@ -161,12 +155,12 @@ LightningFilter::Verdict LightningFilter::check(IsdAs src, BytesView payload,
                              bucket.tokens + elapsed * config_.rate_pps);
     bucket.last = now;
     if (bucket.tokens < 1.0) {
-      dropped_rate_->inc();
+      metrics_.dropped_rate->inc();
       return Verdict::kDropRate;
     }
     bucket.tokens -= 1.0;
   }
-  accepted_->inc();
+  metrics_.accepted->inc();
   return Verdict::kAccept;
 }
 

@@ -72,12 +72,13 @@ class LightningFilter {
   LightningFilter(BytesView filter_secret)
       : LightningFilter(filter_secret, Config{}) {}
 
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t accepted = 0;
-    std::uint64_t dropped_rule = 0;
-    std::uint64_t dropped_auth = 0;
-    std::uint64_t dropped_rate = 0;
-    std::uint64_t dropped_overflow = 0;
+  // Registry cells, one per verdict, registered at construction.
+  struct Metrics {
+    obs::Counter* accepted = nullptr;
+    obs::Counter* dropped_rule = nullptr;
+    obs::Counter* dropped_auth = nullptr;
+    obs::Counter* dropped_rate = nullptr;
+    obs::Counter* dropped_overflow = nullptr;
   };
 
   // DRKey-style key for a source AS (== lightning_key(secret, src)).
@@ -94,7 +95,7 @@ class LightningFilter {
   // front of the dispatcher/port demux.
   Verdict check(IsdAs src, BytesView payload, SimTime now);
 
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   // Live per-source table size (bounded by Config::max_sources).
   [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
 
@@ -133,11 +134,7 @@ class LightningFilter {
 
   Bytes secret_;
   Config config_;
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* dropped_rule_ = nullptr;
-  obs::Counter* dropped_auth_ = nullptr;
-  obs::Counter* dropped_rate_ = nullptr;
-  obs::Counter* dropped_overflow_ = nullptr;
+  Metrics metrics_;
   // Ordered by packed ISD-AS: reclamation sweeps iterate, and hash order
   // must not leak into which source is reclaimed first.
   std::map<std::uint64_t, SourceState> sources_;

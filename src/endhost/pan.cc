@@ -71,9 +71,11 @@ controlplane::PathSet PanContext::path_set(IsdAs dst) {
   if (mode_ == StackMode::kDaemonDependent) return env_.daemon->path_set(dst);
   // Without a daemon the library talks to the replicated control service
   // itself (first-available failover) and applies its private liveness
-  // table.
+  // table. An AS without a service has no paths to offer.
   prune_quarantine();
-  return env_.net->control_service_set(env_.address.ia)->lookup_paths_now(dst);
+  auto* services = env_.net->control_service_set(env_.address.ia);
+  return services == nullptr ? controlplane::no_paths()
+                             : services->lookup_paths_now(dst);
 }
 
 bool PanContext::path_alive(const controlplane::Path& path) const {

@@ -150,8 +150,10 @@ StatusDashboard Orchestrator::dashboard() {
       cs != nullptr ? ServiceHealth::kHealthy : ServiceHealth::kDown,
       cs != nullptr
           ? strformat("cache %llu hits / %llu misses",
-                      static_cast<unsigned long long>(cs->cache_hits()),
-                      static_cast<unsigned long long>(cs->cache_misses()))
+                      static_cast<unsigned long long>(
+                          cs->metrics().cache_hits->value()),
+                      static_cast<unsigned long long>(
+                          cs->metrics().cache_misses->value()))
           : "not running"});
 
   // Border router + links.
@@ -160,16 +162,18 @@ StatusDashboard Orchestrator::dashboard() {
     dash.services.push_back(
         ServiceStatus{"border-router", ServiceHealth::kDown, "not running"});
   } else {
-    const auto& stats = router->stats();
-    const auto drops = stats.drop_mac + stats.drop_expired +
-                       stats.drop_bad_ingress + stats.drop_malformed;
+    const dataplane::BorderRouter::Metrics& m = router->metrics();
+    const std::uint64_t forwarded = m.forwarded->value();
+    const std::uint64_t drops =
+        m.drop_mac->value() + m.drop_expired->value() +
+        m.drop_bad_ingress->value() + m.drop_malformed->value();
     dash.services.push_back(ServiceStatus{
         "border-router",
-        drops > stats.forwarded / 10 ? ServiceHealth::kDegraded
-                                     : ServiceHealth::kHealthy,
+        drops > forwarded / 10 ? ServiceHealth::kDegraded
+                               : ServiceHealth::kHealthy,
         strformat("fwd %llu, delivered %llu, drops %llu",
-                  static_cast<unsigned long long>(stats.forwarded),
-                  static_cast<unsigned long long>(stats.delivered),
+                  static_cast<unsigned long long>(forwarded),
+                  static_cast<unsigned long long>(m.delivered->value()),
                   static_cast<unsigned long long>(drops))});
   }
 

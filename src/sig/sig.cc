@@ -40,15 +40,17 @@ ScionIpGateway::ScionIpGateway(controlplane::ScionNetwork& net,
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels base{
       {"sig", registry.instance_label("sig", addr.to_string())}};
-  encapsulated_ = &registry.counter("sciera_sig_encapsulated_total", base);
-  decapsulated_ = &registry.counter("sciera_sig_decapsulated_total", base);
+  metrics_.encapsulated =
+      &registry.counter("sciera_sig_encapsulated_total", base);
+  metrics_.decapsulated =
+      &registry.counter("sciera_sig_decapsulated_total", base);
   const auto dropped = [&](const char* reason) {
     obs::Labels labels = base;
     labels.emplace_back("reason", reason);
     return &registry.counter("sciera_sig_dropped_total", labels);
   };
-  no_rule_ = dropped("no_rule");
-  send_failures_ = dropped("send_failure");
+  metrics_.no_rule = dropped("no_rule");
+  metrics_.send_failures = dropped("send_failure");
   (void)stack_.bind(kSigPort,
                     [this](const dataplane::ScionPacket& packet,
                            const dataplane::UdpDatagram& datagram,
@@ -70,7 +72,7 @@ Status ScionIpGateway::send_ip(const IpPacket& packet) {
     }
   }
   if (remote == nullptr) {
-    no_rule_->inc();
+    metrics_.no_rule->inc();
     return Error{Errc::kNotFound, "no SIG traffic rule for destination"};
   }
 
@@ -85,7 +87,7 @@ Status ScionIpGateway::send_ip(const IpPacket& packet) {
           return daemon_.path_alive(path) && net_.path_usable(path);
         });
     if (chosen == nullptr) {
-      send_failures_->inc();
+      metrics_.send_failures->inc();
       return Error{Errc::kUnreachable,
                    "no usable path to remote SIG " + remote->to_string()};
     }
@@ -100,16 +102,11 @@ Status ScionIpGateway::send_ip(const IpPacket& packet) {
   tunnel.payload = datagram.serialize();
   const auto status = stack_.send(std::move(tunnel));
   if (!status.ok()) {
-    send_failures_->inc();
+    metrics_.send_failures->inc();
     return status;
   }
-  encapsulated_->inc();
+  metrics_.encapsulated->inc();
   return {};
-}
-
-ScionIpGateway::Stats ScionIpGateway::stats() const {
-  return Stats{encapsulated_->value(), decapsulated_->value(),
-               no_rule_->value(), send_failures_->value()};
 }
 
 void ScionIpGateway::on_tunnel_packet(const dataplane::ScionPacket&,
@@ -117,7 +114,7 @@ void ScionIpGateway::on_tunnel_packet(const dataplane::ScionPacket&,
                                       SimTime arrival) {
   auto packet = IpPacket::parse(datagram.data);
   if (!packet) return;
-  decapsulated_->inc();
+  metrics_.decapsulated->inc();
   if (delivery_) delivery_(packet.value(), arrival);
 }
 

@@ -44,11 +44,12 @@ struct IpPrefix {
 
 class ScionIpGateway {
  public:
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t encapsulated = 0;
-    std::uint64_t decapsulated = 0;
-    std::uint64_t no_rule = 0;
-    std::uint64_t send_failures = 0;
+  // Registry cells, registered at construction.
+  struct Metrics {
+    obs::Counter* encapsulated = nullptr;
+    obs::Counter* decapsulated = nullptr;
+    obs::Counter* no_rule = nullptr;
+    obs::Counter* send_failures = nullptr;
   };
 
   // The handler receiving decapsulated IP packets for the local LAN.
@@ -71,7 +72,7 @@ class ScionIpGateway {
   // Entry point from the legacy LAN side.
   Status send_ip(const IpPacket& packet);
 
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] const dataplane::Address& address() const {
     return stack_.address();
   }
@@ -89,10 +90,7 @@ class ScionIpGateway {
   endhost::PathSelector selector_;
   IpDelivery delivery_;
   std::vector<std::pair<IpPrefix, dataplane::Address>> rules_;
-  obs::Counter* encapsulated_ = nullptr;
-  obs::Counter* decapsulated_ = nullptr;
-  obs::Counter* no_rule_ = nullptr;
-  obs::Counter* send_failures_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace sciera::sig

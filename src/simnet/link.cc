@@ -23,7 +23,7 @@ const std::string& Link::display_name() const {
   return label_.empty() ? kUnnamed : label_;
 }
 
-Link::Metrics& Link::metrics() const {
+const Link::Metrics& Link::metrics() const {
   if (metrics_.delivered == nullptr) {
     auto& registry = obs::MetricsRegistry::global();
     const obs::Labels base{
@@ -39,12 +39,6 @@ Link::Metrics& Link::metrics() const {
     metrics_.dropped_queue = dropped("queue");
   }
   return metrics_;
-}
-
-Link::Stats Link::stats() const {
-  const Metrics& m = metrics();
-  return Stats{m.delivered->value(), m.dropped_down->value(),
-               m.dropped_loss->value(), m.dropped_queue->value()};
 }
 
 void Link::set_up(bool up) {

@@ -38,11 +38,13 @@ struct LinkConfig {
 
 class Link {
  public:
-  struct Stats {  // registry-backed snapshot
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped_down = 0;
-    std::uint64_t dropped_loss = 0;
-    std::uint64_t dropped_queue = 0;
+  // Registry cells, registered on first use (set_label first, or the
+  // series is named "link", "link#2", ...).
+  struct Metrics {
+    obs::Counter* delivered = nullptr;
+    obs::Counter* dropped_down = nullptr;
+    obs::Counter* dropped_loss = nullptr;
+    obs::Counter* dropped_queue = nullptr;
   };
 
   Link(Simulator& sim, LinkConfig config, Rng jitter_rng)
@@ -90,7 +92,7 @@ class Link {
   void set_jitter_sigma(double sigma) { config_.jitter_sigma = sigma; }
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Metrics& metrics() const;
   [[nodiscard]] Node* peer_of(int side) const { return ends_[side ^ 1].node; }
   [[nodiscard]] IfaceId iface_of(int side) const {
     return ends_[static_cast<std::size_t>(side)].iface;
@@ -131,15 +133,6 @@ class Link {
   // kept) so the next batch reuses it.
   void recycle_batch(std::vector<Pending> items);
 
-  // Registry cells, registered lazily on first use so test-created links
-  // without a topology label still get a unique instance name.
-  struct Metrics {
-    obs::Counter* delivered = nullptr;
-    obs::Counter* dropped_down = nullptr;
-    obs::Counter* dropped_loss = nullptr;
-    obs::Counter* dropped_queue = nullptr;
-  };
-  Metrics& metrics() const;
   [[nodiscard]] const std::string& display_name() const;
 
   // label_, metrics_, and on_state_change_ are wiring set before traffic

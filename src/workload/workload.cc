@@ -164,31 +164,4 @@ void TrafficMatrix::schedule_flow(const Flow& flow) {
   }
 }
 
-endhost::LightningFilter::Stats TrafficMatrix::filter_stats() const {
-  endhost::LightningFilter::Stats total;
-  for (const Host& host : hosts_) {
-    if (!host.filter) continue;
-    const auto stats = host.filter->stats();
-    total.accepted += stats.accepted;
-    total.dropped_rule += stats.dropped_rule;
-    total.dropped_auth += stats.dropped_auth;
-    total.dropped_rate += stats.dropped_rate;
-    total.dropped_overflow += stats.dropped_overflow;
-  }
-  return total;
-}
-
-endhost::HostStack::Stats TrafficMatrix::stack_stats() const {
-  endhost::HostStack::Stats total;
-  for (const Host& host : hosts_) {
-    if (!host.ctx) continue;
-    const auto stats = host.ctx->stack().stats();
-    total.delivered += stats.delivered;
-    total.dropped_no_port += stats.dropped_no_port;
-    total.dropped_overload += stats.dropped_overload;
-    total.dropped_filtered += stats.dropped_filtered;
-  }
-  return total;
-}
-
 }  // namespace sciera::workload

@@ -111,6 +111,14 @@ class TrafficMatrix {
   [[nodiscard]] const endhost::Daemon& daemon(std::size_t host) const {
     return *hosts_[host].daemon;
   }
+  [[nodiscard]] const endhost::HostStack& stack(std::size_t host) const {
+    return hosts_[host].ctx->stack();
+  }
+  // The host's in-path filter; nullptr when install_filters is off.
+  [[nodiscard]] const endhost::LightningFilter* filter(
+      std::size_t host) const {
+    return hosts_[host].filter.get();
+  }
   [[nodiscard]] const dataplane::Address& host_address(std::size_t host) const {
     return hosts_[host].address;
   }
@@ -132,12 +140,6 @@ class TrafficMatrix {
       std::function<void(std::uint8_t, std::size_t, SimTime)> on_foreign) {
     on_foreign_delivery_ = std::move(on_foreign);
   }
-
-  // Aggregate verdict counters over every installed in-path filter
-  // (all zero when install_filters is off).
-  [[nodiscard]] endhost::LightningFilter::Stats filter_stats() const;
-  // Aggregate host-stack drop/delivery counters over the fleet.
-  [[nodiscard]] endhost::HostStack::Stats stack_stats() const;
 
  private:
   struct Host {

@@ -6,6 +6,7 @@
 // breaker/failover/stale-serving machinery on versus off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -15,6 +16,7 @@
 #include "chaos/fault_plan.h"
 #include "chaos/soak.h"
 #include "endhost/pan.h"
+#include "obs/metrics.h"
 #include "simnet/audit.h"
 #include "topology/sciera_net.h"
 #include "workload/workload.h"
@@ -133,7 +135,7 @@ TEST(Chaos, ControlOutageAppliesAndReverts) {
   EXPECT_FALSE(uva_cs->available());
   // An unavailable service drops sync lookups without caching anything.
   EXPECT_TRUE(uva_cs->lookup_paths_now(a::ovgu())->empty());
-  EXPECT_GT(uva_cs->lookups_dropped(), 0u);
+  EXPECT_GT(uva_cs->metrics().lookups_dropped->value(), 0u);
 
   net.sim().run_for(2 * kSecond);
   EXPECT_TRUE(uva_cs->available());
@@ -153,7 +155,7 @@ TEST(Chaos, RouterCrashBlackholesUntilRestart) {
   EXPECT_TRUE(router->online());
   net.sim().run_for(1500 * kMillisecond);
   EXPECT_FALSE(router->online());
-  EXPECT_EQ(router->stats().crashes, 1u);
+  EXPECT_EQ(router->metrics().crashes->value(), 1u);
   net.sim().run_for(2 * kSecond);
   EXPECT_TRUE(router->online());
 }
@@ -194,22 +196,22 @@ TEST(Daemon, SyncLookupTripsBreakerFailsFastAndRecovers) {
     EXPECT_TRUE(lookup.paths.empty());
     EXPECT_FALSE(lookup.stale);
   }
-  EXPECT_EQ(daemon.breaker_trips(), 1u);
-  EXPECT_EQ(daemon.degraded_empty(), 3u);
+  EXPECT_EQ(daemon.metrics().breaker_trips->value(), 1u);
+  EXPECT_EQ(daemon.metrics().degraded_empty->value(), 3u);
 
   // The service is back, but the open breaker fails fast: the primary
   // never sees the request.
   primary->set_available(true);
   EXPECT_EQ(daemon.paths_detailed(a::ovgu()).source,
             endhost::PathSource::kUnavailable);
-  EXPECT_EQ(primary->lookups_total(), 0u);
+  EXPECT_EQ(primary->metrics().lookups_total->value(), 0u);
 
   // The window elapses and the half-open probe fetches.
   net.sim().run_for(CircuitBreaker::kOpenFor);
   const auto fetched = daemon.paths_detailed(a::ovgu());
   EXPECT_EQ(fetched.source, endhost::PathSource::kFetched);
   EXPECT_FALSE(fetched.paths.empty());
-  EXPECT_EQ(daemon.breaker_trips(), 1u);
+  EXPECT_EQ(daemon.metrics().breaker_trips->value(), 1u);
 }
 
 TEST(Daemon, SyncLookupServesStaleMarkedPathsDuringOutage) {
@@ -228,7 +230,7 @@ TEST(Daemon, SyncLookupServesStaleMarkedPathsDuringOutage) {
   EXPECT_EQ(degraded.source, endhost::PathSource::kStaleCache);
   EXPECT_TRUE(degraded.stale);
   EXPECT_FALSE(degraded.paths.empty());
-  EXPECT_GT(daemon.stale_served(), 0u);
+  EXPECT_GT(daemon.metrics().stale_served->value(), 0u);
 
   // The legacy configuration answers empty instead.
   endhost::Daemon::Config legacy;
@@ -319,7 +321,7 @@ TEST(Chaos, ScmpFailoverSurvivesCorrelatedOutageOnStalePaths) {
                                   bytes_of("detour"));
   ASSERT_TRUE(receipt.ok());
   EXPECT_NE(receipt->path_fingerprint, primary_fp);
-  EXPECT_GT(daemon.stale_served(), 0u);
+  EXPECT_GT(daemon.metrics().stale_served->value(), 0u);
   net.sim().run_for(1 * kSecond);
   EXPECT_EQ(delivered, 2);
 
@@ -481,19 +483,19 @@ TEST(Daemon, FailsOverAcrossControlReplicas) {
   net.sim().run_for(1500 * kMillisecond);  // mid-outage
   EXPECT_FALSE(set->replica(0)->available());
   EXPECT_TRUE(set->replica(1)->available());
-  const auto before = set->replica(1)->lookups_total();
+  const auto before = set->replica(1)->metrics().lookups_total->value();
   const auto lookup = daemon.paths_detailed(a::ovgu());
   EXPECT_EQ(lookup.source, endhost::PathSource::kFetched);
   EXPECT_FALSE(lookup.stale);
   EXPECT_FALSE(lookup.paths.empty());
-  EXPECT_GT(set->replica(1)->lookups_total(), before);
+  EXPECT_GT(set->replica(1)->metrics().lookups_total->value(), before);
 
   // Every replica dark + cold cache for this destination: kUnavailable.
   set->replica(1)->set_available(false);
   set->replica(2)->set_available(false);
   const auto exhausted = daemon.paths_detailed(a::kisti_sg());
   EXPECT_EQ(exhausted.source, endhost::PathSource::kUnavailable);
-  EXPECT_GT(daemon.degraded_empty(), 0u);
+  EXPECT_GT(daemon.metrics().degraded_empty->value(), 0u);
 
   // The outage reverts on schedule and the primary serves again.
   net.sim().run_for(2 * kSecond);
@@ -819,9 +821,9 @@ TEST(Router, AdmissionShedsDataButKeepsControl) {
   std::uint64_t data_drops = 0;
   std::uint64_t control_drops = 0;
   for (const topology::AsInfo& as : net.topology().ases()) {
-    const auto stats = net.router(as.ia)->stats();
-    data_drops += stats.admission_dropped_data;
-    control_drops += stats.admission_dropped_control;
+    const auto& metrics = net.router(as.ia)->metrics();
+    data_drops += metrics.admission_dropped_data->value();
+    control_drops += metrics.admission_dropped_control->value();
   }
   EXPECT_GT(data_drops, 0u);
   EXPECT_EQ(control_drops, 0u);
@@ -854,11 +856,11 @@ TEST(Router, ScmpErrorBudgetSuppressesPerOffender) {
     ASSERT_TRUE(net.send_from_host(pkt).ok());
   }
   net.sim().run_for(kSecond);
-  const auto stats = net.router(a::uva())->stats();
+  const auto& metrics = net.router(a::uva())->metrics();
   // scmp_errors_sent counts generation attempts; the budget (burst 2)
   // lets two through and suppresses the rest.
-  EXPECT_EQ(stats.scmp_errors_sent, 6u);
-  EXPECT_EQ(stats.scmp_suppressed, 4u);
+  EXPECT_EQ(metrics.scmp_errors_sent->value(), 6u);
+  EXPECT_EQ(metrics.scmp_suppressed->value(), 4u);
 }
 
 // The headline A/B: under the forged-flood plan, the defended stack
@@ -912,6 +914,115 @@ TEST(Chaos, AttackSoakReportIsDeterministic) {
   EXPECT_EQ(first->schedule_hash, second->schedule_hash);
   EXPECT_EQ(first->executed_events, second->executed_events);
   EXPECT_EQ(first->to_json(), second->to_json());
+}
+
+// Sum of every counter series named `name` whose labels include each of
+// `match`, over the process registry.
+std::uint64_t family_total(const std::string& name,
+                           const obs::Labels& match) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& sample :
+       obs::MetricsRegistry::global().snapshot()) {
+    const bool matches =
+        sample.name == name &&
+        std::all_of(match.begin(), match.end(), [&](const auto& label) {
+          return std::find(sample.labels.begin(), sample.labels.end(),
+                           label) != sample.labels.end();
+        });
+    if (matches) total += sample.counter_value;
+  }
+  return total;
+}
+
+// run_soak sums its counts over the hosts, replicas and routers it
+// reads; each sum must equal the growth of the whole family in the
+// registry over the run, so no component is missed or counted twice.
+TEST(Chaos, SoakReportAgreesWithRegistry) {
+  struct Family {
+    const char* field;
+    std::uint64_t SurvivabilityReport::*value;
+    const char* name;
+    obs::Labels match;
+  };
+  using R = SurvivabilityReport;
+  const std::vector<Family> families = {
+      {"lookups", &R::lookups, "sciera_daemon_lookups_total", {}},
+      {"stale_served", &R::stale_served, "sciera_daemon_degraded_total",
+       {{"result", "stale"}}},
+      {"degraded_empty", &R::degraded_empty, "sciera_daemon_degraded_total",
+       {{"result", "empty"}}},
+      {"breaker_trips", &R::breaker_trips,
+       "sciera_daemon_breaker_trips_total", {}},
+      {"control_dropped", &R::control_lookups_dropped,
+       "sciera_control_service_lookups_dropped_total", {}},
+      {"healing_sweeps", &R::healing_sweeps, "sciera_healing_sweeps_total",
+       {}},
+      {"segments_expired", &R::segments_expired,
+       "sciera_segments_expired_total", {}},
+      {"segments_revoked", &R::segments_revoked,
+       "sciera_segments_revoked_total", {}},
+      {"filter_accepted", &R::filter_accepted, "sciera_filter_accepted_total",
+       {}},
+      {"filter_dropped_rule", &R::filter_dropped_rule,
+       "sciera_filter_dropped_total", {{"reason", "rule"}}},
+      {"filter_dropped_auth", &R::filter_dropped_auth,
+       "sciera_filter_dropped_total", {{"reason", "auth"}}},
+      {"filter_dropped_rate", &R::filter_dropped_rate,
+       "sciera_filter_dropped_total", {{"reason", "rate"}}},
+      {"filter_dropped_overflow", &R::filter_dropped_overflow,
+       "sciera_filter_dropped_total", {{"reason", "overflow"}}},
+      {"host_dropped_filtered", &R::host_dropped_filtered,
+       "sciera_host_dropped_total", {{"reason", "filtered"}}},
+      {"host_dropped_overload", &R::host_dropped_overload,
+       "sciera_host_dropped_total", {{"reason", "overload"}}},
+      {"admission_dropped_data", &R::admission_dropped_data,
+       "sciera_router_admission_dropped_total", {{"class", "data"}}},
+      {"scmp_suppressed", &R::scmp_suppressed, "sciera_scmp_suppressed_total",
+       {}},
+      {"faults_injected", &R::faults_injected, "sciera_chaos_injected_total",
+       {}},
+  };
+  struct Soak {
+    const char* name;
+    FaultPlan plan;
+    bool self_healing;
+    bool defenses;
+  };
+  const std::vector<Soak> soaks = {
+      {"forged-flood --self-healing", forged_flood_plan(), true, true},
+      {"forged-flood --self-healing --no-defenses", forged_flood_plan(), true,
+       false},
+      {"kreonet-ring-cut --self-healing", kreonet_ring_cut_plan(), true,
+       true},
+      {"mixed-mayhem", mixed_mayhem_plan(), false, true},
+  };
+  std::vector<SurvivabilityReport> reports;
+  for (const Soak& soak : soaks) {
+    SoakOptions options;
+    options.seed = 7;
+    options.duration = 8 * kSecond;
+    options.self_healing = soak.self_healing;
+    options.defenses = soak.defenses;
+    std::vector<std::uint64_t> before;
+    for (const Family& family : families) {
+      before.push_back(family_total(family.name, family.match));
+    }
+    const auto report = run_soak(soak.plan, options);
+    ASSERT_TRUE(report.ok()) << soak.name;
+    for (std::size_t i = 0; i < families.size(); ++i) {
+      const Family& family = families[i];
+      EXPECT_EQ((*report).*family.value,
+                family_total(family.name, family.match) - before[i])
+          << soak.name << ": " << family.field;
+    }
+    reports.push_back(*report);
+  }
+  // The sums compared above are not all zero.
+  EXPECT_GT(reports[0].lookups, 0u);
+  EXPECT_GT(reports[0].filter_accepted, 0u);
+  EXPECT_GT(reports[1].host_dropped_overload, 0u);
+  EXPECT_GT(reports[2].healing_sweeps, 0u);
+  EXPECT_GT(reports[3].stale_served, 0u);
 }
 
 // Golden digests of the serial schedule: `sciera_chaos <plan> --seed 7`

@@ -9,9 +9,11 @@
 #include <string>
 #include <string_view>
 
+#include "chaos/chaos_engine.h"
 #include "common/check.h"
 #include "controlplane/control_plane.h"
 #include "crypto/sha256.h"
+#include "endhost/pan.h"
 #include "simnet/audit.h"
 #include "topology/parser.h"
 #include "topology/sciera_net.h"
@@ -312,6 +314,72 @@ TEST(IsdWithoutCore, BeaconToAnAsWithoutKeyFailsCheck) {
   EXPECT_EQ(pcb.terminus(), IsdAs::parse("99-1").value());
   EXPECT_EQ(pcb.entries.back().signature, crypto::Ed25519::Signature{});
   EXPECT_FALSE(verify_pcb(pcb, any_key).ok());
+}
+
+// 99-1 has no control service, so every caller that looks one up must
+// cope with its absence. Each of the four below dereferenced the
+// missing service: the chaos engine applying an outage on 99-1 or on
+// "*", a daemon in 99-1, and a daemon-less context in 99-1.
+
+TEST(IsdWithoutCore, ControlOutageOnItsAsIsRejected) {
+  const CountModeGuard guard;
+  ScionNetwork network{topology::parse(kIsdWithoutCore).value()};
+  chaos::ChaosEngine engine(network, 1);
+  chaos::FaultPlan plan;
+  plan.add({kSecond, chaos::FaultKind::kControlOutage, "99-1", 0.0, kSecond});
+  const Status armed = engine.arm(plan);
+  network.sim().run_for(3 * kSecond);
+  ASSERT_FALSE(armed.ok());
+  EXPECT_EQ(armed.error().code, Errc::kNotFound);
+  EXPECT_EQ(engine.faults_injected(), 0u);
+}
+
+TEST(IsdWithoutCore, ControlOutageOnEveryAsSkipsIt) {
+  const CountModeGuard guard;
+  ScionNetwork network{topology::parse(kIsdWithoutCore).value()};
+  chaos::ChaosEngine engine(network, 1);
+  chaos::FaultPlan plan;
+  plan.add({kSecond, chaos::FaultKind::kControlOutage, "*", 0.0,
+            2 * kSecond});
+  ASSERT_TRUE(engine.arm(plan).ok());
+  ControlService* primary =
+      network.control_service_set(IsdAs::parse("71-2").value())->primary();
+  network.sim().run_for(2 * kSecond);
+  EXPECT_FALSE(primary->available());
+  network.sim().run_for(2 * kSecond);
+  EXPECT_TRUE(primary->available());
+  EXPECT_EQ(engine.faults_injected(), 1u);
+}
+
+TEST(IsdWithoutCore, DaemonAnswersFromItsDegradationTail) {
+  const CountModeGuard guard;
+  ScionNetwork network{topology::parse(kIsdWithoutCore).value()};
+  const IsdAs local = IsdAs::parse("99-1").value();
+  const IsdAs remote = IsdAs::parse("71-1").value();
+  for (const bool resilience : {true, false}) {
+    endhost::Daemon::Config config;
+    config.resilience.enabled = resilience;
+    endhost::Daemon daemon(network, local, config);
+    const endhost::PathLookup lookup = daemon.paths_detailed(remote);
+    EXPECT_TRUE(lookup.paths.empty());
+    EXPECT_EQ(lookup.source, endhost::PathSource::kUnavailable);
+    EXPECT_TRUE(daemon.paths(remote).empty());
+    EXPECT_EQ(daemon.metrics().degraded_empty->value(), 2u);
+  }
+}
+
+TEST(IsdWithoutCore, BootstrapperContextAnswersNoPaths) {
+  const CountModeGuard guard;
+  ScionNetwork network{topology::parse(kIsdWithoutCore).value()};
+  const endhost::BootstrapResult state;
+  auto ctx = endhost::PanContext::Builder{}
+                 .net(network)
+                 .address({IsdAs::parse("99-1").value(), 0x0A000001})
+                 .bootstrapper_state(state)
+                 .build(Rng{1});
+  ASSERT_TRUE(ctx.ok()) << ctx.error().to_string();
+  EXPECT_EQ((*ctx)->mode(), endhost::StackMode::kBootstrapperDependent);
+  EXPECT_TRUE((*ctx)->paths(IsdAs::parse("71-1").value()).empty());
 }
 
 TEST_F(ScieraFixture, TamperedPcbFailsVerification) {
@@ -671,7 +739,7 @@ TEST_F(ScieraFixture, ForgedPathIsDroppedByRouters) {
   auto mac_drops_on_path = [&] {
     std::uint64_t total = 0;
     for (IsdAs ia : forged.as_sequence) {
-      total += net.router(ia)->stats().drop_mac;
+      total += net.router(ia)->metrics().drop_mac->value();
     }
     return total;
   };
@@ -712,12 +780,12 @@ TEST_F(ScieraFixture, ControlServiceCachesLookups) {
   EXPECT_FALSE(first->empty());
   // The second lookup is a cache hit: the same shared set, not a
   // recombination.
-  const std::uint64_t hits = cs->cache_hits();
-  const std::uint64_t misses = cs->cache_misses();
+  const std::uint64_t hits = cs->metrics().cache_hits->value();
+  const std::uint64_t misses = cs->metrics().cache_misses->value();
   const PathSet second = cs->lookup_paths_now(a::ufms());
   EXPECT_EQ(second.get(), first.get());
-  EXPECT_EQ(cs->cache_hits(), hits + 1);
-  EXPECT_EQ(cs->cache_misses(), misses);
+  EXPECT_EQ(cs->metrics().cache_hits->value(), hits + 1);
+  EXPECT_EQ(cs->metrics().cache_misses->value(), misses);
 }
 
 // Regression: ControlService treated an entry aged exactly its cache TTL as
@@ -728,17 +796,17 @@ TEST_F(ScieraFixture, ControlServiceCacheEntryAgedExactlyTtlIsStale) {
   auto* cs = net.control_service_set(a::ufms())->primary();
   ASSERT_NE(cs, nullptr);
   cs->flush_cache();
-  const auto misses0 = cs->cache_misses();
-  const auto hits0 = cs->cache_hits();
+  const auto misses0 = cs->metrics().cache_misses->value();
+  const auto hits0 = cs->metrics().cache_hits->value();
   (void)cs->lookup_paths_now(a::uva());
-  EXPECT_EQ(cs->cache_misses() - misses0, 1u);
+  EXPECT_EQ(cs->metrics().cache_misses->value() - misses0, 1u);
   (void)cs->lookup_paths_now(a::uva());
-  EXPECT_EQ(cs->cache_hits() - hits0, 1u);
+  EXPECT_EQ(cs->metrics().cache_hits->value() - hits0, 1u);
   // Exactly the TTL later the entry must be refetched, not served.
   net.sim().run_for(ControlService::kCacheTtl);
   (void)cs->lookup_paths_now(a::uva());
-  EXPECT_EQ(cs->cache_misses() - misses0, 2u);
-  EXPECT_EQ(cs->cache_hits() - hits0, 1u);
+  EXPECT_EQ(cs->metrics().cache_misses->value() - misses0, 2u);
+  EXPECT_EQ(cs->metrics().cache_hits->value() - hits0, 1u);
 }
 
 TEST_F(ScieraFixture, TrcAvailableFromControlService) {

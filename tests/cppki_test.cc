@@ -135,7 +135,7 @@ TEST_F(PkiFixture, AutomatedRenewalKeepsCertsFresh) {
         verify_chain(creds->as_cert, creds->ca_cert, pki_.trc(), now).ok())
         << "day " << now / kDay;
   }
-  EXPECT_GT(pki_.ca().stats().renewed, 10u);
+  EXPECT_GT(pki_.ca().metrics().renewed->value(), 10u);
 }
 
 TEST_F(PkiFixture, RenewalOnlyTouchesExpiring) {

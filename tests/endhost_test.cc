@@ -508,15 +508,15 @@ TEST(Daemon, CacheEntryAgedExactlyTtlIsStale) {
   auto& net = shared_net();
   Daemon daemon{net, a::uva()};
   (void)daemon.paths(a::ovgu());
-  EXPECT_EQ(daemon.cache_misses(), 1u);
+  EXPECT_EQ(daemon.metrics().cache_misses->value(), 1u);
   (void)daemon.paths(a::ovgu());
-  EXPECT_EQ(daemon.cache_hits(), 1u);
-  EXPECT_EQ(daemon.lookups(), 2u);
+  EXPECT_EQ(daemon.metrics().cache_hits->value(), 1u);
+  EXPECT_EQ(daemon.metrics().lookups->value(), 2u);
   // Advance the sim clock by exactly the TTL: no longer a hit.
   net.sim().run_for(Daemon::Config{}.path_cache_ttl);
   (void)daemon.paths(a::ovgu());
-  EXPECT_EQ(daemon.cache_misses(), 2u);
-  EXPECT_EQ(daemon.cache_hits(), 1u);
+  EXPECT_EQ(daemon.metrics().cache_misses->value(), 2u);
+  EXPECT_EQ(daemon.metrics().cache_hits->value(), 1u);
 }
 
 // The benchmark's traced run reads endhost.lookup_timeouts and
@@ -825,9 +825,10 @@ TEST(Dispatcher, SharedQueueDropsUnderLoad) {
     ASSERT_TRUE(net.send_from_host(pkt).ok());
   }
   net.sim().run_for(10 * kSecond);
-  EXPECT_GT(stack.stats().dropped_overload, 0u);
+  EXPECT_GT(stack.metrics().dropped_overload->value(), 0u);
   EXPECT_LT(received, 500);
-  EXPECT_EQ(static_cast<std::uint64_t>(received), stack.stats().delivered);
+  EXPECT_EQ(static_cast<std::uint64_t>(received),
+            stack.metrics().delivered->value());
 }
 
 TEST(Dispatcher, DispatcherlessHandlesSameLoad) {
@@ -850,7 +851,7 @@ TEST(Dispatcher, DispatcherlessHandlesSameLoad) {
   }
   net.sim().run_for(10 * kSecond);
   EXPECT_EQ(received, 500);
-  EXPECT_EQ(stack.stats().dropped_overload, 0u);
+  EXPECT_EQ(stack.metrics().dropped_overload->value(), 0u);
 }
 
 TEST(Dispatcher, PortManagement) {
@@ -1043,7 +1044,7 @@ TEST(LightningFilter, AuthenticatedTrafficAccepted) {
   pkt.payload = payload;
   pkt.payload.insert(pkt.payload.end(), tag.begin(), tag.end());
   EXPECT_EQ(filter.check(pkt, 0), LightningFilter::Verdict::kAccept);
-  EXPECT_EQ(filter.stats().accepted, 1u);
+  EXPECT_EQ(filter.metrics().accepted->value(), 1u);
 }
 
 TEST(LightningFilter, ForgedAuthenticatorDropped) {
@@ -1092,7 +1093,7 @@ TEST(LightningFilter, RateLimitKicksIn) {
     }
   }
   EXPECT_LE(accepted, 11);
-  EXPECT_GT(filter.stats().dropped_rate, 0u);
+  EXPECT_GT(filter.metrics().dropped_rate->value(), 0u);
   // After a pause the bucket refills.
   EXPECT_EQ(filter.check(pkt, 10 * kSecond),
             LightningFilter::Verdict::kAccept);
@@ -1147,7 +1148,7 @@ TEST(LightningFilter, BoundedSourceTableOverflowsThenReclaims) {
   EXPECT_EQ(filter.check(a::princeton(), none, 100 * kMillisecond),
             LightningFilter::Verdict::kDropOverflow);
   EXPECT_EQ(crypto::Aes128::key_schedules_run(), schedules);
-  EXPECT_EQ(filter.stats().dropped_overflow, 1u);
+  EXPECT_EQ(filter.metrics().dropped_overflow->value(), 1u);
   EXPECT_EQ(filter.source_count(), 2u);
   // Once the residents go idle the same source is admitted via reclaim.
   EXPECT_EQ(filter.check(a::princeton(), none, 2 * kSecond),

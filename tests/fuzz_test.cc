@@ -117,7 +117,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz, ::testing::Range(0, 10));
 TEST(RouterFuzz, RandomFramesAreDiscarded) {
   auto& network = net();
   auto* router = network.router(a::geant());
-  const auto before = router->stats().delivered;
+  const auto before = router->metrics().delivered->value();
   Rng rng{99};
   // Feed junk through the router's receive path via a real link arrival:
   // easiest is to parse-reject; emulate by calling receive with a frame.
@@ -128,8 +128,8 @@ TEST(RouterFuzz, RandomFramesAreDiscarded) {
     router->receive(frame, simnet::Arrival{1, network.sim().now()});
   }
   network.sim().run_for(kSecond);
-  EXPECT_EQ(router->stats().delivered, before);
-  EXPECT_GT(router->stats().drop_malformed, 0u);
+  EXPECT_EQ(router->metrics().delivered->value(), before);
+  EXPECT_GT(router->metrics().drop_malformed->value(), 0u);
 }
 
 // Sanitizer-friendly corpus for the packet parser: each case targets a

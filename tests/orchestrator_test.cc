@@ -37,9 +37,9 @@ TEST(Orchestrator, SetupWorkflowSucceedsForCore) {
 
 TEST(Orchestrator, CertificateRenewalWorks) {
   Orchestrator orchestrator{net(), a::sidn()};
-  const auto renewed_before = net().pki(71)->ca().stats().renewed;
+  const auto renewed_before = net().pki(71)->ca().metrics().renewed->value();
   EXPECT_TRUE(orchestrator.renew_certificate().ok());
-  EXPECT_GT(net().pki(71)->ca().stats().renewed, renewed_before);
+  EXPECT_GT(net().pki(71)->ca().metrics().renewed->value(), renewed_before);
 }
 
 TEST(Orchestrator, DashboardHealthyOnCleanNetwork) {

@@ -164,7 +164,7 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
   // MAC cache; steady state is what the window measures.
   for (std::size_t r = 0; r < kWarmupRounds; ++r) fire_batch();
 
-  const std::uint64_t forwarded_before = router.stats().forwarded;
+  const std::uint64_t forwarded_before = router.metrics().forwarded->value();
   const std::uint64_t received_before = sink.received();
   const std::uint64_t schedules_before = crypto::Aes128::key_schedules_run();
   const std::uint64_t allocs_before = g_allocs.load();
@@ -176,7 +176,7 @@ TEST(RouterFastPath, WarmBatchedWindowAllocatesAndSchedulesNothing) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(schedules, 0u);
   const std::uint64_t sent = kRounds * kBatch;
-  EXPECT_EQ(router.stats().forwarded - forwarded_before, sent);
+  EXPECT_EQ(router.metrics().forwarded->value() - forwarded_before, sent);
   EXPECT_EQ(sink.received() - received_before, sent);
 }
 
@@ -444,14 +444,14 @@ TEST(LocalDelivery, WarmWindowAllocatesNothing) {
   for (std::size_t r = 0; r < kWarmupRounds; ++r) fire_batch();
 
   const std::uint64_t received_before = received;
-  const std::uint64_t delivered_before = router.stats().delivered;
+  const std::uint64_t delivered_before = router.metrics().delivered->value();
   const std::uint64_t allocs_before = g_allocs.load();
   for (std::size_t r = 0; r < kRounds; ++r) fire_batch();
   const std::uint64_t allocs = g_allocs.load() - allocs_before;
 
   EXPECT_EQ(allocs, 0u);
   const std::uint64_t sent = kRounds * kBatch;
-  EXPECT_EQ(router.stats().delivered - delivered_before, sent);
+  EXPECT_EQ(router.metrics().delivered->value() - delivered_before, sent);
   EXPECT_EQ(received - received_before, sent);
   EXPECT_EQ(received_bytes, (kWarmupRounds + kRounds) * kBatch * 200);
 }

@@ -83,8 +83,8 @@ TEST_F(SigPairFixture, LegacyHostsCommunicateAcrossContinents) {
   const Duration latency = hq_rx_[0].second - t0;
   EXPECT_GT(to_ms(latency), 10.0);
   EXPECT_LT(to_ms(latency), 400.0);
-  EXPECT_EQ(campus_sig_.stats().encapsulated, 1u);
-  EXPECT_EQ(hq_sig_.stats().decapsulated, 1u);
+  EXPECT_EQ(campus_sig_.metrics().encapsulated->value(), 1u);
+  EXPECT_EQ(hq_sig_.metrics().decapsulated->value(), 1u);
 }
 
 TEST_F(SigPairFixture, BidirectionalFlow) {
@@ -112,7 +112,7 @@ TEST_F(SigPairFixture, UnknownDestinationRejected) {
   const auto status = campus_sig_.send_ip(packet);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Errc::kNotFound);
-  EXPECT_EQ(campus_sig_.stats().no_rule, 1u);
+  EXPECT_EQ(campus_sig_.metrics().no_rule->value(), 1u);
 }
 
 TEST_F(SigPairFixture, FailoverWhenPrimaryLinkDies) {
@@ -146,7 +146,7 @@ TEST_F(SigPairFixture, TunnelRidesFrontOfUsablePolicyPathsWithLinkDown) {
   const auto delivered = [] {
     std::vector<std::uint64_t> counts;
     for (const auto& link : net().topology().links()) {
-      counts.push_back(net().link(link.id)->stats().delivered);
+      counts.push_back(net().link(link.id)->metrics().delivered->value());
     }
     return counts;
   };

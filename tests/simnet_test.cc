@@ -113,7 +113,7 @@ TEST(Link, DeliversAfterPropagationAndSerialization) {
   // 1000 bytes at 1 B/us = 1ms serialization + 10ms propagation.
   EXPECT_EQ(b.arrivals[0].time, 11 * kMillisecond);
   EXPECT_EQ(b.arrivals[0].local_iface, 7);
-  EXPECT_EQ(link.stats().delivered, 1u);
+  EXPECT_EQ(link.metrics().delivered->value(), 1u);
 }
 
 TEST(Link, SerializationQueuesBackToBack) {
@@ -145,7 +145,7 @@ TEST(Link, DownLinkDropsTraffic) {
   link.send(0, frame_of(100));
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
-  EXPECT_EQ(link.stats().dropped_down, 1u);
+  EXPECT_EQ(link.metrics().dropped_down->value(), 1u);
   link.set_up(true);
   link.send(0, frame_of(100));
   sim.run_all();
@@ -169,8 +169,8 @@ TEST(Link, DownTransitionCancelsInFlightDeliveries) {
   sim.schedule_after(5 * kMillisecond, [&] { link.set_up(false); });
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
-  EXPECT_EQ(link.stats().dropped_down, 1u);
-  EXPECT_EQ(link.stats().delivered, 0u);
+  EXPECT_EQ(link.metrics().dropped_down->value(), 1u);
+  EXPECT_EQ(link.metrics().delivered->value(), 0u);
 }
 
 // A frame sent before a down/up flap is lost even though the link is up
@@ -190,13 +190,13 @@ TEST(Link, FlapDuringFlightStillDropsTheFrame) {
   link.send(0, frame_of(100));  // also pre-flap
   sim.run_all();
   EXPECT_TRUE(b.arrivals.empty());
-  EXPECT_EQ(link.stats().dropped_down, 2u);
+  EXPECT_EQ(link.metrics().dropped_down->value(), 2u);
 
   // Traffic sent after the link recovered flows normally.
   link.send(0, frame_of(100));
   sim.run_all();
   EXPECT_EQ(b.arrivals.size(), 1u);
-  EXPECT_EQ(link.stats().delivered, 1u);
+  EXPECT_EQ(link.metrics().delivered->value(), 1u);
 }
 
 // Regression: re-upping a link immediately after a cut must start from an
@@ -223,7 +223,7 @@ TEST(Link, ReUpAfterCutStartsFromEmptyPipe) {
   sim.schedule(5500 * kMicrosecond, [&] {
     link.set_up(false);
     // Every queued/in-flight frame is cancelled and counted at cut time.
-    EXPECT_EQ(link.stats().dropped_down, 5u);
+    EXPECT_EQ(link.metrics().dropped_down->value(), 5u);
     link.set_up(true);  // same-tick recovery
     link.send(0, frame_of(1000));
   });
@@ -234,10 +234,10 @@ TEST(Link, ReUpAfterCutStartsFromEmptyPipe) {
   // backlog from before the cut is gone.
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals[0].time, 5500 * kMicrosecond + 11 * kMillisecond);
-  EXPECT_EQ(link.stats().delivered, 1u);
+  EXPECT_EQ(link.metrics().delivered->value(), 1u);
   // The stale delivery events fired without double-counting the drops.
-  EXPECT_EQ(link.stats().dropped_down, 5u);
-  EXPECT_EQ(link.stats().dropped_queue, 0u);
+  EXPECT_EQ(link.metrics().dropped_down->value(), 5u);
+  EXPECT_EQ(link.metrics().dropped_queue->value(), 0u);
 }
 
 // Same-tick batched frames cancelled by a cut stay cancelled when the
@@ -267,8 +267,8 @@ TEST(Link, CutCancelsSameTickBatchDespiteReUp) {
   sim.run_all();
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals[0].time, 13 * kMillisecond);
-  EXPECT_EQ(link.stats().dropped_down, 2u);
-  EXPECT_EQ(link.stats().delivered, 1u);
+  EXPECT_EQ(link.metrics().dropped_down->value(), 2u);
+  EXPECT_EQ(link.metrics().delivered->value(), 1u);
 }
 
 // A scheduled mid-flight failure replays deterministically (the drop is
@@ -287,7 +287,7 @@ TEST(Link, MidFlightFailureScheduleIsDeterministic) {
     }
     sim.schedule(7 * kMillisecond, [&] { link.set_up(false); });
     sim.run_all();
-    EXPECT_EQ(link.stats().dropped_down, 5u);
+    EXPECT_EQ(link.metrics().dropped_down->value(), 5u);
     return sim.schedule_digest();
   };
   const auto first = scenario();
@@ -308,7 +308,7 @@ TEST(Link, LossProbabilityDropsStatistically) {
   sim.run_all();
   EXPECT_GT(b.arrivals.size(), 400u);
   EXPECT_LT(b.arrivals.size(), 600u);
-  EXPECT_EQ(b.arrivals.size() + link.stats().dropped_loss, 1000u);
+  EXPECT_EQ(b.arrivals.size() + link.metrics().dropped_loss->value(), 1000u);
 }
 
 TEST(Link, QueueOverflowTailDrops) {
@@ -323,7 +323,7 @@ TEST(Link, QueueOverflowTailDrops) {
   link.attach(1, &b, 1);
   for (int i = 0; i < 100; ++i) link.send(0, frame_of(1000));
   sim.run_all();
-  EXPECT_GT(link.stats().dropped_queue, 0u);
+  EXPECT_GT(link.metrics().dropped_queue->value(), 0u);
   EXPECT_LT(b.arrivals.size(), 100u);
 }
 

@@ -35,7 +35,7 @@ using namespace std::literals;  // NOLINT(using-namespace) fixture
 // adhoc-stats: components report through the metrics registry.
 struct Stats { int sent = 0; };
 struct Stats { int sent = 0; };  // NOLINT(adhoc-stats) fixture
-// A snapshot read back from the registry is marked and not flagged.
+// The old snapshot marker is only a comment: it exempts nothing.
 struct Stats { int sent = 0; };  // registry-backed snapshot
 
 // raw-retry-loop: failures go through CircuitBreaker.

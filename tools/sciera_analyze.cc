@@ -77,9 +77,8 @@
 //                         self-contained.
 //   adhoc-stats           a line with `struct` and `Stats` in src/
 //                         outside src/obs/: components report through the
-//                         metrics registry. A snapshot read back from the
-//                         registry is marked `// registry-backed snapshot`
-//                         on that line.
+//                         metrics registry and are read back through
+//                         their registry cells.
 //   raw-retry-loop        a line with `for`/`while` and a retry/attempt
 //                         identifier in src/ outside src/chaos/ and
 //                         src/common/backoff.*: failures go through
@@ -641,15 +640,11 @@ void rule_line_conventions(const RuleContext& ctx, bool retry_scope,
               "(src/common/backoff.h); suppress deliberate cases with "
               "'// NOLINT(raw-retry-loop)'");
     }
-    const auto comment = ctx.lexed.comments.find(line);
-    if (stats_scope && (seen & (kStruct | kStats)) == (kStruct | kStats) &&
-        (comment == ctx.lexed.comments.end() ||
-         comment->second.find("registry-backed snapshot") ==
-             std::string::npos)) {
+    if (stats_scope && (seen & (kStruct | kStats)) == (kStruct | kStats)) {
       ctx.add(line, "adhoc-stats", Severity::kError,
-              "ad-hoc 'struct Stats' outside src/obs/ — report through "
-              "obs::MetricsRegistry (mark registry-backed snapshot structs "
-              "with '// registry-backed snapshot')");
+              "ad-hoc 'struct Stats' outside src/obs/ — keep counts in "
+              "obs::MetricsRegistry cells, read through a component's "
+              "metrics()");
     }
   }
 }
